@@ -26,7 +26,6 @@ from .gabor_engine import (
     mixture_field,
     quadrature_gabor,
     region_norm,
-    resample_to_square,
     spectrogram,
 )
 from .tensor_phase import (

@@ -45,7 +45,6 @@ from .signal_model import (
 from .stability_graph import (
     DegenerateVertexError,
     SquareCover,
-    build_graph,
     certificate,
     cheeger_inequality_check,
     graph_edge_rows,
@@ -346,15 +345,14 @@ def cmd_certify(config, args) -> ReportBundle:
     spec_f = spectrogram(_field_for(sig_f, grid))
     spec_g = spectrogram(_field_for(sig_g, grid))
     try:
-        graph = build_graph(spec_f, cover)
         cert = certificate(spec_f, spec_g, cover)
     except DegenerateVertexError as exc:
         raise CliDegeneracyError(str(exc))
     bundle = ReportBundle("certify", config)
     bundle.add_table("certificate", ["quantity", "value"],
                      [(name, val) for name, val in cert.rows()])
-    bundle.add_table("vertices", ["i", "w"], graph_vertex_rows(graph))
-    bundle.add_table("edges", ["i", "j", "sigma"], graph_edge_rows(graph))
+    bundle.add_table("vertices", ["i", "w"], graph_vertex_rows(cert.graph))
+    bundle.add_table("edges", ["i", "j", "sigma"], graph_edge_rows(cert.graph))
     bundle.summary.append(f"squares: {cert.nu}, union area: {cert.vol_omega!r}")
     bundle.summary.append(f"bound_lambda: {cert.bound_lambda!r}")
     bundle.summary.append(f"bound_cheeger: {cert.bound_cheeger!r}")

@@ -32,7 +32,6 @@ __all__ = [
     "region_norm",
     "rect_union_norm",
     "region_inner_product",
-    "resample_to_square",
     "union_area",
     "write_field_csv",
     "read_field_csv",
@@ -146,31 +145,20 @@ class SpectrogramField:
 
 @dataclass(frozen=True)
 class Square:
+    """Axis-aligned square given by its center and full side length."""
+
     cx: float
     cy: float
     side: float
-    rotation: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.side > 0:
             raise ValueError("square side must be positive")
 
-    def corners(self) -> np.ndarray:
-        h = 0.5 * self.side
-        local = np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.cx, self.cy])
-
     def rect(self) -> tuple[float, float, float, float]:
-        """(xmin, xmax, ymin, ymax) for axis-aligned squares."""
-        if not self._axis_aligned():
-            raise ValueError("square is not axis-aligned")
+        """(xmin, xmax, ymin, ymax)."""
         h = 0.5 * self.side
         return (self.cx - h, self.cx + h, self.cy - h, self.cy + h)
-
-    def _axis_aligned(self, tol: float = 1e-12) -> bool:
-        return abs(math.sin(2.0 * self.rotation)) < tol
 
 
 @dataclass(frozen=True)
@@ -238,95 +226,52 @@ def spectrogram(fld: SpectrogramField) -> SpectrogramField:
     return SpectrogramField(fld.grid, np.abs(fld.values) ** 2, SPECTROGRAM)
 
 
-def _interval_overlap(centers: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
-    """Per-cell overlap fraction of cells [c-h/2, c+h/2] with [lo, hi]."""
-    left = np.maximum(centers - 0.5 * h, lo)
-    right = np.minimum(centers + 0.5 * h, hi)
+def _arrangement(rects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cover count on the arrangement grid of axis-aligned rectangles.
+
+    Klee's measure problem on the compressed grid of distinct edges, as in
+    Bentley's sweep: a 2-D difference array over the sorted x and y edges,
+    summed once per axis.  Returns (xs, ys, count), where count[k, l] is the
+    number of rectangles covering [xs[k], xs[k+1]] x [ys[l], ys[l+1]].
+    Empty rectangles are ignored.
+    """
+    r = np.asarray(rects, dtype=float).reshape(-1, 4)
+    r = r[(r[:, 1] > r[:, 0]) & (r[:, 3] > r[:, 2])]
+    xs, ys = np.unique(r[:, :2]), np.unique(r[:, 2:])
+    i0, i1 = np.searchsorted(xs, r[:, 0]), np.searchsorted(xs, r[:, 1])
+    j0, j1 = np.searchsorted(ys, r[:, 2]), np.searchsorted(ys, r[:, 3])
+    diff = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    for i, j, sign in ((i0, j0, 1), (i1, j1, 1), (i0, j1, -1), (i1, j0, -1)):
+        np.add.at(diff, (i, j), sign)
+    return xs, ys, diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+
+
+def _interval_overlap(centers: np.ndarray, h: float, edges: np.ndarray) -> np.ndarray:
+    """Overlap fraction of cells [c-h/2, c+h/2] with each [edges[k], edges[k+1]]."""
+    left = np.maximum(centers[:, None] - 0.5 * h, edges[None, :-1])
+    right = np.minimum(centers[:, None] + 0.5 * h, edges[None, 1:])
     return np.clip(right - left, 0.0, None) / h
 
 
-def _rects_of_region(region: Region) -> tuple[list[tuple[float, float, float, float]], list[Square]]:
-    rects = []
-    rotated = []
-    for sq in region.squares:
-        if sq._axis_aligned():
-            rects.append(sq.rect())
-        else:
-            rotated.append(sq)
-    return rects, rotated
-
-
-def _union_fractions_rects(grid: Grid2D,
-                           rects: list[tuple[float, float, float, float]]) -> np.ndarray:
-    """Exact coverage fractions of the union of axis-aligned rectangles.
-
-    Inclusion-exclusion over rectangle subsets; subtrees with empty running
-    intersection are pruned, so disjoint-ish covers stay cheap.  Each term is
-    separable, hence an outer product of 1-D overlap fractions.
-    """
-    xs, ys = grid.xs(), grid.ys()
-    frac = np.zeros((grid.nx, grid.ny))
-
-    def recurse(start: int, current: tuple[float, float, float, float], depth: int) -> None:
-        nonlocal frac
-        for i in range(start, len(rects)):
-            x0 = max(current[0], rects[i][0])
-            x1 = min(current[1], rects[i][1])
-            y0 = max(current[2], rects[i][2])
-            y1 = min(current[3], rects[i][3])
-            if x1 <= x0 or y1 <= y0:
-                continue
-            sign = 1.0 if depth % 2 == 0 else -1.0
-            fx = _interval_overlap(xs, grid.dx, x0, x1)
-            fy = _interval_overlap(ys, grid.dy, y0, y1)
-            frac += sign * np.outer(fx, fy)
-            recurse(i + 1, (x0, x1, y0, y1), depth + 1)
-
-    recurse(0, (-math.inf, math.inf, -math.inf, math.inf), 0)
-    return np.clip(frac, 0.0, 1.0)
-
-
-def _point_in_square(sq: Square, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    c, s = math.cos(sq.rotation), math.sin(sq.rotation)
-    u = c * (x - sq.cx) + s * (y - sq.cy)
-    v = -s * (x - sq.cx) + c * (y - sq.cy)
-    h = 0.5 * sq.side
-    return (np.abs(u) <= h) & (np.abs(v) <= h)
+def _union_fractions(grid: Grid2D, rects) -> np.ndarray:
+    """Exact coverage fraction of each grid cell by the union of the rectangles."""
+    xs, ys, count = _arrangement(rects)
+    ax = _interval_overlap(grid.xs(), grid.dx, xs)
+    ay = _interval_overlap(grid.ys(), grid.dy, ys)
+    return np.clip(ax @ (count > 0) @ ay.T, 0.0, 1.0)
 
 
 def coverage_fractions(grid: Grid2D, region: Region) -> np.ndarray:
-    """Fraction of each grid cell covered by the region union (in [0, 1]).
-
-    Axis-aligned squares are resolved exactly; rotated squares by 8x8
-    sub-sampling of cells near their boundary.
-    """
-    rects, rotated = _rects_of_region(region)
-    frac = _union_fractions_rects(grid, rects) if rects else np.zeros((grid.nx, grid.ny))
-    if rotated:
-        xs, ys = grid.xs(), grid.ys()
-        m = 8
-        offs = (np.arange(m) + 0.5) / m - 0.5
-        X, Y = grid.mesh()
-        sub = np.zeros((grid.nx, grid.ny))
-        for ox in offs:
-            for oy in offs:
-                pts_x = X + ox * grid.dx
-                pts_y = Y + oy * grid.dy
-                inside = np.zeros((grid.nx, grid.ny), dtype=bool)
-                for sq in rotated:
-                    inside |= _point_in_square(sq, pts_x, pts_y)
-                sub += inside
-        frac = np.maximum(frac, sub / (m * m))
-    return frac
+    """Fraction of each grid cell covered by the region union (in [0, 1])."""
+    return _union_fractions(grid, [sq.rect() for sq in region.squares])
 
 
 def _check_region_in_grid(grid: Grid2D, region: Region) -> None:
     gx0, gx1, gy0, gy1 = grid.cell_bounds()
     tol = 1e-9 * max(grid.dx, grid.dy)
     for sq in region.squares:
-        corners = sq.corners()
-        if (corners[:, 0].min() < gx0 - tol or corners[:, 0].max() > gx1 + tol
-                or corners[:, 1].min() < gy0 - tol or corners[:, 1].max() > gy1 + tol):
+        x0, x1, y0, y1 = sq.rect()
+        if x0 < gx0 - tol or x1 > gx1 + tol or y0 < gy0 - tol or y1 > gy1 + tol:
             raise ValueError(
                 f"square centered ({sq.cx}, {sq.cy}) exceeds the field domain"
             )
@@ -362,7 +307,7 @@ def rect_union_norm(fld: SpectrogramField,
     Same midpoint-with-coverage rule as region_norm; used for pairwise square
     intersections, which are rectangles rather than squares.
     """
-    return _masked_norm(fld, _union_fractions_rects(fld.grid, list(rects)), p)
+    return _masked_norm(fld, _union_fractions(fld.grid, rects), p)
 
 
 def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField,
@@ -376,72 +321,10 @@ def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField,
     return complex(np.sum(fld_a.values * np.conj(fld_b.values) * frac) * cell)
 
 
-def _bilinear(fld: SpectrogramField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    g = fld.grid
-    fx = (x - g.x0) / g.dx
-    fy = (y - g.y0) / g.dy
-    eps = 1e-9
-    if fx.min() < -eps or fx.max() > g.nx - 1 + eps or fy.min() < -eps or fy.max() > g.ny - 1 + eps:
-        raise ValueError("resample target leaves the field domain")
-    fx = np.clip(fx, 0.0, g.nx - 1.0)
-    fy = np.clip(fy, 0.0, g.ny - 1.0)
-    i0 = np.minimum(fx.astype(int), g.nx - 2) if g.nx > 1 else np.zeros_like(fx, dtype=int)
-    j0 = np.minimum(fy.astype(int), g.ny - 2) if g.ny > 1 else np.zeros_like(fy, dtype=int)
-    tx = fx - i0
-    ty = fy - j0
-    v = fld.values
-    i1 = np.minimum(i0 + 1, g.nx - 1)
-    j1 = np.minimum(j0 + 1, g.ny - 1)
-    return ((1 - tx) * (1 - ty) * v[i0, j0] + tx * (1 - ty) * v[i1, j0]
-            + (1 - tx) * ty * v[i0, j1] + tx * ty * v[i1, j1])
-
-
-def resample_to_square(fld: SpectrogramField, square: Square,
-                       step: float | None = None) -> SpectrogramField:
-    """Bilinear resample onto the square's local axis-aligned frame.
-
-    The output grid lives in local coordinates centered at the square, which
-    reduces general squares to the centered axis-aligned base case; only
-    moduli are consumed downstream so the dropped unimodular factors of the
-    rotated/translated signal never need to be materialized.
-    """
-    h = step if step is not None else min(fld.grid.dx, fld.grid.dy)
-    n = int(round(square.side / h)) + 1
-    local = -0.5 * square.side + square.side * np.arange(n) / (n - 1)
-    U, V = np.meshgrid(local, local, indexing="ij")
-    c, s = math.cos(square.rotation), math.sin(square.rotation)
-    X = square.cx + c * U - s * V
-    Y = square.cy + s * U + c * V
-    vals = _bilinear(fld, X, Y)
-    out_grid = Grid2D(local[0], local[0], local[1] - local[0], local[1] - local[0], n, n)
-    return SpectrogramField(out_grid, vals, fld.kind)
-
-
 def union_area(rects: list[tuple[float, float, float, float]]) -> float:
-    """Exact area of a union of axis-aligned rectangles (strip sweep)."""
-    rects = [r for r in rects if r[1] > r[0] and r[3] > r[2]]
-    if not rects:
-        return 0.0
-    xs = sorted({r[0] for r in rects} | {r[1] for r in rects})
-    total = 0.0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        if x1 <= x0:
-            continue
-        spans = sorted((r[2], r[3]) for r in rects if r[0] <= x0 and r[1] >= x1)
-        covered = 0.0
-        cur_lo, cur_hi = None, None
-        for lo, hi in spans:
-            if cur_lo is None:
-                cur_lo, cur_hi = lo, hi
-            elif lo > cur_hi:
-                covered += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        if cur_lo is not None:
-            covered += cur_hi - cur_lo
-        total += covered * (x1 - x0)
-    return total
+    """Exact area of a union of axis-aligned rectangles."""
+    xs, ys, count = _arrangement(rects)
+    return float(np.diff(xs) @ (count > 0) @ np.diff(ys))
 
 
 def write_field_csv(fld: SpectrogramField, path) -> None:

@@ -10,7 +10,7 @@ collects every quantity entering the resulting bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .gabor_engine import (
     Region,
     Square,
     SpectrogramField,
+    _arrangement,
     rect_union_norm,
     region_norm,
     union_area,
@@ -81,8 +82,7 @@ class SquareCover:
         return Region(tuple(self.squares()))
 
     def rects(self) -> list[tuple[float, float, float, float]]:
-        h = 0.5 * self.side
-        return [(x - h, x + h, y - h, y + h) for x, y in self.centers]
+        return [sq.rect() for sq in self.squares()]
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,8 @@ class StabilityCertificate:
 
     The universal constant of the underlying estimate is unknown; bounds are
     reported with constant 1 and the validation suite fits the empirical one.
+    `graph` is the cover graph the quantities were computed from; it is not
+    part of rows() or of equality.
     """
 
     K: float
@@ -150,6 +152,7 @@ class StabilityCertificate:
     bound_lambda: float
     bound_cheeger: float
     base_case: bool = False
+    graph: WeightedGraph | None = field(default=None, compare=False, repr=False)
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -294,7 +297,8 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
     must cover the signals' essential energy), M the sum of inverse squared
     square-masses of spec_f, L the max cover multiplicity, nu the square
     count; the bounds combine them with the connectivity quantities.  A
-    disconnected cover yields infinite bounds.
+    cover whose graph has more than one connected component yields infinite
+    bounds, whatever rounding leaves in lambda.
     """
     if spec_f.kind != SPECTROGRAM or spec_g.kind != SPECTROGRAM:
         raise ValueError("certificate expects spectrogram fields")
@@ -302,7 +306,7 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
     k_const = float(spec_f.values.max() + spec_g.values.max())
     m_const = float(np.sum(g.w ** -2.0))
     rects = cover.rects()
-    l_const = float(_max_multiplicity(rects))
+    l_const = float(_arrangement(rects)[2].max())
     nu = len(cover)
     vol = union_area(rects)
 
@@ -311,7 +315,7 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
         return StabilityCertificate(
             K=k_const, M=m_const, L=l_const, nu=nu, vol_omega=vol,
             lam=0.0, cheeger=0.0, delta0=0.0,
-            bound_lambda=base, bound_cheeger=base, base_case=True,
+            bound_lambda=base, bound_cheeger=base, base_case=True, graph=g,
         )
 
     lam = algebraic_connectivity(g)
@@ -321,33 +325,32 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
 
     common = k_const * math.sqrt(m_const) * math.sqrt(l_const)
     stitch = k_const * nu ** 1.5 * math.sqrt(l_const)
-    if lam > 0:
+    connected = _connected(g)
+    if connected and lam > 0:
         bound_lambda = math.sqrt(common + stitch / lam + math.sqrt(vol))
     else:
         bound_lambda = math.inf
-    if h > 0:
+    if connected and h > 0:
         bound_cheeger = math.sqrt(common + d0 * stitch / (h * h) + math.sqrt(vol))
     else:
         bound_cheeger = math.inf
     return StabilityCertificate(
         K=k_const, M=m_const, L=l_const, nu=nu, vol_omega=vol,
         lam=lam, cheeger=h, delta0=d0,
-        bound_lambda=bound_lambda, bound_cheeger=bound_cheeger,
+        bound_lambda=bound_lambda, bound_cheeger=bound_cheeger, graph=g,
     )
 
 
-def _max_multiplicity(rects) -> int:
-    """Max number of rectangles covering a point (sampled on the arrangement)."""
-    xs = sorted({v for r in rects for v in (r[0], r[1])})
-    ys = sorted({v for r in rects for v in (r[2], r[3])})
-    mx = [(a + b) / 2 for a, b in zip(xs[:-1], xs[1:])]
-    my = [(a + b) / 2 for a, b in zip(ys[:-1], ys[1:])]
-    best = 0
-    for x in mx:
-        for y in my:
-            count = sum(1 for r in rects if r[0] < x < r[1] and r[2] < y < r[3])
-            best = max(best, count)
-    return best
+def _connected(g: WeightedGraph) -> bool:
+    """Whether the support of sigma > 0 joins all vertices (breadth-first)."""
+    adjacent = g.sigma > 0
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def graph_vertex_rows(g: WeightedGraph) -> list[tuple[int, float]]:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the package's own code paths:
 disk norms come from polar quadrature rather than jet series, minimizers
-from dense grid search rather than closed forms, and derivatives from
-high-order finite-difference stencils rather than analytic formulas.
+from dense grid search rather than closed forms, derivatives from
+high-order finite-difference stencils rather than analytic formulas, and
+square-cover geometry from point tests rather than the arrangement sweep.
 """
 
 from __future__ import annotations
@@ -95,3 +96,38 @@ def random_graph(rng, n_min: int = 2, n_max: int = 12, density: float = 0.7):
     w = rng.uniform(0.2, 2.0, n)
     upper = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
     return WeightedGraph(w, upper + upper.T)
+
+
+def jittered_cover_centers(rng, k: int = 8, half: float = 1.5,
+                           jitter: float = 0.1) -> tuple[tuple[float, float], ...]:
+    """k x k lattice in [-half + jitter, half - jitter]^2, each center moved by <= jitter."""
+    offs = np.linspace(-half + jitter, half - jitter, k)
+    return tuple((float(x + rng.uniform(-jitter, jitter)), float(y + rng.uniform(-jitter, jitter)))
+                 for x in offs for y in offs)
+
+
+def arrangement_brute_force(rects) -> tuple[int, float]:
+    """Max multiplicity and union area of rectangles (xmin, xmax, ymin, ymax).
+
+    Every cell of the arrangement of rectangle edges is tested at its
+    midpoint against every rectangle.
+    """
+    r = np.asarray(rects, dtype=float)
+    xs, ys = np.unique(r[:, :2]), np.unique(r[:, 2:])
+    mx, my = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
+    count = np.zeros((len(mx), len(my)), dtype=int)
+    for x0, x1, y0, y1 in r:
+        count += np.outer((x0 < mx) & (mx < x1), (y0 < my) & (my < y1))
+    area = float(np.sum(np.outer(np.diff(xs), np.diff(ys))[count > 0]))
+    return int(count.max()), area
+
+
+def sampled_coverage(grid, rects, m: int = 32) -> np.ndarray:
+    """Fraction of an m x m midpoint sample of each grid cell inside the union."""
+    offs = (np.arange(m) + 0.5) / m - 0.5
+    px = (grid.xs()[:, None] + offs[None, :] * grid.dx).ravel()
+    py = (grid.ys()[:, None] + offs[None, :] * grid.dy).ravel()
+    inside = np.zeros((len(px), len(py)), dtype=bool)
+    for x0, x1, y0, y1 in rects:
+        inside |= np.outer((x0 <= px) & (px <= x1), (y0 <= py) & (py <= y1))
+    return inside.reshape(grid.nx, m, grid.ny, m).mean(axis=(1, 3))

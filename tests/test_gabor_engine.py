@@ -19,17 +19,17 @@ from gaborcert import (
     mixture_field,
     quadrature_gabor,
     region_norm,
-    resample_to_square,
     spectrogram,
 )
 from gaborcert.gabor_engine import (
+    coverage_fractions,
     read_field_csv,
     rect_union_norm,
     union_area,
     write_field_csv,
 )
 
-from oracles import random_mixture
+from oracles import jittered_cover_centers, random_mixture, sampled_coverage
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 
@@ -126,20 +126,17 @@ def test_region_norm_refinement_oracle():
     assert errors[0] > errors[1] > errors[2]
 
 
-def test_region_norm_rotated_square():
-    # rotated squares go through the sub-sampled coverage path
-    grid = Grid2D.from_bounds(-2, 2, -2, 2, 0.05)
-    ones = SpectrogramField(grid, np.ones((grid.nx, grid.ny)), SPECTROGRAM)
-    region = Region((Square(0.0, 0.0, 1.0, rotation=math.pi / 6),))
-    assert region_norm(ones, region, 1) == pytest.approx(1.0, abs=5e-3)
-    assert region_norm(ones, region, math.inf) == 1.0
-
-
 def test_region_norm_overlap_counted_once():
     grid = Grid2D.from_bounds(-2, 2, -2, 2, 0.05)
     ones = SpectrogramField(grid, np.ones((grid.nx, grid.ny)), SPECTROGRAM)
     region = Region((Square(0.0, 0.0, 1.0), Square(0.5, 0.0, 1.0)))
     assert region_norm(ones, region, 1) == pytest.approx(1.5, abs=1e-10)
+    # overlap in both axes, edges off the grid: 2 - 0.67 * 0.59
+    region = Region((Square(0.0, 0.0, 1.0), Square(0.33, 0.41, 1.0)))
+    assert region_norm(ones, region, 1) == pytest.approx(2.0 - 0.67 * 0.59, abs=1e-10)
+    assert region_norm(ones, region, 2) == pytest.approx(math.sqrt(2.0 - 0.67 * 0.59), abs=1e-10)
+    assert region_norm(ones, region, 1) == pytest.approx(
+        union_area([sq.rect() for sq in region.squares]), rel=1e-12)
 
 
 def test_spectrogram_mass_equals_window_factor_times_norm():
@@ -172,45 +169,22 @@ def test_region_norm_refinement_order():
     assert order >= 1.9
 
 
-def test_resample_identity():
-    grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.05)
-    spec = spectrogram(mixture_field(ATOM, grid))
-    out = resample_to_square(spec, Square(0.0, 0.0, 1.0))
-    n0 = int(round((-0.5 - grid.x0) / grid.dx))
-    sub = spec.values[n0:n0 + out.grid.nx, n0:n0 + out.grid.ny]
-    assert np.abs(out.values - sub).max() < 1e-14
-
-
-def test_resample_rotation_of_radial_field():
-    grid = Grid2D.from_bounds(-2, 2, -2, 2, 0.05)
-    spec = spectrogram(mixture_field(ATOM, grid))
-    base = resample_to_square(spec, Square(0.0, 0.0, 1.0))
-    rot = resample_to_square(spec, Square(0.0, 0.0, 1.0, rotation=math.pi / 2))
-    assert np.abs(rot.values - base.values).max() < 1e-6
-
-
-def test_resample_translation_covariance():
-    shifted = GaussianMixtureSignal((GaussianAtom(1.0, 0.5, 0.0),))
-    grid = Grid2D.from_bounds(-2, 2, -2, 2, 0.05)
-    spec_shifted = spectrogram(mixture_field(shifted, grid))
-    spec_base = spectrogram(mixture_field(ATOM, grid))
-    moved = resample_to_square(spec_shifted, Square(0.5, 0.0, 1.0))
-    ref = resample_to_square(spec_base, Square(0.0, 0.0, 1.0))
-    assert np.abs(moved.values - ref.values).max() < 1e-6
-
-
-def test_resample_out_of_domain():
-    grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.1)
-    spec = spectrogram(mixture_field(ATOM, grid))
-    with pytest.raises(ValueError):
-        resample_to_square(spec, Square(1.0, 0.0, 1.0))
-
-
 def test_union_area():
     assert union_area([(0, 1, 0, 1)]) == pytest.approx(1.0)
     assert union_area([(0, 1, 0, 1), (0.5, 1.5, 0, 1)]) == pytest.approx(1.5)
     assert union_area([(0, 1, 0, 1), (2, 3, 0, 1)]) == pytest.approx(2.0)
     assert union_area([(0, 1, 0, 1), (0, 1, 0, 1)]) == pytest.approx(1.0)
+
+
+def test_coverage_fractions_dense_cover_matches_point_sample():
+    # 64 jittered unit squares in [-1.5, 1.5]^2, up to 9 deep: far past what
+    # inclusion-exclusion over square subsets can reach
+    squares = tuple(Square(x, y, 1.0) for x, y in jittered_cover_centers(np.random.default_rng(64)))
+    grid = Grid2D.from_bounds(-2.2, 2.2, -2.2, 2.2, 0.1)
+    frac = coverage_fractions(grid, Region(squares))
+    assert frac.min() >= 0.0 and frac.max() <= 1.0
+    sampled = sampled_coverage(grid, [sq.rect() for sq in squares], 32)
+    assert np.abs(frac - sampled).max() <= 1.0 / 16
 
 
 def test_rect_union_norm_matches_region_norm():

@@ -25,7 +25,7 @@ from gaborcert.stability_graph import (
     graph_vertex_rows,
 )
 
-from oracles import random_graph, rayleigh_minimum_pgd
+from oracles import arrangement_brute_force, jittered_cover_centers, random_graph, rayleigh_minimum_pgd
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 
@@ -184,10 +184,17 @@ def test_certificate_single_square_base_case():
 
 def test_certificate_disconnected_is_infinite():
     spec = const_spectrogram()
-    cert = certificate(spec, spec, SquareCover(((-1.5, 0.0), (1.5, 0.0))))
-    assert math.isinf(cert.bound_cheeger)
-    assert math.isinf(cert.bound_lambda)
-    assert cert.cheeger == 0.0
+    # two components whose lambda is a rounding residue rather than exactly 0
+    mix = GaussianMixtureSignal((GaussianAtom(1.0, -1.0, 0.0), GaussianAtom(0.8, 1.0, 0.3)))
+    spec_mix = spectrogram(mixture_field(mix, Grid2D.from_bounds(-3, 3, -3, 3, 0.1)))
+    for s, cover in (
+        (spec, SquareCover(((-1.5, 0.0), (1.5, 0.0)))),
+        (spec_mix, SquareCover(((-1.475, 0.0), (-0.975, 0.0), (0.975, 0.0), (1.475, 0.0)))),
+    ):
+        cert = certificate(s, s, cover)
+        assert math.isinf(cert.bound_cheeger)
+        assert math.isinf(cert.bound_lambda)
+        assert cert.cheeger == 0.0
 
 
 def test_certificate_three_by_three_consistency():
@@ -205,6 +212,17 @@ def test_certificate_three_by_three_consistency():
     # same convention for both bounds: cheeger form dominates when
     # lambda >= h^2 / (2 delta0), which exact enumeration guarantees
     assert cert.bound_cheeger >= cert.bound_lambda - 1e-12
+
+
+def test_certificate_dense_cover_geometry_matches_brute_force():
+    cover = SquareCover(jittered_cover_centers(np.random.default_rng(64)))
+    spec = const_spectrogram(lo=-2.5, hi=2.5)
+    cert = certificate(spec, spec, cover)
+    mult, area = arrangement_brute_force(cover.rects())
+    assert cert.nu == 64
+    assert cert.L == mult
+    assert cert.vol_omega == pytest.approx(area, rel=1e-12)
+    assert cert.M == float(np.sum(cert.graph.w ** -2.0))
 
 
 def test_graph_export_rows():
