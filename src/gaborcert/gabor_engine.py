@@ -206,17 +206,31 @@ def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
 
     xs = grid.xs()
     ys = grid.ys()
-    # windowed integrand rows (nx, nt), then one matmul against exp(-2 pi i t y)
-    windowed = ft[None, :] * np.exp(-np.pi * (t[None, :] - xs[:, None]) ** 2) * w[None, :]
-    kernel = np.exp(-2j * np.pi * np.outer(t, ys))
+    # windowed integrand rows (nx, nt), then one matmul against exp(-2 pi i t y);
+    # both buffers are updated in place, so no full-size temporaries pile up
+    # (the transform's peak memory is set here)
+    gauss = np.subtract(t[None, :], xs[:, None])
+    np.square(gauss, out=gauss)
+    gauss *= -np.pi
+    np.exp(gauss, out=gauss)
+    windowed = ft[None, :] * gauss
+    del gauss
+    windowed *= w[None, :]
+    kernel = np.outer(t, ys).astype(complex)
+    kernel *= -2j * np.pi
+    np.exp(kernel, out=kernel)
     values = windowed @ kernel
     return SpectrogramField(grid, values, GABOR)
 
 
 def mixture_field(sig: GaussianMixtureSignal, grid: Grid2D) -> SpectrogramField:
-    """Closed-form transform field (fast path for mixtures)."""
-    X, Y = grid.mesh()
-    return SpectrogramField(grid, gabor_closed_form(sig, X, Y), GABOR)
+    """Closed-form transform field (fast path for mixtures).
+
+    The grid is passed to `gabor_closed_form` as an open mesh, which it
+    evaluates as one rank-K product.
+    """
+    values = gabor_closed_form(sig, grid.xs()[:, None], grid.ys()[None, :])
+    return SpectrogramField(grid, values, GABOR)
 
 
 def spectrogram(fld: SpectrogramField) -> SpectrogramField:
@@ -237,6 +251,8 @@ def _arrangement(rects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     r = np.asarray(rects, dtype=float).reshape(-1, 4)
     r = r[(r[:, 1] > r[:, 0]) & (r[:, 3] > r[:, 2])]
+    if len(r) == 1:  # a lone rectangle is its own arrangement
+        return r[0, :2], r[0, 2:], np.ones((1, 1), dtype=np.int64)
     xs, ys = np.unique(r[:, :2]), np.unique(r[:, 2:])
     i0, i1 = np.searchsorted(xs, r[:, 0]), np.searchsorted(xs, r[:, 1])
     j0, j1 = np.searchsorted(ys, r[:, 2]), np.searchsorted(ys, r[:, 3])
@@ -250,7 +266,34 @@ def _interval_overlap(centers: np.ndarray, h: float, edges: np.ndarray) -> np.nd
     """Overlap fraction of cells [c-h/2, c+h/2] with each [edges[k], edges[k+1]]."""
     left = np.maximum(centers[:, None] - 0.5 * h, edges[None, :-1])
     right = np.minimum(centers[:, None] + 0.5 * h, edges[None, 1:])
-    return np.clip(right - left, 0.0, None) / h
+    return np.maximum(right - left, 0.0) / h
+
+
+def _axis_window(x0: float, step: float, n: int, lo: float, hi: float) -> slice:
+    """Indices of the cells x0 + step * i, from the one holding lo to the one
+    holding hi, clamped to the n cells of the axis and never empty."""
+    i0 = min(max(math.floor((lo - x0) / step + 0.5), 0), n - 1)
+    i1 = max(min(math.floor((hi - x0) / step + 0.5) + 1, n), i0 + 1)
+    return slice(i0, i1)
+
+
+def _window(grid: Grid2D, rects) -> tuple[slice, slice, Grid2D]:
+    """The cells of the grid that meet the bounding box of the rectangles.
+
+    Returns index slices (sx, sy) into the grid's values and the sub-grid of
+    those cells.  Coverage by the rectangles is zero outside the window, so
+    region quantities are computed on the sub-grid alone: O(w^2) per region
+    instead of O(N^2).  A box that misses the grid gets the nearest edge
+    cell, which it covers by zero; no rectangles get the whole grid.
+    """
+    r = np.asarray(rects, dtype=float).reshape(-1, 4)
+    if len(r) == 0:
+        return slice(0, grid.nx), slice(0, grid.ny), grid
+    sx = _axis_window(grid.x0, grid.dx, grid.nx, r[:, 0].min(), r[:, 1].max())
+    sy = _axis_window(grid.y0, grid.dy, grid.ny, r[:, 2].min(), r[:, 3].max())
+    sub = Grid2D(grid.x0 + grid.dx * sx.start, grid.y0 + grid.dy * sy.start,
+                 grid.dx, grid.dy, sx.stop - sx.start, sy.stop - sy.start)
+    return sx, sy, sub
 
 
 def _union_fractions(grid: Grid2D, rects) -> np.ndarray:
@@ -261,9 +304,13 @@ def _union_fractions(grid: Grid2D, rects) -> np.ndarray:
     return np.clip(ax @ (count > 0) @ ay.T, 0.0, 1.0)
 
 
+def _region_rects(region: Region) -> list[tuple[float, float, float, float]]:
+    return [sq.rect() for sq in region.squares]
+
+
 def coverage_fractions(grid: Grid2D, region: Region) -> np.ndarray:
     """Fraction of each grid cell covered by the region union (in [0, 1])."""
-    return _union_fractions(grid, [sq.rect() for sq in region.squares])
+    return _union_fractions(grid, _region_rects(region))
 
 
 def _check_region_in_grid(grid: Grid2D, region: Region) -> None:
@@ -277,12 +324,12 @@ def _check_region_in_grid(grid: Grid2D, region: Region) -> None:
             )
 
 
-def _masked_norm(fld: SpectrogramField, frac: np.ndarray, p) -> float:
-    mags = np.abs(fld.values)
+def _masked_norm(values: np.ndarray, frac: np.ndarray, grid: Grid2D, p) -> float:
+    mags = np.abs(values)
     if p == math.inf or p == "inf":
         covered = frac > 1e-12
         return float(mags[covered].max()) if covered.any() else 0.0
-    cell = fld.grid.dx * fld.grid.dy
+    cell = grid.dx * grid.dy
     if p == 1:
         return float(np.sum(mags * frac) * cell)
     if p == 2:
@@ -295,9 +342,11 @@ def region_norm(fld: SpectrogramField, region: Region, p) -> float:
 
     Composite midpoint rule with exact sub-cell coverage weights for p in
     {1, 2}; p=inf returns the max of |values| over covered grid points.
+    Only the cells of the region's window are visited.
     """
     _check_region_in_grid(fld.grid, region)
-    return _masked_norm(fld, coverage_fractions(fld.grid, region), p)
+    sx, sy, sub = _window(fld.grid, _region_rects(region))
+    return _masked_norm(fld.values[sx, sy], coverage_fractions(sub, region), fld.grid, p)
 
 
 def rect_union_norm(fld: SpectrogramField,
@@ -307,7 +356,8 @@ def rect_union_norm(fld: SpectrogramField,
     Same midpoint-with-coverage rule as region_norm; used for pairwise square
     intersections, which are rectangles rather than squares.
     """
-    return _masked_norm(fld, _union_fractions(fld.grid, rects), p)
+    sx, sy, sub = _window(fld.grid, rects)
+    return _masked_norm(fld.values[sx, sy], _union_fractions(sub, rects), fld.grid, p)
 
 
 def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField,
@@ -316,9 +366,10 @@ def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField,
     if fld_a.grid != fld_b.grid:
         raise ValueError("fields must share a grid")
     _check_region_in_grid(fld_a.grid, region)
-    frac = coverage_fractions(fld_a.grid, region)
+    sx, sy, sub = _window(fld_a.grid, _region_rects(region))
+    frac = coverage_fractions(sub, region)
     cell = fld_a.grid.dx * fld_a.grid.dy
-    return complex(np.sum(fld_a.values * np.conj(fld_b.values) * frac) * cell)
+    return complex(np.sum(fld_a.values[sx, sy] * np.conj(fld_b.values[sx, sy]) * frac) * cell)
 
 
 def union_area(rects: list[tuple[float, float, float, float]]) -> float:

@@ -132,9 +132,15 @@ def make_sharpness_pair(a: float) -> tuple[GaussianMixtureSignal, GaussianMixtur
 
 
 def gabor_closed_form(sig: GaussianMixtureSignal, x, y):
-    """Exact transform values; x, y broadcastable scalars or arrays."""
+    """Exact transform values; x, y broadcastable scalars or arrays.
+
+    An open mesh (x of shape (nx, 1), y of shape (1, ny)) is evaluated as
+    one rank-K product; other points atom by atom.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1:
+        return _open_mesh_closed_form(sig, x, y)
     out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
     for a in sig.atoms:
         dx = x - a.shift
@@ -145,6 +151,24 @@ def gabor_closed_form(sig: GaussianMixtureSignal, x, y):
     if out.shape == ():
         return complex(out)
     return out
+
+
+def _open_mesh_closed_form(sig: GaussianMixtureSignal, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The atom sum on an open mesh as ``exp(-i pi x y) * (U diag(c) V^T)``.
+
+    The atom phase splits as ``-pi (x + s)(y - m) = -pi x y + pi x m - pi s y
+    + pi s m``, so with ``U[i, k] = exp(-pi/2 (x_i - s_k)^2 + i pi x_i m_k)``,
+    ``V[j, k] = exp(-pi/2 (y_j - m_k)^2 - i pi s_k y_j)`` and
+    ``c_k = A_k 2^{-1/2} exp(i pi s_k m_k)`` the field takes K (nx + ny)
+    exponentials and one matrix product instead of K nx ny exponentials.
+    """
+    s = np.array([a.shift for a in sig.atoms])
+    m = np.array([a.modulation for a in sig.atoms])
+    c = np.array([a.amplitude for a in sig.atoms]) * _INV_SQRT2 * np.exp(1j * np.pi * s * m)
+    yc = y.T
+    u = np.exp(-0.5 * np.pi * (x - s) ** 2 + 1j * np.pi * x * m)
+    v = np.exp(-0.5 * np.pi * (yc - m) ** 2 - 1j * np.pi * yc * s)
+    return np.exp(-1j * np.pi * (x * y)) * ((u * c) @ v.T)
 
 
 def entire_extension_values(sig: GaussianMixtureSignal, z, zeta):

@@ -164,40 +164,32 @@ class StabilityCertificate:
         ]
 
 
-def _intersection_rect(a, b):
-    x0, x1 = max(a[0], b[0]), min(a[1], b[1])
-    y0, y1 = max(a[2], b[2]), min(a[3], b[3])
-    if x1 <= x0 or y1 <= y0:
-        return None
-    return (x0, x1, y0, y1)
-
-
-def _rect_l1(fld: SpectrogramField, rect) -> float:
-    return rect_union_norm(fld, [rect], 1)
-
-
 def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
-    """Graph over the cover: w_i = ||S||_L1(Q_i), sigma_ij = ||S||_L1(Q_i cap Q_j)^2."""
+    """Graph over the cover: w_i = ||S||_L1(Q_i), sigma_ij = ||S||_L1(Q_i cap Q_j)^2.
+
+    Every mass is a norm over one square or one overlap rectangle, so it
+    visits only the cells of that window; overlapping pairs are found in one
+    vectorised pass over all pairs.
+    """
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
     if abs(cover.side - 1.0) > 1e-12:
         raise ValueError("cover squares must have unit side")
-    rects = cover.rects()
     n = len(cover)
-    w = np.empty(n)
-    for i, (cx, cy) in enumerate(cover.centers):
-        w[i] = region_norm(spec, Region((Square(cx, cy, cover.side),)), 1)
+    w = np.array([region_norm(spec, Region((sq,)), 1) for sq in cover.squares()])
     degenerate = [i for i in range(n) if w[i] <= 0.0]
     if degenerate:
         raise DegenerateVertexError(degenerate)
+    # pairwise intersection rectangles; a pair overlaps when its rectangle has positive extent
+    r = np.array(cover.rects())
+    x0 = np.maximum(r[:, None, 0], r[None, :, 0])
+    x1 = np.minimum(r[:, None, 1], r[None, :, 1])
+    y0 = np.maximum(r[:, None, 2], r[None, :, 2])
+    y1 = np.minimum(r[:, None, 3], r[None, :, 3])
     sigma = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rect = _intersection_rect(rects[i], rects[j])
-            if rect is None:
-                continue
-            mass = _rect_l1(spec, rect)
-            sigma[i, j] = sigma[j, i] = mass * mass
+    for i, j in zip(*np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))):
+        mass = rect_union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
+        sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
 
 

@@ -22,6 +22,7 @@ from .gabor_engine import (
     Region,
     Square,
     SpectrogramField,
+    _window,
     coverage_fractions,
     region_inner_product,
     region_norm,
@@ -135,20 +136,27 @@ def min_phase_distance(fld_f: SpectrogramField, fld_g: SpectrogramField,
     return 1.0 + 0.0j, math.sqrt(nf * nf + ng * ng)
 
 
-def _local_field(jet: LocalJet, grid, frac: np.ndarray) -> np.ndarray:
-    """Evaluate the jet's local recovery on the covered cells of the grid."""
-    out = np.zeros((grid.nx, grid.ny), dtype=complex)
-    idx = np.argwhere(frac > 1e-12)
-    if len(idx) == 0:
+def _local_field(jet: LocalJet, xs: np.ndarray, ys: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Evaluate the jet's local recovery on the covered cells of one window."""
+    out = np.zeros(cov.shape, dtype=complex)
+    ix, iy = np.nonzero(cov > 1e-12)
+    if len(ix) == 0:
         return out
-    xs, ys = grid.xs(), grid.ys()
-    px = xs[idx[:, 0]]
-    py = ys[idx[:, 1]]
+    px = xs[ix]
+    py = ys[iy]
     w_pts = px - 1j * py
     vals = local_phase_from_modulus(jet, w_pts)
     gauss = np.exp(-1j * np.pi * px * py - 0.5 * np.pi * (px * px + py * py))
-    out[idx[:, 0], idx[:, 1]] = vals * gauss
+    out[ix, iy] = vals * gauss
     return out
+
+
+def _shared(a, b):
+    """Index slices into windows a and b, each (sx, sy, cov), of the cells both contain."""
+    lo = [max(u.start, v.start) for u, v in zip(a[:2], b[:2])]
+    hi = [max(min(u.stop, v.stop), l) for u, v, l in zip(a[:2], b[:2], lo)]  # empty, never reversed
+    return tuple(tuple(slice(l - u.start, h - u.start) for u, l, h in zip(w[:2], lo, hi))
+                 for w in (a, b))
 
 
 def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
@@ -172,20 +180,22 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     grid = spec.grid
     n = len(cover)
-    squares = cover.squares()
-    fracs = [coverage_fractions(grid, Region((sq,))) for sq in squares]
 
-    # jet centers: per-square argmax of the spectrogram over covered cells
+    # per square: its index window, the coverage on it, and the jet center
+    # (argmax of the spectrogram over covered cells)
+    windows: list[tuple[slice, slice, np.ndarray]] = []
     centers_xy: list[tuple[float, float]] = []
     degenerate = []
     xs, ys = grid.xs(), grid.ys()
-    for i, frac in enumerate(fracs):
-        masked = np.where(frac > 1e-12, spec.values, -1.0)
-        flat = int(np.argmax(masked))
-        ix, iy = np.unravel_index(flat, masked.shape)
+    for i, sq in enumerate(cover.squares()):
+        sx, sy, sub = _window(grid, [sq.rect()])
+        cov = coverage_fractions(sub, Region((sq,)))
+        windows.append((sx, sy, cov))
+        masked = np.where(cov > 1e-12, spec.values[sx, sy], -1.0)
+        ix, iy = np.unravel_index(int(np.argmax(masked)), masked.shape)
         if masked[ix, iy] <= threshold:
             degenerate.append(i)
-        centers_xy.append((float(xs[ix]), float(ys[iy])))
+        centers_xy.append((float(xs[sx][ix]), float(ys[sy][iy])))
     if degenerate:
         raise DegenerateSquareError(degenerate)
 
@@ -197,24 +207,25 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         else:
             jets.append(jet_from_field(spec, (x0, y0), min(order, 4)))
 
-    locals_ = [_local_field(jets[i], grid, fracs[i]) for i in range(n)]
+    locals_ = [_local_field(jets[i], xs[sx], ys[sy], cov)
+               for i, (sx, sy, cov) in enumerate(windows)]
     graph = build_graph(spec, cover)
 
     # relative multipliers on overlaps, then spanning-tree propagation
     cell = grid.dx * grid.dy
     edges: dict[tuple[int, int], complex] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if graph.sigma[i, j] <= 0:
-                continue
-            inter = np.minimum(fracs[i], fracs[j])
-            den = float(np.sum(np.abs(locals_[j]) ** 2 * inter) * cell)
-            if den <= 0:
-                continue
-            num = complex(np.sum(locals_[i] * np.conj(locals_[j]) * inter) * cell)
-            if abs(num) == 0.0:
-                continue
-            edges[(i, j)] = num / abs(num)  # estimate of phase(i) - phase(j)
+    for i, j in zip(*np.nonzero(np.triu(graph.sigma > 0, 1))):
+        i, j = int(i), int(j)
+        si, sj = _shared(windows[i], windows[j])
+        inter = np.minimum(windows[i][2][si], windows[j][2][sj])
+        loc_i, loc_j = locals_[i][si], locals_[j][sj]
+        den = float(np.sum(np.abs(loc_j) ** 2 * inter) * cell)
+        if den <= 0:
+            continue
+        num = complex(np.sum(loc_i * np.conj(loc_j) * inter) * cell)
+        if abs(num) == 0.0:
+            continue
+        edges[(i, j)] = num / abs(num)  # estimate of phase(i) - phase(j)
 
     adj: list[list[int]] = [[] for _ in range(n)]
     for (i, j) in edges:
@@ -256,9 +267,9 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     # stitch: coverage-weighted average of aligned local fields
     weight_sum = np.zeros((grid.nx, grid.ny))
     acc = np.zeros((grid.nx, grid.ny), dtype=complex)
-    for i in range(n):
-        acc += multipliers[i] * locals_[i] * fracs[i]
-        weight_sum += fracs[i]
+    for i, (sx, sy, cov) in enumerate(windows):
+        acc[sx, sy] += multipliers[i] * locals_[i] * cov
+        weight_sum[sx, sy] += cov
     out_vals = np.divide(acc, weight_sum, out=np.zeros_like(acc), where=weight_sum > 1e-12)
 
     alignments = [LocalAlignment(i, complex(multipliers[i]), 0.0) for i in range(n)]

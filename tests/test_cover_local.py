@@ -1,0 +1,146 @@
+"""Cover-local computation: per-square and per-overlap work on index windows.
+
+Masses, coverage and fields computed on the window of cells a square or an
+overlap meets must agree with the full-grid sums, and squares outside the
+field domain must fail the same way as before windowing.
+"""
+
+import numpy as np
+import pytest
+
+from gaborcert import (
+    GaussianAtom,
+    GaussianMixtureSignal,
+    Grid2D,
+    Region,
+    SquareCover,
+    build_graph,
+    certificate,
+    gabor_closed_form,
+    mixture_field,
+    region_norm,
+    retrieve_phase,
+    spectrogram,
+)
+from gaborcert.cli import main
+from gaborcert.gabor_engine import _union_fractions, coverage_fractions, rect_union_norm
+from gaborcert.stitching import DegenerateSquareError
+
+from oracles import jittered_cover_centers
+
+ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
+DOMAIN_GRID = Grid2D.from_bounds(-2.0, 2.0, -2.0, 2.0, 0.05)
+
+
+def _domain_spec():
+    return spectrogram(mixture_field(ATOM, DOMAIN_GRID))
+
+
+@pytest.mark.parametrize("far", [(1.8, 0.0), (4.0, 0.0)])
+def test_graph_and_certificate_reject_square_past_the_grid(far):
+    spec = _domain_spec()
+    cover = SquareCover(((0.0, 0.0), far))
+    with pytest.raises(ValueError, match="exceeds the field domain"):
+        build_graph(spec, cover)
+    with pytest.raises(ValueError, match="exceeds the field domain"):
+        certificate(spec, spec, cover)
+
+
+def test_retrieve_square_partly_outside_exceeds_the_domain():
+    cover = SquareCover(((0.0, 0.0), (1.8, 0.0)))
+    with pytest.raises(ValueError, match="exceeds the field domain") as exc:
+        retrieve_phase(_domain_spec(), cover, signal=ATOM)
+    assert not isinstance(exc.value, DegenerateSquareError)
+
+
+def test_retrieve_square_wholly_outside_is_degenerate(tmp_path, capsys):
+    cover = SquareCover(((0.0, 0.0), (4.0, 0.0)))
+    with pytest.raises(DegenerateSquareError) as exc:
+        retrieve_phase(_domain_spec(), cover, signal=ATOM)
+    assert exc.value.indices == [1]
+
+    config = tmp_path / "retrieve.json"
+    config.write_text(
+        '{"spectrogram": {"signal": {"kind": "mixture", "atoms": '
+        '[{"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}]}, '
+        '"grid": {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "step": 0.05}}, '
+        '"cover": {"centers": [[0.0, 0.0], [4.0, 0.0]]}}'
+    )
+    assert main(["retrieve", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "on squares [1]" in capsys.readouterr().err
+
+
+def _n64_cover_and_spec():
+    """Jittered 8 x 8 cover with off-grid edges plus one square whose right
+    edge lies on the grid's cell bound, and a 9-atom spectrogram over it."""
+    rng = np.random.default_rng(6400)
+    grid = Grid2D.from_bounds(-3.0, 3.0, -3.0, 3.0, 0.05)
+    centers = jittered_cover_centers(rng, k=8, half=2.4, jitter=0.1)
+    centers += ((grid.cell_bounds()[1] - 0.5, 0.3),)
+    atoms = tuple(GaussianAtom(complex(*rng.normal(size=2)), x, y)
+                  for x in (-1.5, 0.0, 1.5) for y in (-1.5, 0.0, 1.5))
+    spec = spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
+    return SquareCover(centers), spec
+
+
+def _full_grid_l1(spec, rects) -> float:
+    """||S||_L1 over the union of the rectangles, summed over every grid cell."""
+    frac = _union_fractions(spec.grid, rects)
+    return float(np.sum(spec.values * frac) * spec.grid.dx * spec.grid.dy)
+
+
+def test_build_graph_window_masses_match_full_grid_at_n65():
+    cover, spec = _n64_cover_and_spec()
+    n = len(cover)
+    assert n == 65
+    g = build_graph(spec, cover)
+
+    rects = cover.rects()
+    for i, sq in enumerate(cover.squares()):
+        assert g.w[i] == pytest.approx(region_norm(spec, Region((sq,)), 1), rel=1e-12, abs=0)
+        assert g.w[i] == pytest.approx(_full_grid_l1(spec, [rects[i]]), rel=1e-12, abs=0)
+
+    via_norm = np.zeros((n, n))
+    full = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = rects[i], rects[j]
+            inter = (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
+            if inter[1] <= inter[0] or inter[3] <= inter[2]:
+                continue
+            via_norm[i, j] = via_norm[j, i] = rect_union_norm(spec, [inter], 1) ** 2
+            full[i, j] = full[j, i] = _full_grid_l1(spec, [inter]) ** 2
+    # the edge-on-bound square overlaps its lattice neighbours
+    assert np.count_nonzero(full[-1]) >= 2
+    for reference in (via_norm, full):
+        assert np.array_equal(g.sigma > 0, reference > 0)
+        np.testing.assert_allclose(g.sigma, reference, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_region_norm_on_window_matches_full_grid(p):
+    cover, spec = _n64_cover_and_spec()
+    squares = cover.squares()
+    for region in (cover.region(), Region(tuple(squares[:9])), Region((squares[-1], squares[-2]))):
+        frac = coverage_fractions(spec.grid, region)
+        cell = spec.grid.dx * spec.grid.dy
+        if p == 1:
+            full = np.sum(spec.values * frac) * cell
+        elif p == 2:
+            full = np.sqrt(np.sum(spec.values ** 2 * frac) * cell)
+        else:
+            full = spec.values[frac > 1e-12].max()
+        assert region_norm(spec, region, p) == pytest.approx(full, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 4, 144])
+def test_mixture_field_rank_k_matches_closed_form(k):
+    rng = np.random.default_rng(k)
+    grid = Grid2D.from_bounds(-6.0, 6.0, -6.0, 6.0, 0.1)  # |x y| up to 36
+    # the first atom lies outside the grid; the others anywhere in [-8, 8]^2
+    positions = [(7.0, -6.5)] + [tuple(rng.uniform(-8.0, 8.0, 2)) for _ in range(k - 1)]
+    sig = GaussianMixtureSignal(tuple(GaussianAtom(complex(*rng.normal(size=2)), x, y)
+                                      for x, y in positions))
+    reference = gabor_closed_form(sig, *grid.mesh())
+    fld = mixture_field(sig, grid)
+    assert np.abs(fld.values - reference).max() <= 1e-13 * np.abs(reference).max()
