@@ -14,17 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gaborcert import (
-    GABOR,
-    Grid2D,
-    Region,
-    SpectrogramField,
-    Square,
-    make_sharpness_pair,
-    min_phase_distance,
-    mixture_field,
-    region_norm,
-)
+from gaborcert import sharpness_ratio
 
 
 def main() -> None:
@@ -36,18 +26,10 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("results/sharpness"))
     args = parser.parse_args()
 
-    grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, args.grid_step)
-    region = Region((Square(0.0, 0.0, 1.0),))
     rows = []
     a = args.a_min
     while a <= args.a_max + 1e-12:
-        f, g = make_sharpness_pair(a)
-        ff = mixture_field(f, grid)
-        gg = mixture_field(g, grid)
-        _, dist = min_phase_distance(ff, gg, region)
-        diff = SpectrogramField(
-            grid, np.abs(ff.values) ** 2 - np.abs(gg.values) ** 2 + 0j, GABOR)
-        sqrt_sd = math.sqrt(region_norm(diff, region, 2))
+        dist, sqrt_sd = sharpness_ratio(a, args.grid_step)
         ratio = dist / sqrt_sd
         rows.append((a, dist, sqrt_sd, ratio, math.log(ratio)))
         a += args.a_step

@@ -69,6 +69,7 @@ from .stitching import (
     local_align,
     min_phase_distance,
     retrieve_phase,
+    sharpness_ratio,
     synchronize,
 )
 

@@ -23,24 +23,21 @@ from jsonschema.exceptions import best_match
 
 from . import __version__
 from .gabor_engine import (
-    GABOR,
     Grid2D,
-    Region,
     SampledSignal,
     SpectrogramField,
-    Square,
     mixture_field,
     quadrature_gabor,
     read_field_csv,
     region_norm,
     spectrogram,
+    write_field_csv,
 )
 from .signal_model import (
     GaussianAtom,
     GaussianMixtureSignal,
     gabor_closed_form,
     l2_norm,
-    make_sharpness_pair,
 )
 from .stability_graph import (
     DegenerateVertexError,
@@ -50,7 +47,12 @@ from .stability_graph import (
     graph_edge_rows,
     graph_vertex_rows,
 )
-from .stitching import DegenerateSquareError, min_phase_distance, retrieve_phase
+from .stitching import (
+    DegenerateSquareError,
+    min_phase_distance,
+    retrieve_phase,
+    sharpness_ratio,
+)
 from .cubature import (
     discrete_weighted_norm,
     gauss_rule,
@@ -279,6 +281,7 @@ class ReportBundle:
     command: str
     config_echo: dict
     tables: dict = field(default_factory=dict)
+    fields: dict[str, SpectrogramField] = field(default_factory=dict)
     summary: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
@@ -296,6 +299,8 @@ class ReportBundle:
             for row in rows:
                 lines.append(",".join(_format_cell(c) for c in row))
             (outdir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        for name, fld in self.fields.items():
+            write_field_csv(fld, outdir / f"{name}.csv")
         text = [f"command: {self.command}"] + self.summary
         if self.warnings:
             text.append("warnings:")
@@ -321,16 +326,8 @@ def cmd_transform(config, args) -> ReportBundle:
     fld = _field_for(signal, grid)
     spec = spectrogram(fld)
     bundle = ReportBundle("transform", config)
-    xs, ys = grid.xs(), grid.ys()
-    gabor_rows = []
-    spec_rows = []
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            v = fld.values[i, j]
-            gabor_rows.append((float(xs[i]), float(ys[j]), float(v.real), float(v.imag)))
-            spec_rows.append((float(xs[i]), float(ys[j]), float(spec.values[i, j])))
-    bundle.add_table("gabor", ["x", "y", "re", "im"], gabor_rows)
-    bundle.add_table("spectrogram", ["x", "y", "s"], spec_rows)
+    bundle.fields["gabor"] = fld
+    bundle.fields["spectrogram"] = spec
     bundle.summary.append(f"grid: {grid.nx} x {grid.ny} points, step {grid.dx}")
     bundle.summary.append(f"max |field|: {np.abs(fld.values).max()!r}")
     bundle.summary.append(f"spectrogram mass (cell sum): {spec.values.sum() * grid.dx * grid.dy!r}")
@@ -366,20 +363,11 @@ def cmd_sharpness(config, args) -> ReportBundle:
     if any(a > 3.0 for a in a_values):
         raise CliValidationError("a_values: entries must lie in (0, 3]")
     step = args.grid_step if args.grid_step is not None else config.get("grid_step", 0.02)
-    grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, step)
-    region = Region((Square(0.0, 0.0, 1.0),))
     rows = []
     for a in a_values:
-        f, g = make_sharpness_pair(a)
-        fld_f = mixture_field(f, grid)
-        fld_g = mixture_field(g, grid)
-        _, dist = min_phase_distance(fld_f, fld_g, region)
-        diff = SpectrogramField(
-            grid, np.abs(fld_f.values) ** 2 - np.abs(fld_g.values) ** 2 + 0j, GABOR
-        )
-        spec_dist = region_norm(diff, region, 2)
-        ratio = dist / math.sqrt(spec_dist)
-        rows.append((float(a), dist, math.sqrt(spec_dist), ratio, math.log(ratio)))
+        dist, sqrt_specdiff = sharpness_ratio(a, step)
+        ratio = dist / sqrt_specdiff
+        rows.append((float(a), dist, sqrt_specdiff, ratio, math.log(ratio)))
     bundle = ReportBundle("sharpness", config)
     bundle.add_table("sharpness", ["a", "dist", "sqrt_specdiff", "ratio", "log_ratio"], rows)
     if len(rows) >= 2:
@@ -404,15 +392,13 @@ def cmd_plan_sample(config, args) -> ReportBundle:
     kappa = l2_norm(sig_f) ** 2 + l2_norm(sig_g) ** 2
     plan = plan_sampling(config["epsilon"], s, kappa, center)
 
-    def spec_diff_sq(x, y):
-        sf = np.abs(gabor_closed_form(sig_f, x, y)) ** 2
-        sg = np.abs(gabor_closed_form(sig_g, x, y)) ** 2
-        return (sf - sg) ** 2
-
     def spec_diff(x, y):
         sf = np.abs(gabor_closed_form(sig_f, x, y)) ** 2
         sg = np.abs(gabor_closed_form(sig_g, x, y)) ** 2
         return sf - sg
+
+    def spec_diff_sq(x, y):
+        return spec_diff(x, y) ** 2
 
     ref_n = config.get("reference_n", 400)
     exact = tensor_product_integral(spec_diff_sq, ref_n, s, center)
@@ -420,7 +406,7 @@ def cmd_plan_sample(config, args) -> ReportBundle:
                                     plan.rule.weights))
     node_vals = spec_diff(plan.rule.points[:, 0], plan.rule.points[:, 1])
     discrete = discrete_weighted_norm(node_vals, plan.rule)
-    continuum = math.sqrt(tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, ref_n, s, center))
+    continuum = math.sqrt(exact)
 
     bundle = ReportBundle("plan-sample", config)
     node_rows = [(float(p[0]), float(p[1]), float(w))
@@ -475,13 +461,7 @@ def cmd_retrieve(config, args) -> ReportBundle:
     except (DegenerateSquareError, DegenerateVertexError) as exc:
         raise CliDegeneracyError(str(exc))
     bundle = ReportBundle("retrieve", config)
-    xs, ys = result.field.grid.xs(), result.field.grid.ys()
-    rows = []
-    for i in range(result.field.grid.nx):
-        for j in range(result.field.grid.ny):
-            v = result.field.values[i, j]
-            rows.append((float(xs[i]), float(ys[j]), float(v.real), float(v.imag)))
-    bundle.add_table("retrieved", ["x", "y", "re", "im"], rows)
+    bundle.fields["retrieved"] = result.field
     bundle.summary.append(f"components: {len(result.components)}")
     bundle.warnings.extend(result.warnings)
     if truth is not None:

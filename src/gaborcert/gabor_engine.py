@@ -379,23 +379,20 @@ def union_area(rects: list[tuple[float, float, float, float]]) -> float:
 
 
 def write_field_csv(fld: SpectrogramField, path) -> None:
-    """CSV export: header x,y,re,im for transform fields, x,y,s for spectrograms."""
-    xs, ys = fld.grid.xs(), fld.grid.ys()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if fld.kind == GABOR:
-            writer.writerow(["x", "y", "re", "im"])
-            for i in range(fld.grid.nx):
-                for j in range(fld.grid.ny):
-                    v = fld.values[i, j]
-                    writer.writerow([repr(float(xs[i])), repr(float(ys[j])),
-                                     repr(float(v.real)), repr(float(v.imag))])
-        else:
-            writer.writerow(["x", "y", "s"])
-            for i in range(fld.grid.nx):
-                for j in range(fld.grid.ny):
-                    writer.writerow([repr(float(xs[i])), repr(float(ys[j])),
-                                     repr(float(fld.values[i, j]))])
+    """CSV export: header x,y,re,im for transform fields, x,y,s for spectrograms.
+
+    One row per grid point in x-major order, every number as repr(float)
+    (shortest round trip), "\\n" line ends.
+    """
+    x, y = fld.grid.mesh()
+    if fld.kind == GABOR:
+        header, cols = "x,y,re,im", (x, y, fld.values.real, fld.values.imag)
+    else:
+        header, cols = "x,y,s", (x, y, fld.values)
+    rows = zip(*(map(repr, c.ravel().tolist()) for c in cols))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:

@@ -19,15 +19,17 @@ import numpy as np
 from .gabor_engine import (
     GABOR,
     SPECTROGRAM,
+    Grid2D,
     Region,
     Square,
     SpectrogramField,
     _window,
     coverage_fractions,
+    mixture_field,
     region_inner_product,
     region_norm,
 )
-from .signal_model import GaussianMixtureSignal
+from .signal_model import GaussianMixtureSignal, make_sharpness_pair
 from .stability_graph import SquareCover, WeightedGraph, build_graph
 from .tensor_phase import LocalJet, jet_from_field, jet_from_mixture, local_phase_from_modulus
 
@@ -40,6 +42,7 @@ __all__ = [
     "local_align",
     "synchronize",
     "min_phase_distance",
+    "sharpness_ratio",
     "retrieve_phase",
 ]
 
@@ -134,6 +137,25 @@ def min_phase_distance(fld_f: SpectrogramField, fld_g: SpectrogramField,
     nf = region_norm(fld_f, region, 2)
     ng = region_norm(fld_g, region, 2)
     return 1.0 + 0.0j, math.sqrt(nf * nf + ng * ng)
+
+
+def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
+    """(dist, sqrt_specdiff) of make_sharpness_pair(a) on the centred unit square.
+
+    dist is the phase-optimal L2 distance of the two transform fields on a
+    grid of spacing `step`, sqrt_specdiff the root L2 distance of their
+    spectrograms; dist / sqrt_specdiff is the sharpness ratio.
+    """
+    grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, step)
+    region = Region((Square(0.0, 0.0, 1.0),))
+    f, g = make_sharpness_pair(a)
+    fld_f = mixture_field(f, grid)
+    fld_g = mixture_field(g, grid)
+    _, dist = min_phase_distance(fld_f, fld_g, region)
+    diff = SpectrogramField(
+        grid, np.abs(fld_f.values) ** 2 - np.abs(fld_g.values) ** 2 + 0j, GABOR
+    )
+    return dist, math.sqrt(region_norm(diff, region, 2))
 
 
 def _local_field(jet: LocalJet, xs: np.ndarray, ys: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -34,8 +34,6 @@ __all__ = [
     "delta_structural_bound",
     "local_phase_from_modulus",
     "disk_norm_from_jet",
-    "write_jet_csv",
-    "read_jet_csv",
     "smoothness_growth_constant",
     "gamma_tail_constant",
 ]
@@ -274,40 +272,6 @@ def disk_norm_from_jet(jet: LocalJet, r: float) -> float:
     """||F||_{L2(B_r(center))} from the jet (truncated monomial expansion)."""
     w = tensor_weights(r, jet.order).omega
     return math.sqrt(max(float(np.sum(w * jet.derivs.diagonal().real)), 0.0))
-
-
-def write_jet_csv(jet: LocalJet, path) -> None:
-    """Debug export of a jet as rows k,l,re,im (plus a center/order header row)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "l", "re", "im"])
-        writer.writerow([-1, jet.order, repr(float(jet.center.real)), repr(float(jet.center.imag))])
-        for k in range(jet.order + 1):
-            for l in range(jet.order + 1):
-                d = jet.derivs[k, l]
-                writer.writerow([k, l, repr(float(d.real)), repr(float(d.imag))])
-
-
-def read_jet_csv(path) -> LocalJet:
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["k", "l", "re", "im"]:
-            raise ValueError(f"unrecognized jet CSV header {header!r}")
-        meta = next(reader)
-        order = int(meta[1])
-        center = complex(float(meta[2]), float(meta[3]))
-        derivs = np.zeros((order + 1, order + 1), dtype=complex)
-        for row in reader:
-            if not row:
-                continue
-            k, l = int(row[0]), int(row[1])
-            derivs[k, l] = complex(float(row[2]), float(row[3]))
-    return LocalJet(center, order, derivs)
 
 
 def smoothness_growth_constant(p: int) -> float:

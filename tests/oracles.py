@@ -131,3 +131,21 @@ def sampled_coverage(grid, rects, m: int = 32) -> np.ndarray:
     for x0, x1, y0, y1 in rects:
         inside |= np.outer((x0 <= px) & (px <= x1), (y0 <= py) & (py <= y1))
     return inside.reshape(grid.nx, m, grid.ny, m).mean(axis=(1, 3))
+
+
+def field_csv_bytes(fld) -> bytes:
+    """Expected bytes of a field CSV, formatted cell by cell.
+
+    Header x,y,re,im for a transform field and x,y,s for a spectrogram, one
+    row per grid point in x-major order, each number as repr(float), and
+    "\n" line ends.
+    """
+    xs, ys = fld.grid.xs(), fld.grid.ys()
+    complex_kind = fld.kind == "gabor"
+    lines = ["x,y,re,im" if complex_kind else "x,y,s"]
+    for i in range(fld.grid.nx):
+        for j in range(fld.grid.ny):
+            v = fld.values[i, j]
+            nums = (xs[i], ys[j]) + ((v.real, v.imag) if complex_kind else (v,))
+            lines.append(",".join(repr(float(c)) for c in nums))
+    return "".join(line + "\n" for line in lines).encode()

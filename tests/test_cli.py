@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from gaborcert import GaussianAtom, GaussianMixtureSignal, Grid2D, mixture_field, spectrogram
 from gaborcert.cli import main
+from gaborcert.gabor_engine import read_field_csv
+from gaborcert.stability_graph import SquareCover
+from gaborcert.stitching import retrieve_phase
+
+from oracles import field_csv_bytes
 
 ATOM_MIXTURE = {"kind": "mixture",
                 "atoms": [{"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}]}
@@ -33,6 +39,24 @@ def test_transform_row_count(tmp_path):
     spec_lines = (out / "spectrogram.csv").read_text().splitlines()
     assert spec_lines[0] == "x,y,s"
     assert len(spec_lines) == 41 * 41 + 1
+
+
+def test_field_csvs_match_cellwise_format(tmp_path):
+    grid = {"xmin": -0.85, "xmax": 0.85, "ymin": -0.85, "ymax": 0.85, "step": 0.05}
+    code, out_t = run(tmp_path, "transform", {"signal": ATOM_MIXTURE, "grid": grid}, "out_t")
+    assert code == 0
+    fld = mixture_field(GaussianMixtureSignal((GaussianAtom(1.0),)),
+                        Grid2D.from_bounds(-0.85, 0.85, -0.85, 0.85, 0.05))
+    assert (out_t / "gabor.csv").read_bytes() == field_csv_bytes(fld)
+    assert (out_t / "spectrogram.csv").read_bytes() == field_csv_bytes(spectrogram(fld))
+    centers = [[-0.3, -0.3], [-0.3, 0.3], [0.3, -0.3], [0.3, 0.3]]
+    payload = {"spectrogram": {"csv": str(out_t / "spectrogram.csv")},
+               "cover": {"centers": centers}, "jet_source": "finite_difference", "order": 4}
+    code, out_r = run(tmp_path, "retrieve", payload, "out_r")
+    assert code == 0
+    result = retrieve_phase(read_field_csv(out_t / "spectrogram.csv"),
+                            SquareCover(tuple(map(tuple, centers))), "finite_difference", 4)
+    assert (out_r / "retrieved.csv").read_bytes() == field_csv_bytes(result.field)
 
 
 def test_transform_deterministic(tmp_path):

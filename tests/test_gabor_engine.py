@@ -29,7 +29,7 @@ from gaborcert.gabor_engine import (
     write_field_csv,
 )
 
-from oracles import jittered_cover_centers, random_mixture, sampled_coverage
+from oracles import field_csv_bytes, jittered_cover_centers, random_mixture, sampled_coverage
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 
@@ -208,6 +208,18 @@ def test_field_csv_roundtrip(tmp_path):
     back = read_field_csv(path)
     assert back.kind == SPECTROGRAM
     assert np.abs(back.values - spec.values).max() == 0.0
+
+    # signed zero, exponent forms and the smallest subnormal, written and
+    # read back exactly, in x-major order with "\n" line ends
+    edge = np.array([[-0.0, 1e-05, 1.5e16], [5e-324, 0.25, -1e-05]])
+    small = Grid2D(-0.5, 0.25, 0.5, 0.125, 2, 3)
+    for fld in (SpectrogramField(small, np.abs(edge), SPECTROGRAM),
+                SpectrogramField(small, edge + 1j * edge[::-1, ::-1], GABOR)):
+        write_field_csv(fld, path)
+        assert path.read_bytes() == field_csv_bytes(fld)
+        back = read_field_csv(path)
+        assert back.kind == fld.kind
+        assert np.array_equal(back.values, fld.values)
 
 
 def test_field_validation():

@@ -30,9 +30,7 @@ from gaborcert.tensor_phase import (
     gamma_tail_constant,
     jet_from_field,
     jet_from_taylor,
-    read_jet_csv,
     smoothness_growth_constant,
-    write_jet_csv,
 )
 
 from oracles import disk_quadrature, fornberg_weights, random_mixture, tau_grid_min_distance
@@ -256,17 +254,6 @@ def test_growth_constants():
     for p in range(0, 9):
         integrand = r ** (p + 1) * np.exp(-0.5 * math.pi * r * r + math.pi / math.sqrt(2) * r)
         assert np.trapezoid(integrand, r) < gamma_tail_constant(p)
-
-
-def test_jet_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(15)
-    jet = jet_from_mixture(random_mixture(rng), complex(0.2, -0.4), 6)
-    path = tmp_path / "jet.csv"
-    write_jet_csv(jet, path)
-    back = read_jet_csv(path)
-    assert back.order == jet.order
-    assert back.center == jet.center
-    assert np.abs(back.derivs - jet.derivs).max() == 0.0
 
 
 def test_smoothness_growth_bound_on_mixtures():
