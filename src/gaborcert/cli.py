@@ -104,11 +104,9 @@ SAMPLED_SCHEMA = {
         "kind": {"const": "sampled"},
         "t0": _NUM,
         "dt": _POS,
-        "samples": {
-            "type": "array",
-            "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-            "minItems": 1,
-        },
+        # each entry must be a [re, im] pair of numbers; checked by
+        # _sample_pairs, since a schema walk over every pair is slow
+        "samples": {"type": "array", "minItems": 1},
     },
     "required": ["t0", "dt", "samples"],
     "additionalProperties": False,
@@ -146,7 +144,21 @@ SQUARE_SCHEMA = {
     "additionalProperties": False,
 }
 
-_SIGNAL_ENVELOPE = {"anyOf": [MIXTURE_SCHEMA, SAMPLED_SCHEMA, PATH_SCHEMA]}
+
+def _by_kind(fallback: dict) -> dict:
+    """Signal schema that checks a signal with a `kind` against that kind only.
+
+    Without `kind`, the signal is checked against `fallback`.
+    """
+    def kind_is(kind):
+        return {"properties": {"kind": {"const": kind}}, "required": ["kind"]}
+
+    return {"if": kind_is("mixture"), "then": MIXTURE_SCHEMA,
+            "else": {"if": kind_is("sampled"), "then": SAMPLED_SCHEMA, "else": fallback}}
+
+
+_SIGNAL_ENVELOPE = _by_kind({"anyOf": [MIXTURE_SCHEMA, SAMPLED_SCHEMA, PATH_SCHEMA]})
+_SIGNAL_FILE = _by_kind({"anyOf": [MIXTURE_SCHEMA, SAMPLED_SCHEMA]})
 
 COMMAND_SCHEMAS = {
     "transform": {
@@ -245,18 +257,46 @@ def _load_json(path: Path, what: str):
         raise CliValidationError(f"{what} file {path} is not valid JSON: {exc}")
 
 
+def _is_number(v) -> bool:
+    # JSON Schema's "number": bool is a subclass of int but not a number
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _sample_pairs(samples: list, where: str, field: str) -> tuple[complex, ...]:
+    """The samples as complex numbers, after checking each is a [re, im] pair.
+
+    One scan in place of the schema's per-pair walk, with the same rule:
+    a list of exactly two numbers.  The first bad entry is named as
+    `<field>.<k>` in a validation error from `where`.
+    """
+    for k, pair in enumerate(samples):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and _is_number(pair[0]) and _is_number(pair[1])):
+            raise CliValidationError(
+                f"{where}: invalid field {field}.{k}: {pair!r} is not a [re, im] pair of numbers")
+    return tuple(complex(re, im) for re, im in samples)
+
+
 def _build_signal(obj, where: str, base_dir: Path):
+    """The signal of an envelope that passed schema validation.
+
+    `where` is the envelope's dotted path in the config.  A signal read from
+    a file is validated here, and its errors are reported from `where` with
+    paths inside the file.
+    """
     if "path" in obj:
         loaded = _load_json(base_dir / obj["path"], f"{where} signal")
-        _validate(loaded, {"anyOf": [MIXTURE_SCHEMA, SAMPLED_SCHEMA]}, where)
-        obj = loaded
+        _validate(loaded, _SIGNAL_FILE, where)
+        obj, err_where, field = loaded, where, "samples"
+    else:
+        err_where, field = "config", f"{where}.samples"
     if "atoms" in obj:
         atoms = tuple(
             GaussianAtom(complex(a["re"], a["im"]), a["shift"], a["modulation"])
             for a in obj["atoms"]
         )
         return GaussianMixtureSignal(atoms)
-    samples = tuple(complex(re, im) for re, im in obj["samples"])
+    samples = _sample_pairs(obj["samples"], err_where, field)
     return SampledSignal(samples, obj["t0"], obj["dt"])
 
 
@@ -433,6 +473,10 @@ def cmd_plan_sample(config, args) -> ReportBundle:
 def cmd_retrieve(config, args) -> ReportBundle:
     spec_cfg = config["spectrogram"]
     truth = None
+    if "ground_truth" in config:
+        truth = _build_signal(config["ground_truth"], "ground_truth", args.base_dir)
+        if not isinstance(truth, GaussianMixtureSignal):
+            raise CliValidationError("ground_truth must be a mixture signal")
     if "csv" in spec_cfg:
         path = args.base_dir / spec_cfg["csv"]
         if not path.exists():
@@ -444,13 +488,8 @@ def cmd_retrieve(config, args) -> ReportBundle:
         sig = _build_signal(spec_cfg["signal"], "spectrogram.signal", args.base_dir)
         grid = _build_grid(spec_cfg["grid"], args.grid_step)
         spec = spectrogram(_field_for(sig, grid))
-        if isinstance(sig, GaussianMixtureSignal):
+        if truth is None and isinstance(sig, GaussianMixtureSignal):
             truth = sig
-    if "ground_truth" in config:
-        gt = _build_signal(config["ground_truth"], "ground_truth", args.base_dir)
-        if not isinstance(gt, GaussianMixtureSignal):
-            raise CliValidationError("ground_truth must be a mixture signal")
-        truth = gt
     cover = SquareCover(tuple((x, y) for x, y in config["cover"]["centers"]))
     jet_source = config.get("jet_source", "analytic")
     order = config.get("order", 14)

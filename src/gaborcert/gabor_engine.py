@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,17 +383,20 @@ def write_field_csv(fld: SpectrogramField, path) -> None:
     """CSV export: header x,y,re,im for transform fields, x,y,s for spectrograms.
 
     One row per grid point in x-major order, every number as repr(float)
-    (shortest round trip), "\\n" line ends.
+    (shortest round trip), "\\n" line ends.  Each grid coordinate is
+    formatted once, and the "x,y" row prefixes are generated lazily.
     """
-    x, y = fld.grid.mesh()
+    xs = list(map(repr, fld.grid.xs().tolist()))
+    ys = list(map(repr, fld.grid.ys().tolist()))
+    prefixes = (x + "," + y for x in xs for y in ys)
     if fld.kind == GABOR:
-        header, cols = "x,y,re,im", (x, y, fld.values.real, fld.values.imag)
+        header, cols = "x,y,re,im", (fld.values.real, fld.values.imag)
     else:
-        header, cols = "x,y,s", (x, y, fld.values)
-    rows = zip(*(map(repr, c.ravel().tolist()) for c in cols))
+        header, cols = "x,y,s", (fld.values,)
+    rows = map(",".join, zip(prefixes, *(map(repr, c.ravel().tolist()) for c in cols)))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(row + "\n" for row in rows)
 
 
 def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
@@ -406,17 +410,26 @@ def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
 
 
 def read_field_csv(path) -> SpectrogramField:
-    """Inverse of write_field_csv; reconstructs the grid from coordinates."""
+    """Inverse of write_field_csv; reconstructs the grid from coordinates.
+
+    The header is read with `csv`, the body in one `np.loadtxt` parse.
+    Malformed bodies (no rows, ragged rows, non-numeric cells, a column
+    count other than the header's) raise ValueError.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
-    if header[:2] != ["x", "y"] or len(header) not in (3, 4):
-        raise ValueError(f"unrecognized field CSV header {header!r}")
-    data = np.asarray(rows)
+        header = next(csv.reader([fh.readline()]), [])
+        if header[:2] != ["x", "y"] or len(header) not in (3, 4):
+            raise ValueError(f"unrecognized field CSV header {header!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty body: raised below
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if data.size == 0:
+        raise ValueError("field CSV has no rows")
+    if data.shape[1] != len(header):
+        raise ValueError(f"field CSV rows have {data.shape[1]} columns, header has {len(header)}")
     x0, dx, nx = _uniform_axis(data[:, 0], "x")
     y0, dy, ny = _uniform_axis(data[:, 1], "y")
-    if len(rows) != nx * ny:
+    if len(data) != nx * ny:
         raise ValueError("field CSV does not cover a full grid")
     grid = Grid2D(x0, y0, dx, dy, nx, ny)
     ix = np.rint((data[:, 0] - x0) / dx).astype(int)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,19 @@ class GaussianMixtureSignal:
             out += a.amplitude * np.exp(-np.pi * (t - a.shift) ** 2) \
                 * np.exp(2j * np.pi * a.modulation * t)
         return out
+
+    @cached_property
+    def _fock_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        # one atom at a time: a vectorised form differs in the last bit
+        # (numpy's complex mu*mu is not Python's)
+        c = np.empty(len(self.atoms), dtype=complex)
+        beta = np.empty(len(self.atoms), dtype=complex)
+        for j, a in enumerate(self.atoms):
+            mu = a.shift + 1j * a.modulation
+            beta[j] = np.pi * mu
+            c[j] = a.amplitude * _INV_SQRT2 * np.exp(0.5 * np.pi * mu * mu - np.pi * a.shift ** 2)
+        c.flags.writeable = beta.flags.writeable = False
+        return c, beta
 
     def scale(self, c: complex) -> "GaussianMixtureSignal":
         """Mixture with every amplitude multiplied by c."""
@@ -220,14 +234,11 @@ def l2_norm(sig: GaussianMixtureSignal) -> float:
 
 
 def fock_coefficients(sig: GaussianMixtureSignal) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential-sum form of the entire-function side: F(w) = sum c_j e^{beta_j w}."""
-    c = np.empty(len(sig.atoms), dtype=complex)
-    beta = np.empty(len(sig.atoms), dtype=complex)
-    for j, a in enumerate(sig.atoms):
-        mu = a.shift + 1j * a.modulation
-        beta[j] = np.pi * mu
-        c[j] = a.amplitude * _INV_SQRT2 * np.exp(0.5 * np.pi * mu * mu - np.pi * a.shift ** 2)
-    return c, beta
+    """Exponential-sum form of the entire-function side: F(w) = sum c_j e^{beta_j w}.
+
+    Computed once per signal and cached on it; the arrays are read-only.
+    """
+    return sig._fock_coefficients
 
 
 def fock_value(sig: GaussianMixtureSignal, w) -> complex | np.ndarray:

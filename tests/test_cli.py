@@ -6,7 +6,7 @@ import pytest
 
 from gaborcert import GaussianAtom, GaussianMixtureSignal, Grid2D, mixture_field, spectrogram
 from gaborcert.cli import main
-from gaborcert.gabor_engine import read_field_csv
+from gaborcert.gabor_engine import SampledSignal, quadrature_gabor, read_field_csv
 from gaborcert.stability_graph import SquareCover
 from gaborcert.stitching import retrieve_phase
 
@@ -96,6 +96,74 @@ def test_transform_sampled_matches_mixture(tmp_path):
     a = np.loadtxt(out_m / "gabor.csv", delimiter=",", skiprows=1)
     b = np.loadtxt(out_s / "gabor.csv", delimiter=",", skiprows=1)
     assert np.abs(a[:, 2:] - b[:, 2:]).max() < 1e-6
+
+
+def _sampled(samples):
+    return {"kind": "sampled", "t0": -1.0, "dt": 0.25, "samples": samples}
+
+
+def _signal_forms(tmp_path, signal):
+    """The signal given inline and by path, as (form, envelope) pairs."""
+    (tmp_path / "sig.json").write_text(json.dumps(signal))
+    return [("inline", signal), ("path", {"path": "sig.json"})]
+
+
+def test_transform_sampled_bytes_match_cellwise_format(tmp_path):
+    samples = [[math.exp(-math.pi * t * t), 0.1 * t] for t in -1.0 + 0.25 * np.arange(9)]
+    code, out = run(tmp_path, "transform", {"signal": _sampled(samples), "grid": GRID})
+    assert code == 0
+    fld = quadrature_gabor(SampledSignal(tuple(complex(re, im) for re, im in samples), -1.0, 0.25),
+                           Grid2D.from_bounds(-1.0, 1.0, -1.0, 1.0, 0.05))
+    assert (out / "gabor.csv").read_bytes() == field_csv_bytes(fld)
+    assert (out / "spectrogram.csv").read_bytes() == field_csv_bytes(spectrogram(fld))
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], "re,im", True, 5.0],
+                         ids=["three-numbers", "string", "true", "scalar"])
+def test_transform_malformed_sample_names_index(tmp_path, capsys, bad):
+    samples = [[1.0, 0.0]] * 3 + [bad] + [[0.5, -0.5]] * 2
+    for form, signal in _signal_forms(tmp_path, _sampled(samples)):
+        code, out = run(tmp_path, "transform", {"signal": signal, "grid": GRID}, f"out_{form}")
+        assert code == 2, form
+        assert not out.exists(), form
+        err = capsys.readouterr().err
+        assert any("samples.3" in line for line in err.splitlines()), (form, err)
+
+
+def test_transform_nan_sample_rejected(tmp_path):
+    samples = [[1.0, 0.0]] * 3 + [[float("nan"), 0.0]] + [[0.5, -0.5]] * 2
+    for form, signal in _signal_forms(tmp_path, _sampled(samples)):
+        code, out = run(tmp_path, "transform", {"signal": signal, "grid": GRID}, f"out_{form}")
+        assert code == 2, form
+        assert not out.exists(), form
+
+
+def test_transform_empty_sampled_signal_names_samples(tmp_path, capsys):
+    for form, signal in _signal_forms(tmp_path, _sampled([])):
+        code, out = run(tmp_path, "transform", {"signal": signal, "grid": GRID}, f"out_{form}")
+        assert code == 2, form
+        assert not out.exists(), form
+        err = capsys.readouterr().err
+        assert "invalid field " + ("signal.samples" if form == "inline" else "samples") in err, err
+        assert "kind" not in err, err
+
+
+def test_malformed_field_csv_rejected(tmp_path, capsys):
+    cases = {"header-only": ("x,y,s\n", "field CSV has no rows"),
+             "ragged": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0\n", None),
+             "non-numeric": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0,one\n", None),
+             "too-few-columns": ("x,y,s\n0.0,0.0\n0.0,1.0\n", "columns")}
+    for name, (text, message) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_field_csv(path)
+        payload = {"spectrogram": {"csv": path.name}, "cover": {"centers": [[0.0, 0.0]]},
+                   "jet_source": "finite_difference", "order": 4}
+        code, out = run(tmp_path, "retrieve", payload, f"out_{name}")
+        assert code == 2, name
+        assert not out.exists(), name
+        assert capsys.readouterr().err.startswith("error: "), name
 
 
 def test_missing_config_file(tmp_path, capsys):

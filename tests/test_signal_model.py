@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from gaborcert import (
     l2_norm,
     make_sharpness_pair,
 )
-from gaborcert.signal_model import entire_extension_values, inner_product
+from gaborcert.signal_model import entire_extension_values, fock_coefficients, inner_product
 
 from oracles import random_mixture
 
@@ -150,3 +151,18 @@ def test_inner_product_hermitian(t1, t2, n1, n2):
     a = GaussianMixtureSignal((GaussianAtom(1.0 + 0.5j, t1, n1),))
     b = GaussianMixtureSignal((GaussianAtom(0.3 - 0.2j, t2, n2),))
     assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)), abs=1e-12)
+
+
+def test_fock_coefficients_cached_per_signal():
+    sig = GaussianMixtureSignal((GaussianAtom(1.0 + 0.5j, 0.4, -0.7), GaussianAtom(-0.3j, -1.1, 0.2)))
+    c, beta = fock_coefficients(sig)
+    assert fock_coefficients(sig)[0] is c  # computed once per signal
+    with pytest.raises(ValueError):
+        c[0] = 0.0  # read-only, so no caller can change the cached values
+    for a, cj, bj in zip(sig.atoms, c, beta):
+        mu = complex(a.shift, a.modulation)
+        assert bj == pytest.approx(math.pi * mu, rel=1e-15)
+        expected = a.amplitude * 2 ** -0.5 * cmath.exp(0.5 * math.pi * mu * mu - math.pi * a.shift ** 2)
+        assert cj == pytest.approx(expected, rel=1e-14)
+    again = fock_coefficients(GaussianMixtureSignal(sig.atoms))
+    assert again[0] is not c and np.array_equal(again[0], c)
