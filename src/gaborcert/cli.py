@@ -83,17 +83,13 @@ class CliDegeneracyError(RuntimeError):
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 
-ATOM_SCHEMA = {
-    "type": "object",
-    "properties": {"re": _NUM, "im": _NUM, "shift": _NUM, "modulation": _NUM},
-    "required": ["re", "im", "shift", "modulation"],
-    "additionalProperties": False,
-}
 MIXTURE_SCHEMA = {
     "type": "object",
     "properties": {
         "kind": {"const": "mixture"},
-        "atoms": {"type": "array", "items": ATOM_SCHEMA, "minItems": 1},
+        # each entry must be an object of four numbers; checked by
+        # _mixture_atoms, since a schema walk over every atom is slow
+        "atoms": {"type": "array", "minItems": 1},
     },
     "required": ["atoms"],
     "additionalProperties": False,
@@ -262,19 +258,65 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _number(v, where: str, path: str) -> float:
+    """v as a float, after checking it is a JSON number that a float can hold."""
+    if not _is_number(v):
+        raise CliValidationError(f"{where}: invalid field {path}: {v!r} is not a number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise CliValidationError(f"{where}: invalid field {path}: integer too large for a float")
+
+
 def _sample_pairs(samples: list, where: str, field: str) -> tuple[complex, ...]:
     """The samples as complex numbers, after checking each is a [re, im] pair.
 
     One scan in place of the schema's per-pair walk, with the same rule:
-    a list of exactly two numbers.  The first bad entry is named as
-    `<field>.<k>` in a validation error from `where`.
+    a list of exactly two numbers, each of which a float can hold.  The
+    first bad entry is named as `<field>.<k>` in a validation error from
+    `where`.
     """
+    values = []
     for k, pair in enumerate(samples):
         if not (isinstance(pair, list) and len(pair) == 2
                 and _is_number(pair[0]) and _is_number(pair[1])):
             raise CliValidationError(
                 f"{where}: invalid field {field}.{k}: {pair!r} is not a [re, im] pair of numbers")
-    return tuple(complex(re, im) for re, im in samples)
+        try:
+            values.append(complex(float(pair[0]), float(pair[1])))
+        except OverflowError:
+            raise CliValidationError(
+                f"{where}: invalid field {field}.{k}: integer too large for a float")
+    return tuple(values)
+
+
+_ATOM_KEYS = ("re", "im", "shift", "modulation")
+
+
+def _mixture_atoms(atoms: list, where: str, field: str) -> tuple[GaussianAtom, ...]:
+    """The atoms as GaussianAtoms, after checking each in one scan.
+
+    An atom is an object with exactly the keys re, im, shift and modulation,
+    each a number that a float can hold.  The first bad atom is named as
+    `<field>.<k>`, or `<field>.<k>.<key>` for a bad, missing or unexpected
+    key, in a validation error from `where`.
+    """
+    out = []
+    for k, atom in enumerate(atoms):
+        path = f"{field}.{k}"
+        bad = f"{where}: invalid field {path}"
+        if not isinstance(atom, dict):
+            raise CliValidationError(f"{bad}: {atom!r} is not an object")
+        for key in _ATOM_KEYS:
+            if key not in atom:
+                raise CliValidationError(f"{bad}.{key}: required key is missing")
+        for key in atom:
+            if key not in _ATOM_KEYS:
+                raise CliValidationError(f"{bad}.{key}: unexpected key")
+        re, im, shift, modulation = (_number(atom[key], where, f"{path}.{key}")
+                                     for key in _ATOM_KEYS)
+        out.append(GaussianAtom(complex(re, im), shift, modulation))
+    return tuple(out)
 
 
 def _build_signal(obj, where: str, base_dir: Path):
@@ -287,17 +329,14 @@ def _build_signal(obj, where: str, base_dir: Path):
     if "path" in obj:
         loaded = _load_json(base_dir / obj["path"], f"{where} signal")
         _validate(loaded, _SIGNAL_FILE, where)
-        obj, err_where, field = loaded, where, "samples"
+        obj, err_where, prefix = loaded, where, ""
     else:
-        err_where, field = "config", f"{where}.samples"
+        err_where, prefix = "config", f"{where}."
     if "atoms" in obj:
-        atoms = tuple(
-            GaussianAtom(complex(a["re"], a["im"]), a["shift"], a["modulation"])
-            for a in obj["atoms"]
-        )
-        return GaussianMixtureSignal(atoms)
-    samples = _sample_pairs(obj["samples"], err_where, field)
-    return SampledSignal(samples, obj["t0"], obj["dt"])
+        return GaussianMixtureSignal(_mixture_atoms(obj["atoms"], err_where, prefix + "atoms"))
+    samples = _sample_pairs(obj["samples"], err_where, prefix + "samples")
+    return SampledSignal(samples, _number(obj["t0"], err_where, prefix + "t0"),
+                         _number(obj["dt"], err_where, prefix + "dt"))
 
 
 def _build_grid(obj, step_override: float | None) -> Grid2D:

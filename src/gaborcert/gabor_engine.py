@@ -155,6 +155,8 @@ class Square:
     def __post_init__(self) -> None:
         if not self.side > 0:
             raise ValueError("square side must be positive")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError("square center must be finite")
 
     def rect(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax)."""
@@ -264,18 +266,30 @@ def _arrangement(rects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _interval_overlap(centers: np.ndarray, h: float, edges: np.ndarray) -> np.ndarray:
-    """Overlap fraction of cells [c-h/2, c+h/2] with each [edges[k], edges[k+1]]."""
-    left = np.maximum(centers[:, None] - 0.5 * h, edges[None, :-1])
-    right = np.minimum(centers[:, None] + 0.5 * h, edges[None, 1:])
+    """Overlap fraction of cells [c-h/2, c+h/2] with each [edges[k], edges[k+1]].
+
+    Broadcasts over leading axes: centers (..., w) and edges (..., e) give
+    fractions of shape (..., w, e - 1).
+    """
+    c = centers[..., :, None]
+    left = np.maximum(c - 0.5 * h, edges[..., None, :-1])
+    right = np.minimum(c + 0.5 * h, edges[..., None, 1:])
     return np.maximum(right - left, 0.0) / h
 
 
-def _axis_window(x0: float, step: float, n: int, lo: float, hi: float) -> slice:
-    """Indices of the cells x0 + step * i, from the one holding lo to the one
-    holding hi, clamped to the n cells of the axis and never empty."""
-    i0 = min(max(math.floor((lo - x0) / step + 0.5), 0), n - 1)
-    i1 = max(min(math.floor((hi - x0) / step + 0.5) + 1, n), i0 + 1)
-    return slice(i0, i1)
+def _cell_windows(grid: Grid2D, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Index windows [start, stop) of the grid cells that meet boxes [lo, hi].
+
+    lo and hi hold (x, y) bounds in a last axis of length 2; start and stop
+    have their shape and integer values.  Per axis, the window runs from the
+    cell holding the low bound to the cell holding the high bound, clamped
+    to the grid and never empty: a box that misses the grid gets the
+    nearest edge cell (and a NaN bound the whole axis).
+    """
+    origin, step, n = (grid.x0, grid.y0), (grid.dx, grid.dy), (grid.nx, grid.ny)
+    start = np.fmin(np.fmax(np.floor((lo - origin) / step + 0.5), 0), np.subtract(n, 1))
+    stop = np.fmax(np.fmin(np.floor((hi - origin) / step + 0.5) + 1, n), start + 1)
+    return start, stop
 
 
 def _window(grid: Grid2D, rects) -> tuple[slice, slice, Grid2D]:
@@ -284,17 +298,15 @@ def _window(grid: Grid2D, rects) -> tuple[slice, slice, Grid2D]:
     Returns index slices (sx, sy) into the grid's values and the sub-grid of
     those cells.  Coverage by the rectangles is zero outside the window, so
     region quantities are computed on the sub-grid alone: O(w^2) per region
-    instead of O(N^2).  A box that misses the grid gets the nearest edge
-    cell, which it covers by zero; no rectangles get the whole grid.
+    instead of O(N^2).  No rectangles get the whole grid.
     """
     r = np.asarray(rects, dtype=float).reshape(-1, 4)
     if len(r) == 0:
         return slice(0, grid.nx), slice(0, grid.ny), grid
-    sx = _axis_window(grid.x0, grid.dx, grid.nx, r[:, 0].min(), r[:, 1].max())
-    sy = _axis_window(grid.y0, grid.dy, grid.ny, r[:, 2].min(), r[:, 3].max())
-    sub = Grid2D(grid.x0 + grid.dx * sx.start, grid.y0 + grid.dy * sy.start,
-                 grid.dx, grid.dy, sx.stop - sx.start, sy.stop - sy.start)
-    return sx, sy, sub
+    start, stop = _cell_windows(grid, r[:, ::2].min(axis=0), r[:, 1::2].max(axis=0))
+    (i0, j0), (i1, j1) = start.astype(int).tolist(), stop.astype(int).tolist()
+    sub = Grid2D(grid.x0 + grid.dx * i0, grid.y0 + grid.dy * j0, grid.dx, grid.dy, i1 - i0, j1 - j0)
+    return slice(i0, i1), slice(j0, j1), sub
 
 
 def _union_fractions(grid: Grid2D, rects) -> np.ndarray:
@@ -325,16 +337,28 @@ def _check_region_in_grid(grid: Grid2D, region: Region) -> None:
             )
 
 
-def _masked_norm(values: np.ndarray, frac: np.ndarray, grid: Grid2D, p) -> float:
+def _masked_norms(values: np.ndarray, frac: np.ndarray, grid: Grid2D, p):
+    """Norms over windows of cells: values and frac of shape (..., wx, wy) give
+    one norm per leading index (a 0-d array for a single window).
+
+    Each window is reduced over its own cells as one flat pairwise sum, so a
+    norm does not depend on the other windows of a stack.
+    """
+    cells = (-2, -1)
     mags = np.abs(values)
     if p == math.inf or p == "inf":
         covered = frac > 1e-12
-        return float(mags[covered].max()) if covered.any() else 0.0
+        peaks = np.where(covered, mags, -math.inf).max(axis=cells)
+        return np.where(covered.any(axis=cells), peaks, 0.0)
     cell = grid.dx * grid.dy
+    # products in place: mags is a fresh array, and each stack is one temporary less
     if p == 1:
-        return float(np.sum(mags * frac) * cell)
+        mags *= frac
+        return np.sum(mags, axis=cells) * cell
     if p == 2:
-        return float(math.sqrt(np.sum(mags * mags * frac) * cell))
+        mags *= mags
+        mags *= frac
+        return np.sqrt(np.sum(mags, axis=cells) * cell)
     raise ValueError(f"unsupported norm order {p!r}")
 
 
@@ -347,18 +371,55 @@ def region_norm(fld: SpectrogramField, region: Region, p) -> float:
     """
     _check_region_in_grid(fld.grid, region)
     sx, sy, sub = _window(fld.grid, _region_rects(region))
-    return _masked_norm(fld.values[sx, sy], coverage_fractions(sub, region), fld.grid, p)
+    return float(_masked_norms(fld.values[sx, sy], coverage_fractions(sub, region), fld.grid, p))
 
 
-def rect_union_norm(fld: SpectrogramField,
-                    rects: list[tuple[float, float, float, float]], p) -> float:
+def rect_union_norm(fld: SpectrogramField, rects, p):
     """L^p norm over a union of axis-aligned rectangles (xmin, xmax, ymin, ymax).
 
     Same midpoint-with-coverage rule as region_norm; used for pairwise square
-    intersections, which are rectangles rather than squares.
+    intersections, which are rectangles rather than squares.  `rects` may
+    also be a stack of one-rectangle unions, of shape (m, 1, 4): the m norms
+    are then returned as an array from one vectorised pass, each bit-equal
+    to the norm of its union alone.
     """
+    if np.ndim(rects) == 3:
+        return _stacked_rect_norms(fld, np.asarray(rects, dtype=float), p)
     sx, sy, sub = _window(fld.grid, rects)
-    return _masked_norm(fld.values[sx, sy], _union_fractions(sub, rects), fld.grid, p)
+    return float(_masked_norms(fld.values[sx, sy], _union_fractions(sub, rects), fld.grid, p))
+
+
+def _stacked_rect_norms(fld: SpectrogramField, stack: np.ndarray, p) -> np.ndarray:
+    """Norms over the rectangles of an (m, 1, 4) stack, one per rectangle.
+
+    Windows and per-axis coverage are computed for all rectangles at once;
+    the windows are then grouped by shape, so that each rectangle is still
+    summed over exactly its own cells.  Every step is the one-union path's
+    elementwise arithmetic, which keeps the norms bit-equal to it.
+    """
+    if stack.shape[1:] != (1, 4):
+        raise ValueError(f"stacked unions must hold one rectangle each, got shape {stack.shape}")
+    r = stack[:, 0]
+    grid = fld.grid
+    start, stop = _cell_windows(grid, r[:, ::2], r[:, 1::2])
+    (i0, j0), (wx, wy) = start.astype(np.intp).T, (stop - start).astype(np.intp).T
+    # coverage of each window's cells (padded to the widest window), whose
+    # centers are computed as in Grid2D.xs() of the window's sub-grid
+    ax = _interval_overlap(grid.x0 + grid.dx * i0[:, None] + grid.dx * np.arange(wx.max(initial=1)),
+                           grid.dx, r[:, :2])[..., 0]
+    ay = _interval_overlap(grid.y0 + grid.dy * j0[:, None] + grid.dy * np.arange(wy.max(initial=1)),
+                           grid.dy, r[:, 2:])[..., 0]
+    norms = np.empty(len(r))
+    shapes, group = np.unique(wx * (grid.ny + 1) + wy, return_inverse=True)
+    for k in range(len(shapes)):
+        idx = np.flatnonzero(group == k)
+        w, h = wx[idx[0]], wy[idx[0]]
+        frac = ax[idx, :w, None] * ay[idx, None, :h]
+        np.clip(frac, 0.0, 1.0, out=frac)
+        rows = i0[idx, None, None] + np.arange(w)[:, None]
+        cols = j0[idx, None, None] + np.arange(h)
+        norms[idx] = _masked_norms(fld.values[rows, cols], frac, grid, p)
+    return norms
 
 
 def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField,

@@ -68,6 +68,8 @@ class SquareCover:
             raise ValueError("square side must be positive")
         seen = set()
         for c in self.centers:
+            if not (math.isfinite(c[0]) and math.isfinite(c[1])):
+                raise ValueError(f"square center {c} is not finite")
             if c in seen:
                 raise ValueError(f"duplicate square centered at {c}")
             seen.add(c)
@@ -168,8 +170,9 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     """Graph over the cover: w_i = ||S||_L1(Q_i), sigma_ij = ||S||_L1(Q_i cap Q_j)^2.
 
     Every mass is a norm over one square or one overlap rectangle, so it
-    visits only the cells of that window; overlapping pairs are found in one
-    vectorised pass over all pairs.
+    visits only the cells of that window.  Overlapping pairs are found in one
+    vectorised pass over all pairs, and their masses come from one stacked
+    rect_union_norm call.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
@@ -186,10 +189,11 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     x1 = np.minimum(r[:, None, 1], r[None, :, 1])
     y0 = np.maximum(r[:, None, 2], r[None, :, 2])
     y1 = np.minimum(r[:, None, 3], r[None, :, 3])
+    i, j = np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))
+    overlaps = np.stack([x0[i, j], x1[i, j], y0[i, j], y1[i, j]], axis=1)
+    mass = rect_union_norm(spec, overlaps[:, None, :], 1)
     sigma = np.zeros((n, n))
-    for i, j in zip(*np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))):
-        mass = rect_union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
-        sigma[i, j] = sigma[j, i] = mass * mass
+    sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
 
 

@@ -5,6 +5,8 @@ disk norms come from polar quadrature rather than jet series, minimizers
 from dense grid search rather than closed forms, derivatives from
 high-order finite-difference stencils rather than analytic formulas, and
 square-cover geometry from point tests rather than the arrangement sweep.
+The cover graph's reference is the per-pair loop that the stacked overlap
+masses of `build_graph` replaced.
 """
 
 from __future__ import annotations
@@ -149,3 +151,25 @@ def field_csv_bytes(fld) -> bytes:
             nums = (xs[i], ys[j]) + ((v.real, v.imag) if complex_kind else (v,))
             lines.append(",".join(repr(float(c)) for c in nums))
     return "".join(line + "\n" for line in lines).encode()
+
+
+def build_graph_per_pair(spec, cover):
+    """Cover graph with one single-union rect_union_norm call per overlapping pair.
+
+    Vertex masses come from region_norm on each square, as in build_graph.
+    """
+    from gaborcert import Region, WeightedGraph, region_norm
+    from gaborcert.gabor_engine import rect_union_norm
+
+    n = len(cover)
+    w = np.array([region_norm(spec, Region((sq,)), 1) for sq in cover.squares()])
+    r = np.array(cover.rects())
+    x0 = np.maximum(r[:, None, 0], r[None, :, 0])
+    x1 = np.minimum(r[:, None, 1], r[None, :, 1])
+    y0 = np.maximum(r[:, None, 2], r[None, :, 2])
+    y1 = np.minimum(r[:, None, 3], r[None, :, 3])
+    sigma = np.zeros((n, n))
+    for i, j in zip(*np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))):
+        mass = rect_union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
+        sigma[i, j] = sigma[j, i] = mass * mass
+    return WeightedGraph(w, sigma)

@@ -148,6 +148,50 @@ def test_transform_empty_sampled_signal_names_samples(tmp_path, capsys):
         assert "kind" not in err, err
 
 
+# a JSON integer of 401 digits: a valid number that no float can hold
+HUGE_INT = 10 ** 400
+
+
+def test_transform_sample_too_large_for_float_names_index(tmp_path, capsys):
+    samples = [[1.0, 0.0]] * 3 + [[HUGE_INT, 0]] + [[0.5, -0.5]] * 2
+    for form, signal in _signal_forms(tmp_path, _sampled(samples)):
+        code, out = run(tmp_path, "transform", {"signal": signal, "grid": GRID}, f"out_{form}")
+        assert code == 2, form
+        assert not out.exists(), form
+        err = capsys.readouterr().err
+        field = "signal.samples.3" if form == "inline" else "invalid field samples.3"
+        assert field in err and "too large" in err, (form, err)
+    signal = dict(_sampled([[1.0, 0.0]]), t0=-HUGE_INT)
+    code, out = run(tmp_path, "transform", {"signal": signal, "grid": GRID}, "out_t0")
+    assert code == 2 and not out.exists()
+    assert "invalid field signal.t0: integer too large" in capsys.readouterr().err
+
+
+GOOD_ATOM = ATOM_MIXTURE["atoms"][0]
+
+
+@pytest.mark.parametrize("bad, path, reason", [
+    (dict(GOOD_ATOM, shift=HUGE_INT), "2.shift", "too large for a float"),
+    (dict(GOOD_ATOM, re=True), "2.re", "is not a number"),
+    (dict(GOOD_ATOM, modulation="0"), "2.modulation", "is not a number"),
+    (dict(GOOD_ATOM, im=None), "2.im", "is not a number"),
+    (dict(GOOD_ATOM, phase=0.0), "2.phase", "unexpected key"),
+    ({k: v for k, v in GOOD_ATOM.items() if k != "shift"}, "2.shift", "required key is missing"),
+    ([1.0, 0.0, 0.0, 0.0], "2", "is not an object"),
+], ids=["huge-shift", "bool-re", "string-modulation", "null-im", "extra-key", "missing-key",
+        "not-object"])
+def test_transform_malformed_atom_names_field(tmp_path, capsys, bad, path, reason):
+    mixture = {"kind": "mixture", "atoms": [GOOD_ATOM, GOOD_ATOM, bad, GOOD_ATOM]}
+    for form, signal in _signal_forms(tmp_path, mixture):
+        code, out = run(tmp_path, "transform", {"signal": signal, "grid": GRID}, f"out_{form}")
+        assert code == 2, form
+        assert not out.exists(), form
+        err = capsys.readouterr().err
+        where = ("config: invalid field signal.atoms." if form == "inline"
+                 else "signal: invalid field atoms.")
+        assert f"{where}{path}: " in err and reason in err, (form, err)
+
+
 def test_malformed_field_csv_rejected(tmp_path, capsys):
     cases = {"header-only": ("x,y,s\n", "field CSV has no rows"),
              "ragged": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0\n", None),

@@ -5,6 +5,9 @@ overlap meets must agree with the full-grid sums, and squares outside the
 field domain must fail the same way as before windowing.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -23,10 +26,16 @@ from gaborcert import (
     spectrogram,
 )
 from gaborcert.cli import main
-from gaborcert.gabor_engine import _union_fractions, coverage_fractions, rect_union_norm
+from gaborcert.gabor_engine import (
+    Square,
+    _union_fractions,
+    _window,
+    coverage_fractions,
+    rect_union_norm,
+)
 from gaborcert.stitching import DegenerateSquareError
 
-from oracles import jittered_cover_centers
+from oracles import build_graph_per_pair, jittered_cover_centers
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 DOMAIN_GRID = Grid2D.from_bounds(-2.0, 2.0, -2.0, 2.0, 0.05)
@@ -115,6 +124,111 @@ def test_build_graph_window_masses_match_full_grid_at_n65():
     for reference in (via_norm, full):
         assert np.array_equal(g.sigma > 0, reference > 0)
         np.testing.assert_allclose(g.sigma, reference, rtol=1e-12, atol=0)
+
+
+def _lattice_cover_and_spec():
+    """12 x 12 unit squares at spacing 0.7, grid step 0.05 padded by 1.0, 144 atoms."""
+    rng = np.random.default_rng(144)
+    offs = 0.7 * (np.arange(12) - 5.5)
+    span = 0.35 * 11
+    grid = Grid2D.from_bounds(-span - 1.0, span + 1.0, -span - 1.0, span + 1.0, 0.05)
+    atoms = tuple(GaussianAtom(complex(*rng.normal(size=2)), *rng.uniform(-span, span, 2))
+                  for _ in range(144))
+    spec = spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
+    return SquareCover(tuple((float(x), float(y)) for x in offs for y in offs)), spec
+
+
+def _jittered_cover_and_spec():
+    """64 jittered unit squares in [-1.5, 1.5]^2, up to 9 deep, on a 0.05 grid."""
+    rng = np.random.default_rng(64)
+    cover = SquareCover(jittered_cover_centers(rng))
+    atoms = tuple(GaussianAtom(complex(*rng.normal(size=2)), *rng.uniform(-1.5, 1.5, 2))
+                  for _ in range(9))
+    grid = Grid2D.from_bounds(-2.2, 2.2, -2.2, 2.2, 0.05)
+    return cover, spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
+
+
+COVERS = {"n65": _n64_cover_and_spec, "lattice-144": _lattice_cover_and_spec,
+          "jittered-64": _jittered_cover_and_spec}
+
+
+def _overlap_rects(cover) -> np.ndarray:
+    """The (m, 4) rectangles of the overlapping pairs of the cover, row-major over i < j."""
+    rects = cover.rects()
+    out = []
+    for i in range(len(rects)):
+        for j in range(i + 1, len(rects)):
+            a, b = rects[i], rects[j]
+            inter = (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
+            if inter[0] < inter[1] and inter[2] < inter[3]:
+                out.append(inter)
+    return np.array(out)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+@pytest.mark.parametrize("name", list(COVERS))
+def test_stacked_rect_norms_bit_equal_per_union(name, p):
+    cover, spec = COVERS[name]()
+    rects = np.concatenate([_overlap_rects(cover), np.array(cover.rects())])
+    stacked = rect_union_norm(spec, rects[:, None, :], p)
+    per_union = [rect_union_norm(spec, [tuple(r)], p) for r in rects]
+    assert stacked.shape == (len(rects),)
+    assert np.array_equal(_bits(stacked), _bits(per_union))
+    if name == "n65":  # the edge-on-bound square and its overlaps are in the stack
+        assert rects[:, 1].max() == spec.grid.cell_bounds()[1]
+    shapes = set()
+    for r in rects:
+        sx, sy, _ = _window(spec.grid, [r])
+        shapes.add((sx.stop - sx.start, sy.stop - sy.start))
+    assert len(shapes) >= (10 if name == "jittered-64" else 3)
+
+
+@pytest.mark.parametrize("name", list(COVERS))
+def test_build_graph_bit_equal_to_per_pair_loop(name):
+    cover, spec = COVERS[name]()
+    g, ref = build_graph(spec, cover), build_graph_per_pair(spec, cover)
+    assert np.array_equal(_bits(g.w), _bits(ref.w))
+    assert np.array_equal(_bits(g.sigma), _bits(ref.sigma))
+    assert np.count_nonzero(g.sigma) == 2 * len(_overlap_rects(cover))
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_stacked_rect_norms_at_and_past_the_grid_edge(p):
+    rects = np.array([(1.5, 2.5, -0.5, 0.5),     # clamped at the grid's right edge
+                      (-3.0, -2.5, 0.0, 1.0),    # left of the grid: mass 0
+                      (3.0, 4.0, 3.0, 4.0),      # past the grid's corner: mass 0
+                      (-0.3, 0.7, -0.6, 0.4)])
+    for fld in (_domain_spec(), mixture_field(ATOM, DOMAIN_GRID)):  # real and complex values
+        stacked = rect_union_norm(fld, rects[:, None, :], p)
+        assert np.array_equal(_bits(stacked), _bits([rect_union_norm(fld, [r], p) for r in rects]))
+        assert stacked[0] > 0 and stacked[3] > 0
+        assert stacked[1] == 0.0 and stacked[2] == 0.0
+        assert rect_union_norm(fld, np.empty((0, 1, 4)), p).shape == (0,)
+
+
+def test_stacked_rect_norms_reject_multi_rectangle_unions():
+    with pytest.raises(ValueError, match="one rectangle each"):
+        rect_union_norm(_domain_spec(), np.zeros((3, 2, 4)), 1)
+
+
+@pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf)], ids=["nan", "inf"])
+def test_non_finite_square_center_is_rejected(tmp_path, capsys, center):
+    with pytest.raises(ValueError, match="finite"):
+        Square(*center, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SquareCover(((0.0, 0.0), center))
+    atom = {"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}
+    config = tmp_path / "certify.json"
+    config.write_text(json.dumps({  # NaN and Infinity literals, which json.loads accepts
+        "signal_f": {"atoms": [atom]}, "signal_g": {"atoms": [atom]},
+        "grid": {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "step": 0.05},
+        "cover": {"centers": [[0.0, 0.0], list(center)]}}))
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [1, 2, np.inf])
