@@ -7,10 +7,8 @@ retrieval pipeline with a batch CLI.
 """
 
 from .signal_model import (
-    EntireExtensionParams,
     GaussianAtom,
     GaussianMixtureSignal,
-    entire_extension,
     gabor_closed_form,
     l2_norm,
     make_sharpness_pair,
@@ -32,7 +30,6 @@ from .tensor_phase import (
     LocalJet,
     TensorWeights,
     delta_r,
-    delta_structural_bound,
     distance_from_delta,
     jet_from_mixture,
     local_phase_from_modulus,
@@ -53,8 +50,6 @@ from .cubature import (
     GaussRule1D,
     ProductRule2D,
     SamplingPlan,
-    chawla_bound,
-    cubature_error,
     discrete_weighted_norm,
     gauss_rule,
     legendre_lower_bound_check,
@@ -63,14 +58,10 @@ from .cubature import (
     spectro_error_bound,
 )
 from .stitching import (
-    GlobalAlignment,
-    LocalAlignment,
     RetrievalResult,
-    local_align,
     min_phase_distance,
     retrieve_phase,
     sharpness_ratio,
-    synchronize,
 )
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ from .signal_model import (
 from .stability_graph import (
     DegenerateVertexError,
     SquareCover,
+    WeightedGraph,
     certificate,
     cheeger_inequality_check,
     graph_edge_rows,
@@ -339,11 +340,24 @@ def _build_signal(obj, where: str, base_dir: Path):
                          _number(obj["dt"], err_where, prefix + "dt"))
 
 
-def _build_grid(obj, step_override: float | None) -> Grid2D:
-    step = step_override if step_override is not None else obj.get("step", DEFAULT_GRID_STEP)
-    if obj["xmax"] <= obj["xmin"] or obj["ymax"] <= obj["ymin"]:
-        raise CliValidationError("grid: empty bounds")
-    return Grid2D.from_bounds(obj["xmin"], obj["xmax"], obj["ymin"], obj["ymax"], step)
+def _build_grid(obj, path: str, step_override: float | None) -> Grid2D:
+    """The grid of the config object at dotted `path`; errors name the field."""
+    xmin, xmax, ymin, ymax = (_number(obj[k], "config", f"{path}.{k}")
+                              for k in ("xmin", "xmax", "ymin", "ymax"))
+    step = step_override
+    if step is None:
+        step = _number(obj.get("step", DEFAULT_GRID_STEP), "config", f"{path}.step")
+    try:
+        return Grid2D.from_bounds(xmin, xmax, ymin, ymax, step)
+    except ValueError as exc:
+        raise CliValidationError(f"config: invalid field {path}: {exc}")
+
+
+def _build_cover(obj) -> SquareCover:
+    """The cover of the config's `cover` object; errors name the center."""
+    return SquareCover(tuple(
+        (_number(x, "config", f"cover.centers.{k}.0"), _number(y, "config", f"cover.centers.{k}.1"))
+        for k, (x, y) in enumerate(obj["centers"])))
 
 
 def _field_for(signal, grid: Grid2D) -> SpectrogramField:
@@ -401,7 +415,7 @@ def _format_cell(c) -> str:
 
 def cmd_transform(config, args) -> ReportBundle:
     signal = _build_signal(config["signal"], "signal", args.base_dir)
-    grid = _build_grid(config["grid"], args.grid_step)
+    grid = _build_grid(config["grid"], "grid", args.grid_step)
     fld = _field_for(signal, grid)
     spec = spectrogram(fld)
     bundle = ReportBundle("transform", config)
@@ -416,8 +430,8 @@ def cmd_transform(config, args) -> ReportBundle:
 def cmd_certify(config, args) -> ReportBundle:
     sig_f = _build_signal(config["signal_f"], "signal_f", args.base_dir)
     sig_g = _build_signal(config["signal_g"], "signal_g", args.base_dir)
-    grid = _build_grid(config["grid"], args.grid_step)
-    cover = SquareCover(tuple((x, y) for x, y in config["cover"]["centers"]))
+    grid = _build_grid(config["grid"], "grid", args.grid_step)
+    cover = _build_cover(config["cover"])
     spec_f = spectrogram(_field_for(sig_f, grid))
     spec_g = spectrogram(_field_for(sig_g, grid))
     try:
@@ -438,10 +452,12 @@ def cmd_certify(config, args) -> ReportBundle:
 
 
 def cmd_sharpness(config, args) -> ReportBundle:
-    a_values = list(config["a_values"])
+    a_values = [_number(a, "config", f"a_values.{k}") for k, a in enumerate(config["a_values"])]
     if any(a > 3.0 for a in a_values):
         raise CliValidationError("a_values: entries must lie in (0, 3]")
-    step = args.grid_step if args.grid_step is not None else config.get("grid_step", 0.02)
+    step = args.grid_step
+    if step is None:
+        step = _number(config.get("grid_step", 0.02), "config", "grid_step")
     rows = []
     for a in a_values:
         dist, sqrt_specdiff = sharpness_ratio(a, step)
@@ -465,11 +481,11 @@ def cmd_plan_sample(config, args) -> ReportBundle:
     sig_g = _build_signal(config["signal_g"], "signal_g", args.base_dir)
     if not isinstance(sig_f, GaussianMixtureSignal) or not isinstance(sig_g, GaussianMixtureSignal):
         raise CliValidationError("plan-sample requires mixture signals (closed-form evaluation)")
-    sq = config["square"]
-    s = 0.5 * sq["side"]
-    center = (sq["cx"], sq["cy"])
+    cx, cy, side = (_number(config["square"][k], "config", f"square.{k}") for k in ("cx", "cy", "side"))
+    s = 0.5 * side
+    center = (cx, cy)
     kappa = l2_norm(sig_f) ** 2 + l2_norm(sig_g) ** 2
-    plan = plan_sampling(config["epsilon"], s, kappa, center)
+    plan = plan_sampling(_number(config["epsilon"], "config", "epsilon"), s, kappa, center)
 
     def spec_diff(x, y):
         sf = np.abs(gabor_closed_form(sig_f, x, y)) ** 2
@@ -525,11 +541,11 @@ def cmd_retrieve(config, args) -> ReportBundle:
             raise CliValidationError("spectrogram csv must have header x,y,s")
     else:
         sig = _build_signal(spec_cfg["signal"], "spectrogram.signal", args.base_dir)
-        grid = _build_grid(spec_cfg["grid"], args.grid_step)
+        grid = _build_grid(spec_cfg["grid"], "spectrogram.grid", args.grid_step)
         spec = spectrogram(_field_for(sig, grid))
         if truth is None and isinstance(sig, GaussianMixtureSignal):
             truth = sig
-    cover = SquareCover(tuple((x, y) for x, y in config["cover"]["centers"]))
+    cover = _build_cover(config["cover"])
     jet_source = config.get("jet_source", "analytic")
     order = config.get("order", 14)
     if jet_source == "analytic" and truth is None:
@@ -587,8 +603,6 @@ def cmd_selftest(config, args) -> ReportBundle:
         n = int(rng.integers(2, 7))
         wts = rng.uniform(0.2, 2.0, n)
         sig_m = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
-        from .stability_graph import WeightedGraph
-
         g = WeightedGraph(wts, sig_m + sig_m.T)
         try:
             cheeger_inequality_check(g)

@@ -25,8 +25,6 @@ __all__ = [
     "gauss_rule",
     "product_rule",
     "apply_rule",
-    "cubature_error",
-    "chawla_bound",
     "spectro_error_bound",
     "plan_sampling",
     "tensor_product_integral",
@@ -120,37 +118,6 @@ def apply_rule(phi, rule: ProductRule2D) -> float:
     """sum_lambda phi(lambda) w_lambda; phi must accept array arguments."""
     vals = np.asarray(phi(rule.points[:, 0], rule.points[:, 1]), dtype=float)
     return float(np.dot(vals, rule.weights))
-
-
-def cubature_error(phi, exact: float, rule: ProductRule2D) -> float:
-    """Signed integration error: exact integral minus the rule's value."""
-    return float(exact) - apply_rule(phi, rule)
-
-
-def chawla_bound(n: int, s: float, a: float, b: float, sup_phi: float) -> float:
-    """Error bound for integrands with a holomorphic extension.
-
-    ``(8 s (a+b) / pi) (min(a-s, b)/s)^(-N) (2(a+b)/min(a-s,b)
-    + log((a+s)/(a-s))/2) * sup_phi`` for the rule of degree N on Q_s; the
-    caller supplies sup_phi over the slab E_{s,a,b}.  Decays in N only when
-    min(a-s, b) > s; the planner rejects other geometry.
-    """
-    if not 0 < s < a:
-        raise ValueError("need 0 < s < a")
-    if not b > 0:
-        raise ValueError("need b > 0")
-    if sup_phi < 0:
-        raise ValueError("sup_phi must be nonnegative")
-    if sup_phi == 0.0:
-        return 0.0
-    m = min(a - s, b)
-    log_val = (math.log(8.0 * s * (a + b) / math.pi)
-               - n * math.log(m / s)
-               + math.log(2.0 * (a + b) / m + 0.5 * math.log((a + s) / (a - s)))
-               + math.log(sup_phi))
-    if log_val > _LOG_HUGE:
-        return math.inf
-    return math.exp(log_val)
 
 
 def spectro_error_bound(n: int, s: float, kappa: float) -> float:

@@ -2,10 +2,10 @@
 
 An atom is ``A * exp(-pi (t - shift)^2) * exp(2 pi i modulation t)``.  Finite
 mixtures of such atoms admit exact formulas for the Gaussian-window
-time-frequency transform used throughout this package, for L2 inner products
-(Gaussian Gram matrix), and for the entire extension of the transform to
-complex arguments.  That makes mixtures the reference signals behind every
-numerical oracle in the test suite.
+time-frequency transform used throughout this package, at real or complex
+arguments (the same formula is the transform's entire extension), and for L2
+inner products (Gaussian Gram matrix).  That makes mixtures the reference
+signals behind every numerical oracle in the test suite.
 
 Conventions, fixed project-wide:
 
@@ -30,17 +30,13 @@ import numpy as np
 __all__ = [
     "GaussianAtom",
     "GaussianMixtureSignal",
-    "EntireExtensionParams",
     "make_sharpness_pair",
     "gabor_closed_form",
-    "entire_extension",
-    "entire_extension_values",
     "l2_norm",
     "inner_product",
     "fock_coefficients",
     "fock_value",
     "fock_derivatives",
-    "fock_sup_norm",
 ]
 
 _INV_SQRT2 = 2.0 ** -0.5
@@ -112,18 +108,6 @@ class GaussianMixtureSignal:
         )
 
 
-@dataclass(frozen=True)
-class EntireExtensionParams:
-    """Complex arguments (z, zeta) of the extended transform."""
-
-    z: complex
-    zeta: complex
-
-    def __post_init__(self) -> None:
-        _require_finite("z", complex(self.z))
-        _require_finite("zeta", complex(self.zeta))
-
-
 def make_sharpness_pair(a: float) -> tuple[GaussianMixtureSignal, GaussianMixtureSignal]:
     """Even/odd pair of Gaussians at +-a built on ``phi = 2^{-1/2} e^{-pi t^2}``.
 
@@ -148,11 +132,14 @@ def make_sharpness_pair(a: float) -> tuple[GaussianMixtureSignal, GaussianMixtur
 def gabor_closed_form(sig: GaussianMixtureSignal, x, y):
     """Exact transform values; x, y broadcastable scalars or arrays.
 
-    An open mesh (x of shape (nx, 1), y of shape (1, ny)) is evaluated as
-    one rank-K product; other points atom by atom.
+    Real or complex arguments: at complex (x, y) the same formula is the
+    entire extension of the transform.  An open mesh (x of shape (nx, 1),
+    y of shape (1, ny)) is evaluated as one rank-K product; other points
+    atom by atom.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    dtype = np.result_type(np.asarray(x), np.asarray(y), np.float64)
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
     if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1:
         return _open_mesh_closed_form(sig, x, y)
     out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
@@ -183,30 +170,6 @@ def _open_mesh_closed_form(sig: GaussianMixtureSignal, x: np.ndarray, y: np.ndar
     u = np.exp(-0.5 * np.pi * (x - s) ** 2 + 1j * np.pi * x * m)
     v = np.exp(-0.5 * np.pi * (yc - m) ** 2 - 1j * np.pi * yc * s)
     return np.exp(-1j * np.pi * (x * y)) * ((u * c) @ v.T)
-
-
-def entire_extension_values(sig: GaussianMixtureSignal, z, zeta):
-    """Extended transform at complex (z, zeta); broadcastable arrays allowed.
-
-    Restricting to real (z, zeta) reproduces ``gabor_closed_form``.
-    """
-    z = np.asarray(z, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)
-    out = np.zeros(np.broadcast(z, zeta).shape, dtype=complex)
-    for a in sig.atoms:
-        dz = z - a.shift
-        dz2 = zeta - a.modulation
-        out += a.amplitude * _INV_SQRT2 \
-            * np.exp(-0.5 * np.pi * (dz * dz + dz2 * dz2)) \
-            * np.exp(-1j * np.pi * (z + a.shift) * dz2)
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
-def entire_extension(sig: GaussianMixtureSignal, p: EntireExtensionParams) -> complex:
-    """Extended transform at a single complex point pair."""
-    return complex(entire_extension_values(sig, complex(p.z), complex(p.zeta)))
 
 
 def inner_product(sig1: GaussianMixtureSignal, sig2: GaussianMixtureSignal) -> complex:
@@ -262,17 +225,3 @@ def fock_derivatives(sig: GaussianMixtureSignal, w: complex, order: int) -> np.n
         out[k] = np.sum(base)
         base = base * beta
     return out
-
-
-def fock_sup_norm(sig: GaussianMixtureSignal, step: float = 0.02, pad: float = 3.0) -> float:
-    """sup over the plane of |G f| (equivalently the Gaussian-weighted sup of F).
-
-    |G f(x, y)| peaks near the atom centers (shift, modulation); the search box
-    is the bounding box of the centers padded by `pad`.
-    """
-    shifts = [a.shift for a in sig.atoms]
-    mods = [a.modulation for a in sig.atoms]
-    xs = np.arange(min(shifts) - pad, max(shifts) + pad + step, step)
-    ys = np.arange(min(mods) - pad, max(mods) + pad + step, step)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return float(np.max(np.abs(gabor_closed_form(sig, X, Y))))

@@ -56,7 +56,6 @@ class SquareCover:
     """Finite list of axis-aligned unit squares given by their centers."""
 
     centers: tuple[tuple[float, float], ...]
-    side: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -64,8 +63,6 @@ class SquareCover:
         )
         if len(self.centers) == 0:
             raise ValueError("cover must contain at least one square")
-        if not self.side > 0:
-            raise ValueError("square side must be positive")
         seen = set()
         for c in self.centers:
             if not (math.isfinite(c[0]) and math.isfinite(c[1])):
@@ -78,7 +75,7 @@ class SquareCover:
         return len(self.centers)
 
     def squares(self) -> list[Square]:
-        return [Square(x, y, self.side) for x, y in self.centers]
+        return [Square(x, y, 1.0) for x, y in self.centers]
 
     def region(self) -> Region:
         return Region(tuple(self.squares()))
@@ -176,8 +173,6 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
-    if abs(cover.side - 1.0) > 1e-12:
-        raise ValueError("cover squares must have unit side")
     n = len(cover)
     w = np.array([region_norm(spec, Region((sq,)), 1) for sq in cover.squares()])
     degenerate = [i for i in range(n) if w[i] <= 0.0]

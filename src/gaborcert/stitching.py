@@ -1,5 +1,5 @@
-"""Per-square phase alignment, global synchronization, and end-to-end
-retrieval of the transform field from a spectrogram on a square cover.
+"""Phase-optimal distances and end-to-end retrieval of the transform field
+from a spectrogram on a square cover.
 
 The pipeline recovers each square's field up to one unimodular constant from
 a local jet of the squared modulus, estimates relative constants on pairwise
@@ -30,25 +30,19 @@ from .gabor_engine import (
     region_norm,
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
-from .stability_graph import SquareCover, WeightedGraph, build_graph
+from .stability_graph import SquareCover, build_graph
 from .tensor_phase import LocalJet, jet_from_field, jet_from_mixture, local_phase_from_modulus
 
 __all__ = [
-    "LocalAlignment",
-    "GlobalAlignment",
     "RetrievalResult",
-    "NoInformationError",
     "DegenerateSquareError",
-    "local_align",
-    "synchronize",
     "min_phase_distance",
     "sharpness_ratio",
     "retrieve_phase",
 ]
 
-
-class NoInformationError(ValueError):
-    """All local multipliers vanish; nothing to synchronize."""
+# a square whose spectrogram peak is at or below this carries no phase information
+_DEGENERATE_PEAK = 1e-10
 
 
 class DegenerateSquareError(ValueError):
@@ -60,65 +54,10 @@ class DegenerateSquareError(ValueError):
 
 
 @dataclass(frozen=True)
-class LocalAlignment:
-    square_index: int
-    z: complex
-    residual: float
-
-
-@dataclass(frozen=True)
-class GlobalAlignment:
-    c0: complex
-    tau: complex
-    per_square: tuple[LocalAlignment, ...]
-
-
-@dataclass(frozen=True)
 class RetrievalResult:
     field: SpectrogramField
     components: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...]
-    alignment: GlobalAlignment
-    jet_centers: tuple[complex, ...]
-
-
-def local_align(fld_f: SpectrogramField, fld_g: SpectrogramField,
-                square: Square) -> LocalAlignment:
-    """Least-squares multiplier z = <G, F>_Q / ||F||^2_Q and its residual."""
-    region = Region((square,))
-    nf = region_norm(fld_f, region, 2)
-    if nf <= 0:
-        raise ValueError("reference field has no energy on the square")
-    num = region_inner_product(fld_g, fld_f, region)
-    z = num / (nf * nf)
-    frac = coverage_fractions(fld_f.grid, region)
-    cell = fld_f.grid.dx * fld_f.grid.dy
-    resid = math.sqrt(float(np.sum(np.abs(fld_g.values - z * fld_f.values) ** 2 * frac) * cell))
-    return LocalAlignment(-1, complex(z), resid)
-
-
-def synchronize(alignments, graph: WeightedGraph) -> GlobalAlignment:
-    """Collapse per-square multipliers to one unimodular constant.
-
-    c0 is the plain average of the multipliers; when it is numerically zero
-    the direction is chosen by weighted majority over a dense unimodular
-    grid (ties resolved toward the smallest angle).
-    """
-    alignments = tuple(alignments)
-    if len(alignments) != graph.n:
-        raise ValueError("alignments must be indexed by the graph vertices")
-    z = np.array([al.z for al in alignments], dtype=complex)
-    if np.abs(z).max(initial=0.0) < 1e-12:
-        raise NoInformationError("all local multipliers are numerically zero")
-    c0 = complex(z.mean())
-    if abs(c0) > 1e-12:
-        tau = c0 / abs(c0)
-    else:
-        thetas = 2.0 * math.pi * np.arange(3600) / 3600.0
-        taus = np.exp(1j * thetas)
-        scores = np.real(np.conj(taus)[:, None] * z[None, :]) @ graph.w
-        tau = complex(taus[int(np.argmax(scores))])
-    return GlobalAlignment(c0, tau, alignments)
 
 
 def min_phase_distance(fld_f: SpectrogramField, fld_g: SpectrogramField,
@@ -183,8 +122,7 @@ def _shared(a, b):
 
 def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
                    jet_source: str = "analytic", order: int = 14,
-                   signal: GaussianMixtureSignal | None = None,
-                   threshold: float = 1e-10) -> RetrievalResult:
+                   signal: GaussianMixtureSignal | None = None) -> RetrievalResult:
     """Reconstruct a transform field on the cover from spectrogram data.
 
     Per square, a jet of |F|^2 is built at the point of maximal spectrogram
@@ -215,7 +153,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         windows.append((sx, sy, cov))
         masked = np.where(cov > 1e-12, spec.values[sx, sy], -1.0)
         ix, iy = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[ix, iy] <= threshold:
+        if masked[ix, iy] <= _DEGENERATE_PEAK:
             degenerate.append(i)
         centers_xy.append((float(xs[sx][ix]), float(ys[sy][iy])))
     if degenerate:
@@ -294,10 +232,10 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         weight_sum[sx, sy] += cov
     out_vals = np.divide(acc, weight_sum, out=np.zeros_like(acc), where=weight_sum > 1e-12)
 
-    alignments = [LocalAlignment(i, complex(multipliers[i]), 0.0) for i in range(n)]
-    alignment = synchronize(alignments, graph)
-    out_vals = out_vals * np.conj(alignment.tau)
+    # global constant: the direction of the mean multiplier
+    c0 = complex(multipliers.mean())
+    tau = c0 / abs(c0) if abs(c0) > 1e-12 else 1.0
+    out_vals = out_vals * np.conj(tau)
 
     field = SpectrogramField(grid, out_vals, GABOR)
-    return RetrievalResult(field, tuple(components), tuple(warnings), alignment,
-                           tuple(complex(x, -y) for x, y in centers_xy))
+    return RetrievalResult(field, tuple(components), tuple(warnings))

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .gabor_engine import SPECTROGRAM
 from .signal_model import GaussianMixtureSignal, fock_derivatives
 
 __all__ = [
@@ -31,11 +32,8 @@ __all__ = [
     "tensor_weights",
     "delta_r",
     "distance_from_delta",
-    "delta_structural_bound",
     "local_phase_from_modulus",
     "disk_norm_from_jet",
-    "smoothness_growth_constant",
-    "gamma_tail_constant",
 ]
 
 
@@ -67,12 +65,6 @@ class LocalJet:
             raise ValueError("derivs[0, 0] must be nonnegative")
         object.__setattr__(self, "derivs", d)
         object.__setattr__(self, "center", complex(self.center))
-
-    def truncated(self, order: int) -> "LocalJet":
-        """Sub-jet of lower order (shares the center)."""
-        if order > self.order:
-            raise ValueError("cannot extend a jet by truncation")
-        return LocalJet(self.center, order, self.derivs[: order + 1, : order + 1])
 
 
 @dataclass(frozen=True)
@@ -139,8 +131,6 @@ def jet_from_field(spec_field, center_xy: tuple[float, float], order: int) -> Lo
     entire-function point x - i y.  Noise amplification grows factorially
     with the order, so orders above 4 are rejected; use analytic jets there.
     """
-    from .gabor_engine import SPECTROGRAM
-
     if spec_field.kind != SPECTROGRAM:
         raise ValueError("finite-difference jets require a spectrogram field")
     if order < 0 or order > 4:
@@ -230,24 +220,6 @@ def distance_from_delta(norm_f: float, delta: float) -> float:
     return math.sqrt(5.0) * delta / norm_f
 
 
-def delta_structural_bound(r: float, fock_inf_f: float, fock_inf_g: float,
-                           l2_diff_q: float) -> float:
-    """Structure of the growth-controlled delta bound with implicit constant 1.
-
-    Returns r^4 exp(8 pi^2 r^2) (F_inf^2 + G_inf^2) * l2_diff_q; consumers
-    treat it as a shape and fit the empirical constant in the test suite.
-    """
-    if min(fock_inf_f, fock_inf_g, l2_diff_q) < 0:
-        raise ValueError("inputs must be nonnegative")
-    if l2_diff_q == 0.0:
-        return 0.0
-    log_val = (4.0 * math.log(r) + 8.0 * math.pi**2 * r * r
-               + math.log(fock_inf_f**2 + fock_inf_g**2) + math.log(l2_diff_q))
-    if log_val > math.log(1e300):
-        return math.inf
-    return math.exp(log_val)
-
-
 def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex],
                              threshold: float = 1e-10) -> np.ndarray:
     """Recover F at the given points, up to one global unimodular constant.
@@ -272,23 +244,3 @@ def disk_norm_from_jet(jet: LocalJet, r: float) -> float:
     """||F||_{L2(B_r(center))} from the jet (truncated monomial expansion)."""
     w = tensor_weights(r, jet.order).omega
     return math.sqrt(max(float(np.sum(w * jet.derivs.diagonal().real)), 0.0))
-
-
-def smoothness_growth_constant(p: int) -> float:
-    """Derivative growth constant 2^(p+3) pi^(p+1) Gamma(p/2 + 1).
-
-    Bounds sup over the centered unit square of |F^(p)| against the
-    Gaussian-weighted sup norm of F; proof machinery surfaced only for the
-    fitted-constant tests.
-    """
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    return math.exp((p + 3) * math.log(2.0) + (p + 1) * math.log(math.pi)
-                    + math.lgamma(0.5 * p + 1.0))
-
-
-def gamma_tail_constant(p: int) -> float:
-    """Upper bound 2^(p+2) Gamma(p/2 + 1) for int_0^inf r^(p+1) e^(-pi r^2/2 + pi r/sqrt2) dr."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    return math.exp((p + 2) * math.log(2.0) + math.lgamma(0.5 * p + 1.0))

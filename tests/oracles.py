@@ -6,7 +6,8 @@ from dense grid search rather than closed forms, derivatives from
 high-order finite-difference stencils rather than analytic formulas, and
 square-cover geometry from point tests rather than the arrangement sweep.
 The cover graph's reference is the per-pair loop that the stacked overlap
-masses of `build_graph` replaced.
+masses of `build_graph` replaced.  The growth-bound tests measure package
+output against a proof constant and a grid sup norm, both kept here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from gaborcert import GaussianAtom, GaussianMixtureSignal
+from gaborcert import GaussianAtom, GaussianMixtureSignal, gabor_closed_form
 from gaborcert.cubature import gauss_rule
 
 
@@ -30,6 +31,30 @@ def random_mixture(rng, max_atoms: int = 3, spread: float = 0.8) -> GaussianMixt
         for _ in range(n)
     )
     return GaussianMixtureSignal(atoms)
+
+
+def fock_sup_norm(sig: GaussianMixtureSignal, step: float = 0.02, pad: float = 3.0) -> float:
+    """sup over the plane of |G f| (equivalently the Gaussian-weighted sup of F).
+
+    |G f(x, y)| peaks near the atom centers (shift, modulation); the search box
+    is the bounding box of the centers padded by `pad`.
+    """
+    shifts = [a.shift for a in sig.atoms]
+    mods = [a.modulation for a in sig.atoms]
+    xs = np.arange(min(shifts) - pad, max(shifts) + pad + step, step)
+    ys = np.arange(min(mods) - pad, max(mods) + pad + step, step)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return float(np.max(np.abs(gabor_closed_form(sig, X, Y))))
+
+
+def smoothness_growth_constant(p: int) -> float:
+    """Derivative growth constant 2^(p+3) pi^(p+1) Gamma(p/2 + 1).
+
+    Bounds sup over the centered unit square of |F^(p)| against the
+    Gaussian-weighted sup norm of F.
+    """
+    return math.exp((p + 3) * math.log(2.0) + (p + 1) * math.log(math.pi)
+                    + math.lgamma(0.5 * p + 1.0))
 
 
 def disk_quadrature(r: float, nr: int = 80, nt: int = 256):

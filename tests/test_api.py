@@ -1,0 +1,50 @@
+"""The public surface: every module's __all__ resolves, the package re-exports
+only names some module lists, and names pruned from the API stay gone."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import gaborcert
+from gaborcert.stability_graph import SquareCover
+from gaborcert.stitching import RetrievalResult, retrieve_phase
+from gaborcert.tensor_phase import LocalJet
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(gaborcert.__path__) if m.name != "__main__")
+
+REMOVED = [
+    "EntireExtensionParams", "entire_extension", "entire_extension_values", "fock_sup_norm",
+    "smoothness_growth_constant", "gamma_tail_constant", "delta_structural_bound",
+    "cubature_error", "chawla_bound", "local_align", "LocalAlignment", "GlobalAlignment",
+    "synchronize", "NoInformationError",
+]
+
+
+def _module(name):
+    return importlib.import_module(f"gaborcert.{name}")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_resolves(name):
+    namespace = {}
+    exec(f"from gaborcert.{name} import *", namespace)
+    assert set(getattr(_module(name), "__all__", ())) <= set(namespace)
+
+
+def test_package_exports_are_listed_by_a_module():
+    listed = set().union(*(getattr(_module(m), "__all__", ()) for m in MODULES))
+    exported = {n for n, v in vars(gaborcert).items()
+                if not n.startswith("_") and not inspect.ismodule(v)}
+    assert exported <= listed, sorted(exported - listed)
+
+
+def test_removed_names_stay_removed():
+    for where in [gaborcert] + [_module(m) for m in MODULES]:
+        present = [n for n in REMOVED if hasattr(where, n)]
+        assert present == [], (where.__name__, present)
+    assert not hasattr(LocalJet, "truncated")
+    assert "side" not in inspect.signature(SquareCover).parameters
+    assert "threshold" not in inspect.signature(retrieve_phase).parameters
+    assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}

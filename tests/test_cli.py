@@ -331,6 +331,44 @@ def test_plan_sample_epsilon_validation(tmp_path):
     assert code == 2
 
 
+def _with_value(payload, path, value):
+    """Deep copy of payload with the entry at dotted `path` set to value."""
+    out = json.loads(json.dumps(payload))
+    *head, last = path.split(".")
+    node = out
+    for key in head:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return out
+
+
+TWO_SQUARES = {"centers": [[-0.3, 0.0], [0.3, 0.0]]}
+
+
+@pytest.mark.parametrize("command, payload, path", [
+    ("transform", {"signal": ATOM_MIXTURE, "grid": GRID}, "grid.xmax"),
+    ("certify", {"signal_f": ATOM_MIXTURE, "signal_g": ATOM_MIXTURE,
+                 "cover": TWO_SQUARES, "grid": GRID}, "cover.centers.1.0"),
+    ("sharpness", {"a_values": [0.5, 1.0]}, "grid_step"),
+    ("sharpness", {"a_values": [0.5, 1.0]}, "a_values.1"),
+    ("plan-sample", {"epsilon": 0.25, "square": {"cx": 0.0, "cy": 0.0, "side": 1.0},
+                     "signal_f": SHARP_F, "signal_g": SHARP_G}, "square.side"),
+    ("plan-sample", {"epsilon": 0.25, "square": {"cx": 0.0, "cy": 0.0, "side": 1.0},
+                     "signal_f": SHARP_F, "signal_g": SHARP_G}, "square.cx"),
+    ("retrieve", {"spectrogram": {"signal": ATOM_MIXTURE, "grid": GRID},
+                  "cover": TWO_SQUARES}, "spectrogram.grid.step"),
+    ("retrieve", {"spectrogram": {"signal": ATOM_MIXTURE, "grid": GRID},
+                  "cover": TWO_SQUARES}, "cover.centers.0.1"),
+], ids=["transform-grid", "certify-center", "sharpness-step", "sharpness-a", "plan-side",
+        "plan-cx", "retrieve-step", "retrieve-center"])
+def test_number_too_large_for_float_names_field(tmp_path, capsys, command, payload, path):
+    code, out = run(tmp_path, command, _with_value(payload, path, HUGE_INT))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"config: invalid field {path}: integer too large for a float" in err, err
+
+
 def test_retrieve_command_with_oracle(tmp_path):
     payload = {
         "spectrogram": {"signal": ATOM_MIXTURE,

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborcert import (
-    chawla_bound,
-    cubature_error,
     discrete_weighted_norm,
     gabor_closed_form,
     gauss_rule,
@@ -19,7 +17,6 @@ from gaborcert import (
     spectro_error_bound,
 )
 from gaborcert.cubature import apply_rule, legendre_eval, tensor_product_integral
-from gaborcert.signal_model import entire_extension_values
 
 F1, G1 = make_sharpness_pair(1.0)
 KAPPA1 = l2_norm(F1) ** 2 + l2_norm(G1) ** 2
@@ -75,28 +72,12 @@ def test_product_rule_structure():
 
 def test_cubature_error_examples():
     rule = product_rule(5, 0.7)
-    assert abs(cubature_error(lambda x, y: np.ones_like(x), (2 * 0.7) ** 2, rule)) < 1e-12
+    assert abs((2 * 0.7) ** 2 - apply_rule(lambda x, y: np.ones_like(x), rule)) < 1e-12
     odd = lambda x, y: x ** (2 * 5 - 1)
-    assert abs(cubature_error(odd, 0.0, rule)) < 1e-12
+    assert abs(0.0 - apply_rule(odd, rule)) < 1e-12
     rule6 = product_rule(6, 1.0)
     exact = (math.e - 1.0 / math.e) ** 2
-    assert abs(cubature_error(lambda x, y: np.exp(x + y), exact, rule6)) < 1e-10
-
-
-def test_chawla_bound_value_and_properties():
-    # independent recomputation of the formula at s=1, a=3, b=2, N=10
-    val = chawla_bound(10, 1.0, 3.0, 2.0, 1.0)
-    expect = (8 * 1 * 5 / math.pi) * (2.0 / 1.0) ** -10 \
-        * (2 * 5 / 2.0 + 0.5 * math.log(4.0 / 2.0)) * 1.0
-    assert val == pytest.approx(expect, rel=1e-12)
-    # doubling sup_phi doubles the bound
-    assert chawla_bound(10, 1.0, 3.0, 2.0, 2.0) == pytest.approx(2 * val, rel=1e-12)
-    # ratio <= 1 geometry: the bound does not decay in N
-    flat1 = chawla_bound(5, 1.0, 1.5, 0.4, 1.0)
-    flat2 = chawla_bound(50, 1.0, 1.5, 0.4, 1.0)
-    assert flat2 >= flat1
-    with pytest.raises(ValueError):
-        chawla_bound(5, 2.0, 1.0, 1.0, 1.0)
+    assert abs(exact - apply_rule(lambda x, y: np.exp(x + y), rule6)) < 1e-10
 
 
 def test_spectro_error_bound_basics():
@@ -174,10 +155,10 @@ def test_legendre_lower_bound_check():
 
 def test_holomorphic_extension_restricts_to_integrand():
     def phi_ext(z, zeta):
-        tf = entire_extension_values(F1, z, zeta) \
-            * np.conj(entire_extension_values(F1, np.conj(z), np.conj(zeta)))
-        tg = entire_extension_values(G1, z, zeta) \
-            * np.conj(entire_extension_values(G1, np.conj(z), np.conj(zeta)))
+        tf = gabor_closed_form(F1, z, zeta) \
+            * np.conj(gabor_closed_form(F1, np.conj(z), np.conj(zeta)))
+        tg = gabor_closed_form(G1, z, zeta) \
+            * np.conj(gabor_closed_form(G1, np.conj(z), np.conj(zeta)))
         return (tf - tg) ** 2
 
     xs = np.linspace(-0.5, 0.5, 9)

@@ -7,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborcert import (
-    EntireExtensionParams,
     GaussianAtom,
     GaussianMixtureSignal,
-    entire_extension,
     gabor_closed_form,
     l2_norm,
     make_sharpness_pair,
 )
-from gaborcert.signal_model import entire_extension_values, fock_coefficients, inner_product
+from gaborcert.signal_model import fock_coefficients, inner_product
 
 from oracles import random_mixture
 
@@ -95,23 +93,34 @@ def test_l2_norm_values():
     assert l2_norm(phi) == pytest.approx(2**-0.75, abs=1e-14)
     zero = GaussianMixtureSignal((GaussianAtom(0.0),))
     assert l2_norm(zero) == 0.0
+    assert gabor_closed_form(zero, 0.3 + 0.4j, -0.2 + 0.1j) == 0.0
     doubled = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, 0.1), GaussianAtom(1.0, 0.3, 0.1)))
     single = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, 0.1),))
     assert l2_norm(doubled) == pytest.approx(2.0 * l2_norm(single), rel=1e-12)
 
 
 def test_entire_extension_restricts_to_transform():
+    # complex arguments with zero imaginary part take the complex path
     rng = np.random.default_rng(1)
     sig = random_mixture(rng)
     for _ in range(10):
         x, y = rng.uniform(-2, 2, 2)
-        ext = entire_extension(sig, EntireExtensionParams(complex(x), complex(y)))
+        ext = gabor_closed_form(sig, complex(x), complex(y))
         assert abs(ext - gabor_closed_form(sig, x, y)) < 1e-13
 
 
-def test_entire_extension_zero_amplitude():
-    sig = GaussianMixtureSignal((GaussianAtom(0.0),))
-    assert entire_extension(sig, EntireExtensionParams(0.3 + 0.4j, -0.2 + 0.1j)) == 0.0
+@pytest.mark.parametrize("k", [1, 4])
+def test_open_mesh_matches_points_at_complex_arguments(k):
+    rng = np.random.default_rng(30 + k)
+    atoms = tuple(GaussianAtom(complex(*rng.uniform(-1, 1, 2)), *rng.uniform(-1, 1, 2))
+                  for _ in range(k))
+    sig = GaussianMixtureSignal(atoms)
+    z = (rng.uniform(-1.5, 1.5, 13) + 1j * rng.uniform(-1, 1, 13))[:, None]
+    zeta = (rng.uniform(-1.5, 1.5, 11) + 1j * rng.uniform(-1, 1, 11))[None, :]
+    mesh = gabor_closed_form(sig, z, zeta)
+    points = gabor_closed_form(sig, *np.broadcast_arrays(z, zeta))
+    assert mesh.shape == points.shape == (13, 11)
+    assert np.abs(mesh - points).max() <= 1e-13 * np.abs(points).max()
 
 
 def test_entire_extension_growth_bound():
@@ -122,7 +131,7 @@ def test_entire_extension_growth_bound():
     nf = l2_norm(sig)
     for _ in range(100):
         x, y, xi, eta = rng.uniform(-1.5, 1.5, 4)
-        val = abs(entire_extension_values(sig, x + 1j * y, xi + 1j * eta))
+        val = abs(gabor_closed_form(sig, x + 1j * y, xi + 1j * eta))
         bound = 2**-0.25 * nf * math.exp(math.pi * (y * y + 2 * x * eta + eta * eta))
         assert val <= bound * (1 + 1e-12)
 

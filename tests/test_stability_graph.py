@@ -73,8 +73,8 @@ def test_build_graph_requires_spectrogram_and_unit_side():
     fld = mixture_field(ATOM, Grid2D.from_bounds(-2, 2, -2, 2, 0.1))
     with pytest.raises(ValueError):
         build_graph(fld, SquareCover(((0.0, 0.0),)))
-    with pytest.raises(ValueError):
-        build_graph(spectrogram(fld), SquareCover(((0.0, 0.0),), side=2.0))
+    with pytest.raises(TypeError):  # covers are unit squares by construction
+        SquareCover(((0.0, 0.0),), side=2.0)
 
 
 def test_algebraic_connectivity_examples():
