@@ -93,7 +93,6 @@ def test_l2_norm_values():
     assert l2_norm(phi) == pytest.approx(2**-0.75, abs=1e-14)
     zero = GaussianMixtureSignal((GaussianAtom(0.0),))
     assert l2_norm(zero) == 0.0
-    assert gabor_closed_form(zero, 0.3 + 0.4j, -0.2 + 0.1j) == 0.0
     doubled = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, 0.1), GaussianAtom(1.0, 0.3, 0.1)))
     single = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, 0.1),))
     assert l2_norm(doubled) == pytest.approx(2.0 * l2_norm(single), rel=1e-12)
@@ -121,6 +120,11 @@ def test_open_mesh_matches_points_at_complex_arguments(k):
     points = gabor_closed_form(sig, *np.broadcast_arrays(z, zeta))
     assert mesh.shape == points.shape == (13, 11)
     assert np.abs(mesh - points).max() <= 1e-13 * np.abs(points).max()
+
+
+def test_entire_extension_zero_amplitude():
+    sig = GaussianMixtureSignal((GaussianAtom(0.0),))
+    assert gabor_closed_form(sig, 0.3 + 0.4j, -0.2 + 0.1j) == 0.0
 
 
 def test_entire_extension_growth_bound():
