@@ -72,10 +72,10 @@ def main() -> None:
                 sg = spectrogram(gg)
                 for name, cover in COVERS.items():
                     cert = certificate(sf, sg, cover)
-                    region = cover.region()
-                    _, dist = min_phase_distance(ff, gg, region)
+                    rects = cover.rects()
+                    _, dist = min_phase_distance(ff, gg, rects)
                     diff = SpectrogramField(grid, sf.values - sg.values + 0j, GABOR)
-                    sqrt_sd = math.sqrt(region_norm(diff, region, 2))
+                    sqrt_sd = math.sqrt(region_norm(diff, rects, 2))
                     ratio = dist / (cert.bound_cheeger * sqrt_sd)
                     worst = max(worst, ratio)
                     writer.writerow([repr(float(step)), idx, name, repr(dist),

@@ -17,10 +17,8 @@ from .gabor_engine import (
     GABOR,
     SPECTROGRAM,
     Grid2D,
-    Region,
     SampledSignal,
     SpectrogramField,
-    Square,
     mixture_field,
     quadrature_gabor,
     region_norm,

@@ -560,9 +560,9 @@ def cmd_retrieve(config, args) -> ReportBundle:
     bundle.warnings.extend(result.warnings)
     if truth is not None:
         ref = mixture_field(truth, result.field.grid)
-        region = cover.region()
-        _, dist = min_phase_distance(ref, result.field, region)
-        ref_norm = region_norm(ref, region, 2)
+        rects = cover.rects()
+        _, dist = min_phase_distance(ref, result.field, rects)
+        ref_norm = region_norm(ref, rects, 2)
         rel = dist / ref_norm if ref_norm > 0 else math.inf
         bundle.add_table("oracle", ["quantity", "value"], [
             ("distance", dist), ("reference_norm", ref_norm), ("relative_error", rel),

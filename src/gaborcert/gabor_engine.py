@@ -1,10 +1,11 @@
-"""Numerical transform fields on grids and region norms over square unions.
+"""Numerical transform fields on grids and region norms over rectangle unions.
 
 Fields live on rectangular grids; a grid point (i, j) represents the cell of
 size dx*dy centered at it, which is the resolution of every region norm here
-(midpoint rule with exact sub-cell coverage weights at square boundaries).
-Overlapping squares are integrated over their set union, counted once;
-pairwise intersections get their own norms in the graph module.
+(midpoint rule with exact sub-cell coverage weights at region boundaries).
+A region is an (m, 4) array-like of axis-aligned rectangles
+(xmin, xmax, ymin, ymax), such as the squares of a cover; overlapping
+rectangles are integrated over their set union, counted once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "Grid2D",
     "SampledSignal",
     "SpectrogramField",
-    "Square",
-    "Region",
     "quadrature_gabor",
     "mixture_field",
     "spectrogram",
@@ -88,8 +87,10 @@ class Grid2D:
             raise ValueError("empty grid bounds")
         if not step > 0:
             raise ValueError("grid step must be positive")
-        nx = int(round((xmax - xmin) / step)) + 1
-        ny = int(round((ymax - ymin) / step)) + 1
+        spans = ((xmax - xmin) / step, (ymax - ymin) / step)
+        if not all(map(math.isfinite, spans)):
+            raise ValueError("grid span is not a finite number of steps")
+        nx, ny = (int(round(s)) + 1 for s in spans)
         return Grid2D(xmin, ymin, step, step, nx, ny)
 
 
@@ -142,38 +143,6 @@ class SpectrogramField:
         else:
             vals = np.asarray(vals, dtype=complex)
         object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class Square:
-    """Axis-aligned square given by its center and full side length."""
-
-    cx: float
-    cy: float
-    side: float
-
-    def __post_init__(self) -> None:
-        if not self.side > 0:
-            raise ValueError("square side must be positive")
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
-            raise ValueError("square center must be finite")
-
-    def rect(self) -> tuple[float, float, float, float]:
-        """(xmin, xmax, ymin, ymax)."""
-        h = 0.5 * self.side
-        return (self.cx - h, self.cx + h, self.cy - h, self.cy + h)
-
-
-@dataclass(frozen=True)
-class Region:
-    """Finite union of squares."""
-
-    squares: tuple[Square, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "squares", tuple(self.squares))
-        if len(self.squares) == 0:
-            raise ValueError("region must contain at least one square")
 
 
 def _mixture_t_grid(sig: GaussianMixtureSignal, grid: Grid2D) -> np.ndarray:
@@ -309,32 +278,26 @@ def _window(grid: Grid2D, rects) -> tuple[slice, slice, Grid2D]:
     return slice(i0, i1), slice(j0, j1), sub
 
 
-def _union_fractions(grid: Grid2D, rects) -> np.ndarray:
-    """Exact coverage fraction of each grid cell by the union of the rectangles."""
+def coverage_fractions(grid: Grid2D, rects) -> np.ndarray:
+    """Exact coverage fraction of each grid cell by the union of the rectangles (in [0, 1])."""
     xs, ys, count = _arrangement(rects)
     ax = _interval_overlap(grid.xs(), grid.dx, xs)
     ay = _interval_overlap(grid.ys(), grid.dy, ys)
     return np.clip(ax @ (count > 0) @ ay.T, 0.0, 1.0)
 
 
-def _region_rects(region: Region) -> list[tuple[float, float, float, float]]:
-    return [sq.rect() for sq in region.squares]
-
-
-def coverage_fractions(grid: Grid2D, region: Region) -> np.ndarray:
-    """Fraction of each grid cell covered by the region union (in [0, 1])."""
-    return _union_fractions(grid, _region_rects(region))
-
-
-def _check_region_in_grid(grid: Grid2D, region: Region) -> None:
+def _check_region_in_grid(grid: Grid2D, rects) -> None:
+    """Raise ValueError unless there is a rectangle and every one lies in the grid's cells."""
+    r = np.asarray(rects, dtype=float).reshape(-1, 4)
+    if len(r) == 0:
+        raise ValueError("region must contain at least one rectangle")
     gx0, gx1, gy0, gy1 = grid.cell_bounds()
     tol = 1e-9 * max(grid.dx, grid.dy)
-    for sq in region.squares:
-        x0, x1, y0, y1 = sq.rect()
-        if x0 < gx0 - tol or x1 > gx1 + tol or y0 < gy0 - tol or y1 > gy1 + tol:
-            raise ValueError(
-                f"square centered ({sq.cx}, {sq.cy}) exceeds the field domain"
-            )
+    inside = ((r[:, 0] >= gx0 - tol) & (r[:, 1] <= gx1 + tol)
+              & (r[:, 2] >= gy0 - tol) & (r[:, 3] <= gy1 + tol))
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(f"rectangle {k} {tuple(r[k].tolist())} exceeds the field domain")
 
 
 def _masked_norms(values: np.ndarray, frac: np.ndarray, grid: Grid2D, p):
@@ -362,31 +325,35 @@ def _masked_norms(values: np.ndarray, frac: np.ndarray, grid: Grid2D, p):
     raise ValueError(f"unsupported norm order {p!r}")
 
 
-def region_norm(fld: SpectrogramField, region: Region, p) -> float:
-    """L^p norm of the field over the union of the region's squares.
+def _union_norm(fld: SpectrogramField, rects, p) -> float:
+    sx, sy, sub = _window(fld.grid, rects)
+    return float(_masked_norms(fld.values[sx, sy], coverage_fractions(sub, rects), fld.grid, p))
+
+
+def region_norm(fld: SpectrogramField, rects, p) -> float:
+    """L^p norm of the field over the union of the (m, 4) rectangles (xmin, xmax, ymin, ymax).
 
     Composite midpoint rule with exact sub-cell coverage weights for p in
     {1, 2}; p=inf returns the max of |values| over covered grid points.
-    Only the cells of the region's window are visited.
+    Only the cells of the region's window are visited.  Every rectangle
+    must lie in the field's domain.
     """
-    _check_region_in_grid(fld.grid, region)
-    sx, sy, sub = _window(fld.grid, _region_rects(region))
-    return float(_masked_norms(fld.values[sx, sy], coverage_fractions(sub, region), fld.grid, p))
+    _check_region_in_grid(fld.grid, rects)
+    return _union_norm(fld, rects, p)
 
 
 def rect_union_norm(fld: SpectrogramField, rects, p):
     """L^p norm over a union of axis-aligned rectangles (xmin, xmax, ymin, ymax).
 
-    Same midpoint-with-coverage rule as region_norm; used for pairwise square
-    intersections, which are rectangles rather than squares.  `rects` may
-    also be a stack of one-rectangle unions, of shape (m, 1, 4): the m norms
-    are then returned as an array from one vectorised pass, each bit-equal
-    to the norm of its union alone.
+    Same rule as region_norm, without its domain check: rectangles past the
+    grid edge cover no cells there.  `rects` may also be a stack of
+    one-rectangle unions, of shape (m, 1, 4): the m norms are then returned
+    as an array from one vectorised pass, each bit-equal to the norm of its
+    union alone.
     """
     if np.ndim(rects) == 3:
         return _stacked_rect_norms(fld, np.asarray(rects, dtype=float), p)
-    sx, sy, sub = _window(fld.grid, rects)
-    return float(_masked_norms(fld.values[sx, sy], _union_fractions(sub, rects), fld.grid, p))
+    return _union_norm(fld, rects, p)
 
 
 def _stacked_rect_norms(fld: SpectrogramField, stack: np.ndarray, p) -> np.ndarray:
@@ -422,19 +389,18 @@ def _stacked_rect_norms(fld: SpectrogramField, stack: np.ndarray, p) -> np.ndarr
     return norms
 
 
-def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField,
-                         region: Region) -> complex:
-    """<a, b> over the region union; fields must share a grid."""
+def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField, rects) -> complex:
+    """<a, b> over the union of the rectangles; fields must share a grid."""
     if fld_a.grid != fld_b.grid:
         raise ValueError("fields must share a grid")
-    _check_region_in_grid(fld_a.grid, region)
-    sx, sy, sub = _window(fld_a.grid, _region_rects(region))
-    frac = coverage_fractions(sub, region)
+    _check_region_in_grid(fld_a.grid, rects)
+    sx, sy, sub = _window(fld_a.grid, rects)
+    frac = coverage_fractions(sub, rects)
     cell = fld_a.grid.dx * fld_a.grid.dy
     return complex(np.sum(fld_a.values[sx, sy] * np.conj(fld_b.values[sx, sy]) * frac) * cell)
 
 
-def union_area(rects: list[tuple[float, float, float, float]]) -> float:
+def union_area(rects) -> float:
     """Exact area of a union of axis-aligned rectangles."""
     xs, ys, count = _arrangement(rects)
     return float(np.diff(xs) @ (count > 0) @ np.diff(ys))
@@ -461,12 +427,29 @@ def write_field_csv(fld: SpectrogramField, path) -> None:
 
 
 def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
+    """(first, step, count) of a uniformly spaced coordinate axis.
+
+    The step is the double nearest (last - first) / (count - 1), or one of
+    its neighbours up to 4 ulps away, for which first + step * k gives back
+    every coordinate exactly, so a grid written by write_field_csv reads
+    back as the same grid.  If none does, the first difference is the step.
+    """
     uniq = np.unique(values)
     if len(uniq) == 1:
         return float(uniq[0]), 1.0, 1
     steps = np.diff(uniq)
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
         raise ValueError(f"{name} coordinates are not uniformly spaced")
+    k = np.arange(len(uniq))
+    mean = (uniq[-1] - uniq[0]) / (len(uniq) - 1)
+    below = above = mean
+    candidates = [mean]
+    for _ in range(4):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        candidates += [below, above]
+    for step in candidates:
+        if np.array_equal(uniq[0] + step * k, uniq):
+            return float(uniq[0]), float(step), len(uniq)
     return float(uniq[0]), float(steps[0]), len(uniq)
 
 
@@ -474,8 +457,8 @@ def read_field_csv(path) -> SpectrogramField:
     """Inverse of write_field_csv; reconstructs the grid from coordinates.
 
     The header is read with `csv`, the body in one `np.loadtxt` parse.
-    Malformed bodies (no rows, ragged rows, non-numeric cells, a column
-    count other than the header's) raise ValueError.
+    Malformed bodies (no rows, ragged rows, non-numeric or non-finite cells,
+    a column count other than the header's) raise ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -488,6 +471,9 @@ def read_field_csv(path) -> SpectrogramField:
         raise ValueError("field CSV has no rows")
     if data.shape[1] != len(header):
         raise ValueError(f"field CSV rows have {data.shape[1]} columns, header has {len(header)}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"field CSV data row {int(np.argmin(finite)) + 1} has a non-finite cell")
     x0, dx, nx = _uniform_axis(data[:, 0], "x")
     y0, dy, ny = _uniform_axis(data[:, 1], "y")
     if len(data) != nx * ny:

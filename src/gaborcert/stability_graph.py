@@ -16,8 +16,6 @@ import numpy as np
 
 from .gabor_engine import (
     SPECTROGRAM,
-    Region,
-    Square,
     SpectrogramField,
     _arrangement,
     rect_union_norm,
@@ -74,14 +72,10 @@ class SquareCover:
     def __len__(self) -> int:
         return len(self.centers)
 
-    def squares(self) -> list[Square]:
-        return [Square(x, y, 1.0) for x, y in self.centers]
-
-    def region(self) -> Region:
-        return Region(tuple(self.squares()))
-
-    def rects(self) -> list[tuple[float, float, float, float]]:
-        return [sq.rect() for sq in self.squares()]
+    def rects(self) -> np.ndarray:
+        """The squares as an (n, 4) array of rectangles (xmin, xmax, ymin, ymax)."""
+        c = np.array(self.centers)
+        return np.stack([c[:, 0] - 0.5, c[:, 0] + 0.5, c[:, 1] - 0.5, c[:, 1] + 0.5], axis=1)
 
 
 @dataclass(frozen=True)
@@ -174,12 +168,12 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
     n = len(cover)
-    w = np.array([region_norm(spec, Region((sq,)), 1) for sq in cover.squares()])
+    r = cover.rects()
+    w = np.array([region_norm(spec, r[i:i + 1], 1) for i in range(n)])
     degenerate = [i for i in range(n) if w[i] <= 0.0]
     if degenerate:
         raise DegenerateVertexError(degenerate)
     # pairwise intersection rectangles; a pair overlaps when its rectangle has positive extent
-    r = np.array(cover.rects())
     x0 = np.maximum(r[:, None, 0], r[None, :, 0])
     x1 = np.minimum(r[:, None, 1], r[None, :, 1])
     y0 = np.maximum(r[:, None, 2], r[None, :, 2])

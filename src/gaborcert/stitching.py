@@ -20,8 +20,6 @@ from .gabor_engine import (
     GABOR,
     SPECTROGRAM,
     Grid2D,
-    Region,
-    Square,
     SpectrogramField,
     _window,
     coverage_fractions,
@@ -61,20 +59,22 @@ class RetrievalResult:
 
 
 def min_phase_distance(fld_f: SpectrogramField, fld_g: SpectrogramField,
-                       region: Region) -> tuple[complex, float]:
+                       rects) -> tuple[complex, float]:
     """Exact minimizer over unimodular tau of ||G - tau F||_{L2(region)}.
+
+    The region is the union of the (m, 4) rectangles (xmin, xmax, ymin, ymax).
 
     tau = <G, F> / |<G, F>| when the inner product is nonzero; for orthogonal
     fields every tau is optimal and the distance is (||F||^2 + ||G||^2)^(1/2).
     """
-    ip = region_inner_product(fld_g, fld_f, region)
+    ip = region_inner_product(fld_g, fld_f, rects)
     if abs(ip) > 0.0:
         tau = ip / abs(ip)
         # norm of the explicit difference field: no cancellation floor
         diff = SpectrogramField(fld_f.grid, fld_g.values - tau * fld_f.values, GABOR)
-        return complex(tau), region_norm(diff, region, 2)
-    nf = region_norm(fld_f, region, 2)
-    ng = region_norm(fld_g, region, 2)
+        return complex(tau), region_norm(diff, rects, 2)
+    nf = region_norm(fld_f, rects, 2)
+    ng = region_norm(fld_g, rects, 2)
     return 1.0 + 0.0j, math.sqrt(nf * nf + ng * ng)
 
 
@@ -86,15 +86,15 @@ def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
     spectrograms; dist / sqrt_specdiff is the sharpness ratio.
     """
     grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, step)
-    region = Region((Square(0.0, 0.0, 1.0),))
+    square = [(-0.5, 0.5, -0.5, 0.5)]
     f, g = make_sharpness_pair(a)
     fld_f = mixture_field(f, grid)
     fld_g = mixture_field(g, grid)
-    _, dist = min_phase_distance(fld_f, fld_g, region)
+    _, dist = min_phase_distance(fld_f, fld_g, square)
     diff = SpectrogramField(
         grid, np.abs(fld_f.values) ** 2 - np.abs(fld_g.values) ** 2 + 0j, GABOR
     )
-    return dist, math.sqrt(region_norm(diff, region, 2))
+    return dist, math.sqrt(region_norm(diff, square, 2))
 
 
 def _local_field(jet: LocalJet, xs: np.ndarray, ys: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -147,9 +147,10 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     centers_xy: list[tuple[float, float]] = []
     degenerate = []
     xs, ys = grid.xs(), grid.ys()
-    for i, sq in enumerate(cover.squares()):
-        sx, sy, sub = _window(grid, [sq.rect()])
-        cov = coverage_fractions(sub, Region((sq,)))
+    rects = cover.rects()
+    for i in range(n):
+        sx, sy, sub = _window(grid, rects[i:i + 1])
+        cov = coverage_fractions(sub, rects[i:i + 1])
         windows.append((sx, sy, cov))
         masked = np.where(cov > 1e-12, spec.values[sx, sy], -1.0)
         ix, iy = np.unravel_index(int(np.argmax(masked)), masked.shape)

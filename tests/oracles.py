@@ -20,6 +20,12 @@ from gaborcert import GaussianAtom, GaussianMixtureSignal, gabor_closed_form
 from gaborcert.cubature import gauss_rule
 
 
+def square_rect(cx: float, cy: float, side: float) -> list[tuple[float, float, float, float]]:
+    """The one-rectangle region (xmin, xmax, ymin, ymax) of a square given by center and side."""
+    h = 0.5 * side
+    return [(cx - h, cx + h, cy - h, cy + h)]
+
+
 def random_mixture(rng, max_atoms: int = 3, spread: float = 0.8) -> GaussianMixtureSignal:
     n = int(rng.integers(1, max_atoms + 1))
     atoms = tuple(
@@ -183,12 +189,12 @@ def build_graph_per_pair(spec, cover):
 
     Vertex masses come from region_norm on each square, as in build_graph.
     """
-    from gaborcert import Region, WeightedGraph, region_norm
+    from gaborcert import WeightedGraph, region_norm
     from gaborcert.gabor_engine import rect_union_norm
 
     n = len(cover)
-    w = np.array([region_norm(spec, Region((sq,)), 1) for sq in cover.squares()])
-    r = np.array(cover.rects())
+    r = cover.rects()
+    w = np.array([region_norm(spec, r[i:i + 1], 1) for i in range(n)])
     x0 = np.maximum(r[:, None, 0], r[None, :, 0])
     x1 = np.minimum(r[:, None, 1], r[None, :, 1])
     y0 = np.maximum(r[:, None, 2], r[None, :, 2])

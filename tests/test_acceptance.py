@@ -21,9 +21,7 @@ from gaborcert import (
     GaussianAtom,
     GaussianMixtureSignal,
     Grid2D,
-    Region,
     SpectrogramField,
-    Square,
     SquareCover,
     algebraic_connectivity,
     certificate,
@@ -49,7 +47,13 @@ from gaborcert.cubature import apply_rule, product_rule, tensor_product_integral
 from gaborcert.signal_model import fock_value
 from gaborcert.tensor_phase import disk_norm_from_jet, jet_from_taylor
 
-from oracles import disk_quadrature, random_graph, random_mixture, tau_grid_min_distance
+from oracles import (
+    disk_quadrature,
+    random_graph,
+    random_mixture,
+    square_rect,
+    tau_grid_min_distance,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -161,7 +165,7 @@ def test_criterion_05_sharpness_growth():
     """
     start = time.monotonic()
     grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, 0.02)
-    region = Region((Square(0.0, 0.0, 1.0),))
+    region = square_rect(0.0, 0.0, 1.0)
     logs = []
     for a in (0.5, 1.0, 1.5, 2.0):
         f, g = make_sharpness_pair(a)
@@ -236,8 +240,8 @@ def test_criterion_08_end_to_end_retrieval():
     cover = SquareCover(((-0.3, -0.3), (-0.3, 0.3), (0.3, -0.3), (0.3, 0.3)))
     result = retrieve_phase(spec, cover, "analytic", 14, signal=atom)
     ref = mixture_field(atom, grid)
-    _, dist = min_phase_distance(ref, result.field, cover.region())
-    rel = dist / region_norm(ref, cover.region(), 2)
+    _, dist = min_phase_distance(ref, result.field, cover.rects())
+    rel = dist / region_norm(ref, cover.rects(), 2)
     ok = rel <= 1e-3
     assert report(8, ok, f"relative recovery error {rel:.2e} (<= 1e-3, analytic jets K=14)")
 
@@ -263,7 +267,7 @@ def test_criterion_09_certificate_ratio_stability():
             sg = spectrogram(gg)
             for cover in covers:
                 cert = certificate(sf, sg, cover)
-                region = cover.region()
+                region = cover.rects()
                 _, dist = min_phase_distance(ff, gg, region)
                 diff = SpectrogramField(grid, sf.values - sg.values + 0j, GABOR)
                 sdist = region_norm(diff, region, 2)

@@ -18,7 +18,7 @@ REMOVED = [
     "EntireExtensionParams", "entire_extension", "entire_extension_values", "fock_sup_norm",
     "smoothness_growth_constant", "gamma_tail_constant", "delta_structural_bound",
     "cubature_error", "chawla_bound", "local_align", "LocalAlignment", "GlobalAlignment",
-    "synchronize", "NoInformationError",
+    "synchronize", "NoInformationError", "Square", "Region", "_union_fractions", "_region_rects",
 ]
 
 
@@ -46,5 +46,6 @@ def test_removed_names_stay_removed():
         assert present == [], (where.__name__, present)
     assert not hasattr(LocalJet, "truncated")
     assert "side" not in inspect.signature(SquareCover).parameters
+    assert not hasattr(SquareCover, "squares") and not hasattr(SquareCover, "region")
     assert "threshold" not in inspect.signature(retrieve_phase).parameters
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}

@@ -196,7 +196,9 @@ def test_malformed_field_csv_rejected(tmp_path, capsys):
     cases = {"header-only": ("x,y,s\n", "field CSV has no rows"),
              "ragged": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0\n", None),
              "non-numeric": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0,one\n", None),
-             "too-few-columns": ("x,y,s\n0.0,0.0\n0.0,1.0\n", "columns")}
+             "too-few-columns": ("x,y,s\n0.0,0.0\n0.0,1.0\n", "columns"),
+             "nan-value": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0,nan\n", "data row 2 has a non-finite cell"),
+             "inf-coordinate": ("x,y,s\n0.0,0.0,1.0\n-inf,1.0,1.0\n", "data row 2 has a non-finite cell")}
     for name, (text, message) in cases.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
@@ -208,6 +210,15 @@ def test_malformed_field_csv_rejected(tmp_path, capsys):
         assert code == 2, name
         assert not out.exists(), name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_grid_span_too_many_steps_exits_2(tmp_path, capsys):
+    grid = dict(GRID, xmin=-1e308, xmax=1e308)
+    code, out = run(tmp_path, "transform", {"signal": ATOM_MIXTURE, "grid": grid})
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config: invalid field grid: grid span is not a finite number of steps" in err, err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -15,7 +15,6 @@ from gaborcert import (
     GaussianAtom,
     GaussianMixtureSignal,
     Grid2D,
-    Region,
     SquareCover,
     build_graph,
     certificate,
@@ -27,8 +26,6 @@ from gaborcert import (
 )
 from gaborcert.cli import main
 from gaborcert.gabor_engine import (
-    Square,
-    _union_fractions,
     _window,
     coverage_fractions,
     rect_union_norm,
@@ -94,7 +91,7 @@ def _n64_cover_and_spec():
 
 def _full_grid_l1(spec, rects) -> float:
     """||S||_L1 over the union of the rectangles, summed over every grid cell."""
-    frac = _union_fractions(spec.grid, rects)
+    frac = coverage_fractions(spec.grid, rects)
     return float(np.sum(spec.values * frac) * spec.grid.dx * spec.grid.dy)
 
 
@@ -105,8 +102,8 @@ def test_build_graph_window_masses_match_full_grid_at_n65():
     g = build_graph(spec, cover)
 
     rects = cover.rects()
-    for i, sq in enumerate(cover.squares()):
-        assert g.w[i] == pytest.approx(region_norm(spec, Region((sq,)), 1), rel=1e-12, abs=0)
+    for i in range(n):
+        assert g.w[i] == pytest.approx(region_norm(spec, rects[i:i + 1], 1), rel=1e-12, abs=0)
         assert g.w[i] == pytest.approx(_full_grid_l1(spec, [rects[i]]), rel=1e-12, abs=0)
 
     via_norm = np.zeros((n, n))
@@ -218,8 +215,6 @@ def test_stacked_rect_norms_reject_multi_rectangle_unions():
 @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf)], ids=["nan", "inf"])
 def test_non_finite_square_center_is_rejected(tmp_path, capsys, center):
     with pytest.raises(ValueError, match="finite"):
-        Square(*center, 1.0)
-    with pytest.raises(ValueError, match="finite"):
         SquareCover(((0.0, 0.0), center))
     atom = {"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}
     config = tmp_path / "certify.json"
@@ -234,8 +229,8 @@ def test_non_finite_square_center_is_rejected(tmp_path, capsys, center):
 @pytest.mark.parametrize("p", [1, 2, np.inf])
 def test_region_norm_on_window_matches_full_grid(p):
     cover, spec = _n64_cover_and_spec()
-    squares = cover.squares()
-    for region in (cover.region(), Region(tuple(squares[:9])), Region((squares[-1], squares[-2]))):
+    rects = cover.rects()
+    for region in (rects, rects[:9], rects[[-1, -2]]):
         frac = coverage_fractions(spec.grid, region)
         cell = spec.grid.dx * spec.grid.dy
         if p == 1:

@@ -9,10 +9,8 @@ from gaborcert import (
     GaussianAtom,
     GaussianMixtureSignal,
     Grid2D,
-    Region,
     SampledSignal,
     SpectrogramField,
-    Square,
     gabor_closed_form,
     l2_norm,
     make_sharpness_pair,
@@ -29,13 +27,15 @@ from gaborcert.gabor_engine import (
     write_field_csv,
 )
 
-from oracles import field_csv_bytes, jittered_cover_centers, random_mixture, sampled_coverage
+from oracles import (
+    field_csv_bytes,
+    jittered_cover_centers,
+    random_mixture,
+    sampled_coverage,
+    square_rect,
+)
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
-
-
-def unit_square_region(cx=0.0, cy=0.0, side=1.0):
-    return Region((Square(cx, cy, side),))
 
 
 def test_quadrature_matches_closed_form_on_atom():
@@ -98,7 +98,7 @@ def test_spectrogram_and_kinds():
 def test_region_norm_constants():
     grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.05)
     ones = SpectrogramField(grid, np.ones((grid.nx, grid.ny)), SPECTROGRAM)
-    region = unit_square_region()
+    region = square_rect(0.0, 0.0, 1.0)
     assert region_norm(ones, region, 1) == pytest.approx(1.0, abs=1e-10)
     c_field = SpectrogramField(grid, np.full((grid.nx, grid.ny), -2.5 + 0j), GABOR)
     assert region_norm(c_field, region, 2) == pytest.approx(2.5, abs=1e-10)
@@ -109,14 +109,19 @@ def test_region_norm_rejects_out_of_domain():
     grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.1)
     ones = SpectrogramField(grid, np.ones((grid.nx, grid.ny)), SPECTROGRAM)
     with pytest.raises(ValueError):
-        region_norm(ones, unit_square_region(cx=2.0), 1)
+        region_norm(ones, square_rect(2.0, 0.0, 1.0), 1)
+    named = r"rectangle 1 \(1\.5, 2\.5, -0\.5, 0\.5\) exceeds the field domain"
+    with pytest.raises(ValueError, match=named):
+        region_norm(ones, square_rect(0.0, 0.0, 1.0) + square_rect(2.0, 0.0, 1.0), 1)
+    with pytest.raises(ValueError, match="at least one rectangle"):
+        region_norm(ones, np.empty((0, 4)), 1)
 
 
 def test_region_norm_refinement_oracle():
     # S phi over the centered unit square: the mass has the closed form
     # (1/2) erf(sqrt(pi)/2)^2, and the midpoint rule converges at O(h^2)
     exact = 0.5 * math.erf(math.sqrt(math.pi) / 2) ** 2
-    region = unit_square_region()
+    region = square_rect(0.0, 0.0, 1.0)
     errors = []
     for h in (0.01, 0.005, 0.00125):
         grid = Grid2D.from_bounds(-1, 1, -1, 1, h)
@@ -129,14 +134,14 @@ def test_region_norm_refinement_oracle():
 def test_region_norm_overlap_counted_once():
     grid = Grid2D.from_bounds(-2, 2, -2, 2, 0.05)
     ones = SpectrogramField(grid, np.ones((grid.nx, grid.ny)), SPECTROGRAM)
-    region = Region((Square(0.0, 0.0, 1.0), Square(0.5, 0.0, 1.0)))
+    region = square_rect(0.0, 0.0, 1.0) + square_rect(0.5, 0.0, 1.0)
     assert region_norm(ones, region, 1) == pytest.approx(1.5, abs=1e-10)
     # overlap in both axes, edges off the grid: 2 - 0.67 * 0.59
-    region = Region((Square(0.0, 0.0, 1.0), Square(0.33, 0.41, 1.0)))
+    region = square_rect(0.0, 0.0, 1.0) + square_rect(0.33, 0.41, 1.0)
     assert region_norm(ones, region, 1) == pytest.approx(2.0 - 0.67 * 0.59, abs=1e-10)
     assert region_norm(ones, region, 2) == pytest.approx(math.sqrt(2.0 - 0.67 * 0.59), abs=1e-10)
     assert region_norm(ones, region, 1) == pytest.approx(
-        union_area([sq.rect() for sq in region.squares]), rel=1e-12)
+        union_area(region), rel=1e-12)
 
 
 def test_spectrogram_mass_equals_window_factor_times_norm():
@@ -145,7 +150,7 @@ def test_spectrogram_mass_equals_window_factor_times_norm():
     sig = GaussianMixtureSignal((GaussianAtom(2**0.25, 0.1, -0.2),))
     assert l2_norm(sig) == pytest.approx(1.0, abs=1e-12)
     grid = Grid2D.from_bounds(-4, 4, -4, 4, 0.05)
-    mass = region_norm(spectrogram(mixture_field(sig, grid)), unit_square_region(side=7.9), 1)
+    mass = region_norm(spectrogram(mixture_field(sig, grid)), square_rect(0.0, 0.0, 7.9), 1)
     assert mass == pytest.approx(2**-0.5, abs=1e-4)
 
 
@@ -164,7 +169,7 @@ def test_region_norm_refinement_order():
     for h in (0.1, 0.05, 0.025):
         grid = Grid2D.from_bounds(-1, 1, -1, 1, h)
         spec = spectrogram(mixture_field(sig, grid))
-        vals.append(region_norm(spec, unit_square_region(0.03, -0.01, 1.17), 1))
+        vals.append(region_norm(spec, square_rect(0.03, -0.01, 1.17), 1))
     order = math.log2(abs(vals[0] - vals[1]) / abs(vals[1] - vals[2]))
     assert order >= 1.9
 
@@ -179,20 +184,37 @@ def test_union_area():
 def test_coverage_fractions_dense_cover_matches_point_sample():
     # 64 jittered unit squares in [-1.5, 1.5]^2, up to 9 deep: far past what
     # inclusion-exclusion over square subsets can reach
-    squares = tuple(Square(x, y, 1.0) for x, y in jittered_cover_centers(np.random.default_rng(64)))
+    squares = [r for x, y in jittered_cover_centers(np.random.default_rng(64)) for r in square_rect(x, y, 1.0)]
     grid = Grid2D.from_bounds(-2.2, 2.2, -2.2, 2.2, 0.1)
-    frac = coverage_fractions(grid, Region(squares))
+    frac = coverage_fractions(grid, squares)
     assert frac.min() >= 0.0 and frac.max() <= 1.0
-    sampled = sampled_coverage(grid, [sq.rect() for sq in squares], 32)
+    sampled = sampled_coverage(grid, squares, 32)
     assert np.abs(frac - sampled).max() <= 1.0 / 16
 
 
 def test_rect_union_norm_matches_region_norm():
     grid = Grid2D.from_bounds(-2, 2, -2, 2, 0.05)
     spec = spectrogram(mixture_field(ATOM, grid))
-    by_region = region_norm(spec, unit_square_region(0.2, -0.1), 1)
+    by_region = region_norm(spec, square_rect(0.2, -0.1, 1.0), 1)
     by_rect = rect_union_norm(spec, [(-0.3, 0.7, -0.6, 0.4)], 1)
     assert by_region == pytest.approx(by_rect, rel=1e-12)
+
+
+@pytest.mark.parametrize("bounds", [
+    (-2.5, 2.5, -2.5, 2.5, 0.02),       # seed-701 data-path transform grid
+    (-2.24, 2.24, -2.24, 2.24, 0.02),
+    (-4.85, 4.85, -4.85, 4.85, 0.05),   # 12 x 12 lattice at spacing 0.7, padded by 1.0
+    (-0.85, 0.85, -0.4, 1.3, 0.05),
+    (0.1, 0.7, -3.3, -0.3, 0.1),
+    (-1.0, 1.0, -1.0, 1.0, 0.2),
+], ids=["data-path", "xmin-2.24", "lattice", "off-centre", "positive-x", "coarse"])
+def test_field_csv_rewrite_is_byte_identical(tmp_path, bounds):
+    # read_field_csv recovers a grid whose coordinates are the file's own
+    grid = Grid2D.from_bounds(*bounds)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_field_csv(spectrogram(mixture_field(ATOM, grid)), first)
+    write_field_csv(read_field_csv(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -1,0 +1,29 @@
+"""The experiment scripts run end to end at tiny sizes and write their CSV."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPTS = {
+    "run_certificate_sweep": (["--pairs", "1", "--steps", "0.1"], "ratios.csv"),
+    "run_cubature_decay": (["--n-max", "4", "--reference-n", "40"], "decay.csv"),
+    "run_sharpness": (["--a-min", "0.5", "--a-max", "1.0", "--a-step", "0.5", "--grid-step", "0.05"],
+                      "sharpness_curve.csv"),
+}
+
+
+@pytest.mark.parametrize("name", list(SCRIPTS))
+def test_script_writes_its_csv(tmp_path, name):
+    args, csv_name = SCRIPTS[name]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / csv_name).read_text().splitlines()
+    assert len(lines) >= 2, lines  # a header and at least one row

@@ -8,9 +8,7 @@ from gaborcert import (
     GaussianAtom,
     GaussianMixtureSignal,
     Grid2D,
-    Region,
     SpectrogramField,
-    Square,
     SquareCover,
     make_sharpness_pair,
     min_phase_distance,
@@ -22,7 +20,7 @@ from gaborcert import (
 from gaborcert.gabor_engine import region_inner_product
 from gaborcert.stitching import DegenerateSquareError
 
-from oracles import random_mixture
+from oracles import random_mixture, square_rect
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 COVER_2X2 = SquareCover(((-0.3, -0.3), (-0.3, 0.3), (0.3, -0.3), (0.3, 0.3)))
@@ -36,7 +34,7 @@ def atom_fields(step=0.05, lo=-1.2, hi=1.2):
 
 def test_min_phase_distance_basics():
     grid, fld = atom_fields()
-    region = Region((Square(0, 0, 1.0),))
+    region = square_rect(0, 0, 1.0)
     rotated = SpectrogramField(grid, np.exp(1.1j) * fld.values, GABOR)
     tau, dist = min_phase_distance(fld, rotated, region)
     assert dist < 1e-10
@@ -49,7 +47,7 @@ def test_min_phase_distance_basics():
 def test_min_phase_distance_beats_angle_grid():
     rng = np.random.default_rng(22)
     grid = Grid2D.from_bounds(-1.2, 1.2, -1.2, 1.2, 0.05)
-    region = Region((Square(0.0, 0.0, 1.5),))
+    region = square_rect(0.0, 0.0, 1.5)
     for _ in range(5):
         f = mixture_field(random_mixture(rng), grid)
         g = mixture_field(random_mixture(rng), grid)
@@ -65,7 +63,7 @@ def test_drop_constraint_inequality():
     # unimodular-constrained distance <= sqrt(2) * unconstrained + modulus gap
     rng = np.random.default_rng(23)
     grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.05)
-    region = Region((Square(0, 0, 1.5),))
+    region = square_rect(0, 0, 1.5)
     for _ in range(10):
         f = mixture_field(random_mixture(rng), grid)
         g = mixture_field(random_mixture(rng), grid)
@@ -90,18 +88,18 @@ def test_overlap_constant_is_stable_under_refinement():
         worst = 0.0
         grid = Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, step)
         for (f, g), off in zip(pairs, offsets):
-            q1 = Square(0.0, 0.0, 1.0)
-            q2 = Square(float(off), 0.0, 1.0)
+            q1 = square_rect(0.0, 0.0, 1.0)
+            q2 = square_rect(float(off), 0.0, 1.0)
             ff = mixture_field(f, grid)
             gg = mixture_field(g, grid)
-            c1, _ = min_phase_distance(ff, gg, Region((q1,)))
-            c2, _ = min_phase_distance(ff, gg, Region((q2,)))
-            inter = Square(float(off) / 2, 0.0, 1.0 - float(off))
-            nf4 = region_norm(ff, Region((inter,)), 2) ** 4
+            c1, _ = min_phase_distance(ff, gg, q1)
+            c2, _ = min_phase_distance(ff, gg, q2)
+            inter = square_rect(float(off) / 2, 0.0, 1.0 - float(off))
+            nf4 = region_norm(ff, inter, 2) ** 4
             sf = np.abs(ff.values) ** 2
             sg = np.abs(gg.values) ** 2
             diff = SpectrogramField(grid, sf - sg + 0j, GABOR)
-            sd = region_norm(diff, Region((q1, q2)), 2)
+            sd = region_norm(diff, q1 + q2, 2)
             k_const = sf.max() + sg.max()
             lhs = abs(c1 - c2) ** 2 * nf4
             if sd > 1e-12:
@@ -120,8 +118,8 @@ def test_retrieve_atom_2x2():
     assert result.components == ((0, 1, 2, 3),)
     assert result.warnings == ()
     ref = mixture_field(ATOM, grid)
-    _, dist = min_phase_distance(ref, result.field, COVER_2X2.region())
-    assert dist <= 1e-4 * region_norm(ref, COVER_2X2.region(), 2)
+    _, dist = min_phase_distance(ref, result.field, COVER_2X2.rects())
+    assert dist <= 1e-4 * region_norm(ref, COVER_2X2.rects(), 2)
 
 
 def test_retrieve_connected_pair_component():
@@ -130,8 +128,8 @@ def test_retrieve_connected_pair_component():
     spec = spectrogram(mixture_field(f03, grid))
     result = retrieve_phase(spec, COVER_2X2, "analytic", 14, signal=f03)
     ref = mixture_field(f03, grid)
-    _, dist = min_phase_distance(ref, result.field, COVER_2X2.region())
-    assert dist <= 1e-3 * region_norm(ref, COVER_2X2.region(), 2)
+    _, dist = min_phase_distance(ref, result.field, COVER_2X2.rects())
+    assert dist <= 1e-3 * region_norm(ref, COVER_2X2.rects(), 2)
 
 
 def test_retrieve_finite_difference_jets():
@@ -140,8 +138,8 @@ def test_retrieve_finite_difference_jets():
     spec = spectrogram(mixture_field(f03, grid))
     result = retrieve_phase(spec, COVER_2X2, "finite_difference", 4)
     ref = mixture_field(f03, grid)
-    _, dist = min_phase_distance(ref, result.field, COVER_2X2.region())
-    assert dist <= 5e-3 * region_norm(ref, COVER_2X2.region(), 2)
+    _, dist = min_phase_distance(ref, result.field, COVER_2X2.rects())
+    assert dist <= 5e-3 * region_norm(ref, COVER_2X2.rects(), 2)
 
 
 def test_retrieve_gauge_covariance():
@@ -153,7 +151,7 @@ def test_retrieve_gauge_covariance():
     assert np.abs(spec_a.values - spec_b.values).max() < 1e-12
     out_a = retrieve_phase(spec_a, COVER_2X2, "analytic", 14, signal=ATOM)
     out_b = retrieve_phase(spec_b, COVER_2X2, "analytic", 14, signal=rotated)
-    _, dist = min_phase_distance(out_a.field, out_b.field, COVER_2X2.region())
+    _, dist = min_phase_distance(out_a.field, out_b.field, COVER_2X2.rects())
     assert dist <= 1e-8
 
 
@@ -192,7 +190,7 @@ def test_retrieve_validation():
                    "square is e^(pi a / 2); the asserted e^(pi a) window cannot hold")
 def test_sharpness_ratio_slope_window():
     grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, 0.02)
-    region = Region((Square(0.0, 0.0, 1.0),))
+    region = square_rect(0.0, 0.0, 1.0)
     logs = []
     for a in (0.5, 1.0, 1.5, 2.0):
         f, g = make_sharpness_pair(a)

@@ -10,8 +10,6 @@ from gaborcert import (
     GaussianAtom,
     GaussianMixtureSignal,
     Grid2D,
-    Region,
-    Square,
     SpectrogramField,
     delta_r,
     distance_from_delta,
@@ -36,6 +34,7 @@ from oracles import (
     fornberg_weights,
     random_mixture,
     smoothness_growth_constant,
+    square_rect,
     tau_grid_min_distance,
 )
 
@@ -181,7 +180,7 @@ def test_structural_bound_scaling_family():
     f = GaussianMixtureSignal((GaussianAtom(0.8, 0.3, 0.1),))
     g = GaussianMixtureSignal((GaussianAtom(1.1, -0.2, -0.3),))
     grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, 0.02)
-    square = Region((Square(0.0, 0.0, 1.0),))
+    square = square_rect(0.0, 0.0, 1.0)
     ratios = []
     for c in (0.5, 1.0, 2.0, 4.0):
         fc, gc = f.scale(c), g.scale(c)
