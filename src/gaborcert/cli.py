@@ -434,10 +434,7 @@ def cmd_certify(config, args) -> ReportBundle:
     cover = _build_cover(config["cover"])
     spec_f = spectrogram(_field_for(sig_f, grid))
     spec_g = spectrogram(_field_for(sig_g, grid))
-    try:
-        cert = certificate(spec_f, spec_g, cover)
-    except DegenerateVertexError as exc:
-        raise CliDegeneracyError(str(exc))
+    cert = certificate(spec_f, spec_g, cover)
     bundle = ReportBundle("certify", config)
     bundle.add_table("certificate", ["quantity", "value"],
                      [(name, val) for name, val in cert.rows()])
@@ -497,9 +494,8 @@ def cmd_plan_sample(config, args) -> ReportBundle:
 
     ref_n = config.get("reference_n", 400)
     exact = tensor_product_integral(spec_diff_sq, ref_n, s, center)
-    achieved = exact - float(np.dot(spec_diff_sq(plan.rule.points[:, 0], plan.rule.points[:, 1]),
-                                    plan.rule.weights))
     node_vals = spec_diff(plan.rule.points[:, 0], plan.rule.points[:, 1])
+    achieved = exact - float(np.dot(node_vals ** 2, plan.rule.weights))
     discrete = discrete_weighted_norm(node_vals, plan.rule)
     continuum = math.sqrt(exact)
 
@@ -550,10 +546,7 @@ def cmd_retrieve(config, args) -> ReportBundle:
     order = config.get("order", 14)
     if jet_source == "analytic" and truth is None:
         raise CliValidationError("analytic jets require a mixture signal or ground_truth")
-    try:
-        result = retrieve_phase(spec, cover, jet_source, order, signal=truth)
-    except (DegenerateSquareError, DegenerateVertexError) as exc:
-        raise CliDegeneracyError(str(exc))
+    result = retrieve_phase(spec, cover, jet_source, order, signal=truth)
     bundle = ReportBundle("retrieve", config)
     bundle.fields["retrieved"] = result.field
     bundle.summary.append(f"components: {len(result.components)}")
@@ -664,17 +657,13 @@ def main(argv=None) -> int:
         if args.grid_step is not None and args.grid_step <= 0:
             raise CliValidationError("--grid-step must be positive")
         bundle = COMMANDS[args.command](config, args)
-    except CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CliDegeneracyError as exc:
-        print(f"numerical degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
-    except (DegenerateVertexError, DegenerateSquareError) as exc:
+    except (CliDegeneracyError, DegenerateVertexError, DegenerateSquareError) as exc:
+        # before ValueError: both degeneracy errors of the numeric modules are ValueErrors
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
     except ValueError as exc:
-        # domain errors from the numeric modules (region outside grid, ...)
+        # CliValidationError, and domain errors from the numeric modules
+        # (region outside grid, rule over the node cap, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

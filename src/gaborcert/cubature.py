@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _LOG_HUGE = math.log(1e300)
+_LOWER_BOUND_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,19 @@ class SamplingPlan:
     kappa: float
 
 
-def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_{n-1}(x)) by the three-term recurrence, for n >= 1."""
     p_prev = np.ones_like(x)
     p = x.copy()
     for k in range(1, n):
         p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
         p_prev, p = p, p_next
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+    return p, p_prev
+
+
+def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p, p_prev = _legendre_pair(n, x)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
 def gauss_rule(n: int, s: float) -> GaussRule1D:
@@ -144,8 +150,9 @@ def plan_sampling(epsilon: float, s: float, kappa: float,
                   center: tuple[float, float] = (0.0, 0.0)) -> SamplingPlan:
     """Smallest N whose predicted error is at most epsilon^4, plus the rule.
 
-    Doubling then bisection on the (eventually decreasing) bound; the
-    returned N is minimal: the bound at N-1 exceeds the target.
+    Doubling, then bisection; N is minimal because the bound is unimodal
+    (its log step log(sqrt(8 pi) s + 2) - log(N) / 2 + O(1/N) falls with N).
+    A rule of more than 10**7 nodes (N^2) raises ValueError before it is built.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 0.5:
@@ -156,10 +163,9 @@ def plan_sampling(epsilon: float, s: float, kappa: float,
     n = 1
     if spectro_error_bound(n, s, kappa) > target:
         hi = 2
-        while spectro_error_bound(hi, s, kappa) > target:
+        # a hi past the node cap may still miss the target; bisection then returns it
+        while spectro_error_bound(hi, s, kappa) > target and hi * hi <= 10**7:
             hi *= 2
-            if hi > 10**7:
-                raise RuntimeError("planner failed to find a feasible degree")
         lo = hi // 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -168,8 +174,8 @@ def plan_sampling(epsilon: float, s: float, kappa: float,
             else:
                 lo = mid
         n = hi
-    while n > 1 and spectro_error_bound(n - 1, s, kappa) <= target:
-        n -= 1
+    if n * n > 10**7:
+        raise ValueError("the smallest rule meeting epsilon^4 needs more than 10**7 nodes")
     rule = product_rule(n, s, center)
     return SamplingPlan(n, rule, epsilon, spectro_error_bound(n, s, kappa), kappa)
 
@@ -197,34 +203,23 @@ def discrete_weighted_norm(values, rule: ProductRule2D) -> float:
 def legendre_eval(n: int, z) -> np.ndarray | complex:
     """P_N(z) by the three-term recurrence; accepts complex arrays."""
     z = np.asarray(z, dtype=complex)
-    if n == 0:
-        out = np.ones_like(z)
-    elif n == 1:
-        out = z.copy()
-    else:
-        p_prev = np.ones_like(z)
-        p = z.copy()
-        for k in range(1, n):
-            p_next = ((2 * k + 1) * z * p - k * p_prev) / (k + 1)
-            p_prev, p = p, p_next
-        out = p
+    out = np.ones_like(z) if n == 0 else _legendre_pair(n, z)[0]
     if out.shape == ():
         return complex(out)
     return out
 
 
-def legendre_lower_bound_check(n: int, a: float, b: float,
-                               samples: int = 2000) -> bool:
+def legendre_lower_bound_check(n: int, a: float, b: float) -> bool:
     """Check |P_N| >= min(a-1, b)^N on the rectangle boundary and on [a, a+10].
 
-    Sampled verification (property-test support for the holomorphic error
-    bound's validity region); requires a > 1.
+    Sampled verification at 2000 points (property-test support for the
+    holomorphic error bound's validity region); requires a > 1.
     """
     if not a > 1:
         raise ValueError("need a > 1")
     if not b > 0:
         raise ValueError("need b > 0")
-    per_side = samples // 4
+    per_side = _LOWER_BOUND_SAMPLES // 4
     t = np.linspace(-1.0, 1.0, per_side)
     boundary = np.concatenate([
         a * t + 1j * b,
@@ -232,7 +227,7 @@ def legendre_lower_bound_check(n: int, a: float, b: float,
         a + 1j * b * t,
         -a + 1j * b * t,
     ])
-    ray = np.linspace(a, a + 10.0, samples - len(boundary))
+    ray = np.linspace(a, a + 10.0, _LOWER_BOUND_SAMPLES - len(boundary))
     pts = np.concatenate([boundary, ray.astype(complex)])
     vals = np.abs(legendre_eval(n, pts))
     floor = min(a - 1.0, b) ** n

@@ -68,9 +68,6 @@ class Grid2D:
     def ys(self) -> np.ndarray:
         return self.y0 + self.dy * np.arange(self.ny)
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.xs(), self.ys(), indexing="ij")
-
     def cell_bounds(self) -> tuple[float, float, float, float]:
         """Bounding box of the cells represented by the grid points."""
         return (

@@ -101,12 +101,6 @@ class GaussianMixtureSignal:
         c.flags.writeable = beta.flags.writeable = False
         return c, beta
 
-    def scale(self, c: complex) -> "GaussianMixtureSignal":
-        """Mixture with every amplitude multiplied by c."""
-        return GaussianMixtureSignal(
-            tuple(GaussianAtom(a.amplitude * c, a.shift, a.modulation) for a in self.atoms)
-        )
-
 
 def make_sharpness_pair(a: float) -> tuple[GaussianMixtureSignal, GaussianMixtureSignal]:
     """Even/odd pair of Gaussians at +-a built on ``phi = 2^{-1/2} e^{-pi t^2}``.

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 EXACT_CHEEGER_LIMIT = 20
+_CHEEGER_SLACK = 1e-9
 
 
 class DegenerateVertexError(ValueError):
@@ -113,6 +114,10 @@ class WeightedGraph:
     def delta0(self) -> float:
         """Max degree-to-weight ratio over vertices."""
         return float(np.max(self.degrees() / self.w))
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j) of the edges sigma_ij > 0 with i < j, in row-major order."""
+        return np.nonzero(np.triu(self.sigma > 0, 1))
 
 
 @dataclass(frozen=True)
@@ -208,10 +213,8 @@ def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in_s = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     w_s = in_s @ g.w
     cut = np.zeros(len(masks))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.sigma[i, j] > 0:
-                cut += np.where(in_s[:, i] ^ in_s[:, j], g.sigma[i, j], 0.0)
+    for i, j in zip(*g.edges()):
+        cut += np.where(in_s[:, i] ^ in_s[:, j], g.sigma[i, j], 0.0)
     return cut, w_s, masks
 
 
@@ -257,18 +260,18 @@ def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, fr
     raise ValueError(f"unknown Cheeger method {method!r}")
 
 
-def cheeger_inequality_check(g: WeightedGraph, slack: float = 1e-9) -> ConnectivityReport:
-    """Compute lambda, h, delta0 and assert 2h >= lambda >= h^2 / (2 delta0)."""
+def cheeger_inequality_check(g: WeightedGraph) -> ConnectivityReport:
+    """Compute lambda, h, delta0 and assert 2h >= lambda >= h^2 / (2 delta0), to relative 1e-9."""
     lam = algebraic_connectivity(g)
     method = "exact" if g.n <= EXACT_CHEEGER_LIMIT else "spectral_sweep"
     h, witness = cheeger_constant(g, method)
     d0 = g.delta0()
-    scale = max(lam, h, 1.0)
+    slack = _CHEEGER_SLACK * max(lam, h, 1.0)
     if method == "exact":
-        if not 2.0 * h >= lam - slack * scale:
+        if not 2.0 * h >= lam - slack:
             raise AssertionError(f"Cheeger upper bound violated: 2h={2*h} < lambda={lam}")
         lower = 0.0 if d0 == 0.0 else h * h / (2.0 * d0)
-        if not lam >= lower - slack * scale:
+        if not lam >= lower - slack:
             raise AssertionError(f"Cheeger lower bound violated: lambda={lam} < {lower}")
     return ConnectivityReport(lam, h, "exact_enumeration" if method == "exact" else "spectral_sweep",
                               d0, witness)
@@ -310,7 +313,7 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
 
     common = k_const * math.sqrt(m_const) * math.sqrt(l_const)
     stitch = k_const * nu ** 1.5 * math.sqrt(l_const)
-    connected = _connected(g)
+    connected = len(_spanning_forest(g.n, zip(*g.edges()), range(g.n))[1]) == 1
     if connected and lam > 0:
         bound_lambda = math.sqrt(common + stitch / lam + math.sqrt(vol))
     else:
@@ -326,26 +329,42 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
     )
 
 
-def _connected(g: WeightedGraph) -> bool:
-    """Whether the support of sigma > 0 joins all vertices (breadth-first)."""
-    adjacent = g.sigma > 0
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adjacent[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+def _spanning_forest(n: int, edges, roots) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """Depth-first spanning forest of the graph on n vertices with the given (i, j) edges.
+
+    Trees grow from `roots` in order; a root already in a tree is skipped.  A
+    vertex is claimed when it is pushed, the stack pops last-in first-out, and
+    neighbours come in edge order.  Returns the tree edges (u, v), v claimed
+    from u, in claim order, and the sorted vertices of each tree.
+    """
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    claimed = [False] * n
+    tree_edges: list[tuple[int, int]] = []
+    trees: list[tuple[int, ...]] = []
+    for root in roots:
+        if claimed[root]:
+            continue
+        claimed[root] = True
+        tree, stack = [root], [root]
+        while stack:
+            u = stack.pop()
+            for v in adjacent[u]:
+                if not claimed[v]:
+                    claimed[v] = True
+                    tree_edges.append((u, v))
+                    tree.append(v)
+                    stack.append(v)
+        trees.append(tuple(sorted(tree)))
+    return tree_edges, trees
 
 
 def graph_vertex_rows(g: WeightedGraph) -> list[tuple[int, float]]:
-    return [(i, float(g.w[i])) for i in range(g.n)]
+    return list(enumerate(g.w.tolist()))
 
 
 def graph_edge_rows(g: WeightedGraph) -> list[tuple[int, int, float]]:
-    rows = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.sigma[i, j] > 0:
-                rows.append((i, j, float(g.sigma[i, j])))
-    return rows
+    i, j = g.edges()
+    return list(zip(i.tolist(), j.tolist(), g.sigma[i, j].tolist()))

@@ -28,7 +28,7 @@ from .gabor_engine import (
     region_norm,
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
-from .stability_graph import SquareCover, build_graph
+from .stability_graph import SquareCover, _spanning_forest, build_graph
 from .tensor_phase import LocalJet, jet_from_field, jet_from_mixture, local_phase_from_modulus
 
 __all__ = [
@@ -160,13 +160,8 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     if degenerate:
         raise DegenerateSquareError(degenerate)
 
-    jets = []
-    for i in range(n):
-        x0, y0 = centers_xy[i]
-        if jet_source == "analytic":
-            jets.append(jet_from_mixture(signal, complex(x0, -y0), order))
-        else:
-            jets.append(jet_from_field(spec, (x0, y0), min(order, 4)))
+    jets = [jet_from_mixture(signal, complex(x0, -y0), order) if jet_source == "analytic"
+            else jet_from_field(spec, (x0, y0), min(order, 4)) for x0, y0 in centers_xy]
 
     locals_ = [_local_field(jets[i], xs[sx], ys[sy], cov)
                for i, (sx, sy, cov) in enumerate(windows)]
@@ -175,8 +170,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     # relative multipliers on overlaps, then spanning-tree propagation
     cell = grid.dx * grid.dy
     edges: dict[tuple[int, int], complex] = {}
-    for i, j in zip(*np.nonzero(np.triu(graph.sigma > 0, 1))):
-        i, j = int(i), int(j)
+    for i, j in zip(*(e.tolist() for e in graph.edges())):
         si, sj = _shared(windows[i], windows[j])
         inter = np.minimum(windows[i][2][si], windows[j][2][sj])
         loc_i, loc_j = locals_[i][si], locals_[j][sj]
@@ -188,35 +182,13 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
             continue
         edges[(i, j)] = num / abs(num)  # estimate of phase(i) - phase(j)
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-
-    multipliers = np.zeros(n, dtype=complex)
-    visited = [False] * n
-    components: list[tuple[int, ...]] = []
-    order_by_mass = np.argsort(-graph.w)
-    for root in order_by_mass:
-        root = int(root)
-        if visited[root]:
-            continue
-        comp = [root]
-        visited[root] = True
-        multipliers[root] = 1.0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if visited[v]:
-                    continue
-                visited[v] = True
-                # edges[(i, j)] estimates exp(i (phase_i - phase_j)); align v to u
-                rel = edges[(u, v)] if (u, v) in edges else np.conj(edges[(v, u)])
-                multipliers[v] = multipliers[u] * rel
-                comp.append(v)
-                queue.append(v)
-        components.append(tuple(sorted(comp)))
+    # trees grow from the heaviest squares; each root keeps multiplier 1
+    tree_edges, components = _spanning_forest(n, edges, np.argsort(-graph.w).tolist())
+    multipliers = np.ones(n, dtype=complex)
+    for u, v in tree_edges:
+        # edges[(i, j)] estimates exp(i (phase_i - phase_j)); align v to u
+        rel = edges[(u, v)] if (u, v) in edges else np.conj(edges[(v, u)])
+        multipliers[v] = multipliers[u] * rel
 
     warnings = []
     if len(components) > 1:

@@ -36,6 +36,9 @@ __all__ = [
     "disk_norm_from_jet",
 ]
 
+# a jet center with |F(center)|^2 at or below this carries no phase information
+_SINGULAR_CENTER = 1e-10
+
 
 class SingularCenterError(ValueError):
     """|F(center)|^2 is below threshold; caller must re-center the jet."""
@@ -220,18 +223,18 @@ def distance_from_delta(norm_f: float, delta: float) -> float:
     return math.sqrt(5.0) * delta / norm_f
 
 
-def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex],
-                             threshold: float = 1e-10) -> np.ndarray:
+def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex]) -> np.ndarray:
     """Recover F at the given points, up to one global unimodular constant.
 
     Evaluates the zeta = center slice of the tensor divided by |F(center)|:
     ``(sum_k derivs[k, 0] / k! (z - center)^k) / sqrt(derivs[0, 0])``, which
-    equals exp(-i arg F(center)) * F(z) for exact jets.
+    equals exp(-i arg F(center)) * F(z) for exact jets.  A center with
+    |F(center)|^2 at or below 1e-10 raises SingularCenterError.
     """
     f00 = jet.derivs[0, 0].real
-    if f00 <= threshold:
+    if f00 <= _SINGULAR_CENTER:
         raise SingularCenterError(
-            f"|F(center)|^2 = {f00:.3g} <= threshold {threshold:.3g}; re-center the jet"
+            f"|F(center)|^2 = {f00:.3g} <= threshold {_SINGULAR_CENTER:.3g}; re-center the jet"
         )
     pts = np.asarray(eval_pts, dtype=complex)
     rel = pts - jet.center

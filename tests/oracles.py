@@ -5,9 +5,11 @@ disk norms come from polar quadrature rather than jet series, minimizers
 from dense grid search rather than closed forms, derivatives from
 high-order finite-difference stencils rather than analytic formulas, and
 square-cover geometry from point tests rather than the arrangement sweep.
-The cover graph's reference is the per-pair loop that the stacked overlap
-masses of `build_graph` replaced.  The growth-bound tests measure package
-output against a proof constant and a grid sup norm, both kept here.
+The cover graph's references are the per-pair loop that the stacked overlap
+masses of `build_graph` replaced, and the depth-first traversal that
+`retrieve_phase` ran inline before the graph had one spanning forest.  The
+growth-bound tests measure package output against a proof constant and a
+grid sup norm, both kept here.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ def square_rect(cx: float, cy: float, side: float) -> list[tuple[float, float, f
     """The one-rectangle region (xmin, xmax, ymin, ymax) of a square given by center and side."""
     h = 0.5 * side
     return [(cx - h, cx + h, cy - h, cy + h)]
+
+
+def grid_mesh(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's x and y coordinates as two (nx, ny) arrays (ij indexing)."""
+    return np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+
+
+def scaled_mixture(sig: GaussianMixtureSignal, c: complex) -> GaussianMixtureSignal:
+    """The mixture with every amplitude multiplied by c."""
+    return GaussianMixtureSignal(
+        tuple(GaussianAtom(a.amplitude * c, a.shift, a.modulation) for a in sig.atoms))
 
 
 def random_mixture(rng, max_atoms: int = 3, spread: float = 0.8) -> GaussianMixtureSignal:
@@ -204,3 +217,35 @@ def build_graph_per_pair(spec, cover):
         mass = rect_union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
         sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
+
+
+def spanning_forest_dfs(n, edges, roots):
+    """Tree edges in claim order and sorted trees of the depth-first forest.
+
+    The traversal that retrieve_phase ran inline before the cover graph had
+    one spanning forest: adjacency lists in edge order, a vertex marked when
+    it is pushed, the stack popped last-in first-out, roots taken in order.
+    """
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    visited = [False] * n
+    tree_edges, components = [], []
+    for root in roots:
+        if visited[root]:
+            continue
+        comp = [root]
+        visited[root] = True
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            for v in adj[u]:
+                if visited[v]:
+                    continue
+                visited[v] = True
+                tree_edges.append((u, v))
+                comp.append(v)
+                queue.append(v)
+        components.append(tuple(sorted(comp)))
+    return tree_edges, components

@@ -49,6 +49,7 @@ from gaborcert.tensor_phase import disk_norm_from_jet, jet_from_taylor
 
 from oracles import (
     disk_quadrature,
+    grid_mesh,
     random_graph,
     random_mixture,
     square_rect,
@@ -78,7 +79,7 @@ def test_criterion_01_closed_form_agreement():
     start = time.monotonic()
     numeric = quadrature_gabor(sig, grid)
     elapsed = time.monotonic() - start
-    X, Y = grid.mesh()
+    X, Y = grid_mesh(grid)
     err = float(np.abs(numeric.values - gabor_closed_form(sig, X, Y)).max())
     ok = err <= 1e-8 and elapsed < 5.0
     assert report(1, ok, f"max abs err {err:.2e} (tol 1e-8), runtime {elapsed:.2f}s (< 5s)")

@@ -8,9 +8,12 @@ import pkgutil
 import pytest
 
 import gaborcert
-from gaborcert.stability_graph import SquareCover
+from gaborcert.cubature import legendre_lower_bound_check
+from gaborcert.gabor_engine import Grid2D
+from gaborcert.signal_model import GaussianMixtureSignal
+from gaborcert.stability_graph import SquareCover, cheeger_inequality_check
 from gaborcert.stitching import RetrievalResult, retrieve_phase
-from gaborcert.tensor_phase import LocalJet
+from gaborcert.tensor_phase import LocalJet, local_phase_from_modulus
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gaborcert.__path__) if m.name != "__main__")
 
@@ -45,7 +48,11 @@ def test_removed_names_stay_removed():
         present = [n for n in REMOVED if hasattr(where, n)]
         assert present == [], (where.__name__, present)
     assert not hasattr(LocalJet, "truncated")
+    assert not hasattr(Grid2D, "mesh") and not hasattr(GaussianMixtureSignal, "scale")
     assert "side" not in inspect.signature(SquareCover).parameters
     assert not hasattr(SquareCover, "squares") and not hasattr(SquareCover, "region")
-    assert "threshold" not in inspect.signature(retrieve_phase).parameters
+    for fn, option in ((retrieve_phase, "threshold"), (local_phase_from_modulus, "threshold"),
+                       (cheeger_inequality_check, "slack"),
+                       (legendre_lower_bound_check, "samples")):
+        assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}

@@ -342,6 +342,17 @@ def test_plan_sample_epsilon_validation(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("side", [20.0, 1e6])
+def test_plan_sample_over_node_cap_exits_2(tmp_path, capsys, side):
+    payload = {"epsilon": 0.1, "square": {"cx": 0.0, "cy": 0.0, "side": side},
+               "signal_f": SHARP_F, "signal_g": SHARP_G}
+    code, out = run(tmp_path, "plan-sample", payload)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: the smallest rule meeting epsilon^4 needs more than 10**7 nodes\n")
+
+
 def _with_value(payload, path, value):
     """Deep copy of payload with the entry at dotted `path` set to value."""
     out = json.loads(json.dumps(payload))

@@ -32,7 +32,7 @@ from gaborcert.gabor_engine import (
 )
 from gaborcert.stitching import DegenerateSquareError
 
-from oracles import build_graph_per_pair, jittered_cover_centers
+from oracles import build_graph_per_pair, grid_mesh, jittered_cover_centers
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 DOMAIN_GRID = Grid2D.from_bounds(-2.0, 2.0, -2.0, 2.0, 0.05)
@@ -250,6 +250,6 @@ def test_mixture_field_rank_k_matches_closed_form(k):
     positions = [(7.0, -6.5)] + [tuple(rng.uniform(-8.0, 8.0, 2)) for _ in range(k - 1)]
     sig = GaussianMixtureSignal(tuple(GaussianAtom(complex(*rng.normal(size=2)), x, y)
                                       for x, y in positions))
-    reference = gabor_closed_form(sig, *grid.mesh())
+    reference = gabor_closed_form(sig, *grid_mesh(grid))
     fld = mixture_field(sig, grid)
     assert np.abs(fld.values - reference).max() <= 1e-13 * np.abs(reference).max()

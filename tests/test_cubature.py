@@ -118,6 +118,11 @@ def test_plan_sampling_minimality_and_growth():
         plan_sampling(0.7, 1.0, 1.0)
     with pytest.raises(ValueError):
         plan_sampling(0.25, 1.0, 0.0)
+    # rules over 10**7 nodes are refused before they are built: side 1e6, and
+    # side 20 (N = 7443); side 13 (N = 3303) is past the cap only after bisection
+    for s in (5e5, 10.0, 6.5):
+        with pytest.raises(ValueError, match="10\\*\\*7 nodes"):
+            plan_sampling(0.1, s, 2.0)
 
 
 def test_discrete_weighted_norm():

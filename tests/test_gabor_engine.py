@@ -29,6 +29,7 @@ from gaborcert.gabor_engine import (
 
 from oracles import (
     field_csv_bytes,
+    grid_mesh,
     jittered_cover_centers,
     random_mixture,
     sampled_coverage,
@@ -41,7 +42,7 @@ ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 def test_quadrature_matches_closed_form_on_atom():
     grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.2)
     fld = quadrature_gabor(ATOM, grid)
-    X, Y = grid.mesh()
+    X, Y = grid_mesh(grid)
     assert np.abs(fld.values - gabor_closed_form(ATOM, X, Y)).max() < 1e-8
 
 
@@ -60,7 +61,7 @@ def test_quadrature_sharpness_factorization():
     f, _ = make_sharpness_pair(1.0)
     grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.25)
     fld = quadrature_gabor(f, grid)
-    X, Y = grid.mesh()
+    X, Y = grid_mesh(grid)
     Z = X + 1j * Y
     expect = np.exp(-np.pi / 2) * np.exp(-np.pi * np.abs(Z) ** 2 / 2 - 1j * np.pi * X * Y) \
         * np.cos(np.pi * 1j * np.conj(Z))

@@ -15,7 +15,7 @@ from gaborcert import (
 )
 from gaborcert.signal_model import fock_coefficients, inner_product
 
-from oracles import random_mixture
+from oracles import random_mixture, scaled_mixture
 
 
 def quadrature_transform(sig, x, y, span=12.0, n=120001):
@@ -154,7 +154,7 @@ def test_atom_validation():
        shift=st.floats(min_value=-2.0, max_value=2.0))
 def test_l2_norm_scales_linearly(scale, shift):
     sig = GaussianMixtureSignal((GaussianAtom(1.0, shift, 0.25), GaussianAtom(0.5j, -0.3, 0.0)))
-    assert l2_norm(sig.scale(scale)) == pytest.approx(scale * l2_norm(sig), rel=1e-10)
+    assert l2_norm(scaled_mixture(sig, scale)) == pytest.approx(scale * l2_norm(sig), rel=1e-10)
 
 
 @settings(max_examples=20, deadline=None)

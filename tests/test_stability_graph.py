@@ -21,11 +21,18 @@ from gaborcert import (
 )
 from gaborcert.stability_graph import (
     DegenerateVertexError,
+    _spanning_forest,
     graph_edge_rows,
     graph_vertex_rows,
 )
 
-from oracles import arrangement_brute_force, jittered_cover_centers, random_graph, rayleigh_minimum_pgd
+from oracles import (
+    arrangement_brute_force,
+    jittered_cover_centers,
+    random_graph,
+    rayleigh_minimum_pgd,
+    spanning_forest_dfs,
+)
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 
@@ -187,14 +194,17 @@ def test_certificate_disconnected_is_infinite():
     # two components whose lambda is a rounding residue rather than exactly 0
     mix = GaussianMixtureSignal((GaussianAtom(1.0, -1.0, 0.0), GaussianAtom(0.8, 1.0, 0.3)))
     spec_mix = spectrogram(mixture_field(mix, Grid2D.from_bounds(-3, 3, -3, 3, 0.1)))
-    for s, cover in (
-        (spec, SquareCover(((-1.5, 0.0), (1.5, 0.0)))),
-        (spec_mix, SquareCover(((-1.475, 0.0), (-0.975, 0.0), (0.975, 0.0), (1.475, 0.0)))),
+    for s, cover, connected in (
+        (spec, SquareCover(((-1.5, 0.0), (1.5, 0.0))), False),
+        (spec_mix, SquareCover(((-1.475, 0.0), (-0.975, 0.0), (0.975, 0.0), (1.475, 0.0))), False),
+        # lambda here is a positive residue: only the connectivity test makes it infinite
+        (spec_mix, SquareCover(((-1.875, 0.0), (-1.475, 0.0), (1.475, 0.0), (1.875, 0.0))), False),
+        (spec, SquareCover(((1.2, 0.0), (-1.2, 0.0), (-0.4, 0.0), (0.4, 0.0))), True),
     ):
         cert = certificate(s, s, cover)
-        assert math.isinf(cert.bound_cheeger)
-        assert math.isinf(cert.bound_lambda)
-        assert cert.cheeger == 0.0
+        assert math.isinf(cert.bound_cheeger) is not connected
+        assert math.isinf(cert.bound_lambda) is not connected
+        assert (cert.cheeger > 0.0) is connected
 
 
 def test_certificate_three_by_three_consistency():
@@ -223,6 +233,22 @@ def test_certificate_dense_cover_geometry_matches_brute_force():
     assert cert.L == mult
     assert cert.vol_omega == pytest.approx(area, rel=1e-12)
     assert cert.M == float(np.sum(cert.graph.w ** -2.0))
+
+
+def test_spanning_forest_matches_inline_dfs():
+    rng = np.random.default_rng(10)
+    for trial in range(200):
+        n = int(rng.integers(1, 16))
+        # random blocks, edges only inside a block: one block is connected,
+        # several are disconnected, and blocks of one vertex are isolated
+        block = rng.integers(0, [1, 2, 4, n][trial % 4], n)
+        dense = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+        edges = list(zip(*(dense & (block[:, None] == block[None, :])).nonzero()))
+        roots = rng.permutation(n).tolist()
+        tree_edges, trees = _spanning_forest(n, edges, roots)
+        assert (tree_edges, trees) == spanning_forest_dfs(n, edges, roots)
+        assert len(tree_edges) == n - len(trees)
+        assert sorted(v for t in trees for v in t) == list(range(n))
 
 
 def test_graph_export_rows():

@@ -20,7 +20,7 @@ from gaborcert import (
 from gaborcert.gabor_engine import region_inner_product
 from gaborcert.stitching import DegenerateSquareError
 
-from oracles import random_mixture, square_rect
+from oracles import random_mixture, scaled_mixture, square_rect
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 COVER_2X2 = SquareCover(((-0.3, -0.3), (-0.3, 0.3), (0.3, -0.3), (0.3, 0.3)))
@@ -145,7 +145,7 @@ def test_retrieve_finite_difference_jets():
 def test_retrieve_gauge_covariance():
     # spectrograms of f and e^{i theta} f coincide, so retrieval does too
     grid = Grid2D.from_bounds(-0.85, 0.85, -0.85, 0.85, 0.05)
-    rotated = ATOM.scale(np.exp(0.9j))
+    rotated = scaled_mixture(ATOM, np.exp(0.9j))
     spec_a = spectrogram(mixture_field(ATOM, grid))
     spec_b = spectrogram(mixture_field(rotated, grid))
     assert np.abs(spec_a.values - spec_b.values).max() < 1e-12

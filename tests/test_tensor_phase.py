@@ -33,6 +33,7 @@ from oracles import (
     fock_sup_norm,
     fornberg_weights,
     random_mixture,
+    scaled_mixture,
     smoothness_growth_constant,
     square_rect,
     tau_grid_min_distance,
@@ -183,7 +184,7 @@ def test_structural_bound_scaling_family():
     square = square_rect(0.0, 0.0, 1.0)
     ratios = []
     for c in (0.5, 1.0, 2.0, 4.0):
-        fc, gc = f.scale(c), g.scale(c)
+        fc, gc = scaled_mixture(f, c), scaled_mixture(g, c)
         d2 = delta_r(jet_from_mixture(fc, 0.0, 20), jet_from_mixture(gc, 0.0, 20), 1.0).delta_sq
         sup_sq = fock_sup_norm(fc) ** 2 + fock_sup_norm(gc) ** 2
         diff = SpectrogramField(
