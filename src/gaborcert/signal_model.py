@@ -35,8 +35,6 @@ __all__ = [
     "l2_norm",
     "inner_product",
     "fock_coefficients",
-    "fock_value",
-    "fock_derivatives",
 ]
 
 _INV_SQRT2 = 2.0 ** -0.5
@@ -90,14 +88,11 @@ class GaussianMixtureSignal:
 
     @cached_property
     def _fock_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        # one atom at a time: a vectorised form differs in the last bit
-        # (numpy's complex mu*mu is not Python's)
-        c = np.empty(len(self.atoms), dtype=complex)
-        beta = np.empty(len(self.atoms), dtype=complex)
-        for j, a in enumerate(self.atoms):
-            mu = a.shift + 1j * a.modulation
-            beta[j] = np.pi * mu
-            c[j] = a.amplitude * _INV_SQRT2 * np.exp(0.5 * np.pi * mu * mu - np.pi * a.shift ** 2)
+        amp = np.array([a.amplitude for a in self.atoms])
+        s = np.array([a.shift for a in self.atoms])
+        mu = s + 1j * np.array([a.modulation for a in self.atoms])
+        beta = np.pi * mu
+        c = amp * _INV_SQRT2 * np.exp(0.5 * np.pi * mu * mu - np.pi * s ** 2)
         c.flags.writeable = beta.flags.writeable = False
         return c, beta
 
@@ -197,25 +192,3 @@ def fock_coefficients(sig: GaussianMixtureSignal) -> tuple[np.ndarray, np.ndarra
     """
     return sig._fock_coefficients
 
-
-def fock_value(sig: GaussianMixtureSignal, w) -> complex | np.ndarray:
-    """F(w) for the entire-function side of the mixture."""
-    c, beta = fock_coefficients(sig)
-    w = np.asarray(w, dtype=complex)
-    out = np.tensordot(c, np.exp(np.multiply.outer(beta, w)), axes=(0, 0))
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
-def fock_derivatives(sig: GaussianMixtureSignal, w: complex, order: int) -> np.ndarray:
-    """Derivatives F^{(k)}(w), k = 0..order, of the entire-function side."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c, beta = fock_coefficients(sig)
-    base = c * np.exp(beta * complex(w))
-    out = np.empty(order + 1, dtype=complex)
-    for k in range(order + 1):
-        out[k] = np.sum(base)
-        base = base * beta
-    return out

@@ -18,6 +18,7 @@ from .gabor_engine import (
     SPECTROGRAM,
     SpectrogramField,
     _arrangement,
+    _check_region_in_grid,
     rect_union_norm,
     region_norm,
     union_area,
@@ -174,6 +175,7 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
         raise ValueError("build_graph expects a spectrogram field")
     n = len(cover)
     r = cover.rects()
+    _check_region_in_grid(spec.grid, r)  # names the first square outside, in one pass
     w = np.array([region_norm(spec, r[i:i + 1], 1) for i in range(n)])
     degenerate = [i for i in range(n) if w[i] <= 0.0]
     if degenerate:

@@ -2,11 +2,12 @@
 from a spectrogram on a square cover.
 
 The pipeline recovers each square's field up to one unimodular constant from
-a local jet of the squared modulus, estimates relative constants on pairwise
-overlaps, propagates them over a spanning tree of the overlap graph, and
-fixes the remaining global constant by averaging.  Covers whose overlap graph
-is disconnected are retrieved per component and flagged: the relative phase
-between components is not recoverable from the spectrogram.
+a local jet of the squared modulus, taken in tensor_phase's shifted frame at
+the grid node nearest the square's centre.  It estimates relative constants
+on pairwise overlaps, propagates them over a spanning tree of the overlap
+graph, and fixes the remaining global constant by averaging.  Covers whose
+overlap graph is disconnected are retrieved per component and flagged: the
+relative phase between components is not recoverable from the spectrogram.
 """
 
 from __future__ import annotations
@@ -98,16 +99,17 @@ def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
 
 
 def _local_field(jet: LocalJet, xs: np.ndarray, ys: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Evaluate the jet's local recovery on the covered cells of one window."""
+    """The jet's local recovery on the covered cells of one window: at w = x - i y,
+    ``F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2)``, u = w - c, c = jet.center."""
     out = np.zeros(cov.shape, dtype=complex)
     ix, iy = np.nonzero(cov > 1e-12)
-    if len(ix) == 0:
-        return out
     px = xs[ix]
     py = ys[iy]
     w_pts = px - 1j * py
     vals = local_phase_from_modulus(jet, w_pts)
-    gauss = np.exp(-1j * np.pi * px * py - 0.5 * np.pi * (px * px + py * py))
+    u = w_pts - jet.center
+    gauss = np.exp(1j * np.pi * ((np.conj(jet.center) * u).imag - px * py)
+                   - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
     out[ix, iy] = vals * gauss
     return out
 
@@ -125,11 +127,12 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
                    signal: GaussianMixtureSignal | None = None) -> RetrievalResult:
     """Reconstruct a transform field on the cover from spectrogram data.
 
-    Per square, a jet of |F|^2 is built at the point of maximal spectrogram
-    (analytic jets require the generating mixture; finite-difference jets
-    work from the samples, orders <= 4).  Local fields are aligned pairwise
-    on overlaps and synchronized; the output is defined up to one unimodular
-    constant per connected component of the overlap graph.
+    Per square, a jet of |F_c|^2 is built at the grid node nearest the
+    square's centre (analytic jets require the generating mixture;
+    finite-difference jets work from the samples, orders <= 4).  Local fields
+    are aligned pairwise on overlaps and synchronized; the output is defined
+    up to one unimodular constant per connected component of the overlap
+    graph.  Squares must lie in the field's domain.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("retrieve_phase expects a spectrogram field")
@@ -140,11 +143,10 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     grid = spec.grid
     n = len(cover)
+    graph = build_graph(spec, cover)  # checks that every square lies in the domain
 
-    # per square: its index window, the coverage on it, and the jet center
-    # (argmax of the spectrogram over covered cells)
+    # per square: its index window, the coverage on it, and the degeneracy test
     windows: list[tuple[slice, slice, np.ndarray]] = []
-    centers_xy: list[tuple[float, float]] = []
     degenerate = []
     xs, ys = grid.xs(), grid.ys()
     rects = cover.rects()
@@ -152,35 +154,27 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         sx, sy, sub = _window(grid, rects[i:i + 1])
         cov = coverage_fractions(sub, rects[i:i + 1])
         windows.append((sx, sy, cov))
-        masked = np.where(cov > 1e-12, spec.values[sx, sy], -1.0)
-        ix, iy = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[ix, iy] <= _DEGENERATE_PEAK:
+        if np.where(cov > 1e-12, spec.values[sx, sy], -1.0).max() <= _DEGENERATE_PEAK:
             degenerate.append(i)
-        centers_xy.append((float(xs[sx][ix]), float(ys[sy][iy])))
     if degenerate:
         raise DegenerateSquareError(degenerate)
 
-    jets = [jet_from_mixture(signal, complex(x0, -y0), order) if jet_source == "analytic"
-            else jet_from_field(spec, (x0, y0), min(order, 4)) for x0, y0 in centers_xy]
+    # jet centres: the grid node nearest each square's centre
+    nodes = np.rint((np.array(cover.centers) - (grid.x0, grid.y0)) / (grid.dx, grid.dy))
+    jets = [jet_from_mixture(signal, complex(xs[i], -ys[j]), order) if jet_source == "analytic"
+            else jet_from_field(spec, (xs[i], ys[j]), min(order, 4)) for i, j in nodes.astype(int)]
 
     locals_ = [_local_field(jets[i], xs[sx], ys[sy], cov)
                for i, (sx, sy, cov) in enumerate(windows)]
-    graph = build_graph(spec, cover)
 
     # relative multipliers on overlaps, then spanning-tree propagation
-    cell = grid.dx * grid.dy
     edges: dict[tuple[int, int], complex] = {}
     for i, j in zip(*(e.tolist() for e in graph.edges())):
         si, sj = _shared(windows[i], windows[j])
         inter = np.minimum(windows[i][2][si], windows[j][2][sj])
-        loc_i, loc_j = locals_[i][si], locals_[j][sj]
-        den = float(np.sum(np.abs(loc_j) ** 2 * inter) * cell)
-        if den <= 0:
-            continue
-        num = complex(np.sum(loc_i * np.conj(loc_j) * inter) * cell)
-        if abs(num) == 0.0:
-            continue
-        edges[(i, j)] = num / abs(num)  # estimate of phase(i) - phase(j)
+        num = complex(np.sum(locals_[i][si] * np.conj(locals_[j][sj]) * inter))
+        if num != 0:  # a zero overlap inner product carries no phase
+            edges[(i, j)] = num / abs(num)  # estimate of phase(i) - phase(j)
 
     # trees grow from the heaviest squares; each root keeps multiplier 1
     tree_edges, components = _spanning_forest(n, edges, np.argsort(-graph.w).tolist())

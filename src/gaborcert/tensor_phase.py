@@ -8,6 +8,11 @@ array below simultaneously encodes the Taylor data of the tensor
 ``omega_k(r) = pi r^(2k+2) / (k! (k+1)!)`` give the L2(B_r x B_r) distance
 between the tensors of two functions, which upper-bounds the unimodular
 alignment distance with explicit constant sqrt(5).
+
+Jets of a signal are taken in its frame at the jet center c (field point
+(x, y), c = x - i y): ``F_c(u) = F(c + u) exp(-pi conj(c) u - pi |c|^2 / 2)``,
+so ``|F_c(u)|^2 exp(-pi |u|^2) = S(c + u)`` (covariance under time-frequency
+shifts) and the Taylor data of F_c at 0 stay bounded wherever c sits.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gabor_engine import SPECTROGRAM
-from .signal_model import GaussianMixtureSignal, fock_derivatives
+from .signal_model import GaussianMixtureSignal, fock_coefficients
 
 __all__ = [
     "LocalJet",
@@ -36,19 +41,20 @@ __all__ = [
     "disk_norm_from_jet",
 ]
 
-# a jet center with |F(center)|^2 at or below this carries no phase information
+# a jet whose largest |F^(m)(center)|^2 is at or below this carries no phase information
 _SINGULAR_CENTER = 1e-10
 
 
 class SingularCenterError(ValueError):
-    """|F(center)|^2 is below threshold; caller must re-center the jet."""
+    """Every |F^(m)(center)|^2 of the jet is below threshold: the jet vanishes."""
 
 
 @dataclass(frozen=True)
 class LocalJet:
     """Mixed-derivative data of |F|^2 at a center.
 
-    derivs[k, l] = dbar^l d^k |F|^2 (center) = F^(k)(center) conj(F^(l)(center)).
+    derivs[k, l] = dbar^l d^k |F|^2 (center) = F^(k)(center) conj(F^(l)(center)),
+    with F the series of jet_from_taylor, or F_c at u = 0 for jets of a signal.
     Hermitian: derivs[k, l] == conj(derivs[l, k]); derivs[0, 0] >= 0.
     """
 
@@ -88,15 +94,19 @@ class DeltaResult(NamedTuple):
 
 
 def jet_from_mixture(sig: GaussianMixtureSignal, center: complex, order: int) -> LocalJet:
-    """Analytic jet of the mixture's entire-function side at `center`.
+    """Analytic jet of the mixture's local frame F_c at u = 0, c = `center`.
 
     `center` is a point of the entire-function plane; the field point (x, y)
-    corresponds to center = x - 1j * y.
+    corresponds to center = x - 1j * y.  With F = sum_j c_j e^(beta_j w),
+    ``F_c^(k)(0) = sum_j c_j e^(beta_j c - pi |c|^2 / 2) (beta_j - pi conj(c))^k``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    derivs_f = fock_derivatives(sig, complex(center), order)
-    return LocalJet(complex(center), order, np.outer(derivs_f, np.conj(derivs_f)))
+    c = complex(center)
+    coef, beta = fock_coefficients(sig)
+    base = coef * np.exp(beta * c - 0.5 * np.pi * abs(c) ** 2)
+    derivs_f = (beta - np.pi * c.conjugate()) ** np.arange(order + 1)[:, None] @ base
+    return LocalJet(c, order, np.outer(derivs_f, np.conj(derivs_f)))
 
 
 def jet_from_taylor(coeffs: Sequence[complex], order: int, center: complex = 0.0) -> LocalJet:
@@ -127,12 +137,11 @@ def _fd_weights(m: int, offsets: np.ndarray) -> np.ndarray:
 
 
 def jet_from_field(spec_field, center_xy: tuple[float, float], order: int) -> LocalJet:
-    """Finite-difference jet from a sampled spectrogram.
+    """Finite-difference jet of F_c at a grid node (x0, y0) of a sampled spectrogram.
 
-    Uses central differences at the grid spacing on
-    ``u(x, y) = S(x, y) exp(pi (x^2 + y^2))``, which equals |F|^2 at the
-    entire-function point x - i y.  Noise amplification grows factorially
-    with the order, so orders above 4 are rejected; use analytic jets there.
+    Central differences at the grid spacing on ``S(x, y) exp(pi ((x - x0)^2 +
+    (y - y0)^2)) = |F_c(u)|^2``, u = (x - x0) - i (y - y0).  Noise amplification
+    grows factorially with the order, so orders above 4 are rejected.
     """
     if spec_field.kind != SPECTROGRAM:
         raise ValueError("finite-difference jets require a spectrogram field")
@@ -148,25 +157,16 @@ def jet_from_field(spec_field, center_xy: tuple[float, float], order: int) -> Lo
     if abs(g.x0 + i0 * g.dx - x0) > 1e-9 * h or abs(g.y0 + j0 * g.dy - y0) > 1e-9 * h:
         raise ValueError("jet center must lie on the field grid")
     # stencil radius: max total derivative order is 2*order, second-order accurate
-    rad = order + 1 if order > 0 else 1
+    rad = order + 1
     if i0 - rad < 0 or i0 + rad >= g.nx or j0 - rad < 0 or j0 + rad >= g.ny:
         raise ValueError("jet center too close to the field boundary")
-    ii = np.arange(i0 - rad, i0 + rad + 1)
-    jj = np.arange(j0 - rad, j0 + rad + 1)
-    X = g.x0 + g.dx * ii[:, None]
-    Y = g.y0 + g.dy * jj[None, :]
-    u = spec_field.values[np.ix_(ii, jj)] * np.exp(np.pi * (X**2 + Y**2))
-    # entire-function coordinates: w = x - i y, so flip the y axis
-    u = u[:, ::-1]
     offsets = np.arange(-rad, rad + 1, dtype=float)
-    wts = [_fd_weights(m, offsets) / h**m for m in range(2 * order + 1)]
-    mixed = np.empty((2 * order + 1, 2 * order + 1), dtype=complex)
-    for p in range(2 * order + 1):
-        for q in range(2 * order + 1):
-            if p + q > 2 * order:
-                mixed[p, q] = 0.0
-                continue
-            mixed[p, q] = wts[p] @ u @ wts[q]
+    r2 = (h * offsets) ** 2
+    # |F_c(u)|^2 on the stencil; u = (x - x0) - i (y - y0), so flip the y axis
+    u = (spec_field.values[i0 - rad:i0 + rad + 1, j0 - rad:j0 + rad + 1]
+         * np.exp(np.pi * np.add.outer(r2, r2)))[:, ::-1]
+    wts = np.array([_fd_weights(m, offsets) / h**m for m in range(2 * order + 1)])
+    mixed = wts @ u @ wts.T  # mixed[p, q] = dx^p dy^q |F_c|^2 (0), read for p + q <= 2 order
     derivs = np.zeros((order + 1, order + 1), dtype=complex)
     for k in range(order + 1):
         for l in range(order + 1):
@@ -226,21 +226,24 @@ def distance_from_delta(norm_f: float, delta: float) -> float:
 def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex]) -> np.ndarray:
     """Recover F at the given points, up to one global unimodular constant.
 
-    Evaluates the zeta = center slice of the tensor divided by |F(center)|:
-    ``(sum_k derivs[k, 0] / k! (z - center)^k) / sqrt(derivs[0, 0])``, which
-    equals exp(-i arg F(center)) * F(z) for exact jets.  A center with
-    |F(center)|^2 at or below 1e-10 raises SingularCenterError.
+    The rank-one jet is read through its dominant column m, the largest
+    derivs[m, m] = |F^(m)(center)|^2, so F(center) near 0 is harmless:
+    ``(sum_k derivs[k, m] / k! (z - center)^k) / sqrt(derivs[m, m])`` equals
+    exp(-i arg F^(m)(center)) F(z) for exact jets (F_c(z - center) for jets
+    of a signal).  A largest derivs[m, m] at or below 1e-10 raises
+    SingularCenterError.
     """
-    f00 = jet.derivs[0, 0].real
-    if f00 <= _SINGULAR_CENTER:
+    diag = jet.derivs.diagonal().real
+    m = int(np.argmax(diag))
+    if diag[m] <= _SINGULAR_CENTER:
         raise SingularCenterError(
-            f"|F(center)|^2 = {f00:.3g} <= threshold {_SINGULAR_CENTER:.3g}; re-center the jet"
+            f"max |F^(m)(center)|^2 = {diag[m]:.3g} <= threshold {_SINGULAR_CENTER:.3g}"
         )
     pts = np.asarray(eval_pts, dtype=complex)
     rel = pts - jet.center
-    coeffs = jet.derivs[:, 0] / np.array([math.factorial(k) for k in range(jet.order + 1)])
+    coeffs = jet.derivs[:, m] / np.array([math.factorial(k) for k in range(jet.order + 1)])
     powers = rel[..., None] ** np.arange(jet.order + 1)
-    return (powers @ coeffs) / math.sqrt(f00)
+    return (powers @ coeffs) / math.sqrt(diag[m])
 
 
 def disk_norm_from_jet(jet: LocalJet, r: float) -> float:

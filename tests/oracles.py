@@ -9,7 +9,9 @@ The cover graph's references are the per-pair loop that the stacked overlap
 masses of `build_graph` replaced, and the depth-first traversal that
 `retrieve_phase` ran inline before the graph had one spanning forest.  The
 growth-bound tests measure package output against a proof constant and a
-grid sup norm, both kept here.
+grid sup norm, both kept here, and they and the jet tests read the
+entire-function side F (values and derivatives at any point, unshifted)
+from direct exponential sums.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from gaborcert import GaussianAtom, GaussianMixtureSignal, gabor_closed_form
 from gaborcert.cubature import gauss_rule
+from gaborcert.signal_model import fock_coefficients
 
 
 def square_rect(cx: float, cy: float, side: float) -> list[tuple[float, float, float, float]]:
@@ -50,6 +53,22 @@ def random_mixture(rng, max_atoms: int = 3, spread: float = 0.8) -> GaussianMixt
         for _ in range(n)
     )
     return GaussianMixtureSignal(atoms)
+
+
+def fock_value(sig: GaussianMixtureSignal, w) -> complex | np.ndarray:
+    """F(w) for the entire-function side of the mixture."""
+    c, beta = fock_coefficients(sig)
+    w = np.asarray(w, dtype=complex)
+    out = np.tensordot(c, np.exp(np.multiply.outer(beta, w)), axes=(0, 0))
+    if out.shape == ():
+        return complex(out)
+    return out
+
+
+def fock_derivatives(sig: GaussianMixtureSignal, w: complex, order: int) -> np.ndarray:
+    """Derivatives F^(k)(w), k = 0..order, of the entire-function side."""
+    c, beta = fock_coefficients(sig)
+    return np.array([np.sum(c * beta**k * np.exp(beta * complex(w))) for k in range(order + 1)])
 
 
 def fock_sup_norm(sig: GaussianMixtureSignal, step: float = 0.02, pad: float = 3.0) -> float:

@@ -44,11 +44,11 @@ from gaborcert import (
     spectrogram,
 )
 from gaborcert.cubature import apply_rule, product_rule, tensor_product_integral
-from gaborcert.signal_model import fock_value
 from gaborcert.tensor_phase import disk_norm_from_jet, jet_from_taylor
 
 from oracles import (
     disk_quadrature,
+    fock_value,
     grid_mesh,
     random_graph,
     random_mixture,

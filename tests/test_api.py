@@ -22,6 +22,7 @@ REMOVED = [
     "smoothness_growth_constant", "gamma_tail_constant", "delta_structural_bound",
     "cubature_error", "chawla_bound", "local_align", "LocalAlignment", "GlobalAlignment",
     "synchronize", "NoInformationError", "Square", "Region", "_union_fractions", "_region_rects",
+    "fock_value", "fock_derivatives",
 ]
 
 

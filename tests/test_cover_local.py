@@ -46,9 +46,9 @@ def _domain_spec():
 def test_graph_and_certificate_reject_square_past_the_grid(far):
     spec = _domain_spec()
     cover = SquareCover(((0.0, 0.0), far))
-    with pytest.raises(ValueError, match="exceeds the field domain"):
+    with pytest.raises(ValueError, match="rectangle 1 .* exceeds the field domain"):
         build_graph(spec, cover)
-    with pytest.raises(ValueError, match="exceeds the field domain"):
+    with pytest.raises(ValueError, match="rectangle 1 .* exceeds the field domain"):
         certificate(spec, spec, cover)
 
 
@@ -59,11 +59,12 @@ def test_retrieve_square_partly_outside_exceeds_the_domain():
     assert not isinstance(exc.value, DegenerateSquareError)
 
 
-def test_retrieve_square_wholly_outside_is_degenerate(tmp_path, capsys):
+def test_retrieve_square_wholly_outside_exceeds_the_domain(tmp_path, capsys):
+    # the domain is checked before the degeneracy test, as certify checks it
     cover = SquareCover(((0.0, 0.0), (4.0, 0.0)))
-    with pytest.raises(DegenerateSquareError) as exc:
+    with pytest.raises(ValueError, match="rectangle 1 .* exceeds the field domain") as exc:
         retrieve_phase(_domain_spec(), cover, signal=ATOM)
-    assert exc.value.indices == [1]
+    assert not isinstance(exc.value, DegenerateSquareError)
 
     config = tmp_path / "retrieve.json"
     config.write_text(
@@ -72,8 +73,8 @@ def test_retrieve_square_wholly_outside_is_degenerate(tmp_path, capsys):
         '"grid": {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0, "step": 0.05}}, '
         '"cover": {"centers": [[0.0, 0.0], [4.0, 0.0]]}}'
     )
-    assert main(["retrieve", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
-    assert "on squares [1]" in capsys.readouterr().err
+    assert main(["retrieve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "rectangle 1 (3.5, 4.5, -0.5, 0.5) exceeds the field domain" in capsys.readouterr().err
 
 
 def _n64_cover_and_spec():

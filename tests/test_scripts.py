@@ -1,4 +1,5 @@
-"""The experiment scripts run end to end at tiny sizes and write their CSV."""
+"""The experiment scripts run end to end at tiny sizes and write their CSV, and
+the benchmark's smoke run passes."""
 
 import os
 import subprocess
@@ -27,3 +28,11 @@ def test_script_writes_its_csv(tmp_path, name):
     assert proc.returncode == 0, proc.stderr
     lines = (tmp_path / csv_name).read_text().splitlines()
     assert len(lines) >= 2, lines  # a header and at least one row
+
+
+def test_perfbench_smoke_passes():
+    # every workload at tiny sizes, untraced and traced, with its output checks: a traced
+    # function gone from its module, an unmeasured time metric or a failing check exits 1
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

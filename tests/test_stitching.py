@@ -155,6 +155,46 @@ def test_retrieve_gauge_covariance():
     assert dist <= 1e-8
 
 
+def _spread_case(kind, k, seed, spacing=0.7, step=0.05):
+    """k x k cover at `spacing` (jittered by <= 0.1 if asked), k^2 random atoms
+    in its span, and the grid padded by 1.0 around the centers."""
+    rng = np.random.default_rng([seed, k])
+    span = 0.5 * spacing * (k - 1)
+    offs = spacing * (np.arange(k) - 0.5 * (k - 1))
+    centers = [(x, y) for x in offs for y in offs]
+    if kind == "jittered":
+        centers = [(x + rng.uniform(-0.1, 0.1), y + rng.uniform(-0.1, 0.1)) for x, y in centers]
+    atoms = tuple(GaussianAtom(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform()),
+                               *rng.uniform(-span, span, 2)) for _ in range(k * k))
+    grid = Grid2D.from_bounds(-span - 1.0, span + 1.0, -span - 1.0, span + 1.0, step)
+    return GaussianMixtureSignal(atoms), grid, SquareCover(tuple(centers))
+
+
+def _retrieve_error(sig, grid, cover, jet_source, order):
+    ref = mixture_field(sig, grid)
+    result = retrieve_phase(spectrogram(ref), cover, jet_source, order,
+                            signal=sig if jet_source == "analytic" else None)
+    assert result.components == (tuple(range(len(cover))),)
+    _, dist = min_phase_distance(ref, result.field, cover.rects())
+    return dist / region_norm(ref, cover.rects(), 2)
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+@pytest.mark.parametrize("kind", ["lattice", "jittered"])
+def test_retrieve_accurate_at_every_cover_size(kind, k):
+    # shifted-frame jets at each square's centre: the error does not grow with the cover
+    case = _spread_case(kind, k, seed=0)
+    assert _retrieve_error(*case, "analytic", 14) <= 1e-4
+    assert _retrieve_error(*case, "analytic", 24) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_retrieve_finite_difference_jets_on_jittered_36(seed):
+    # the data-path geometry: 6 x 6 jittered squares at spacing 0.4, jets of order 4
+    case = _spread_case("jittered", 6, seed, spacing=0.4)
+    assert _retrieve_error(*case, "finite_difference", 4) <= 0.1
+
+
 def test_retrieve_degenerate_square():
     grid = Grid2D.from_bounds(-3.1, 3.1, -3.1, 3.1, 0.05)
     spec = spectrogram(mixture_field(ATOM, grid))

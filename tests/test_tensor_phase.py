@@ -20,7 +20,6 @@ from gaborcert import (
     spectrogram,
     tensor_weights,
 )
-from gaborcert.signal_model import fock_derivatives, fock_value
 from gaborcert.tensor_phase import (
     SingularCenterError,
     disk_norm_from_jet,
@@ -30,7 +29,9 @@ from gaborcert.tensor_phase import (
 
 from oracles import (
     disk_quadrature,
+    fock_derivatives,
     fock_sup_norm,
+    fock_value,
     fornberg_weights,
     random_mixture,
     scaled_mixture,
@@ -79,16 +80,17 @@ def test_jet_hermitian_for_mixtures():
 
 
 def test_jet_matches_finite_difference_oracle():
-    # analytic jet vs high-order central differences of |F|^2, k, l <= 3
+    # analytic jet vs high-order central differences of |F_c|^2, k, l <= 3, where
+    # |F_c(u)|^2 = |F(c + u)|^2 exp(-2 pi Re(conj(c) u) - pi |c|^2)
     sig = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, -0.2), GaussianAtom(0.6 - 0.2j, -0.4, 0.5)))
     w0 = 0.1 - 0.05j
     jet = jet_from_mixture(sig, w0, 3)
     h, rad = 0.1, 7
     offsets = np.arange(-rad, rad + 1, dtype=float)
     wts = [fornberg_weights(m, offsets) / h**m for m in range(7)]
-    xs = w0.real + h * offsets
-    ys = w0.imag + h * offsets
-    u = np.abs(fock_value(sig, xs[:, None] + 1j * ys[None, :])) ** 2
+    du = h * offsets[:, None] + 1j * h * offsets[None, :]
+    u = (np.abs(fock_value(sig, w0 + du)) ** 2
+         * np.exp(-2 * np.pi * (np.conj(w0) * du).real - np.pi * abs(w0) ** 2))
     mixed = np.zeros((7, 7))
     for p in range(7):
         for q in range(7):
@@ -108,13 +110,14 @@ def test_jet_matches_finite_difference_oracle():
 
 
 def test_jet_from_field_matches_analytic():
-    sig = GaussianMixtureSignal((GaussianAtom(1.0, 0.2, -0.1),))
     grid = Grid2D.from_bounds(-1.2, 1.2, -1.2, 1.2, 0.05)
-    spec = spectrogram(mixture_field(sig, grid))
-    fd_jet = jet_from_field(spec, (0.2, -0.1), 4)
-    an_jet = jet_from_mixture(sig, complex(0.2, 0.1), 4)
-    scale = np.abs(an_jet.derivs).max()
-    assert np.abs(fd_jet.derivs - an_jet.derivs).max() / scale < 5e-3
+    for atom in ((0.2, -0.1), (-0.3, 0.2)):  # at the jet center, and off it
+        sig = GaussianMixtureSignal((GaussianAtom(1.0, *atom),))
+        spec = spectrogram(mixture_field(sig, grid))
+        fd_jet = jet_from_field(spec, (0.2, -0.1), 4)
+        an_jet = jet_from_mixture(sig, complex(0.2, 0.1), 4)
+        scale = np.abs(an_jet.derivs).max()
+        assert np.abs(fd_jet.derivs - an_jet.derivs).max() / scale < 5e-3
     with pytest.raises(ValueError):
         jet_from_field(spec, (0.2, -0.1), 5)
     with pytest.raises(ValueError):
@@ -198,46 +201,52 @@ def test_structural_bound_scaling_family():
     assert np.abs(ratios / ratios[0] - 1.0).max() < 1e-8
 
 
+def _dominant_phase(sig, center, order):
+    """exp(-i arg F^(m)(center)) for the largest |F^(m)(center)|, m <= order."""
+    d = fock_derivatives(sig, center, order)
+    return np.exp(-1j * np.angle(d[int(np.argmax(np.abs(d)))]))
+
+
 def test_local_phase_recovery():
     jet = jet_from_taylor([2.0j], 4)  # constant c = 2i: phase removed
     out = local_phase_from_modulus(jet, [0.0, 0.5, -0.3j])
     assert np.abs(out - 2.0).max() < 1e-12
 
-    jet = jet_from_taylor([1.0, 1.0], 1)  # F(z) = 1 + z, real positive at 0
+    jet = jet_from_taylor([2.0, 1.0j], 1)  # F(z) = 2 + i z: column 0 dominates
     out = local_phase_from_modulus(jet, [0.3])
-    assert out[0] == pytest.approx(1.3, abs=1e-12)
+    assert out[0] == pytest.approx(2.0 + 0.3j, abs=1e-12)
 
+    jet = jet_from_taylor([0.5, 1.0j], 1)  # F(z) = 0.5 + i z: column 1 dominates
+    out = local_phase_from_modulus(jet, [0.3])
+    assert out[0] == pytest.approx((0.5 + 0.3j) * -1j, abs=1e-12)
+
+    # |beta| = pi |0.3 - 0.2i| > 1, so the top derivative is the dominant column
     atom = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, -0.2),))
     jet = jet_from_mixture(atom, 0.0, 12)
     pts = np.array([0.0, 0.2, -0.3, 0.1 + 0.2j, -0.2 - 0.3j, 0.4, 0.35j, -0.45j, 0.3 + 0.3j])
     rec = local_phase_from_modulus(jet, pts)
-    f0 = fock_value(atom, 0.0)
-    expect = np.array([fock_value(atom, p) for p in pts]) * np.exp(-1j * np.angle(f0))
+    expect = fock_value(atom, pts) * _dominant_phase(atom, 0.0, 12)
     assert np.abs(rec - expect).max() / np.abs(expect).max() < 1e-6
 
 
 def test_local_phase_singular_center():
-    jet = jet_from_taylor([0.0, 1.0], 4)  # F(0) = 0
     with pytest.raises(SingularCenterError):
-        local_phase_from_modulus(jet, [0.1])
+        local_phase_from_modulus(jet_from_taylor([0.0], 4), [0.1])  # the zero jet
+    jet = jet_from_taylor([0.0, 1.0], 4)  # F(z) = z: F(0) = 0 but F'(0) = 1
+    pts = np.array([0.0, 0.1, -0.2 + 0.3j])
+    assert np.abs(local_phase_from_modulus(jet, pts) - pts).max() < 1e-15
 
 
 def test_roundtrip_through_modulus_property():
     # recovery composed with modulus is the identity up to a global phase
     rng = np.random.default_rng(8)
     pts = (rng.uniform(-0.5, 0.5, 12) + 1j * rng.uniform(-0.5, 0.5, 12)) * 0.5
-    tried = 0
-    for _ in range(20):
+    for _ in range(20):  # F(0) near 0 included: the dominant column carries the phase
         sig = random_mixture(rng, spread=0.5)
-        f0 = fock_value(sig, 0.0)
-        if abs(f0) <= 0.1:
-            continue
-        tried += 1
         jet = jet_from_mixture(sig, 0.0, 14)
         rec = local_phase_from_modulus(jet, pts)
-        expect = fock_value(sig, pts) * np.exp(-1j * np.angle(f0))
+        expect = fock_value(sig, pts) * _dominant_phase(sig, 0.0, 14)
         assert np.abs(rec - expect).max() / max(np.abs(expect).max(), 1e-9) < 1e-5
-    assert tried >= 5
 
 
 def test_smoothness_growth_bound_on_mixtures():
