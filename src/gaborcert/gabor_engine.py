@@ -43,6 +43,8 @@ SPECTROGRAM = "spectrogram"
 # window exp(-pi u^2) drops below 1e-16 at |u| = sqrt(16 ln 10 / pi)
 _WINDOW_HALFWIDTH = math.sqrt(16.0 * math.log(10.0) / math.pi)
 _MIXTURE_DT = 0.02
+# byte budget that sets the height of quadrature_gabor's windowed-row blocks
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,10 @@ def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
 
     Accepts a GaussianMixtureSignal (sampled internally at dt=0.02 over the
     joint support) or a SampledSignal (integrated on its own sample grid).
-    The Gaussian window truncates the integrand below 1e-16 on its own.
+    The sum runs over every t node for every grid point; nothing is
+    truncated.  Besides the output, its transient memory is one (nt, ny)
+    kernel exp(-2 pi i t y) plus one block of windowed rows, whose size is
+    set by a fixed byte budget.
     """
     if isinstance(sig, GaussianMixtureSignal):
         t = _mixture_t_grid(sig, grid)
@@ -175,9 +180,28 @@ def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
 
     xs = grid.xs()
     ys = grid.ys()
-    # windowed integrand rows (nx, nt), then one matmul against exp(-2 pi i t y);
-    # both buffers are updated in place, so no full-size temporaries pile up
-    # (the transform's peak memory is set here)
+    # the kernel is the one full-size buffer, built in place; writing -2 pi t y
+    # into its imaginary part instead of multiplying by -2j*pi would flip the
+    # sign of some zero imaginary parts where t y = 0
+    kernel = np.zeros((len(t), len(ys)), dtype=complex)
+    np.multiply.outer(t, ys, out=kernel.real)
+    kernel *= -2j * np.pi
+    np.exp(kernel, out=kernel)
+    # windowed integrand rows go through the matmul in nx // rows blocks of
+    # equal height, each at least `rows` tall: BLAS picks its kernel and its
+    # thread split from the block shape, and a one-row block (gemv) or a short
+    # tail block rounds differently from the rows of one full product
+    values = np.empty((len(xs), len(ys)), dtype=complex)
+    rows = max(2, _BLOCK_BYTES // (16 * len(t)))
+    n_blocks = max(1, len(xs) // rows)
+    for b in range(n_blocks):
+        block = slice(b * len(xs) // n_blocks, (b + 1) * len(xs) // n_blocks)
+        np.matmul(_windowed_rows(t, ft, w, xs[block]), kernel, out=values[block])
+    return SpectrogramField(grid, values, GABOR)
+
+
+def _windowed_rows(t: np.ndarray, ft: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Integrand rows f(t) exp(-pi (t - x)^2) w(t), one row per x, built in place."""
     gauss = np.subtract(t[None, :], xs[:, None])
     np.square(gauss, out=gauss)
     gauss *= -np.pi
@@ -185,11 +209,7 @@ def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
     windowed = ft[None, :] * gauss
     del gauss
     windowed *= w[None, :]
-    kernel = np.outer(t, ys).astype(complex)
-    kernel *= -2j * np.pi
-    np.exp(kernel, out=kernel)
-    values = windowed @ kernel
-    return SpectrogramField(grid, values, GABOR)
+    return windowed
 
 
 def mixture_field(sig: GaussianMixtureSignal, grid: Grid2D) -> SpectrogramField:

@@ -207,17 +207,18 @@ def algebraic_connectivity(g: WeightedGraph) -> float:
     return float(max(eigvals[1], 0.0))
 
 
-def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma(boundary S) and w(S) for every proper subset S containing vertex 0."""
+def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """sigma(boundary S), w(S) and w(S^c) for every proper subset S containing vertex 0."""
     n = g.n
     rest = np.arange(2 ** (n - 1) - 1, dtype=np.int64)  # proper subsets of {1..n-1}
     masks = (rest << 1) | 1
     in_s = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     w_s = in_s @ g.w
+    w_c = (~in_s) @ g.w
     cut = np.zeros(len(masks))
     for i, j in zip(*g.edges()):
         cut += np.where(in_s[:, i] ^ in_s[:, j], g.sigma[i, j], 0.0)
-    return cut, w_s, masks
+    return cut, w_s, w_c, masks
 
 
 def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, frozenset]:
@@ -225,7 +226,9 @@ def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, fr
 
     `exact` enumerates the 2^(n-1) - 1 cuts (n <= 20); `spectral_sweep` sweeps
     prefix cuts of the normalized-Laplacian Fiedler ordering and upper-bounds
-    the exact constant.
+    the exact constant.  Both w(S) and w(S^c) are sums over their own
+    vertices: found as total - w(S), the smaller mass of a weakly connected
+    cover rounds to zero or below.
     """
     if g.n < 2:
         raise ValueError("the Cheeger constant needs at least two vertices")
@@ -234,9 +237,8 @@ def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, fr
             raise ValueError(
                 f"exact enumeration limited to n <= {EXACT_CHEEGER_LIMIT}; use spectral_sweep"
             )
-        cut, w_s, masks = _cut_values(g)
-        total = float(g.w.sum())
-        ratios = cut / np.minimum(w_s, total - w_s)
+        cut, w_s, w_c, masks = _cut_values(g)
+        ratios = cut / np.minimum(w_s, w_c)
         best = int(np.argmin(ratios))
         mask = int(masks[best])
         witness = frozenset(i for i in range(g.n) if (mask >> i) & 1)
@@ -247,7 +249,6 @@ def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, fr
         _, vecs = np.linalg.eigh(norm_l)
         fiedler = vecs[:, 1] * inv_sqrt_w
         order = np.argsort(fiedler)
-        total = float(g.w.sum())
         best_val, best_set = math.inf, frozenset()
         for cut_len in range(1, g.n):
             s = order[:cut_len]
@@ -255,7 +256,7 @@ def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, fr
             in_s[s] = True
             cut = float(g.sigma[np.ix_(in_s, ~in_s)].sum())
             w_s = float(g.w[in_s].sum())
-            val = cut / min(w_s, total - w_s)
+            val = cut / min(w_s, float(g.w[~in_s].sum()))
             if val < best_val:
                 best_val, best_set = val, frozenset(int(i) for i in s)
         return best_val, best_set

@@ -268,3 +268,70 @@ def spanning_forest_dfs(n, edges, roots):
                 queue.append(v)
         components.append(tuple(sorted(comp)))
     return tree_edges, components
+
+
+def quadrature_gabor_one_shot(sig, grid):
+    """The transform field by one full-size matmul, as quadrature_gabor computed it
+    before its x rows went through the matmul in blocks."""
+    from gaborcert.gabor_engine import GABOR, SampledSignal, SpectrogramField, _mixture_t_grid
+
+    if isinstance(sig, GaussianMixtureSignal):
+        t = _mixture_t_grid(sig, grid)
+        ft = sig.evaluate(t)
+        dt = t[1] - t[0] if len(t) > 1 else 1.0
+    elif isinstance(sig, SampledSignal):
+        t = sig.times()
+        ft = np.asarray(sig.samples, dtype=complex)
+        dt = sig.dt
+    else:
+        raise TypeError(f"unsupported signal type {type(sig).__name__}")
+
+    w = np.full(len(t), dt)
+    if len(t) > 1:
+        w[0] *= 0.5
+        w[-1] *= 0.5
+
+    xs = grid.xs()
+    ys = grid.ys()
+    gauss = np.subtract(t[None, :], xs[:, None])
+    np.square(gauss, out=gauss)
+    gauss *= -np.pi
+    np.exp(gauss, out=gauss)
+    windowed = ft[None, :] * gauss
+    del gauss
+    windowed *= w[None, :]
+    kernel = np.outer(t, ys).astype(complex)
+    kernel *= -2j * np.pi
+    np.exp(kernel, out=kernel)
+    values = windowed @ kernel
+    return SpectrogramField(grid, values, GABOR)
+
+
+def sharpness_strip(a: float):
+    """A strip of unit squares at x = -a, -a + 0.6, ... <= a on y = 0, and its grid.
+
+    The grid has step 0.05, runs 2.5 past +-a in x and covers [-2.5, 2.5]
+    in y.  With the sharpness pair's field the strip is connected, but the
+    weight of its squares falls like exp(-pi x^2) away from the two atoms,
+    so its Cheeger constant is exponentially small in a.
+    """
+    from gaborcert import Grid2D, SquareCover
+
+    cover = SquareCover(tuple((float(x), 0.0) for x in np.arange(-a, a + 1e-9, 0.6)))
+    return cover, Grid2D.from_bounds(-a - 2.5, a + 2.5, -2.5, 2.5, 0.05)
+
+
+def cheeger_brute_force(g) -> float:
+    """min over proper nonempty S of sigma(boundary S) / min(w(S), w(S^c)).
+
+    Every subset is visited in a Python loop, and both masses are summed
+    over their own vertices, never found by subtraction.
+    """
+    w, sigma = g.w.tolist(), g.sigma.tolist()
+    best = math.inf
+    for mask in range(1, 2 ** g.n - 1):
+        s = [i for i in range(g.n) if (mask >> i) & 1]
+        c = [i for i in range(g.n) if not (mask >> i) & 1]
+        cut = sum(sigma[i][j] for i in s for j in c)
+        best = min(best, cut / min(sum(w[i] for i in s), sum(w[i] for i in c)))
+    return best

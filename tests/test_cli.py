@@ -4,13 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from gaborcert import GaussianAtom, GaussianMixtureSignal, Grid2D, mixture_field, spectrogram
+from gaborcert import (
+    GaussianAtom,
+    GaussianMixtureSignal,
+    Grid2D,
+    make_sharpness_pair,
+    mixture_field,
+    spectrogram,
+)
 from gaborcert.cli import main
 from gaborcert.gabor_engine import SampledSignal, quadrature_gabor, read_field_csv
 from gaborcert.stability_graph import SquareCover
 from gaborcert.stitching import retrieve_phase
 
-from oracles import field_csv_bytes
+from oracles import field_csv_bytes, sharpness_strip
 
 ATOM_MIXTURE = {"kind": "mixture",
                 "atoms": [{"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}]}
@@ -245,6 +252,30 @@ def test_certify_connected(tmp_path):
     assert int(float(rows["nu"])) == len(verts)
     edges = np.loadtxt(out / "edges.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(edges) == 6  # 4 pairwise overlaps + 2 diagonals of the 2x2 cover
+
+
+def test_certify_weakly_connected_strip_does_not_warn(tmp_path, capsys):
+    a = 4.0
+    cover, _ = sharpness_strip(a)
+    f, g = make_sharpness_pair(a)
+
+    def mixture(sig):
+        return {"kind": "mixture", "atoms": [
+            {"re": a.amplitude.real, "im": a.amplitude.imag, "shift": a.shift,
+             "modulation": a.modulation} for a in sig.atoms]}
+
+    payload = {
+        "signal_f": mixture(f),
+        "signal_g": mixture(g),
+        "cover": {"centers": [list(c) for c in cover.centers]},
+        "grid": {"xmin": -a - 2.5, "xmax": a + 2.5, "ymin": -2.5, "ymax": 2.5, "step": 0.05},
+    }
+    code, out = run(tmp_path, "certify", payload)
+    assert code == 0
+    assert "disconnected" not in capsys.readouterr().err
+    rows = dict(line.split(",") for line in (out / "certificate.csv").read_text().splitlines()[1:])
+    assert float(rows["cheeger"]) > 0
+    assert math.isfinite(float(rows["bound_cheeger"]))
 
 
 def test_certify_disconnected_warns(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gaborcert import (
     spectrogram,
 )
 from gaborcert.gabor_engine import (
+    _BLOCK_BYTES,
     coverage_fractions,
     read_field_csv,
     rect_union_norm,
@@ -31,6 +33,7 @@ from oracles import (
     field_csv_bytes,
     grid_mesh,
     jittered_cover_centers,
+    quadrature_gabor_one_shot,
     random_mixture,
     sampled_coverage,
     square_rect,
@@ -66,6 +69,52 @@ def test_quadrature_sharpness_factorization():
     expect = np.exp(-np.pi / 2) * np.exp(-np.pi * np.abs(Z) ** 2 / 2 - 1j * np.pi * X * Y) \
         * np.cos(np.pi * 1j * np.conj(Z))
     assert np.abs(fld.values - expect).max() < 1e-8
+
+
+def _noise(nt: int, t0: float, dt: float) -> SampledSignal:
+    pairs = np.random.default_rng(nt).standard_normal((nt, 2))
+    return SampledSignal(tuple(complex(re, im) for re, im in pairs), t0, dt)
+
+
+def _block_rows(nt: int) -> int:
+    return max(2, _BLOCK_BYTES // (16 * nt))
+
+
+@pytest.mark.parametrize("sig, grid, n_blocks", [
+    # 105 = 4 * 26 + 1: a fixed block height would leave a one-row tail
+    (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 105, 101), 4),
+    (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 201, 101), 3),
+    (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), 1),
+    (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), 1),
+    (SampledSignal((0.0,) * 8000, -2.0, 5e-4), Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 1),
+    (random_mixture(np.random.default_rng(3)), Grid2D.from_bounds(-1, 1, -1, 1, 0.02), None),
+], ids=["row-blocks", "three-blocks", "one-x-point", "one-sample", "zero-signal", "mixture"])
+def test_quadrature_bit_identical_to_one_shot(sig, grid, n_blocks):
+    if n_blocks is not None:
+        assert max(1, grid.nx // _block_rows(len(sig.samples))) == n_blocks
+    got = quadrature_gabor(sig, grid).values
+    want = quadrature_gabor_one_shot(sig, grid).values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_quadrature_peak_memory_is_one_kernel_and_one_row_block():
+    nt = 20000
+    sig = _noise(nt, -2.0, 2e-4)
+    grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.02)
+    tracemalloc.start()
+    try:
+        fld = quadrature_gabor(sig, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernel = 16 * nt * grid.ny
+    output = fld.values.nbytes
+    # a block is under 2 * rows tall: its complex rows take under two budgets
+    # and its real window values under one
+    block = 3 * _BLOCK_BYTES
+    # t, the samples, the weights and one temporary, 16 bytes per node at most
+    vectors = 4 * 16 * nt
+    assert peak < kernel + output + block + vectors
 
 
 def test_sampled_input_matches_mixture_path():

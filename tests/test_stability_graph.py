@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gaborcert import (
     certificate,
     cheeger_constant,
     cheeger_inequality_check,
+    make_sharpness_pair,
     mixture_field,
     spectrogram,
 )
@@ -28,9 +30,11 @@ from gaborcert.stability_graph import (
 
 from oracles import (
     arrangement_brute_force,
+    cheeger_brute_force,
     jittered_cover_centers,
     random_graph,
     rayleigh_minimum_pgd,
+    sharpness_strip,
     spanning_forest_dfs,
 )
 
@@ -115,6 +119,24 @@ def test_cheeger_examples():
     h, witness = cheeger_constant(gp, "exact")
     assert h == pytest.approx(0.5, abs=1e-12)
     assert witness == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("a", [4.0, 4.5])
+def test_cheeger_on_weakly_connected_strip(a):
+    """The complement mass is summed, so h stays positive at the floating-point floor.
+
+    Found as total - w(S), the far side's mass of this strip rounds to zero
+    or below: h was -3.6e-18 at a = 4, and a = 4.5 divided by zero.
+    """
+    cover, grid = sharpness_strip(a)
+    g = build_graph(spectrogram(mixture_field(make_sharpness_pair(a)[0], grid)), cover)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h, _ = cheeger_constant(g, "exact")
+        h_sweep, _ = cheeger_constant(g, "spectral_sweep")
+    assert h > 0
+    assert h == cheeger_brute_force(g)
+    assert math.isfinite(h_sweep) and h_sweep >= h
 
 
 def test_cheeger_validation():
