@@ -11,6 +11,7 @@ rectangles are integrated over their set union, counted once.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -373,6 +374,28 @@ def rect_union_norm(fld: SpectrogramField, rects, p):
     return _union_norm(fld, rects, p)
 
 
+def _stacked_windows(grid: Grid2D, r: np.ndarray):
+    """Index windows and per-axis coverage of each rectangle of an (m, 4) array.
+
+    Returns (start, size, ax, ay): start and size are (2, m) integer arrays
+    of each window's first cell and extent per axis, and ax (m, W) and
+    ay (m, H) hold the coverage of the window's cells, padded with zeros to
+    the widest window.  ax[k, :, None] * ay[k, None, :], clipped to [0, 1],
+    is bit-equal to coverage_fractions on rectangle k's window.
+    """
+    start, stop = _cell_windows(grid, r[:, ::2], r[:, 1::2])
+    start, size = start.astype(np.intp).T, (stop - start).astype(np.intp).T
+    axes = []
+    for origin, step, first, width, bounds in ((grid.x0, grid.dx, start[0], size[0], r[:, :2]),
+                                               (grid.y0, grid.dy, start[1], size[1], r[:, 2:])):
+        # cell centers as in Grid2D.xs() of the window's sub-grid
+        span = np.arange(width.max(initial=1))
+        frac = _interval_overlap(origin + step * first[:, None] + step * span, step, bounds)[..., 0]
+        frac[span >= width[:, None]] = 0.0
+        axes.append(frac)
+    return start, size, *axes
+
+
 def _stacked_rect_norms(fld: SpectrogramField, stack: np.ndarray, p) -> np.ndarray:
     """Norms over the rectangles of an (m, 1, 4) stack, one per rectangle.
 
@@ -385,14 +408,7 @@ def _stacked_rect_norms(fld: SpectrogramField, stack: np.ndarray, p) -> np.ndarr
         raise ValueError(f"stacked unions must hold one rectangle each, got shape {stack.shape}")
     r = stack[:, 0]
     grid = fld.grid
-    start, stop = _cell_windows(grid, r[:, ::2], r[:, 1::2])
-    (i0, j0), (wx, wy) = start.astype(np.intp).T, (stop - start).astype(np.intp).T
-    # coverage of each window's cells (padded to the widest window), whose
-    # centers are computed as in Grid2D.xs() of the window's sub-grid
-    ax = _interval_overlap(grid.x0 + grid.dx * i0[:, None] + grid.dx * np.arange(wx.max(initial=1)),
-                           grid.dx, r[:, :2])[..., 0]
-    ay = _interval_overlap(grid.y0 + grid.dy * j0[:, None] + grid.dy * np.arange(wy.max(initial=1)),
-                           grid.dy, r[:, 2:])[..., 0]
+    (i0, j0), (wx, wy), ax, ay = _stacked_windows(grid, r)
     norms = np.empty(len(r))
     shapes, group = np.unique(wx * (grid.ny + 1) + wy, return_inverse=True)
     for k in range(len(shapes)):
@@ -428,16 +444,19 @@ def write_field_csv(fld: SpectrogramField, path) -> None:
 
     One row per grid point in x-major order, every number as repr(float)
     (shortest round trip), "\\n" line ends.  Each grid coordinate is
-    formatted once, and the "x,y" row prefixes are generated lazily.
+    formatted once: the x column repeats each x string ny times and the
+    y column is the list of y strings repeated nx times.  Rows are joined
+    and written one at a time, so no whole-file string is built.
     """
-    xs = list(map(repr, fld.grid.xs().tolist()))
-    ys = list(map(repr, fld.grid.ys().tolist()))
-    prefixes = (x + "," + y for x in xs for y in ys)
+    grid = fld.grid
+    xs = map(repr, grid.xs().tolist())
+    ys = list(map(repr, grid.ys().tolist()))
     if fld.kind == GABOR:
         header, cols = "x,y,re,im", (fld.values.real, fld.values.imag)
     else:
         header, cols = "x,y,s", (fld.values,)
-    rows = map(",".join, zip(prefixes, *(map(repr, c.ravel().tolist()) for c in cols)))
+    x_col = itertools.chain.from_iterable(map(itertools.repeat, xs, itertools.repeat(grid.ny)))
+    rows = map(",".join, zip(x_col, ys * grid.nx, *(map(repr, c.ravel().tolist()) for c in cols)))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(row + "\n" for row in rows)
@@ -500,7 +519,9 @@ def read_field_csv(path) -> SpectrogramField:
     iy = np.rint((data[:, 1] - y0) / dy).astype(int)
     if header == ["x", "y", "re", "im"]:
         vals = np.zeros((nx, ny), dtype=complex)
-        vals[ix, iy] = data[:, 2] + 1j * data[:, 3]
+        # parts filled one by one: re + 1j * im would turn a -0.0 part into 0.0
+        vals.real[ix, iy] = data[:, 2]
+        vals.imag[ix, iy] = data[:, 3]
         return SpectrogramField(grid, vals, GABOR)
     if header == ["x", "y", "s"]:
         vals = np.zeros((nx, ny))

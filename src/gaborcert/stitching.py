@@ -22,15 +22,14 @@ from .gabor_engine import (
     SPECTROGRAM,
     Grid2D,
     SpectrogramField,
-    _window,
-    coverage_fractions,
+    _stacked_windows,
     mixture_field,
     region_inner_product,
     region_norm,
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
 from .stability_graph import SquareCover, _spanning_forest, build_graph
-from .tensor_phase import LocalJet, jet_from_field, jet_from_mixture, local_phase_from_modulus
+from .tensor_phase import jet_from_field, jet_from_mixture, local_phase_from_modulus
 
 __all__ = [
     "RetrievalResult",
@@ -42,6 +41,10 @@ __all__ = [
 
 # a square whose spectrogram peak is at or below this carries no phase information
 _DEGENERATE_PEAK = 1e-10
+# cells whose coverage is at or below this hold no local field
+_COVERED = 1e-12
+# cells per gathered array when overlaps are aligned (256 KB of complex values)
+_BLOCK_CELLS = 1 << 14
 
 
 class DegenerateSquareError(ValueError):
@@ -98,30 +101,6 @@ def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
     return dist, math.sqrt(region_norm(diff, square, 2))
 
 
-def _local_field(jet: LocalJet, xs: np.ndarray, ys: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """The jet's local recovery on the covered cells of one window: at w = x - i y,
-    ``F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2)``, u = w - c, c = jet.center."""
-    out = np.zeros(cov.shape, dtype=complex)
-    ix, iy = np.nonzero(cov > 1e-12)
-    px = xs[ix]
-    py = ys[iy]
-    w_pts = px - 1j * py
-    vals = local_phase_from_modulus(jet, w_pts)
-    u = w_pts - jet.center
-    gauss = np.exp(1j * np.pi * ((np.conj(jet.center) * u).imag - px * py)
-                   - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
-    out[ix, iy] = vals * gauss
-    return out
-
-
-def _shared(a, b):
-    """Index slices into windows a and b, each (sx, sy, cov), of the cells both contain."""
-    lo = [max(u.start, v.start) for u, v in zip(a[:2], b[:2])]
-    hi = [max(min(u.stop, v.stop), l) for u, v, l in zip(a[:2], b[:2], lo)]  # empty, never reversed
-    return tuple(tuple(slice(l - u.start, h - u.start) for u, l, h in zip(w[:2], lo, hi))
-                 for w in (a, b))
-
-
 def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
                    jet_source: str = "analytic", order: int = 14,
                    signal: GaussianMixtureSignal | None = None) -> RetrievalResult:
@@ -133,6 +112,14 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     are aligned pairwise on overlaps and synchronized; the output is defined
     up to one unimodular constant per connected component of the overlap
     graph.  Squares must lie in the field's domain.
+
+    The squares' index windows and exact coverage come from one stacked
+    pass, zero-padded to the widest window, and the degeneracy test is one
+    pass over that stack.  Local fields are evaluated square by square on
+    their covered cells into one padded array, overlaps are aligned in
+    groups of equal shared-window shape, and stitching adds each square's
+    slice of the stack.  Memory is O(N^2 + n w^2) for an N x N grid and n
+    windows of at most w x w cells.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("retrieve_phase expects a spectrogram field")
@@ -145,34 +132,43 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     n = len(cover)
     graph = build_graph(spec, cover)  # checks that every square lies in the domain
 
-    # per square: its index window, the coverage on it, and the degeneracy test
-    windows: list[tuple[slice, slice, np.ndarray]] = []
-    degenerate = []
-    xs, ys = grid.xs(), grid.ys()
-    rects = cover.rects()
-    for i in range(n):
-        sx, sy, sub = _window(grid, rects[i:i + 1])
-        cov = coverage_fractions(sub, rects[i:i + 1])
-        windows.append((sx, sy, cov))
-        if np.where(cov > 1e-12, spec.values[sx, sy], -1.0).max() <= _DEGENERATE_PEAK:
-            degenerate.append(i)
-    if degenerate:
-        raise DegenerateSquareError(degenerate)
+    # per square: its index window and the exact coverage on it, padded with zeros
+    start, size, ax, ay = _stacked_windows(grid, cover.rects())
+    cov = ax[:, :, None] * ay[:, None, :]
+    np.clip(cov, 0.0, 1.0, out=cov)
+    covered = cov > _COVERED
+    # grid indices of the stacked cells, clamped to the grid; cells past a
+    # window's end have zero coverage, so they carry no weight
+    rows = np.minimum(start[0][:, None] + np.arange(cov.shape[1]), grid.nx - 1)
+    cols = np.minimum(start[1][:, None] + np.arange(cov.shape[2]), grid.ny - 1)
+    peaks = np.where(covered, spec.values[rows[:, :, None], cols[:, None, :]], -1.0).max(axis=(1, 2))
+    degenerate = np.flatnonzero(peaks <= _DEGENERATE_PEAK)
+    if degenerate.size:
+        raise DegenerateSquareError(degenerate.tolist())
 
     # jet centres: the grid node nearest each square's centre
+    xs, ys = grid.xs(), grid.ys()
     nodes = np.rint((np.array(cover.centers) - (grid.x0, grid.y0)) / (grid.dx, grid.dy))
     jets = [jet_from_mixture(signal, complex(xs[i], -ys[j]), order) if jet_source == "analytic"
             else jet_from_field(spec, (xs[i], ys[j]), min(order, 4)) for i, j in nodes.astype(int)]
 
-    locals_ = [_local_field(jets[i], xs[sx], ys[sy], cov)
-               for i, (sx, sy, cov) in enumerate(windows)]
+    # local recovery on each square's covered cells: at w = x - i y,
+    # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre
+    locals_ = np.zeros(cov.shape, dtype=complex)
+    for k, jet in enumerate(jets):
+        a, b = np.nonzero(covered[k])
+        px, py = xs[rows[k, a]], ys[cols[k, b]]
+        w_pts = px - 1j * py
+        u = w_pts - jet.center
+        gauss = np.exp(1j * np.pi * ((np.conj(jet.center) * u).imag - px * py)
+                       - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
+        locals_[k, a, b] = local_phase_from_modulus(jet, w_pts) * gauss
 
     # relative multipliers on overlaps, then spanning-tree propagation
+    ei, ej = graph.edges()
+    nums = _overlap_products(locals_, cov, start, size, ei, ej)
     edges: dict[tuple[int, int], complex] = {}
-    for i, j in zip(*(e.tolist() for e in graph.edges())):
-        si, sj = _shared(windows[i], windows[j])
-        inter = np.minimum(windows[i][2][si], windows[j][2][sj])
-        num = complex(np.sum(locals_[i][si] * np.conj(locals_[j][sj]) * inter))
+    for i, j, num in zip(ei.tolist(), ej.tolist(), nums.tolist()):
         if num != 0:  # a zero overlap inner product carries no phase
             edges[(i, j)] = num / abs(num)  # estimate of phase(i) - phase(j)
 
@@ -192,17 +188,51 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         )
 
     # stitch: coverage-weighted average of aligned local fields
+    locals_ *= multipliers[:, None, None]
+    locals_ *= cov
     weight_sum = np.zeros((grid.nx, grid.ny))
     acc = np.zeros((grid.nx, grid.ny), dtype=complex)
-    for i, (sx, sy, cov) in enumerate(windows):
-        acc[sx, sy] += multipliers[i] * locals_[i] * cov
-        weight_sum[sx, sy] += cov
-    out_vals = np.divide(acc, weight_sum, out=np.zeros_like(acc), where=weight_sum > 1e-12)
+    for k, (i, j, w, h) in enumerate(np.concatenate([start, size]).T.tolist()):
+        acc[i:i + w, j:j + h] += locals_[k, :w, :h]
+        weight_sum[i:i + w, j:j + h] += cov[k, :w, :h]
+    del locals_, cov, covered  # the stack is spent; free it before the output is built
+    out_vals = np.divide(acc, weight_sum, out=np.zeros_like(acc), where=weight_sum > _COVERED)
 
     # global constant: the direction of the mean multiplier
     c0 = complex(multipliers.mean())
     tau = c0 / abs(c0) if abs(c0) > 1e-12 else 1.0
-    out_vals = out_vals * np.conj(tau)
+    out_vals *= np.conj(tau)
 
     field = SpectrogramField(grid, out_vals, GABOR)
     return RetrievalResult(field, tuple(components), tuple(warnings))
+
+
+def _overlap_products(locals_, cov, start, size, ei, ej) -> np.ndarray:
+    """sum(local_i conj(local_j) min(cov_i, cov_j)) over the shared window of each pair (i, j).
+
+    Pairs are grouped by the shape of their shared index window, and each
+    group is gathered in blocks of at most _BLOCK_CELLS cells per array, so
+    every pair is still summed over exactly its own cells.
+    """
+    lo = np.maximum(start[:, ei], start[:, ej])
+    shape = np.maximum(np.minimum(start[:, ei] + size[:, ei], start[:, ej] + size[:, ej]) - lo, 0)
+    nums = np.zeros(len(ei), dtype=complex)
+    keys, group = np.unique(shape[0] * (cov.shape[2] + 1) + shape[1], return_inverse=True)
+    for g in range(len(keys)):
+        idx = np.flatnonzero(group == g)
+        w, h = shape[:, idx[0]]
+        if w * h == 0:
+            continue  # no shared cells: the product is zero
+        for block in np.array_split(idx, math.ceil(len(idx) * w * h / _BLOCK_CELLS)):
+            si, sj = ei[block], ej[block]
+            fi, fj = lo[:, block] - start[:, si], lo[:, block] - start[:, sj]
+            prod = _gather(locals_, si, fi, w, h) * np.conj(_gather(locals_, sj, fj, w, h))
+            prod *= np.minimum(_gather(cov, si, fi, w, h), _gather(cov, sj, fj, w, h))
+            nums[block] = prod.sum(axis=(1, 2))
+    return nums
+
+
+def _gather(stack: np.ndarray, squares: np.ndarray, first: np.ndarray, w: int, h: int) -> np.ndarray:
+    """The w x h blocks of stack[squares] starting at the (2, m) local indices `first`."""
+    r, c = first[:, :, None, None]
+    return stack[squares[:, None, None], r + np.arange(w)[:, None], c + np.arange(h)]

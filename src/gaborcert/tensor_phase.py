@@ -230,8 +230,9 @@ def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex]) -> np.n
     derivs[m, m] = |F^(m)(center)|^2, so F(center) near 0 is harmless:
     ``(sum_k derivs[k, m] / k! (z - center)^k) / sqrt(derivs[m, m])`` equals
     exp(-i arg F^(m)(center)) F(z) for exact jets (F_c(z - center) for jets
-    of a signal).  A largest derivs[m, m] at or below 1e-10 raises
-    SingularCenterError.
+    of a signal).  The polynomial is evaluated by Horner's rule, in place,
+    so the memory is one array of the points' shape.  A largest
+    derivs[m, m] at or below 1e-10 raises SingularCenterError.
     """
     diag = jet.derivs.diagonal().real
     m = int(np.argmax(diag))
@@ -239,11 +240,14 @@ def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex]) -> np.n
         raise SingularCenterError(
             f"max |F^(m)(center)|^2 = {diag[m]:.3g} <= threshold {_SINGULAR_CENTER:.3g}"
         )
-    pts = np.asarray(eval_pts, dtype=complex)
-    rel = pts - jet.center
+    rel = np.asarray(eval_pts, dtype=complex) - jet.center
     coeffs = jet.derivs[:, m] / np.array([math.factorial(k) for k in range(jet.order + 1)])
-    powers = rel[..., None] ** np.arange(jet.order + 1)
-    return (powers @ coeffs) / math.sqrt(diag[m])
+    out = np.full(rel.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= rel
+        out += c
+    out /= math.sqrt(diag[m])
+    return out
 
 
 def disk_norm_from_jet(jet: LocalJet, r: float) -> float:

@@ -7,7 +7,10 @@ high-order finite-difference stencils rather than analytic formulas, and
 square-cover geometry from point tests rather than the arrangement sweep.
 The cover graph's references are the per-pair loop that the stacked overlap
 masses of `build_graph` replaced, and the depth-first traversal that
-`retrieve_phase` ran inline before the graph had one spanning forest.  The
+`retrieve_phase` ran inline before the graph had one spanning forest.
+Retrieval's reference is the square-by-square `retrieve_phase` that the
+stacked windows replaced: one window, coverage and local field per square
+and one overlap alignment per pair.  The
 growth-bound tests measure package output against a proof constant and a
 grid sup norm, both kept here, and they and the jet tests read the
 entire-function side F (values and derivatives at any point, unshifted)
@@ -236,6 +239,89 @@ def build_graph_per_pair(spec, cover):
         mass = rect_union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
         sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
+
+
+def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, signal=None):
+    """retrieve_phase computed one square and one overlap at a time.
+
+    Each square gets its own index window (`_window`) and coverage
+    (`coverage_fractions`); its local field is evaluated on its covered
+    cells, each overlap is aligned on the pair's shared window, and the
+    stitched sum is accumulated window by window.
+    """
+    from gaborcert import GABOR, RetrievalResult, SpectrogramField, build_graph
+    from gaborcert.gabor_engine import _window, coverage_fractions
+    from gaborcert.stability_graph import _spanning_forest
+    from gaborcert.stitching import DegenerateSquareError
+    from gaborcert.tensor_phase import jet_from_field, jet_from_mixture, local_phase_from_modulus
+
+    grid = spec.grid
+    n = len(cover)
+    graph = build_graph(spec, cover)
+    xs, ys = grid.xs(), grid.ys()
+    rects = cover.rects()
+    windows, degenerate = [], []
+    for i in range(n):
+        sx, sy, sub = _window(grid, rects[i:i + 1])
+        cov = coverage_fractions(sub, rects[i:i + 1])
+        windows.append((sx, sy, cov))
+        if np.where(cov > 1e-12, spec.values[sx, sy], -1.0).max() <= 1e-10:
+            degenerate.append(i)
+    if degenerate:
+        raise DegenerateSquareError(degenerate)
+
+    nodes = np.rint((np.array(cover.centers) - (grid.x0, grid.y0)) / (grid.dx, grid.dy))
+    jets = [jet_from_mixture(signal, complex(xs[i], -ys[j]), order) if jet_source == "analytic"
+            else jet_from_field(spec, (xs[i], ys[j]), min(order, 4)) for i, j in nodes.astype(int)]
+
+    locals_ = []
+    for jet, (sx, sy, cov) in zip(jets, windows):
+        out = np.zeros(cov.shape, dtype=complex)
+        ix, iy = np.nonzero(cov > 1e-12)
+        px, py = xs[sx][ix], ys[sy][iy]
+        w_pts = px - 1j * py
+        u = w_pts - jet.center
+        gauss = np.exp(1j * np.pi * ((np.conj(jet.center) * u).imag - px * py)
+                       - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
+        out[ix, iy] = local_phase_from_modulus(jet, w_pts) * gauss
+        locals_.append(out)
+
+    def shared(a, b):
+        lo = [max(u.start, v.start) for u, v in zip(a[:2], b[:2])]
+        hi = [max(min(u.stop, v.stop), l) for u, v, l in zip(a[:2], b[:2], lo)]
+        return tuple(tuple(slice(l - u.start, h - u.start) for u, l, h in zip(w[:2], lo, hi))
+                     for w in (a, b))
+
+    edges = {}
+    for i, j in zip(*(e.tolist() for e in graph.edges())):
+        si, sj = shared(windows[i], windows[j])
+        inter = np.minimum(windows[i][2][si], windows[j][2][sj])
+        num = complex(np.sum(locals_[i][si] * np.conj(locals_[j][sj]) * inter))
+        if num != 0:
+            edges[(i, j)] = num / abs(num)
+
+    tree_edges, components = _spanning_forest(n, edges, np.argsort(-graph.w).tolist())
+    multipliers = np.ones(n, dtype=complex)
+    for u, v in tree_edges:
+        rel = edges[(u, v)] if (u, v) in edges else np.conj(edges[(v, u)])
+        multipliers[v] = multipliers[u] * rel
+    warnings = []
+    if len(components) > 1:
+        warnings.append(
+            f"multi-component cover: {len(components)} components; relative phase "
+            "between components is not recoverable"
+        )
+
+    weight_sum = np.zeros((grid.nx, grid.ny))
+    acc = np.zeros((grid.nx, grid.ny), dtype=complex)
+    for i, (sx, sy, cov) in enumerate(windows):
+        acc[sx, sy] += multipliers[i] * locals_[i] * cov
+        weight_sum[sx, sy] += cov
+    out_vals = np.divide(acc, weight_sum, out=np.zeros_like(acc), where=weight_sum > 1e-12)
+    c0 = complex(multipliers.mean())
+    tau = c0 / abs(c0) if abs(c0) > 1e-12 else 1.0
+    field = SpectrogramField(grid, out_vals * np.conj(tau), GABOR)
+    return RetrievalResult(field, tuple(components), tuple(warnings))
 
 
 def spanning_forest_dfs(n, edges, roots):

@@ -26,6 +26,7 @@ from gaborcert import (
 )
 from gaborcert.cli import main
 from gaborcert.gabor_engine import (
+    _stacked_windows,
     _window,
     coverage_fractions,
     rect_union_norm,
@@ -206,6 +207,28 @@ def test_stacked_rect_norms_at_and_past_the_grid_edge(p):
         assert stacked[0] > 0 and stacked[3] > 0
         assert stacked[1] == 0.0 and stacked[2] == 0.0
         assert rect_union_norm(fld, np.empty((0, 1, 4)), p).shape == (0,)
+
+
+@pytest.mark.parametrize("name", list(COVERS) + ["grid-edge"])
+def test_stacked_windows_coverage_bit_equal_per_square(name):
+    # the windows and coverage retrieve_phase stacks are those of _window and
+    # coverage_fractions square by square, zero-padded to the widest window
+    if name == "grid-edge":
+        grid = DOMAIN_GRID
+        rects = np.array([(1.5, 2.5, -0.5, 0.5), (-3.0, -2.5, 0.0, 1.0), (3.0, 4.0, 3.0, 4.0),
+                          (-0.3, 0.7, -0.6, 0.4), (*grid.cell_bounds()[:2], -1.0, 1.0)])
+    else:
+        cover, spec = COVERS[name]()
+        grid, rects = spec.grid, cover.rects()
+    start, size, ax, ay = _stacked_windows(grid, rects)
+    cov = np.clip(ax[:, :, None] * ay[:, None, :], 0.0, 1.0)
+    for k, r in enumerate(rects):
+        sx, sy, sub = _window(grid, [r])
+        assert (sx.start, sy.start, sx.stop - sx.start, sy.stop - sy.start) == tuple(
+            np.concatenate([start[:, k], size[:, k]]).tolist())
+        w, h = size[:, k]
+        assert np.array_equal(_bits(cov[k, :w, :h]), _bits(coverage_fractions(sub, [r])))
+        assert not cov[k, w:].any() and not cov[k, :, h:].any()
 
 
 def test_stacked_rect_norms_reject_multi_rectangle_unions():

@@ -282,16 +282,24 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.abs(back.values - spec.values).max() == 0.0
 
     # signed zero, exponent forms and the smallest subnormal, written and
-    # read back exactly, in x-major order with "\n" line ends
+    # read back exactly, in x-major order with "\n" line ends; the first
+    # transform cell is -0.0 in both parts
     edge = np.array([[-0.0, 1e-05, 1.5e16], [5e-324, 0.25, -1e-05]])
     small = Grid2D(-0.5, 0.25, 0.5, 0.125, 2, 3)
+    parts = np.empty((2, 3), dtype=complex)
+    parts.real, parts.imag = edge, edge[::-1, ::-1]
+    parts.imag[0, 0] = -0.0
+    rewritten = tmp_path / "rewritten.csv"
     for fld in (SpectrogramField(small, np.abs(edge), SPECTROGRAM),
-                SpectrogramField(small, edge + 1j * edge[::-1, ::-1], GABOR)):
+                SpectrogramField(small, parts, GABOR)):
         write_field_csv(fld, path)
         assert path.read_bytes() == field_csv_bytes(fld)
         back = read_field_csv(path)
         assert back.kind == fld.kind
         assert np.array_equal(back.values, fld.values)
+        # array_equal cannot see the sign of a zero; the rewritten bytes can
+        write_field_csv(back, rewritten)
+        assert rewritten.read_bytes() == path.read_bytes()
 
 
 def test_field_validation():

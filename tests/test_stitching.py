@@ -20,7 +20,7 @@ from gaborcert import (
 from gaborcert.gabor_engine import region_inner_product
 from gaborcert.stitching import DegenerateSquareError
 
-from oracles import random_mixture, scaled_mixture, square_rect
+from oracles import random_mixture, retrieve_phase_per_square, scaled_mixture, square_rect
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 COVER_2X2 = SquareCover(((-0.3, -0.3), (-0.3, 0.3), (0.3, -0.3), (0.3, 0.3)))
@@ -193,6 +193,66 @@ def test_retrieve_finite_difference_jets_on_jittered_36(seed):
     # the data-path geometry: 6 x 6 jittered squares at spacing 0.4, jets of order 4
     case = _spread_case("jittered", 6, seed, spacing=0.4)
     assert _retrieve_error(*case, "finite_difference", 4) <= 0.1
+
+
+def _edge_case():
+    """3 x 3 squares at spacing 0.5 whose outer squares end on the grid's cell
+    bounds, so their index windows are clamped to the grid."""
+    rng = np.random.default_rng(5)
+    grid = Grid2D.from_bounds(-0.975, 0.975, -0.975, 0.975, 0.05)
+    x0, x1, y0, y1 = grid.cell_bounds()
+    centers = [(x, y) for x in (x0 + 0.5, 0.0, x1 - 0.5) for y in (y0 + 0.5, 0.0, y1 - 0.5)]
+    return random_mixture(rng, spread=0.5), grid, SquareCover(tuple(centers))
+
+
+def _two_component_case():
+    f25, _ = make_sharpness_pair(2.5)
+    grid = Grid2D.from_bounds(-3.6, 3.6, -1.2, 1.2, 0.05)
+    cover = SquareCover(((-2.5, 0.0), (-2.1, 0.2), (2.5, 0.0), (2.2, -0.3)))
+    return f25, grid, cover
+
+
+REFERENCE_CASES = {
+    "lattice-36": (lambda: _spread_case("lattice", 6, seed=3), "analytic", 14),
+    "lattice-64": (lambda: _spread_case("lattice", 8, seed=3), "analytic", 14),
+    "lattice-144": (lambda: _spread_case("lattice", 12, seed=3), "analytic", 14),
+    "jittered-36-fd": (lambda: _spread_case("jittered", 6, seed=3, spacing=0.4),
+                       "finite_difference", 4),
+    "two-components": (_two_component_case, "analytic", 14),
+    "grid-edge": (_edge_case, "analytic", 14),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_retrieve_matches_per_square_reference(name):
+    make, jet_source, order = REFERENCE_CASES[name]
+    sig, grid, cover = make()
+    spec = spectrogram(mixture_field(sig, grid))
+    signal = sig if jet_source == "analytic" else None
+    got = retrieve_phase(spec, cover, jet_source, order, signal=signal)
+    ref = retrieve_phase_per_square(spec, cover, jet_source, order, signal=signal)
+    assert got.components == ref.components
+    assert got.warnings == ref.warnings
+    scale = np.abs(ref.field.values).max()
+    assert np.abs(got.field.values - ref.field.values).max() <= 1e-12 * scale
+    if name == "two-components":
+        assert len(got.components) == 2
+    if name == "grid-edge":  # the outer windows would end past the grid without the clamp
+        hi = cover.rects()[:, 1].max()
+        assert hi == grid.cell_bounds()[1]
+        assert math.floor((hi - grid.x0) / grid.dx + 0.5) + 1 > grid.nx
+
+
+def test_retrieve_degenerate_squares_match_per_square_reference():
+    grid = Grid2D.from_bounds(-3.1, 3.1, -3.1, 3.1, 0.05)
+    spec = spectrogram(mixture_field(ATOM, grid))
+    cover = SquareCover(((0.0, 0.0), (2.5, 2.5), (0.4, 0.0), (-2.5, 2.5)))
+    errors = []
+    for retrieve in (retrieve_phase, retrieve_phase_per_square):
+        with pytest.raises(DegenerateSquareError) as err:
+            retrieve(spec, cover, "analytic", 14, signal=ATOM)
+        errors.append(err.value.indices)
+    assert errors[0] == errors[1] == [1, 3]
 
 
 def test_retrieve_degenerate_square():
