@@ -1,7 +1,7 @@
 """Batch CLI: transform/certify/sharpness/plan-sample/retrieve/selftest.
 
-Configs are JSON documents validated against per-command schemas before any
-computation; outputs are a summary, CSV tables with shortest round-trip
+Configs are JSON documents, checked in one scan against each command's table
+of allowed keys before any computation; outputs are a summary, CSV tables with shortest round-trip
 number formatting (byte-identical across runs for identical inputs), and a
 metadata file.  Exit codes: 0 success (warnings allowed), 2 validation
 failure, 3 numerical degeneracy, 4 I/O failure.
@@ -10,16 +10,16 @@ failure, 3 numerical degeneracy, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .gabor_engine import (
@@ -79,167 +79,17 @@ class CliDegeneracyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# schemas
+# config checks
+#
+# Each check takes a JSON value, the `where` of its error messages and its
+# dotted path, and returns the value in the form the commands use; the first
+# bad field raises `<where>: invalid field <path>: <reason>`.  The rules are
+# JSON Schema's: a bool is not a number, bounds are strict, and a float with
+# zero fraction is an integer.
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
+def _invalid(where: str, path: str, reason: str) -> CliValidationError:
+    return CliValidationError(f"{where}: invalid field {path or '(root)'}: {reason}")
 
-MIXTURE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"const": "mixture"},
-        # each entry must be an object of four numbers; checked by
-        # _mixture_atoms, since a schema walk over every atom is slow
-        "atoms": {"type": "array", "minItems": 1},
-    },
-    "required": ["atoms"],
-    "additionalProperties": False,
-}
-SAMPLED_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"const": "sampled"},
-        "t0": _NUM,
-        "dt": _POS,
-        # each entry must be a [re, im] pair of numbers; checked by
-        # _sample_pairs, since a schema walk over every pair is slow
-        "samples": {"type": "array", "minItems": 1},
-    },
-    "required": ["t0", "dt", "samples"],
-    "additionalProperties": False,
-}
-PATH_SCHEMA = {
-    "type": "object",
-    "properties": {"path": {"type": "string"}},
-    "required": ["path"],
-    "additionalProperties": False,
-}
-GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "xmin": _NUM, "xmax": _NUM, "ymin": _NUM, "ymax": _NUM, "step": _POS,
-    },
-    "required": ["xmin", "xmax", "ymin", "ymax"],
-    "additionalProperties": False,
-}
-COVER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "centers": {
-            "type": "array",
-            "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-            "minItems": 1,
-        },
-    },
-    "required": ["centers"],
-    "additionalProperties": False,
-}
-SQUARE_SCHEMA = {
-    "type": "object",
-    "properties": {"cx": _NUM, "cy": _NUM, "side": _POS},
-    "required": ["cx", "cy", "side"],
-    "additionalProperties": False,
-}
-
-
-def _by_kind(fallback: dict) -> dict:
-    """Signal schema that checks a signal with a `kind` against that kind only.
-
-    Without `kind`, the signal is checked against `fallback`.
-    """
-    def kind_is(kind):
-        return {"properties": {"kind": {"const": kind}}, "required": ["kind"]}
-
-    return {"if": kind_is("mixture"), "then": MIXTURE_SCHEMA,
-            "else": {"if": kind_is("sampled"), "then": SAMPLED_SCHEMA, "else": fallback}}
-
-
-_SIGNAL_ENVELOPE = _by_kind({"anyOf": [MIXTURE_SCHEMA, SAMPLED_SCHEMA, PATH_SCHEMA]})
-_SIGNAL_FILE = _by_kind({"anyOf": [MIXTURE_SCHEMA, SAMPLED_SCHEMA]})
-
-COMMAND_SCHEMAS = {
-    "transform": {
-        "type": "object",
-        "properties": {"signal": _SIGNAL_ENVELOPE, "grid": GRID_SCHEMA},
-        "required": ["signal", "grid"],
-        "additionalProperties": False,
-    },
-    "certify": {
-        "type": "object",
-        "properties": {
-            "signal_f": _SIGNAL_ENVELOPE,
-            "signal_g": _SIGNAL_ENVELOPE,
-            "cover": COVER_SCHEMA,
-            "grid": GRID_SCHEMA,
-        },
-        "required": ["signal_f", "signal_g", "cover", "grid"],
-        "additionalProperties": False,
-    },
-    "sharpness": {
-        "type": "object",
-        "properties": {
-            "a_values": {"type": "array", "items": _POS, "minItems": 1},
-            "grid_step": _POS,
-        },
-        "required": ["a_values"],
-        "additionalProperties": False,
-    },
-    "plan-sample": {
-        "type": "object",
-        "properties": {
-            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-            "square": SQUARE_SCHEMA,
-            "signal_f": _SIGNAL_ENVELOPE,
-            "signal_g": _SIGNAL_ENVELOPE,
-            "reference_n": {"type": "integer", "minimum": 10},
-        },
-        "required": ["epsilon", "square", "signal_f", "signal_g"],
-        "additionalProperties": False,
-    },
-    "retrieve": {
-        "type": "object",
-        "properties": {
-            "spectrogram": {
-                "anyOf": [
-                    {
-                        "type": "object",
-                        "properties": {"signal": _SIGNAL_ENVELOPE, "grid": GRID_SCHEMA},
-                        "required": ["signal", "grid"],
-                        "additionalProperties": False,
-                    },
-                    {
-                        "type": "object",
-                        "properties": {"csv": {"type": "string"}},
-                        "required": ["csv"],
-                        "additionalProperties": False,
-                    },
-                ]
-            },
-            "cover": COVER_SCHEMA,
-            "jet_source": {"enum": ["analytic", "finite_difference"]},
-            "order": {"type": "integer", "minimum": 0},
-            "ground_truth": _SIGNAL_ENVELOPE,
-        },
-        "required": ["spectrogram", "cover"],
-        "additionalProperties": False,
-    },
-    "selftest": {"type": "object", "additionalProperties": False},
-}
-
-
-def _validate(instance, schema, where: str) -> None:
-    validator = Draft202012Validator(schema)
-    err = best_match(validator.iter_errors(instance))
-    if err is not None:
-        # descend into anyOf branches so the offending leaf field is named
-        while err.context:
-            err = best_match(err.context)
-        path = ".".join(str(p) for p in err.absolute_path) or "(root)"
-        raise CliValidationError(f"{where}: invalid field {path}: {err.message}")
-
-
-# ---------------------------------------------------------------------------
-# config materialization
 
 def _load_json(path: Path, what: str):
     try:
@@ -259,105 +109,250 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _number(v, where: str, path: str) -> float:
-    """v as a float, after checking it is a JSON number that a float can hold."""
+def _bounded(v, where: str, path: str, above=None, below=None):
+    """v, after checking it is a JSON number strictly between `above` and `below`.
+
+    Either bound may be None.  As in JSON Schema, NaN passes both.
+    """
     if not _is_number(v):
-        raise CliValidationError(f"{where}: invalid field {path}: {v!r} is not a number")
+        raise _invalid(where, path, f"{v!r} is not a number")
+    if above is not None and v <= above:
+        raise _invalid(where, path, f"{v!r} is less than or equal to the minimum of {above!r}")
+    if below is not None and v >= below:
+        raise _invalid(where, path, f"{v!r} is greater than or equal to the maximum of {below!r}")
+    return v
+
+
+def _number(v, where: str, path: str, above=None, below=None) -> float:
+    """v as a float, after `_bounded` and checking that a float can hold it."""
+    v = _bounded(v, where, path, above, below)
     try:
         return float(v)
     except OverflowError:
-        raise CliValidationError(f"{where}: invalid field {path}: integer too large for a float")
+        raise _invalid(where, path, "integer too large for a float")
 
 
-def _sample_pairs(samples: list, where: str, field: str) -> tuple[complex, ...]:
-    """The samples as complex numbers, after checking each is a [re, im] pair.
+_positive = partial(_number, above=0)
+# a grid step is converted where it is used, since --grid-step may override it
+_step = partial(_bounded, above=0)
 
-    One scan in place of the schema's per-pair walk, with the same rule:
-    a list of exactly two numbers, each of which a float can hold.  The
-    first bad entry is named as `<field>.<k>` in a validation error from
-    `where`.
+
+def _integer(v, where: str, path: str, minimum: int) -> int:
+    """v as an int, after checking it is an integer of at least `minimum`."""
+    if not (_is_number(v) and (isinstance(v, int) or v.is_integer())):
+        raise _invalid(where, path, f"{v!r} is not an integer")
+    if v < minimum:
+        raise _invalid(where, path, f"{v!r} is less than the minimum of {minimum}")
+    return int(v)
+
+
+def _one_of(v, where: str, path: str, options: tuple):
+    if v not in options:
+        raise _invalid(where, path, f"{v!r} is not one of {list(options)!r}")
+    return v
+
+
+def _string(v, where: str, path: str) -> str:
+    if not isinstance(v, str):
+        raise _invalid(where, path, f"{v!r} is not a string")
+    return v
+
+
+def _items(v, where: str, path: str) -> list:
+    """v, after checking it is a nonempty JSON array."""
+    if not isinstance(v, list):
+        raise _invalid(where, path, f"{v!r} is not an array")
+    if not v:
+        raise _invalid(where, path, "[] should be non-empty")
+    return v
+
+
+def _fields(obj, where: str, path: str, checks: dict, required: tuple) -> dict:
+    """The checked value of each key of a JSON object.
+
+    `checks` maps each allowed key to its check, and every key of `required`
+    must be present.  A missing or unexpected key is named in the reason;
+    the path is the object's.
     """
-    values = []
-    for k, pair in enumerate(samples):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and _is_number(pair[0]) and _is_number(pair[1])):
-            raise CliValidationError(
-                f"{where}: invalid field {field}.{k}: {pair!r} is not a [re, im] pair of numbers")
-        try:
-            values.append(complex(float(pair[0]), float(pair[1])))
-        except OverflowError:
-            raise CliValidationError(
-                f"{where}: invalid field {field}.{k}: integer too large for a float")
-    return tuple(values)
+    if not isinstance(obj, dict):
+        raise _invalid(where, path, f"{obj!r} is not an object")
+    for key in required:
+        if key not in obj:
+            raise _invalid(where, path, f"required key {key!r} is missing")
+    out = {}
+    for key, value in obj.items():
+        if key not in checks:
+            raise _invalid(where, path, f"unexpected key {key!r}")
+        out[key] = checks[key](value, where, f"{path}.{key}" if path else key)
+    return out
+
+
+def _sample_pairs(samples, where: str, path: str) -> np.ndarray:
+    """The samples as a complex array, after checking each is a [re, im] pair.
+
+    A pair is a list of exactly two numbers, each of which a float can hold.
+    When every entry is a list of two ints or floats, the array comes from
+    one conversion; otherwise a scan names the first bad entry as
+    `<path>.<k>`.
+    """
+    samples = _items(samples, where, path)
+    if not ({*map(type, samples)} == {list} and {*map(len, samples)} == {2}
+            and {*map(type, itertools.chain.from_iterable(samples))} <= {int, float}):
+        k, pair = next((k, pair) for k, pair in enumerate(samples)
+                       if not (isinstance(pair, list) and len(pair) == 2
+                               and _is_number(pair[0]) and _is_number(pair[1])))
+        raise _invalid(where, f"{path}.{k}", f"{pair!r} is not a [re, im] pair of numbers")
+    try:
+        # an (n, 2) float array is the (n, 1) complex array of its rows
+        return np.array(samples, dtype=float).view(complex)[:, 0]
+    except OverflowError:
+        # name the first pair that a float cannot hold
+        for k, (re, im) in enumerate(samples):
+            _number(re, where, f"{path}.{k}")
+            _number(im, where, f"{path}.{k}")
+        raise
 
 
 _ATOM_KEYS = ("re", "im", "shift", "modulation")
 
 
-def _mixture_atoms(atoms: list, where: str, field: str) -> tuple[GaussianAtom, ...]:
+def _mixture_atoms(atoms, where: str, path: str) -> tuple[GaussianAtom, ...]:
     """The atoms as GaussianAtoms, after checking each in one scan.
 
     An atom is an object with exactly the keys re, im, shift and modulation,
     each a number that a float can hold.  The first bad atom is named as
-    `<field>.<k>`, or `<field>.<k>.<key>` for a bad, missing or unexpected
-    key, in a validation error from `where`.
+    `<path>.<k>`, or `<path>.<k>.<key>` for a bad, missing or unexpected
+    key.
     """
     out = []
-    for k, atom in enumerate(atoms):
-        path = f"{field}.{k}"
-        bad = f"{where}: invalid field {path}"
+    for k, atom in enumerate(_items(atoms, where, path)):
+        bad = f"{path}.{k}"
         if not isinstance(atom, dict):
-            raise CliValidationError(f"{bad}: {atom!r} is not an object")
+            raise _invalid(where, bad, f"{atom!r} is not an object")
         for key in _ATOM_KEYS:
             if key not in atom:
-                raise CliValidationError(f"{bad}.{key}: required key is missing")
+                raise _invalid(where, f"{bad}.{key}", "required key is missing")
         for key in atom:
             if key not in _ATOM_KEYS:
-                raise CliValidationError(f"{bad}.{key}: unexpected key")
-        re, im, shift, modulation = (_number(atom[key], where, f"{path}.{key}")
+                raise _invalid(where, f"{bad}.{key}", "unexpected key")
+        re, im, shift, modulation = (_number(atom[key], where, f"{bad}.{key}")
                                      for key in _ATOM_KEYS)
         out.append(GaussianAtom(complex(re, im), shift, modulation))
     return tuple(out)
 
 
-def _build_signal(obj, where: str, base_dir: Path):
-    """The signal of an envelope that passed schema validation.
+def _kind(v, where: str, path: str) -> str:
+    return v  # the signal's form was chosen by it
 
-    `where` is the envelope's dotted path in the config.  A signal read from
-    a file is validated here, and its errors are reported from `where` with
-    paths inside the file.
+
+# the key that decides a signal's form when it has no `kind`, in an
+# envelope and in a signal file; and per kind, the checks and required keys
+_ENVELOPE_FORMS = {"atoms": "mixture", "samples": "sampled", "path": "path"}
+_FILE_FORMS = {"atoms": "mixture", "samples": "sampled"}
+_SIGNAL_KINDS = {
+    "mixture": ({"kind": _kind, "atoms": _mixture_atoms}, ("atoms",)),
+    "sampled": ({"kind": _kind, "t0": _number, "dt": _positive, "samples": _sample_pairs},
+                ("t0", "dt", "samples")),
+}
+
+
+def _signal(obj, where: str, path: str, base_dir: Path, forms: dict = _ENVELOPE_FORMS):
+    """The signal of an envelope.
+
+    A signal with a `kind` is checked as that kind.  Without one, the key
+    that is present decides its form: `atoms` (a mixture), `samples` (a
+    sampled signal) or `path`, a JSON file relative to `base_dir` that holds
+    a mixture or sampled signal.  A file is checked from the envelope's
+    path, with paths inside the file.
     """
-    if "path" in obj:
-        loaded = _load_json(base_dir / obj["path"], f"{where} signal")
-        _validate(loaded, _SIGNAL_FILE, where)
-        obj, err_where, prefix = loaded, where, ""
+    if not isinstance(obj, dict):
+        raise _invalid(where, path, f"{obj!r} is not an object")
+    if "kind" in obj:
+        form = _one_of(obj["kind"], where, path, tuple(_SIGNAL_KINDS))
     else:
-        err_where, prefix = "config", f"{where}."
-    if "atoms" in obj:
-        return GaussianMixtureSignal(_mixture_atoms(obj["atoms"], err_where, prefix + "atoms"))
-    samples = _sample_pairs(obj["samples"], err_where, prefix + "samples")
-    return SampledSignal(samples, _number(obj["t0"], err_where, prefix + "t0"),
-                         _number(obj["dt"], err_where, prefix + "dt"))
+        form = next((forms[key] for key in forms if key in obj), None)
+        if form is None:
+            *most, last = map(repr, forms)
+            raise _invalid(where, path, f"required key {', '.join(most)} or {last} is missing")
+    if form == "path":
+        name = _fields(obj, where, path, {"path": _string}, ("path",))["path"]
+        loaded = _load_json(base_dir / name, f"{path} signal")
+        return _signal(loaded, path, "", base_dir, _FILE_FORMS)
+    checks, required = _SIGNAL_KINDS[form]
+    fields = _fields(obj, where, path, checks, required)
+    if form == "mixture":
+        return GaussianMixtureSignal(fields["atoms"])
+    return SampledSignal(fields["samples"], fields["t0"], fields["dt"])
 
 
-def _build_grid(obj, path: str, step_override: float | None) -> Grid2D:
-    """The grid of the config object at dotted `path`; errors name the field."""
-    xmin, xmax, ymin, ymax = (_number(obj[k], "config", f"{path}.{k}")
-                              for k in ("xmin", "xmax", "ymin", "ymax"))
+_GRID_CHECKS = {"xmin": _number, "xmax": _number, "ymin": _number, "ymax": _number,
+                "step": _step}
+
+
+def _grid(obj, where: str, path: str, step_override: float | None) -> Grid2D:
+    fields = _fields(obj, where, path, _GRID_CHECKS, ("xmin", "xmax", "ymin", "ymax"))
     step = step_override
     if step is None:
-        step = _number(obj.get("step", DEFAULT_GRID_STEP), "config", f"{path}.step")
+        step = _number(fields.get("step", DEFAULT_GRID_STEP), where, f"{path}.step")
     try:
-        return Grid2D.from_bounds(xmin, xmax, ymin, ymax, step)
+        return Grid2D.from_bounds(fields["xmin"], fields["xmax"], fields["ymin"], fields["ymax"],
+                                  step)
     except ValueError as exc:
-        raise CliValidationError(f"config: invalid field {path}: {exc}")
+        raise _invalid(where, path, str(exc))
 
 
-def _build_cover(obj) -> SquareCover:
-    """The cover of the config's `cover` object; errors name the center."""
-    return SquareCover(tuple(
-        (_number(x, "config", f"cover.centers.{k}.0"), _number(y, "config", f"cover.centers.{k}.1"))
-        for k, (x, y) in enumerate(obj["centers"])))
+def _centers(centers, where: str, path: str) -> tuple[tuple[float, float], ...]:
+    out = []
+    for k, center in enumerate(_items(centers, where, path)):
+        if not (isinstance(center, list) and len(center) == 2):
+            raise _invalid(where, f"{path}.{k}", f"{center!r} is not an [x, y] pair")
+        out.append(tuple(_number(c, where, f"{path}.{k}.{i}") for i, c in enumerate(center)))
+    return tuple(out)
+
+
+def _cover(obj, where: str, path: str) -> SquareCover:
+    return SquareCover(_fields(obj, where, path, {"centers": _centers}, ("centers",))["centers"])
+
+
+def _a_values(values, where: str, path: str) -> list[float]:
+    return [_positive(a, where, f"{path}.{k}") for k, a in enumerate(_items(values, where, path))]
+
+
+def _spectrogram(obj, where: str, path: str, signal, grid) -> dict:
+    """`{csv}` if the object has a `csv` key, else `{signal, grid}`."""
+    if isinstance(obj, dict) and "csv" in obj:
+        return _fields(obj, where, path, {"csv": _string}, ("csv",))
+    return _fields(obj, where, path, {"signal": signal, "grid": grid}, ("signal", "grid"))
+
+
+def _check_config(config, args) -> dict:
+    """The config's fields in the form the command uses, checked in one scan.
+
+    Each command has one check per allowed key and a tuple of required keys.
+    """
+    signal = partial(_signal, base_dir=args.base_dir)
+    grid = partial(_grid, step_override=args.grid_step)
+    checks, required = {
+        "transform": ({"signal": signal, "grid": grid}, ("signal", "grid")),
+        "certify": ({"signal_f": signal, "signal_g": signal, "cover": _cover, "grid": grid},
+                    ("signal_f", "signal_g", "cover", "grid")),
+        "sharpness": ({"a_values": _a_values, "grid_step": _step}, ("a_values",)),
+        "plan-sample": ({"epsilon": partial(_number, above=0, below=0.5),
+                         "square": partial(_fields, checks={"cx": _number, "cy": _number,
+                                                            "side": _positive},
+                                           required=("cx", "cy", "side")),
+                         "signal_f": signal, "signal_g": signal,
+                         "reference_n": partial(_integer, minimum=10)},
+                        ("epsilon", "square", "signal_f", "signal_g")),
+        "retrieve": ({"spectrogram": partial(_spectrogram, signal=signal, grid=grid),
+                      "cover": _cover,
+                      "jet_source": partial(_one_of, options=("analytic", "finite_difference")),
+                      "order": partial(_integer, minimum=0),
+                      "ground_truth": signal},
+                     ("spectrogram", "cover")),
+        "selftest": ({}, ()),
+    }[args.command]
+    return _fields(config, "config", "", checks, required)
 
 
 def _field_for(signal, grid: Grid2D) -> SpectrogramField:
@@ -372,7 +367,7 @@ def _field_for(signal, grid: Grid2D) -> SpectrogramField:
 @dataclass
 class ReportBundle:
     command: str
-    config_echo: dict
+    config_echo: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     fields: dict[str, SpectrogramField] = field(default_factory=dict)
     summary: list = field(default_factory=list)
@@ -414,11 +409,10 @@ def _format_cell(c) -> str:
 # commands
 
 def cmd_transform(config, args) -> ReportBundle:
-    signal = _build_signal(config["signal"], "signal", args.base_dir)
-    grid = _build_grid(config["grid"], "grid", args.grid_step)
-    fld = _field_for(signal, grid)
+    grid = config["grid"]
+    fld = _field_for(config["signal"], grid)
     spec = spectrogram(fld)
-    bundle = ReportBundle("transform", config)
+    bundle = ReportBundle("transform")
     bundle.fields["gabor"] = fld
     bundle.fields["spectrogram"] = spec
     bundle.summary.append(f"grid: {grid.nx} x {grid.ny} points, step {grid.dx}")
@@ -428,14 +422,11 @@ def cmd_transform(config, args) -> ReportBundle:
 
 
 def cmd_certify(config, args) -> ReportBundle:
-    sig_f = _build_signal(config["signal_f"], "signal_f", args.base_dir)
-    sig_g = _build_signal(config["signal_g"], "signal_g", args.base_dir)
-    grid = _build_grid(config["grid"], "grid", args.grid_step)
-    cover = _build_cover(config["cover"])
-    spec_f = spectrogram(_field_for(sig_f, grid))
-    spec_g = spectrogram(_field_for(sig_g, grid))
-    cert = certificate(spec_f, spec_g, cover)
-    bundle = ReportBundle("certify", config)
+    grid = config["grid"]
+    spec_f = spectrogram(_field_for(config["signal_f"], grid))
+    spec_g = spectrogram(_field_for(config["signal_g"], grid))
+    cert = certificate(spec_f, spec_g, config["cover"])
+    bundle = ReportBundle("certify")
     bundle.add_table("certificate", ["quantity", "value"],
                      [(name, val) for name, val in cert.rows()])
     bundle.add_table("vertices", ["i", "w"], graph_vertex_rows(cert.graph))
@@ -449,7 +440,7 @@ def cmd_certify(config, args) -> ReportBundle:
 
 
 def cmd_sharpness(config, args) -> ReportBundle:
-    a_values = [_number(a, "config", f"a_values.{k}") for k, a in enumerate(config["a_values"])]
+    a_values = config["a_values"]
     if any(a > 3.0 for a in a_values):
         raise CliValidationError("a_values: entries must lie in (0, 3]")
     step = args.grid_step
@@ -460,7 +451,7 @@ def cmd_sharpness(config, args) -> ReportBundle:
         dist, sqrt_specdiff = sharpness_ratio(a, step)
         ratio = dist / sqrt_specdiff
         rows.append((float(a), dist, sqrt_specdiff, ratio, math.log(ratio)))
-    bundle = ReportBundle("sharpness", config)
+    bundle = ReportBundle("sharpness")
     bundle.add_table("sharpness", ["a", "dist", "sqrt_specdiff", "ratio", "log_ratio"], rows)
     if len(rows) >= 2:
         arr = np.asarray(rows)
@@ -474,15 +465,13 @@ def cmd_sharpness(config, args) -> ReportBundle:
 
 
 def cmd_plan_sample(config, args) -> ReportBundle:
-    sig_f = _build_signal(config["signal_f"], "signal_f", args.base_dir)
-    sig_g = _build_signal(config["signal_g"], "signal_g", args.base_dir)
+    sig_f, sig_g, square = config["signal_f"], config["signal_g"], config["square"]
     if not isinstance(sig_f, GaussianMixtureSignal) or not isinstance(sig_g, GaussianMixtureSignal):
         raise CliValidationError("plan-sample requires mixture signals (closed-form evaluation)")
-    cx, cy, side = (_number(config["square"][k], "config", f"square.{k}") for k in ("cx", "cy", "side"))
-    s = 0.5 * side
-    center = (cx, cy)
+    s = 0.5 * square["side"]
+    center = (square["cx"], square["cy"])
     kappa = l2_norm(sig_f) ** 2 + l2_norm(sig_g) ** 2
-    plan = plan_sampling(_number(config["epsilon"], "config", "epsilon"), s, kappa, center)
+    plan = plan_sampling(config["epsilon"], s, kappa, center)
 
     def spec_diff(x, y):
         sf = np.abs(gabor_closed_form(sig_f, x, y)) ** 2
@@ -499,7 +488,7 @@ def cmd_plan_sample(config, args) -> ReportBundle:
     discrete = discrete_weighted_norm(node_vals, plan.rule)
     continuum = math.sqrt(exact)
 
-    bundle = ReportBundle("plan-sample", config)
+    bundle = ReportBundle("plan-sample")
     node_rows = [(float(p[0]), float(p[1]), float(w))
                  for p, w in zip(plan.rule.points, plan.rule.weights)]
     bundle.add_table("nodes", ["x", "y", "w"], node_rows)
@@ -523,11 +512,9 @@ def cmd_plan_sample(config, args) -> ReportBundle:
 
 def cmd_retrieve(config, args) -> ReportBundle:
     spec_cfg = config["spectrogram"]
-    truth = None
-    if "ground_truth" in config:
-        truth = _build_signal(config["ground_truth"], "ground_truth", args.base_dir)
-        if not isinstance(truth, GaussianMixtureSignal):
-            raise CliValidationError("ground_truth must be a mixture signal")
+    truth, ref = config.get("ground_truth"), None
+    if truth is not None and not isinstance(truth, GaussianMixtureSignal):
+        raise CliValidationError("ground_truth must be a mixture signal")
     if "csv" in spec_cfg:
         path = args.base_dir / spec_cfg["csv"]
         if not path.exists():
@@ -536,23 +523,25 @@ def cmd_retrieve(config, args) -> ReportBundle:
         if spec.kind != "spectrogram":
             raise CliValidationError("spectrogram csv must have header x,y,s")
     else:
-        sig = _build_signal(spec_cfg["signal"], "spectrogram.signal", args.base_dir)
-        grid = _build_grid(spec_cfg["grid"], "spectrogram.grid", args.grid_step)
-        spec = spectrogram(_field_for(sig, grid))
+        sig = spec_cfg["signal"]
+        fld = _field_for(sig, spec_cfg["grid"])
+        spec = spectrogram(fld)
         if truth is None and isinstance(sig, GaussianMixtureSignal):
-            truth = sig
-    cover = _build_cover(config["cover"])
+            # the oracle is the mixture's own field, on the grid of the result
+            truth, ref = sig, fld
+    cover = config["cover"]
     jet_source = config.get("jet_source", "analytic")
     order = config.get("order", 14)
     if jet_source == "analytic" and truth is None:
         raise CliValidationError("analytic jets require a mixture signal or ground_truth")
     result = retrieve_phase(spec, cover, jet_source, order, signal=truth)
-    bundle = ReportBundle("retrieve", config)
+    bundle = ReportBundle("retrieve")
     bundle.fields["retrieved"] = result.field
     bundle.summary.append(f"components: {len(result.components)}")
     bundle.warnings.extend(result.warnings)
     if truth is not None:
-        ref = mixture_field(truth, result.field.grid)
+        if ref is None:
+            ref = mixture_field(truth, result.field.grid)
         rects = cover.rects()
         _, dist = min_phase_distance(ref, result.field, rects)
         ref_norm = region_norm(ref, rects, 2)
@@ -565,7 +554,6 @@ def cmd_retrieve(config, args) -> ReportBundle:
 
 
 def cmd_selftest(config, args) -> ReportBundle:
-    del config
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     checks: list[tuple[str, bool]] = []
 
@@ -603,7 +591,7 @@ def cmd_selftest(config, args) -> ReportBundle:
             ok = False
     checks.append(("cheeger inequality random graphs", ok))
 
-    bundle = ReportBundle("selftest", {})
+    bundle = ReportBundle("selftest")
     bundle.add_table("checks", ["check", "passed"], [(name, int(passed)) for name, passed in checks])
     for name, passed in checks:
         bundle.summary.append(f"{'PASS' if passed else 'FAIL'}: {name}")
@@ -653,10 +641,9 @@ def main(argv=None) -> int:
                 raise CliValidationError(f"{args.command}: --config is required")
             args.base_dir = args.config.parent
             config = _load_json(args.config, "config")
-            _validate(config, COMMAND_SCHEMAS[args.command], "config")
         if args.grid_step is not None and args.grid_step <= 0:
             raise CliValidationError("--grid-step must be positive")
-        bundle = COMMANDS[args.command](config, args)
+        bundle = COMMANDS[args.command](_check_config(config, args), args)
     except (CliDegeneracyError, DegenerateVertexError, DegenerateSquareError) as exc:
         # before ValueError: both degeneracy errors of the numeric modules are ValueErrors
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
@@ -670,6 +657,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    bundle.config_echo = config
     bundle.meta = {
         "version": __version__,
         "numpy": np.__version__,

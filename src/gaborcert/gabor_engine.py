@@ -94,25 +94,31 @@ class Grid2D:
         return Grid2D(xmin, ymin, step, step, nx, ny)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSignal:
     """Uniformly sampled time signal on t0 + dt * arange(len(samples)).
 
-    dt should resolve the analysis window (dt <= 0.1 recommended, not
-    enforced); coarser sampling degrades the transform silently.
+    `samples` is any sequence of numbers, such as a tuple or an array; it is
+    kept as a read-only complex array.  dt should resolve the analysis
+    window (dt <= 0.1 recommended, not enforced); coarser sampling degrades
+    the transform silently.
     """
 
-    samples: tuple[complex, ...]
+    samples: np.ndarray
     t0: float
     dt: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(complex(s) for s in self.samples))
-        if len(self.samples) == 0:
+        samples = np.array(self.samples, dtype=complex)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        if samples.ndim != 1:
+            raise ValueError("samples must be a sequence of numbers")
+        if len(samples) == 0:
             raise ValueError("sampled signal must be nonempty")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not all(math.isfinite(s.real) and math.isfinite(s.imag) for s in self.samples):
+        if not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
 
     def times(self) -> np.ndarray:
@@ -169,7 +175,7 @@ def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
         dt = t[1] - t[0] if len(t) > 1 else 1.0
     elif isinstance(sig, SampledSignal):
         t = sig.times()
-        ft = np.asarray(sig.samples, dtype=complex)
+        ft = sig.samples
         dt = sig.dt
     else:
         raise TypeError(f"unsupported signal type {type(sig).__name__}")
@@ -465,10 +471,12 @@ def write_field_csv(fld: SpectrogramField, path) -> None:
 def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
     """(first, step, count) of a uniformly spaced coordinate axis.
 
-    The step is the double nearest (last - first) / (count - 1), or one of
-    its neighbours up to 4 ulps away, for which first + step * k gives back
-    every coordinate exactly, so a grid written by write_field_csv reads
-    back as the same grid.  If none does, the first difference is the step.
+    The step is the first of these that makes first + step * k give back
+    every coordinate, so a grid written by write_field_csv reads back as the
+    same grid: the double nearest m = (last - first) / (count - 1), its
+    neighbours up to 4 ulps away, then m rounded to 15, 14, ..., 1
+    significant digits (a decimal step on an axis far from 0 against its
+    span).  If none does, the first difference is the step.
     """
     uniq = np.unique(values)
     if len(uniq) == 1:
@@ -483,6 +491,7 @@ def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
     for _ in range(4):
         below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
         candidates += [below, above]
+    candidates += [float(f"{mean:.{digits}g}") for digits in range(15, 0, -1)]
     for step in candidates:
         if np.array_equal(uniq[0] + step * k, uniq):
             return float(uniq[0]), float(step), len(uniq)

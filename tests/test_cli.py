@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from gaborcert import (
     mixture_field,
     spectrogram,
 )
-from gaborcert.cli import main
+from gaborcert.cli import _sample_pairs, main
 from gaborcert.gabor_engine import SampledSignal, quadrature_gabor, read_field_csv
 from gaborcert.stability_graph import SquareCover
 from gaborcert.stitching import retrieve_phase
@@ -172,6 +177,17 @@ def test_transform_sample_too_large_for_float_names_index(tmp_path, capsys):
     code, out = run(tmp_path, "transform", {"signal": signal, "grid": GRID}, "out_t0")
     assert code == 2 and not out.exists()
     assert "invalid field signal.t0: integer too large" in capsys.readouterr().err
+
+
+def test_sample_pairs_convert_like_complex_of_floats():
+    # the one-pass conversion gives the bits of complex(float(re), float(im)),
+    # for signed zeros, subnormals and ints past 2**53 and past int64
+    values = [0, -0.0, 1, -1, 2**53 + 1, 2**60 + 1, -(2**63) - 1, 2**70 + 3, 10**300 + 7,
+              5e-324, 1e-310, 0.1]
+    samples = [[re, im] for re, im in zip(values, reversed(values))]
+    got = _sample_pairs(samples, "config", "samples")
+    want = np.array([complex(float(re), float(im)) for re, im in samples])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 GOOD_ATOM = ATOM_MIXTURE["atoms"][0]
@@ -483,3 +499,121 @@ def test_selftest(tmp_path):
     out = tmp_path / "self"
     assert main(["selftest", "--out", str(out), "--seed", "1"]) == 0
     assert "PASS" in (out / "summary.txt").read_text()
+
+
+def _without(payload, path):
+    """Deep copy of payload without the key at dotted `path`."""
+    out = json.loads(json.dumps(payload))
+    *head, last = path.split(".")
+    node = out
+    for key in head:
+        node = node[key]
+    del node[last]
+    return out
+
+
+TRANSFORM = {"signal": ATOM_MIXTURE, "grid": GRID}
+CERTIFY = {"signal_f": ATOM_MIXTURE, "signal_g": ATOM_MIXTURE, "cover": TWO_SQUARES, "grid": GRID}
+PLAN = {"epsilon": 0.25, "square": {"cx": 0.0, "cy": 0.0, "side": 1.0},
+        "signal_f": SHARP_F, "signal_g": SHARP_G, "reference_n": 60}
+RETRIEVE = {"spectrogram": {"signal": ATOM_MIXTURE, "grid": GRID}, "cover": TWO_SQUARES,
+            "jet_source": "analytic", "order": 4}
+SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
+
+
+# one malformed config per rule of the config checks, and the field its error names
+@pytest.mark.parametrize("command, payload, path", [
+    ("transform", _without(TRANSFORM, "signal"), "(root)"),
+    ("transform", _without(TRANSFORM, "grid.xmin"), "grid"),
+    ("plan-sample", _without(PLAN, "square.side"), "square"),
+    ("transform", {"signal": _without(SAMPLED_SIGNAL, "t0"), "grid": GRID}, "signal"),
+    ("transform", dict(TRANSFORM, extra=1), "(root)"),
+    ("certify", _with_value(CERTIFY, "grid.zstep", 0.1), "grid"),
+    ("transform", _with_value(TRANSFORM, "signal.t0", 0.0), "signal"),
+    ("transform", [1, 2], "(root)"),
+    ("transform", _with_value(TRANSFORM, "grid.xmin", "0"), "grid.xmin"),
+    ("transform", _with_value(TRANSFORM, "grid.xmin", True), "grid.xmin"),
+    ("plan-sample", _with_value(PLAN, "epsilon", True), "epsilon"),
+    ("certify", _with_value(CERTIFY, "cover.centers.1.0", True), "cover.centers.1.0"),
+    ("certify", _with_value(CERTIFY, "cover.centers", {"0": [0, 0]}), "cover.centers"),
+    ("certify", _with_value(CERTIFY, "cover.centers.1", [0.0]), "cover.centers.1"),
+    ("retrieve", _with_value(RETRIEVE, "order", True), "order"),
+    ("retrieve", _with_value(RETRIEVE, "order", 4.5), "order"),
+    ("retrieve", {"spectrogram": {"csv": 5}, "cover": TWO_SQUARES}, "spectrogram.csv"),
+    ("transform", _with_value(TRANSFORM, "grid.step", 0), "grid.step"),
+    ("certify", _with_value(CERTIFY, "grid.step", -0.05), "grid.step"),
+    ("transform", {"signal": dict(SAMPLED_SIGNAL, dt=0), "grid": GRID}, "signal.dt"),
+    ("transform", {"signal": dict(SAMPLED_SIGNAL, dt=-0.25), "grid": GRID}, "signal.dt"),
+    ("plan-sample", _with_value(PLAN, "square.side", 0), "square.side"),
+    ("plan-sample", _with_value(PLAN, "square.side", -1.0), "square.side"),
+    ("sharpness", {"a_values": [0.5, 0]}, "a_values.1"),
+    ("sharpness", {"a_values": [-0.5, 1.0]}, "a_values.0"),
+    ("plan-sample", _with_value(PLAN, "epsilon", 0.5), "epsilon"),
+    ("plan-sample", _with_value(PLAN, "reference_n", 9), "reference_n"),
+    ("retrieve", _with_value(RETRIEVE, "order", -1), "order"),
+    ("retrieve", _with_value(RETRIEVE, "jet_source", "spectral"), "jet_source"),
+    ("retrieve", _with_value(RETRIEVE, "spectrogram.csv", "s.csv"), "spectrogram"),
+    ("retrieve", _with_value(RETRIEVE, "spectrogram", {}), "spectrogram"),
+    ("transform", _with_value(TRANSFORM, "signal", {"t0": 0.0}), "signal"),
+    ("transform", _with_value(TRANSFORM, "signal", {"kind": "path", "path": "s.json"}), "signal"),
+    ("retrieve", dict(RETRIEVE, ground_truth={"path": "s.json", "kind": "mixture"}), "ground_truth"),
+    ("selftest", {"seed": 1}, "(root)"),
+], ids=["missing-root-key", "missing-grid-key", "missing-square-key", "missing-sampled-key",
+        "unexpected-root-key", "unexpected-grid-key", "unexpected-mixture-key", "root-not-object",
+        "string-number", "true-number", "true-epsilon", "true-center", "centers-not-array",
+        "center-not-pair", "true-integer", "fraction-integer", "csv-not-string", "zero-step",
+        "negative-step", "zero-dt", "negative-dt", "zero-side", "negative-side", "zero-a",
+        "negative-a", "epsilon-half", "reference-n-9", "order-minus-1", "unknown-jet-source",
+        "spectrogram-both-forms", "spectrogram-no-form", "signal-no-form", "signal-unknown-kind",
+        "path-signal-with-kind", "selftest-key"])
+def test_malformed_config_names_field(tmp_path, capsys, command, payload, path):
+    (tmp_path / "s.json").write_text(json.dumps(ATOM_MIXTURE))
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: invalid field {path}: "), err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("retrieve", RETRIEVE, "order"),
+    ("plan-sample", PLAN, "reference_n"),
+])
+def test_integer_given_as_float_runs_as_int(tmp_path, command, payload, key):
+    # JSON Schema counts 4.0 as an integer; the command gets the int 4
+    code, out_int = run(tmp_path, command, payload, "out_int")
+    assert code == 0
+    code, out_float = run(tmp_path, command, dict(payload, **{key: float(payload[key])}), "out_float")
+    assert code == 0
+    names = sorted(p.name for p in out_int.iterdir())
+    assert names == sorted(p.name for p in out_float.iterdir())
+    for name in names:
+        a, b = (out / name for out in (out_int, out_float))
+        if name == "config_echo.json":  # echoes "4" and "4.0"
+            assert json.loads(a.read_text()) == json.loads(b.read_text())
+        elif name != "meta.json":
+            assert a.read_bytes() == b.read_bytes(), name
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    # numpy is the one runtime dependency: with jsonschema unimportable,
+    # transform and certify still run
+    for command, payload in (("transform", TRANSFORM), ("certify", CERTIFY)):
+        write_config(tmp_path, f"{command}.json", payload)
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["jsonschema"] = None
+        from gaborcert.cli import main
+        tmp = {str(tmp_path)!r}
+        for command in ("transform", "certify"):
+            code = main([command, "--config", f"{{tmp}}/{{command}}.json", "--out", f"{{tmp}}/{{command}}"])
+            if code:
+                sys.exit(code)
+    """)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "certify" / "certificate.csv").exists()

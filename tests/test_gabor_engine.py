@@ -22,6 +22,7 @@ from gaborcert import (
 )
 from gaborcert.gabor_engine import (
     _BLOCK_BYTES,
+    _uniform_axis,
     coverage_fractions,
     read_field_csv,
     rect_union_norm,
@@ -58,6 +59,17 @@ def test_quadrature_zero_signal():
 def test_quadrature_empty_signal_rejected():
     with pytest.raises(ValueError):
         SampledSignal((), 0.0, 0.1)
+
+
+def test_sampled_signal_accepts_tuple_or_array():
+    pairs = np.random.default_rng(5).standard_normal((16, 2))
+    from_tuple = SampledSignal(tuple(complex(re, im) for re, im in pairs), -1.0, 0.1)
+    from_array = SampledSignal(pairs.view(complex)[:, 0], -1.0, 0.1)
+    for sig in (from_tuple, from_array):
+        assert sig.samples.dtype == complex and not sig.samples.flags.writeable
+    assert np.array_equal(from_tuple.samples, from_array.samples)
+    with pytest.raises(ValueError, match="finite"):
+        SampledSignal((1.0, complex(0.0, math.inf)), -1.0, 0.1)
 
 
 def test_quadrature_sharpness_factorization():
@@ -257,7 +269,8 @@ def test_rect_union_norm_matches_region_norm():
     (-0.85, 0.85, -0.4, 1.3, 0.05),
     (0.1, 0.7, -3.3, -0.3, 0.1),
     (-1.0, 1.0, -1.0, 1.0, 0.2),
-], ids=["data-path", "xmin-2.24", "lattice", "off-centre", "positive-x", "coarse"])
+    (5.0, 5.307, 0.0, 0.002, 0.001),    # the mean x step is 6 ulps from 0.001
+], ids=["data-path", "xmin-2.24", "lattice", "off-centre", "positive-x", "coarse", "far-from-zero"])
 def test_field_csv_rewrite_is_byte_identical(tmp_path, bounds):
     # read_field_csv recovers a grid whose coordinates are the file's own
     grid = Grid2D.from_bounds(*bounds)
@@ -265,6 +278,22 @@ def test_field_csv_rewrite_is_byte_identical(tmp_path, bounds):
     write_field_csv(spectrogram(mixture_field(ATOM, grid)), first)
     write_field_csv(read_field_csv(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_uniform_axis_reproduces_decimal_step_axes():
+    # axes as from_bounds builds them from short decimal bounds and steps;
+    # a CSV holds their coordinates exactly, so the read-back axis must
+    # give back every one
+    rng = np.random.default_rng(14)
+    steps = (0.001, 0.002, 0.005, 0.0125, 0.013, 0.02, 0.025, 0.05, 0.07, 0.1, 0.25, 0.3, 0.5)
+    for _ in range(2000):
+        xmin = round(float(rng.uniform(-10.0, 10.0)), int(rng.integers(0, 4)))
+        step = float(rng.choice(steps))
+        n = int(rng.integers(2, 601))
+        grid = Grid2D.from_bounds(xmin, xmin + step * (n - 1), 0.0, 1.0, step)
+        first, got, count = _uniform_axis(grid.xs(), "x")
+        assert (first, count) == (grid.x0, grid.nx), (xmin, step, n)
+        assert np.array_equal(first + got * np.arange(count), grid.xs()), (xmin, step, n)
 
 
 def test_field_csv_roundtrip(tmp_path):
