@@ -34,7 +34,6 @@ from .tensor_phase import (
     tensor_weights,
 )
 from .stability_graph import (
-    ConnectivityReport,
     SquareCover,
     StabilityCertificate,
     WeightedGraph,
@@ -42,7 +41,6 @@ from .stability_graph import (
     build_graph,
     certificate,
     cheeger_constant,
-    cheeger_inequality_check,
 )
 from .cubature import (
     GaussRule1D,

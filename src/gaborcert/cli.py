@@ -1,10 +1,11 @@
-"""Batch CLI: transform/certify/sharpness/plan-sample/retrieve/selftest.
+"""Batch CLI: transform/certify/sharpness/plan-sample/retrieve.
 
-Configs are JSON documents, checked in one scan against each command's table
-of allowed keys before any computation; outputs are a summary, CSV tables with shortest round-trip
-number formatting (byte-identical across runs for identical inputs), and a
-metadata file.  Exit codes: 0 success (warnings allowed), 2 validation
-failure, 3 numerical degeneracy, 4 I/O failure.
+Every command reads a JSON config (`--config`, required), checked in one scan
+against the command's table of allowed keys before any computation; every
+number in it must be finite.  Outputs are a summary, CSV tables with shortest
+round-trip number formatting (byte-identical across runs for identical
+inputs), and a metadata file.  Exit codes: 0 success (warnings allowed),
+2 validation failure, 3 numerical degeneracy, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ from .signal_model import (
 from .stability_graph import (
     DegenerateVertexError,
     SquareCover,
-    WeightedGraph,
     certificate,
-    cheeger_inequality_check,
     graph_edge_rows,
     graph_vertex_rows,
 )
@@ -56,11 +55,9 @@ from .stitching import (
 )
 from .cubature import (
     discrete_weighted_norm,
-    gauss_rule,
     plan_sampling,
     tensor_product_integral,
 )
-from .tensor_phase import delta_r, jet_from_taylor, tensor_weights
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,10 +68,6 @@ DEFAULT_GRID_STEP = 0.05
 
 
 class CliValidationError(ValueError):
-    pass
-
-
-class CliDegeneracyError(RuntimeError):
     pass
 
 
@@ -110,12 +103,15 @@ def _is_number(v) -> bool:
 
 
 def _bounded(v, where: str, path: str, above=None, below=None):
-    """v, after checking it is a JSON number strictly between `above` and `below`.
+    """v, after checking it is a finite JSON number strictly between `above` and `below`.
 
-    Either bound may be None.  As in JSON Schema, NaN passes both.
+    Either bound may be None.  Python's json reads NaN and ±Infinity as
+    floats; they are refused here.
     """
     if not _is_number(v):
         raise _invalid(where, path, f"{v!r} is not a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise _invalid(where, path, f"{v!r} is not a finite number")
     if above is not None and v <= above:
         raise _invalid(where, path, f"{v!r} is less than or equal to the minimum of {above!r}")
     if below is not None and v >= below:
@@ -350,7 +346,6 @@ def _check_config(config, args) -> dict:
                       "order": partial(_integer, minimum=0),
                       "ground_truth": signal},
                      ("spectrogram", "cover")),
-        "selftest": ({}, ()),
     }[args.command]
     return _fields(config, "config", "", checks, required)
 
@@ -553,60 +548,12 @@ def cmd_retrieve(config, args) -> ReportBundle:
     return bundle
 
 
-def cmd_selftest(config, args) -> ReportBundle:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    checks: list[tuple[str, bool]] = []
-
-    rule = gauss_rule(5, 1.0)
-    ok = abs(rule.weights.sum() - 2.0) < 1e-12
-    for p in range(0, 10):
-        exact = 0.0 if p % 2 else 2.0 / (p + 1)
-        ok = ok and abs(np.dot(rule.nodes**p, rule.weights) - exact) < 1e-12
-    checks.append(("gauss rule N=5 exactness", ok))
-
-    w = tensor_weights(1.0, 3).omega
-    checks.append(("tensor weights r=1", abs(w[0] - math.pi) < 1e-15 and abs(w[1] - math.pi / 2) < 1e-15))
-
-    jet_one = jet_from_taylor([1.0], 4)
-    jet_zero = jet_from_taylor([0.0], 4)
-    d = delta_r(jet_one, jet_zero, 1.0)
-    checks.append(("delta_r(1, 0) = pi^2", abs(d.delta_sq - math.pi**2) < 1e-12))
-
-    sig = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, -0.2),))
-    grid = Grid2D.from_bounds(-1.0, 1.0, -1.0, 1.0, 0.2)
-    fld_q = quadrature_gabor(sig, grid)
-    fld_c = mixture_field(sig, grid)
-    checks.append(("quadrature vs closed form",
-                   float(np.abs(fld_q.values - fld_c.values).max()) < 1e-8))
-
-    ok = True
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        wts = rng.uniform(0.2, 2.0, n)
-        sig_m = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
-        g = WeightedGraph(wts, sig_m + sig_m.T)
-        try:
-            cheeger_inequality_check(g)
-        except AssertionError:
-            ok = False
-    checks.append(("cheeger inequality random graphs", ok))
-
-    bundle = ReportBundle("selftest")
-    bundle.add_table("checks", ["check", "passed"], [(name, int(passed)) for name, passed in checks])
-    for name, passed in checks:
-        bundle.summary.append(f"{'PASS' if passed else 'FAIL'}: {name}")
-    if not all(passed for _, passed in checks):
-        raise CliDegeneracyError("selftest failed; see summary")
-    return bundle
-
-
 COMMANDS = {
     "transform": cmd_transform,
     "certify": cmd_certify,
     "sharpness": cmd_sharpness,
     "plan-sample": cmd_plan_sample,
     "retrieve": cmd_retrieve,
-    "selftest": cmd_selftest,
 }
 
 
@@ -618,14 +565,11 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None,
-                       help="JSON config file (optional for selftest)")
+        p.add_argument("--config", type=Path, required=True, help="JSON config file")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default ./out)")
         p.add_argument("--grid-step", type=float, default=None,
                        help="override the grid step of the config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized checks")
     return parser
 
 
@@ -633,18 +577,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
-        if args.command == "selftest" and args.config is None:
-            config = {}
-            args.base_dir = Path(".")
-        else:
-            if args.config is None:
-                raise CliValidationError(f"{args.command}: --config is required")
-            args.base_dir = args.config.parent
-            config = _load_json(args.config, "config")
-        if args.grid_step is not None and args.grid_step <= 0:
-            raise CliValidationError("--grid-step must be positive")
+        args.base_dir = args.config.parent
+        config = _load_json(args.config, "config")
+        if args.grid_step is not None and not 0 < args.grid_step < math.inf:
+            raise CliValidationError("--grid-step must be positive and finite")
         bundle = COMMANDS[args.command](_check_config(config, args), args)
-    except (CliDegeneracyError, DegenerateVertexError, DegenerateSquareError) as exc:
+    except (DegenerateVertexError, DegenerateSquareError) as exc:
         # before ValueError: both degeneracy errors of the numeric modules are ValueErrors
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY

@@ -27,20 +27,17 @@ from .gabor_engine import (
 __all__ = [
     "SquareCover",
     "WeightedGraph",
-    "ConnectivityReport",
     "StabilityCertificate",
     "DegenerateVertexError",
     "build_graph",
     "algebraic_connectivity",
     "cheeger_constant",
-    "cheeger_inequality_check",
     "certificate",
     "graph_edge_rows",
     "graph_vertex_rows",
 ]
 
 EXACT_CHEEGER_LIMIT = 20
-_CHEEGER_SLACK = 1e-9
 
 
 class DegenerateVertexError(ValueError):
@@ -119,15 +116,6 @@ class WeightedGraph:
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (i, j) of the edges sigma_ij > 0 with i < j, in row-major order."""
         return np.nonzero(np.triu(self.sigma > 0, 1))
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    lam: float
-    cheeger: float
-    cheeger_method: str
-    delta0: float
-    witness: frozenset
 
 
 @dataclass(frozen=True)
@@ -261,23 +249,6 @@ def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, fr
                 best_val, best_set = val, frozenset(int(i) for i in s)
         return best_val, best_set
     raise ValueError(f"unknown Cheeger method {method!r}")
-
-
-def cheeger_inequality_check(g: WeightedGraph) -> ConnectivityReport:
-    """Compute lambda, h, delta0 and assert 2h >= lambda >= h^2 / (2 delta0), to relative 1e-9."""
-    lam = algebraic_connectivity(g)
-    method = "exact" if g.n <= EXACT_CHEEGER_LIMIT else "spectral_sweep"
-    h, witness = cheeger_constant(g, method)
-    d0 = g.delta0()
-    slack = _CHEEGER_SLACK * max(lam, h, 1.0)
-    if method == "exact":
-        if not 2.0 * h >= lam - slack:
-            raise AssertionError(f"Cheeger upper bound violated: 2h={2*h} < lambda={lam}")
-        lower = 0.0 if d0 == 0.0 else h * h / (2.0 * d0)
-        if not lam >= lower - slack:
-            raise AssertionError(f"Cheeger lower bound violated: lambda={lam} < {lower}")
-    return ConnectivityReport(lam, h, "exact_enumeration" if method == "exact" else "spectral_sweep",
-                              d0, witness)
 
 
 def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,

@@ -1,5 +1,5 @@
 """The public surface: every module's __all__ resolves, the package re-exports
-only names some module lists, and names pruned from the API stay gone."""
+only names some module lists, and names pruned from the API and the CLI stay gone."""
 
 import importlib
 import inspect
@@ -8,10 +8,11 @@ import pkgutil
 import pytest
 
 import gaborcert
+from gaborcert.cli import main
 from gaborcert.cubature import legendre_lower_bound_check
 from gaborcert.gabor_engine import Grid2D
 from gaborcert.signal_model import GaussianMixtureSignal
-from gaborcert.stability_graph import SquareCover, cheeger_inequality_check
+from gaborcert.stability_graph import SquareCover
 from gaborcert.stitching import RetrievalResult, retrieve_phase
 from gaborcert.tensor_phase import LocalJet, local_phase_from_modulus
 
@@ -22,7 +23,8 @@ REMOVED = [
     "smoothness_growth_constant", "gamma_tail_constant", "delta_structural_bound",
     "cubature_error", "chawla_bound", "local_align", "LocalAlignment", "GlobalAlignment",
     "synchronize", "NoInformationError", "Square", "Region", "_union_fractions", "_region_rects",
-    "fock_value", "fock_derivatives",
+    "fock_value", "fock_derivatives", "cheeger_inequality_check", "ConnectivityReport",
+    "cmd_selftest", "CliDegeneracyError",
 ]
 
 
@@ -53,7 +55,20 @@ def test_removed_names_stay_removed():
     assert "side" not in inspect.signature(SquareCover).parameters
     assert not hasattr(SquareCover, "squares") and not hasattr(SquareCover, "region")
     for fn, option in ((retrieve_phase, "threshold"), (local_phase_from_modulus, "threshold"),
-                       (cheeger_inequality_check, "slack"),
                        (legendre_lower_bound_check, "samples")):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["selftest"], "invalid choice: 'selftest'"),
+    (["certify", "--config", "c.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["certify"], "the following arguments are required: --config"),
+], ids=["selftest", "seed", "no-config"])
+def test_removed_cli_surface_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -495,12 +495,6 @@ def test_retrieve_missing_csv(tmp_path):
     assert code == 2
 
 
-def test_selftest(tmp_path):
-    out = tmp_path / "self"
-    assert main(["selftest", "--out", str(out), "--seed", "1"]) == 0
-    assert "PASS" in (out / "summary.txt").read_text()
-
-
 def _without(payload, path):
     """Deep copy of payload without the key at dotted `path`."""
     out = json.loads(json.dumps(payload))
@@ -557,7 +551,19 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
     ("transform", _with_value(TRANSFORM, "signal", {"t0": 0.0}), "signal"),
     ("transform", _with_value(TRANSFORM, "signal", {"kind": "path", "path": "s.json"}), "signal"),
     ("retrieve", dict(RETRIEVE, ground_truth={"path": "s.json", "kind": "mixture"}), "ground_truth"),
-    ("selftest", {"seed": 1}, "(root)"),
+    ("transform", {"signal": dict(SAMPLED_SIGNAL, dt=math.inf), "grid": GRID}, "signal.dt"),
+    ("transform", {"signal": dict(SAMPLED_SIGNAL, dt=math.nan), "grid": GRID}, "signal.dt"),
+    ("transform", {"signal": dict(SAMPLED_SIGNAL, t0=-math.inf), "grid": GRID}, "signal.t0"),
+    ("transform", _with_value(TRANSFORM, "signal.atoms.0.shift", math.inf),
+     "signal.atoms.0.shift"),
+    ("transform", _with_value(TRANSFORM, "grid.xmax", math.nan), "grid.xmax"),
+    ("transform", _with_value(TRANSFORM, "grid.step", math.nan), "grid.step"),
+    ("certify", _with_value(CERTIFY, "cover.centers.1.0", -math.inf), "cover.centers.1.0"),
+    ("plan-sample", _with_value(PLAN, "square.cx", math.inf), "square.cx"),
+    ("plan-sample", _with_value(PLAN, "square.side", math.nan), "square.side"),
+    ("plan-sample", _with_value(PLAN, "epsilon", math.nan), "epsilon"),
+    ("sharpness", {"a_values": [1.0], "grid_step": math.inf}, "grid_step"),
+    ("sharpness", {"a_values": [math.nan, 1.0]}, "a_values.0"),
 ], ids=["missing-root-key", "missing-grid-key", "missing-square-key", "missing-sampled-key",
         "unexpected-root-key", "unexpected-grid-key", "unexpected-mixture-key", "root-not-object",
         "string-number", "true-number", "true-epsilon", "true-center", "centers-not-array",
@@ -565,7 +571,9 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
         "negative-step", "zero-dt", "negative-dt", "zero-side", "negative-side", "zero-a",
         "negative-a", "epsilon-half", "reference-n-9", "order-minus-1", "unknown-jet-source",
         "spectrogram-both-forms", "spectrogram-no-form", "signal-no-form", "signal-unknown-kind",
-        "path-signal-with-kind", "selftest-key"])
+        "path-signal-with-kind", "infinite-dt", "nan-dt", "minus-infinite-t0",
+        "infinite-atom-shift", "nan-grid-bound", "nan-step", "minus-infinite-center",
+        "infinite-cx", "nan-side", "nan-epsilon", "infinite-sharpness-step", "nan-a"])
 def test_malformed_config_names_field(tmp_path, capsys, command, payload, path):
     (tmp_path / "s.json").write_text(json.dumps(ATOM_MIXTURE))
     code, out = run(tmp_path, command, payload)
@@ -573,6 +581,22 @@ def test_malformed_config_names_field(tmp_path, capsys, command, payload, path):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: invalid field {path}: "), err
+
+
+@pytest.mark.parametrize("command, payload, step, error", [
+    ("transform", TRANSFORM, "inf", "error: --grid-step must be positive and finite\n"),
+    ("transform", TRANSFORM, "nan", "error: --grid-step must be positive and finite\n"),
+    ("sharpness", {"a_values": [1.0]}, "inf", "error: --grid-step must be positive and finite\n"),
+    ("sharpness", {"a_values": [1.0]}, "-0.05", "error: --grid-step must be positive and finite\n"),
+    # the option overrides the config's step, but the config is still checked whole
+    ("transform", _with_value(TRANSFORM, "grid.step", math.nan), "0.05",
+     "error: config: invalid field grid.step: nan is not a finite number\n"),
+], ids=["transform-inf", "transform-nan", "sharpness-inf", "sharpness-negative", "nan-config-step"])
+def test_bad_grid_step_option_exits_2(tmp_path, capsys, command, payload, step, error):
+    code, out = run(tmp_path, command, payload, extra=("--grid-step", step))
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == error
 
 
 @pytest.mark.parametrize("command, payload, key", [

@@ -16,7 +16,6 @@ from gaborcert import (
     build_graph,
     certificate,
     cheeger_constant,
-    cheeger_inequality_check,
     make_sharpness_pair,
     mixture_field,
     spectrogram,
@@ -162,22 +161,34 @@ def test_spectral_sweep_upper_bounds_exact():
             assert h_sweep <= 2.0 * math.sqrt(2.0 * g.delta0() * lam) + 1e-9
 
 
+def assert_cheeger_inequality(g):
+    """lambda, h and delta0 of g, after asserting 2h >= lambda >= h^2 / (2 delta0).
+
+    h is found by exact enumeration, and both sides hold to 1e-9 max(lambda, h, 1).
+    """
+    lam = algebraic_connectivity(g)
+    h, _ = cheeger_constant(g, "exact")
+    d0 = g.delta0()
+    slack = 1e-9 * max(lam, h, 1.0)
+    assert 2.0 * h >= lam - slack, (h, lam)
+    lower = 0.0 if d0 == 0.0 else h * h / (2.0 * d0)
+    assert lam >= lower - slack, (lam, lower)
+    return lam, h, d0
+
+
 def test_cheeger_inequality_check():
-    report = cheeger_inequality_check(two_vertex_graph(s=0.7))
-    assert report.cheeger_method == "exact_enumeration"
-    assert 2 * report.cheeger >= report.lam >= report.cheeger**2 / (2 * report.delta0) - 1e-9
-    disconnected = WeightedGraph(np.ones(3), np.zeros((3, 3)))
-    rep = cheeger_inequality_check(disconnected)
-    assert rep.lam == pytest.approx(0.0, abs=1e-12)
-    assert rep.cheeger == 0.0
+    lam, h, d0 = assert_cheeger_inequality(two_vertex_graph(s=0.7))
+    assert 2 * h >= lam >= h**2 / (2 * d0) - 1e-9
+    lam, h, _ = assert_cheeger_inequality(WeightedGraph(np.ones(3), np.zeros((3, 3))))
+    assert lam == pytest.approx(0.0, abs=1e-12)
+    assert h == 0.0
 
 
 def test_cheeger_inequality_random_instances():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        g = random_graph(rng)
-        report = cheeger_inequality_check(g)
-        assert report.delta0 >= 0.0
+        _, _, d0 = assert_cheeger_inequality(random_graph(rng))
+        assert d0 >= 0.0
 
 
 def test_scaling_edge_weights_scales_connectivity():
