@@ -5,7 +5,7 @@ against the command's table of allowed keys before any computation; every
 number in it must be finite.  Outputs are a summary, CSV tables with shortest
 round-trip number formatting (byte-identical across runs for identical
 inputs), and a metadata file.  Exit codes: 0 success (warnings allowed),
-2 validation failure, 3 numerical degeneracy, 4 I/O failure.
+2 validation failure, 3 numerical degeneracy or overflow, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -24,9 +24,12 @@ import numpy as np
 
 from . import __version__
 from .gabor_engine import (
+    _CSV_CHUNK,
+    _FIELD_MASK,
     Grid2D,
     SampledSignal,
     SpectrogramField,
+    _float_fields,
     mixture_field,
     quadrature_gabor,
     read_field_csv,
@@ -69,6 +72,17 @@ DEFAULT_GRID_STEP = 0.05
 
 class CliValidationError(ValueError):
     pass
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A computed field or summary number overflowed to inf or nan."""
+
+
+def _finite(value, what: str):
+    """value (a number or an array), after checking that all of it is finite."""
+    if np.isfinite(value).all():
+        return value
+    raise NonFiniteResultError(f"{what} is not finite (overflow)")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +200,7 @@ def _fields(obj, where: str, path: str, checks: dict, required: tuple) -> dict:
 def _sample_pairs(samples, where: str, path: str) -> np.ndarray:
     """The samples as a complex array, after checking each is a [re, im] pair.
 
-    A pair is a list of exactly two numbers, each of which a float can hold.
+    A pair is a list of exactly two finite numbers that a float can hold.
     When every entry is a list of two ints or floats, the array comes from
     one conversion; otherwise a scan names the first bad entry as
     `<path>.<k>`.
@@ -199,14 +213,16 @@ def _sample_pairs(samples, where: str, path: str) -> np.ndarray:
                                and _is_number(pair[0]) and _is_number(pair[1])))
         raise _invalid(where, f"{path}.{k}", f"{pair!r} is not a [re, im] pair of numbers")
     try:
-        # an (n, 2) float array is the (n, 1) complex array of its rows
-        return np.array(samples, dtype=float).view(complex)[:, 0]
+        pairs = np.array(samples, dtype=float)
     except OverflowError:
-        # name the first pair that a float cannot hold
+        pairs = None
+    if pairs is None or not np.isfinite(pairs).all():
+        # name the first pair that is not finite or that a float cannot hold
         for k, (re, im) in enumerate(samples):
             _number(re, where, f"{path}.{k}")
             _number(im, where, f"{path}.{k}")
-        raise
+    # an (n, 2) float array is the (n, 1) complex array of its rows
+    return pairs.view(complex)[:, 0]
 
 
 _ATOM_KEYS = ("re", "im", "shift", "modulation")
@@ -310,8 +326,15 @@ def _cover(obj, where: str, path: str) -> SquareCover:
     return SquareCover(_fields(obj, where, path, {"centers": _centers}, ("centers",))["centers"])
 
 
+def _a_value(a, where: str, path: str) -> float:
+    a = _positive(a, where, path)
+    if a > 3.0:
+        raise _invalid(where, path, f"{a!r} is greater than the maximum of 3.0")
+    return a
+
+
 def _a_values(values, where: str, path: str) -> list[float]:
-    return [_positive(a, where, f"{path}.{k}") for k, a in enumerate(_items(values, where, path))]
+    return [_a_value(a, where, f"{path}.{k}") for k, a in enumerate(_items(values, where, path))]
 
 
 def _spectrogram(obj, where: str, path: str, signal, grid) -> dict:
@@ -372,16 +395,21 @@ class ReportBundle:
     def add_table(self, name: str, header: list[str], rows) -> None:
         self.tables[name] = (header, list(rows))
 
+    def add_field(self, name: str, fld: SpectrogramField) -> None:
+        _finite(fld.values, f"{name} field")
+        self.fields[name] = fld
+
     def write(self, outdir: Path) -> None:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "config_echo.json").write_text(
             json.dumps(self.config_echo, indent=2, sort_keys=True) + "\n"
         )
         for name, (header, rows) in self.tables.items():
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(_format_cell(c) for c in row))
-            (outdir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            with open(outdir / f"{name}.csv", "w", newline="\n") as fh:
+                fh.write(",".join(header) + "\n")
+                for start in range(0, len(rows), _CSV_CHUNK):
+                    columns = map(_column_text, zip(*rows[start:start + _CSV_CHUNK]))
+                    fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
         for name, fld in self.fields.items():
             write_field_csv(fld, outdir / f"{name}.csv")
         text = [f"command: {self.command}"] + self.summary
@@ -392,12 +420,15 @@ class ReportBundle:
         (outdir / "meta.json").write_text(json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
 
 
-def _format_cell(c) -> str:
-    if isinstance(c, (float, np.floating)):
-        return repr(float(c))
-    if isinstance(c, (int, np.integer)):
-        return str(int(c))
-    return str(c)
+def _column_text(cells) -> list[str]:
+    """A table column as text: floats as repr's bytes from one _float_fields call,
+    integers in decimal, anything else by str."""
+    is_float = [isinstance(c, (float, np.floating)) for c in cells]
+    if any(is_float):
+        chars, lens = _float_fields([c for c, f in zip(cells, is_float) if f])
+        floats = iter(chars[_FIELD_MASK[lens]].tobytes().decode().split(","))
+    return [next(floats) if f else str(int(c)) if isinstance(c, (int, np.integer)) else str(c)
+            for c, f in zip(cells, is_float)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +439,20 @@ def cmd_transform(config, args) -> ReportBundle:
     fld = _field_for(config["signal"], grid)
     spec = spectrogram(fld)
     bundle = ReportBundle("transform")
-    bundle.fields["gabor"] = fld
-    bundle.fields["spectrogram"] = spec
+    bundle.add_field("gabor", fld)
+    bundle.add_field("spectrogram", spec)
+    mass = _finite(float(spec.values.sum() * grid.dx * grid.dy), "spectrogram mass")
     bundle.summary.append(f"grid: {grid.nx} x {grid.ny} points, step {grid.dx}")
-    bundle.summary.append(f"max |field|: {np.abs(fld.values).max()!r}")
-    bundle.summary.append(f"spectrogram mass (cell sum): {spec.values.sum() * grid.dx * grid.dy!r}")
+    bundle.summary.append(f"max |field|: {float(np.abs(fld.values).max())!r}")
+    bundle.summary.append(f"spectrogram mass (cell sum): {mass!r}")
     return bundle
 
 
 def cmd_certify(config, args) -> ReportBundle:
     grid = config["grid"]
-    spec_f = spectrogram(_field_for(config["signal_f"], grid))
-    spec_g = spectrogram(_field_for(config["signal_g"], grid))
+    spec_f, spec_g = (spectrogram(_field_for(config[name], grid)) for name in ("signal_f", "signal_g"))
+    _finite(spec_f.values, "signal_f spectrogram")
+    _finite(spec_g.values, "signal_g spectrogram")
     cert = certificate(spec_f, spec_g, config["cover"])
     bundle = ReportBundle("certify")
     bundle.add_table("certificate", ["quantity", "value"],
@@ -436,8 +469,6 @@ def cmd_certify(config, args) -> ReportBundle:
 
 def cmd_sharpness(config, args) -> ReportBundle:
     a_values = config["a_values"]
-    if any(a > 3.0 for a in a_values):
-        raise CliValidationError("a_values: entries must lie in (0, 3]")
     step = args.grid_step
     if step is None:
         step = _number(config.get("grid_step", 0.02), "config", "grid_step")
@@ -465,7 +496,7 @@ def cmd_plan_sample(config, args) -> ReportBundle:
         raise CliValidationError("plan-sample requires mixture signals (closed-form evaluation)")
     s = 0.5 * square["side"]
     center = (square["cx"], square["cy"])
-    kappa = l2_norm(sig_f) ** 2 + l2_norm(sig_g) ** 2
+    kappa = _finite(l2_norm(sig_f) ** 2 + l2_norm(sig_g) ** 2, "kappa (signal energy)")
     plan = plan_sampling(config["epsilon"], s, kappa, center)
 
     def spec_diff(x, y):
@@ -484,9 +515,8 @@ def cmd_plan_sample(config, args) -> ReportBundle:
     continuum = math.sqrt(exact)
 
     bundle = ReportBundle("plan-sample")
-    node_rows = [(float(p[0]), float(p[1]), float(w))
-                 for p, w in zip(plan.rule.points, plan.rule.weights)]
-    bundle.add_table("nodes", ["x", "y", "w"], node_rows)
+    bundle.add_table("nodes", ["x", "y", "w"],
+                     np.column_stack([plan.rule.points, plan.rule.weights]).tolist())
     bundle.add_table("plan", ["quantity", "value"], [
         ("N", float(plan.n)),
         ("node_count", float(plan.n ** 2)),
@@ -521,6 +551,7 @@ def cmd_retrieve(config, args) -> ReportBundle:
         sig = spec_cfg["signal"]
         fld = _field_for(sig, spec_cfg["grid"])
         spec = spectrogram(fld)
+        _finite(spec.values, "spectrogram")
         if truth is None and isinstance(sig, GaussianMixtureSignal):
             # the oracle is the mixture's own field, on the grid of the result
             truth, ref = sig, fld
@@ -531,7 +562,7 @@ def cmd_retrieve(config, args) -> ReportBundle:
         raise CliValidationError("analytic jets require a mixture signal or ground_truth")
     result = retrieve_phase(spec, cover, jet_source, order, signal=truth)
     bundle = ReportBundle("retrieve")
-    bundle.fields["retrieved"] = result.field
+    bundle.add_field("retrieved", result.field)
     bundle.summary.append(f"components: {len(result.components)}")
     bundle.warnings.extend(result.warnings)
     if truth is not None:
@@ -582,7 +613,7 @@ def main(argv=None) -> int:
         if args.grid_step is not None and not 0 < args.grid_step < math.inf:
             raise CliValidationError("--grid-step must be positive and finite")
         bundle = COMMANDS[args.command](_check_config(config, args), args)
-    except (DegenerateVertexError, DegenerateSquareError) as exc:
+    except (DegenerateVertexError, DegenerateSquareError, NonFiniteResultError) as exc:
         # before ValueError: both degeneracy errors of the numeric modules are ValueErrors
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY

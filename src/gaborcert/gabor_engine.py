@@ -11,7 +11,7 @@ rectangles are integrated over their set union, counted once.
 from __future__ import annotations
 
 import csv
-import itertools
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -445,27 +445,139 @@ def union_area(rects) -> float:
     return float(np.diff(xs) @ (count > 0) @ np.diff(ys))
 
 
+# Shortest round-trip decimals of float64 arrays, vectorised: Schubfach (R. Giulietti, "The
+# Schubfach way to render doubles", 2020) gives repr(float)'s digits.  A number's source bytes
+# are 0 ",", 1 "-", 2 ".", 3..19 its 17 digits, 20 "0", 21 "e", 22 "i", 23 "n", 24..27 its
+# exponent, 28 "f", 29 "a".
+_WIDTH = 25  # "-1.2345678901234567e-308" and its separator
+_M30 = (1 << 30) - 1
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_INF = 0x7FF0000000000000  # the bits of inf; larger magnitudes are NaNs
+_FIELD_MASK = np.arange(_WIDTH) <= np.arange(_WIDTH)[:, None]  # row l: the first l + 1 bytes
+_CSV_CHUNK = 2048  # rows per chunk of a CSV write
+
+
+def _layout(neg: int, n: int, col: int) -> list[int]:
+    """Source bytes of repr for a sign, n significant digits and a column, padded with 0:
+    col - 3 places the point (1e-4 <= |x| < 1e16), 20 and 21 are d.ddde+XX and d.ddde+XXX,
+    22 and 23 are inf and nan (which has no sign)."""
+    digits, point = list(range(3, 3 + n)), col - 3
+    if col >= 22:
+        neg, body = neg * (col == 22), [[22, 23, 28], [23, 29, 23]][col - 22]
+    elif col >= 20:
+        body = digits[:1] + [2] * (n > 1) + digits[1:] + [21] + list(range(24, col + 7))
+    elif point <= 0:
+        body = [20, 2] + [20] * -point + digits
+    else:
+        body = digits[:point] + [20] * (point - n) + [2] + (digits[point:] or [20])
+    return ([1] * neg + body + [0] * _WIDTH)[:_WIDTH]
+
+
+@functools.cache
+def _repr_tables() -> tuple[np.ndarray, ...]:
+    """Tables of _float_fields, built on first use to keep imports light: g = floor(10^e
+    2^(125 - floor(log2 10^e))) + 1 for e = -292..324 in 30-bit limbs; "0000".."9999", their
+    trailing zeros; exponents "-324".."+308"; layouts by (sign, digits, column), lengths."""
+    g = np.array([[g >> (30 * i) & _M30 for i in range(5)] for g in (
+        ((10 ** max(e, 0) << max(sh, 0)) >> max(-sh, 0)) // 10 ** max(-e, 0) + 1
+        for e in range(-292, 325) for sh in [125 - ((e * 913124641741) >> 38)])]).T.copy()
+    digits4 = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48).copy().view(np.uint32)
+    trailing4 = sum(np.arange(10000, dtype=np.int16) % 10 ** j == 0 for j in range(1, 5))
+    exponent = np.frombuffer(b"".join(b"%+03d\0" % e if abs(e) < 100 else b"%+d" % e
+                                      for e in range(-324, 309)), dtype=np.uint32)
+    layout = np.array([_layout(neg, n, col) for neg in (0, 1) for n in range(1, 18)
+                       for col in range(24)], dtype=np.int32)
+    return g, digits4[:, 0], trailing4, exponent, layout, np.count_nonzero(layout, axis=1)
+
+
+def _shortest_decimal(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k): f 10^k is the shortest decimal reading back as each positive finite double.
+
+    `mag` holds the bits.  Of the shortest decimals in the rounding interval (closed for an
+    even significand) the closest is taken, ties to even, as repr does.  Schubfach's products
+    g c 2^h / 2^127 for the value and both interval ends are exact sums of 30-bit limb
+    products; rounding to odd keeps bits 64..126 as the sticky bit."""
+    bq, t = mag >> 52, mag & ((1 << 52) - 1)
+    c, q = t | ((bq > 0) << 52), np.maximum(bq, 1) - 1075
+    irregular = (t == 0) & (bq > 1)  # a power of two: the lower neighbour is half as far
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
+    h = q + ((-k * 913124641741) >> 38) + 2
+    g = _repr_tables()[0].take(292 - k, axis=1)
+    cp, step = c << (h + 2), np.int64(1) << (h + 1)
+    low = (cp & _M30) + np.stack([0 * step, step, -(step >> irregular)])  # of the 3 multipliers
+    lo, hi = g[:, None, :] * low, g * (cp >> 30)
+    acc = lo[2] + hi[1] + ((lo[1] + hi[0] + (lo[0] >> 30)) >> 30)
+    sticky = (acc >> 4) & ((1 << 26) - 1)
+    for limb, bits in ((3, _M30), (4, 127)):
+        acc = lo[limb] + hi[limb - 1] + (acc >> 30)
+        sticky |= acc & bits
+    vb, vbr, vbl = ((acc >> 7) + (hi[4] << 23)) | (sticky != 0)
+    odd, s = c & 1, vb >> 2
+    s10 = s // 10 * 10  # a multiple of 10^(k+1) in the interval is the one shortest candidate
+    u10, w10 = vbl + odd <= s10 << 2, ((s10 + 10) << 2) + odd <= vbr
+    u, w = vbl + odd <= s << 2, ((s + 1) << 2) + odd <= vbr
+    nearer_t = vb - 4 * s - 2 + (s & 1) > 0  # t = s + 1 is nearer, or as near and s is odd
+    up = np.where(u != w, w, nearer_t)
+    return np.where(u10 != w10, s10 + 10 * w10, s + up), k
+
+
+def _float_fields(x) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of repr(float(v)) for each v of a float64 array: chars (m, 25), each repr
+    left-aligned and "," after it, and the lengths.  Finite nonzero values get 17 digits from
+    _shortest_decimal; every value is laid out by sign, digit count and decimal exponent, a
+    zero as the one digit 0 with the point after it."""
+    bits = np.ascontiguousarray(x, dtype=float).ravel().view(np.int64)
+    mag = bits & ((1 << 63) - 1)
+    num = (mag != 0) & (mag < _INF)
+    _, digits4, trailing4, exponent, layout, length = _repr_tables()
+    f, point = np.zeros(len(bits), dtype=np.int64), np.ones(len(bits), dtype=np.int64)
+    f[num], k = _shortest_decimal(mag[num])
+    nd = np.searchsorted(_POW10, f, side="right")
+    f *= _POW10[17 - nd]
+    point[num] = k + nd[num]
+    d0, rest = np.divmod(f, 10 ** 16)
+    groups = np.empty((4, len(f)), dtype=np.int64)
+    groups[0], groups[1] = np.divmod(rest // 10 ** 8, 10000)
+    groups[2], groups[3] = np.divmod(rest % 10 ** 8, 10000)
+    src = np.empty((len(f), 8), dtype=np.uint32)
+    src[:, 0] = (d0 << 24) | 0x302E2D2C
+    src[:, 1:5] = digits4[groups.T]
+    src[:, 5] = 0x6E696530
+    src[:, 6] = exponent[point + 323]
+    src[:, 7] = 0x6166
+    n = 5 - trailing4[groups[0]]
+    for j in (1, 2, 3):
+        n = np.where(groups[j] != 0, 4 * j + 5 - trailing4[groups[j]], n)
+    col = np.where((point > -4) & (point <= 16), point + 3, 20 + (np.abs(point - 1) >= 100))
+    col = np.where(mag >= _INF, 22 + (mag > _INF), col)
+    key = ((bits < 0) * 17 + n - 1) * 24 + col
+    idx = layout.take(key, axis=0)
+    idx += np.arange(0, 32 * len(f), 32, dtype=np.int32)[:, None]
+    return src.view(np.uint8).ravel().take(idx), length[key]
+
+
 def write_field_csv(fld: SpectrogramField, path) -> None:
     """CSV export: header x,y,re,im for transform fields, x,y,s for spectrograms.
 
-    One row per grid point in x-major order, every number as repr(float)
-    (shortest round trip), "\\n" line ends.  Each grid coordinate is
-    formatted once: the x column repeats each x string ny times and the
-    y column is the list of y strings repeated nx times.  Rows are joined
-    and written one at a time, so no whole-file string is built.
+    One row per grid point in x-major order, every number as the bytes of repr(float),
+    "\\n" line ends.  Grid coordinates are formatted once; rows are formatted and written
+    _CSV_CHUNK at a time, all value columns of a chunk in one _float_fields call.
     """
     grid = fld.grid
-    xs = map(repr, grid.xs().tolist())
-    ys = list(map(repr, grid.ys().tolist()))
-    if fld.kind == GABOR:
-        header, cols = "x,y,re,im", (fld.values.real, fld.values.imag)
-    else:
-        header, cols = "x,y,s", (fld.values,)
-    x_col = itertools.chain.from_iterable(map(itertools.repeat, xs, itertools.repeat(grid.ny)))
-    rows = map(",".join, zip(x_col, ys * grid.nx, *(map(repr, c.ravel().tolist()) for c in cols)))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row + "\n" for row in rows)
+    values = np.ascontiguousarray(fld.values).view(float).reshape(grid.nx * grid.ny, -1)
+    (x_chars, x_lens), (y_chars, y_lens) = _float_fields(grid.xs()), _float_fields(grid.ys())
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,re,im\n" if fld.kind == GABOR else b"x,y,s\n")
+        for start in range(0, len(values), _CSV_CHUNK):
+            block = values[start:start + _CSV_CHUNK]
+            ix, iy = np.divmod(np.arange(start, start + len(block)), grid.ny)
+            chars, lens = _float_fields(block)
+            row = np.concatenate([x_chars[ix, None], y_chars[iy, None],
+                                  chars.reshape(len(block), -1, _WIDTH)], axis=1)
+            lens = np.concatenate([x_lens[ix, None], y_lens[iy, None],
+                                   lens.reshape(len(block), -1)], axis=1)
+            row[np.arange(len(block)), -1, lens[:, -1]] = ord("\n")  # the last field's ","
+            fh.write(row[_FIELD_MASK[lens]])
 
 
 def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:

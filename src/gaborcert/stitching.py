@@ -115,11 +115,11 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     The squares' index windows and exact coverage come from one stacked
     pass, zero-padded to the widest window, and the degeneracy test is one
-    pass over that stack.  Local fields are evaluated square by square on
-    their covered cells into one padded array, overlaps are aligned in
-    groups of equal shared-window shape, and stitching adds each square's
-    slice of the stack.  Memory is O(N^2 + n w^2) for an N x N grid and n
-    windows of at most w x w cells.
+    pass over that stack.  Local fields get their Gaussian factor for blocks
+    of squares at once and their jet polynomials square by square; overlaps
+    are aligned in groups of equal shared-window shape, and stitching adds
+    each square's slice of the stack.  Memory is O(N^2 + n w^2) for an N x N
+    grid and n windows of at most w x w cells.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("retrieve_phase expects a spectrogram field")
@@ -153,16 +153,23 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
             else jet_from_field(spec, (xs[i], ys[j]), min(order, 4)) for i, j in nodes.astype(int)]
 
     # local recovery on each square's covered cells: at w = x - i y,
-    # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre
+    # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre;
+    # the Gaussian factor for blocks of squares of at most _BLOCK_CELLS / 4 stacked cells
     locals_ = np.zeros(cov.shape, dtype=complex)
-    for k, jet in enumerate(jets):
-        a, b = np.nonzero(covered[k])
-        px, py = xs[rows[k, a]], ys[cols[k, b]]
+    centers = np.array([jet.center for jet in jets])
+    per_block = max(1, _BLOCK_CELLS // 4 // covered[0].size)
+    for first in range(0, n, per_block):
+        sq, a, b = np.nonzero(covered[first:first + per_block])
+        sq += first
+        px, py, c = xs[start[0][sq] + a], ys[start[1][sq] + b], centers[sq]
         w_pts = px - 1j * py
-        u = w_pts - jet.center
-        gauss = np.exp(1j * np.pi * ((np.conj(jet.center) * u).imag - px * py)
+        u = w_pts - c
+        gauss = np.exp(1j * np.pi * ((np.conj(c) * u).imag - px * py)
                        - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
-        locals_[k, a, b] = local_phase_from_modulus(jet, w_pts) * gauss
+        ends = np.searchsorted(sq, np.arange(first, first + per_block + 1)).tolist()
+        for jet, lo, hi in zip(jets[first:], ends, ends[1:]):
+            np.multiply(local_phase_from_modulus(jet, w_pts[lo:hi]), gauss[lo:hi], out=gauss[lo:hi])
+        locals_[sq, a, b] = gauss
 
     # relative multipliers on overlaps, then spanning-tree propagation
     ei, ej = graph.edges()

@@ -219,6 +219,23 @@ def field_csv_bytes(fld) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
+def table_csv_bytes(header, rows) -> bytes:
+    """Expected bytes of a report table CSV, formatted cell by cell.
+
+    Floats as repr(float), integers in decimal and anything else by str,
+    "," between cells and "\n" line ends.
+    """
+    def cell(c):
+        if isinstance(c, (float, np.floating)):
+            return repr(float(c))
+        if isinstance(c, (int, np.integer)):
+            return str(int(c))
+        return str(c)
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def build_graph_per_pair(spec, cover):
     """Cover graph with one single-union rect_union_norm call per overlapping pair.
 

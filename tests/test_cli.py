@@ -18,11 +18,13 @@ from gaborcert import (
     spectrogram,
 )
 from gaborcert.cli import _sample_pairs, main
+from gaborcert.cubature import plan_sampling
 from gaborcert.gabor_engine import SampledSignal, quadrature_gabor, read_field_csv
-from gaborcert.stability_graph import SquareCover
+from gaborcert.signal_model import l2_norm
+from gaborcert.stability_graph import SquareCover, certificate, graph_edge_rows, graph_vertex_rows
 from gaborcert.stitching import retrieve_phase
 
-from oracles import field_csv_bytes, sharpness_strip
+from oracles import field_csv_bytes, sharpness_strip, table_csv_bytes
 
 ATOM_MIXTURE = {"kind": "mixture",
                 "atoms": [{"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}]}
@@ -507,6 +509,7 @@ def _without(payload, path):
 
 
 TRANSFORM = {"signal": ATOM_MIXTURE, "grid": GRID}
+TRANSFORM_HUGE = _with_value(TRANSFORM, "signal.atoms.0.re", 1e308)
 CERTIFY = {"signal_f": ATOM_MIXTURE, "signal_g": ATOM_MIXTURE, "cover": TWO_SQUARES, "grid": GRID}
 PLAN = {"epsilon": 0.25, "square": {"cx": 0.0, "cy": 0.0, "side": 1.0},
         "signal_f": SHARP_F, "signal_g": SHARP_G, "reference_n": 60}
@@ -564,6 +567,9 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
     ("plan-sample", _with_value(PLAN, "epsilon", math.nan), "epsilon"),
     ("sharpness", {"a_values": [1.0], "grid_step": math.inf}, "grid_step"),
     ("sharpness", {"a_values": [math.nan, 1.0]}, "a_values.0"),
+    ("transform", {"signal": _sampled([[1.0, 0.0], [math.nan, 0.0]]), "grid": GRID},
+     "signal.samples.1"),
+    ("sharpness", {"a_values": [1.0, 3.5]}, "a_values.1"),
 ], ids=["missing-root-key", "missing-grid-key", "missing-square-key", "missing-sampled-key",
         "unexpected-root-key", "unexpected-grid-key", "unexpected-mixture-key", "root-not-object",
         "string-number", "true-number", "true-epsilon", "true-center", "centers-not-array",
@@ -573,7 +579,8 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
         "spectrogram-both-forms", "spectrogram-no-form", "signal-no-form", "signal-unknown-kind",
         "path-signal-with-kind", "infinite-dt", "nan-dt", "minus-infinite-t0",
         "infinite-atom-shift", "nan-grid-bound", "nan-step", "minus-infinite-center",
-        "infinite-cx", "nan-side", "nan-epsilon", "infinite-sharpness-step", "nan-a"])
+        "infinite-cx", "nan-side", "nan-epsilon", "infinite-sharpness-step", "nan-a",
+        "nan-sample", "a-above-3"])
 def test_malformed_config_names_field(tmp_path, capsys, command, payload, path):
     (tmp_path / "s.json").write_text(json.dumps(ATOM_MIXTURE))
     code, out = run(tmp_path, command, payload)
@@ -597,6 +604,45 @@ def test_bad_grid_step_option_exits_2(tmp_path, capsys, command, payload, step, 
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == error
+
+
+def _mixture(payload) -> GaussianMixtureSignal:
+    return GaussianMixtureSignal(tuple(GaussianAtom(complex(a["re"], a["im"]), a["shift"],
+                                                    a["modulation"]) for a in payload["atoms"]))
+
+
+def test_report_tables_match_cellwise_format(tmp_path):
+    # every table cell as repr(float), str(int) or str, as written cell by cell
+    code, out = run(tmp_path, "plan-sample", PLAN, "out_p")
+    assert code == 0
+    f, g = _mixture(SHARP_F), _mixture(SHARP_G)
+    plan = plan_sampling(PLAN["epsilon"], 0.5, l2_norm(f) ** 2 + l2_norm(g) ** 2, (0.0, 0.0))
+    nodes = [(float(x), float(y), float(w)) for (x, y), w in zip(plan.rule.points, plan.rule.weights)]
+    assert (out / "nodes.csv").read_bytes() == table_csv_bytes(["x", "y", "w"], nodes)
+    payload = {"signal_f": SHARP_F, "signal_g": SHARP_G, "cover": TWO_SQUARES, "grid": GRID}
+    code, out = run(tmp_path, "certify", payload, "out_c")
+    assert code == 0
+    grid = Grid2D.from_bounds(-1.0, 1.0, -1.0, 1.0, 0.05)
+    cert = certificate(spectrogram(mixture_field(f, grid)), spectrogram(mixture_field(g, grid)),
+                       SquareCover(tuple(map(tuple, TWO_SQUARES["centers"]))))
+    for name, header, rows in (("certificate", ["quantity", "value"], cert.rows()),
+                               ("vertices", ["i", "w"], graph_vertex_rows(cert.graph)),
+                               ("edges", ["i", "j", "sigma"], graph_edge_rows(cert.graph))):
+        assert (out / f"{name}.csv").read_bytes() == table_csv_bytes(header, rows), name
+
+
+@pytest.mark.parametrize("command, payload, what", [
+    ("transform", _with_value(TRANSFORM_HUGE, "grid.step", 0.5), "spectrogram field"),
+    ("transform", _with_value(TRANSFORM_HUGE, "signal.atoms.0.re", 1e154), "spectrogram mass"),
+    ("certify", dict(CERTIFY, signal_g=TRANSFORM_HUGE["signal"]), "signal_g spectrogram"),
+    ("plan-sample", dict(PLAN, signal_f=TRANSFORM_HUGE["signal"]), "kappa (signal energy)"),
+], ids=["transform-field", "transform-mass", "certify", "plan-sample"])
+def test_overflow_exits_3_naming_what(tmp_path, capsys, command, payload, what):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, command, payload)
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.endswith(f"numerical degeneracy: {what} is not finite (overflow)\n")
 
 
 @pytest.mark.parametrize("command, payload, key", [

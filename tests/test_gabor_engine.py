@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborcert import (
     GABOR,
@@ -22,6 +24,8 @@ from gaborcert import (
 )
 from gaborcert.gabor_engine import (
     _BLOCK_BYTES,
+    _CSV_CHUNK,
+    _float_fields,
     _uniform_axis,
     coverage_fractions,
     read_field_csv,
@@ -329,6 +333,47 @@ def test_field_csv_roundtrip(tmp_path):
         # array_equal cannot see the sign of a zero; the rewritten bytes can
         write_field_csv(back, rewritten)
         assert rewritten.read_bytes() == path.read_bytes()
+
+
+def _field_texts(values) -> list[str]:
+    """The reprs _float_fields gives, after checking that each field is "," from its length on."""
+    chars, lens = _float_fields(values)
+    assert chars.shape == (len(lens), 25)
+    assert ((chars == ord(",")) | (np.arange(25) < lens[:, None])).all()
+    return [bytes(row[:n]).decode() for row, n in zip(chars, lens)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_float_fields_match_repr_on_bit_patterns(words):
+    # any float64, NaN payloads and both signs of zero and infinity included
+    values = np.array(words, dtype=np.uint64).view(float)
+    assert _field_texts(values) == [repr(v) for v in values.tolist()]
+
+
+def test_float_fields_match_repr_at_edges():
+    # signed zeros, the smallest and largest subnormals, every power of 2 and of 10 with its
+    # neighbours, and 64 neighbours each side of the positional/exponent switches 1e-4 and 1e16
+    powers = np.array([2.0 ** e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)])
+    switches = (np.array([1e-4, 1e16]).view(np.int64)[:, None] + np.arange(-64, 65)).view(float)
+    subnormal = np.concatenate([np.arange(1, 4097), (1 << 52) - np.arange(1, 4097)]).view(float)
+    values = np.concatenate([[0.0, math.inf, math.nan], powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, math.inf), switches.ravel(), subnormal])
+    values = np.concatenate([values, -values])
+    assert _field_texts(values) == [repr(v) for v in values.tolist()]
+
+
+def test_field_csv_chunks_match_cellwise_format(tmp_path):
+    # a chunk boundary inside an x row, the last chunk short, zeros among the values
+    grid = Grid2D(-1.0, 0.5, 0.01, 0.3, 2 * _CSV_CHUNK // 7 + 3, 7)
+    rng = np.random.default_rng(3)
+    parts = rng.standard_normal((2, grid.nx, grid.ny)) * 10.0 ** rng.integers(-8, 20, (2, grid.nx, grid.ny))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    path = tmp_path / "field.csv"
+    for fld in (SpectrogramField(grid, parts[0] + 1j * parts[1], GABOR),
+                SpectrogramField(grid, np.abs(parts[0]), SPECTROGRAM)):
+        write_field_csv(fld, path)
+        assert path.read_bytes() == field_csv_bytes(fld)
 
 
 def test_field_validation():
