@@ -48,7 +48,6 @@ from .cubature import (
     SamplingPlan,
     discrete_weighted_norm,
     gauss_rule,
-    legendre_lower_bound_check,
     plan_sampling,
     product_rule,
     spectro_error_bound,

@@ -5,7 +5,7 @@ against the command's table of allowed keys before any computation; every
 number in it must be finite.  Outputs are a summary, CSV tables with shortest
 round-trip number formatting (byte-identical across runs for identical
 inputs), and a metadata file.  Exit codes: 0 success (warnings allowed),
-2 validation failure, 3 numerical degeneracy or overflow, 4 I/O failure.
+2 validation failure, 3 numerical degeneracy, overflow or underflow, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class CliValidationError(ValueError):
 
 class NonFiniteResultError(ArithmeticError):
     """A computed field or summary number overflowed to inf or nan."""
+
+
+class ZeroFieldError(ArithmeticError):
+    """The field of a nonzero signal is zero at every grid point (underflow)."""
 
 
 def _finite(value, what: str):
@@ -435,13 +439,22 @@ def _column_text(cells) -> list[str]:
 # commands
 
 def cmd_transform(config, args) -> ReportBundle:
-    grid = config["grid"]
-    fld = _field_for(config["signal"], grid)
-    spec = spectrogram(fld)
+    grid, signal = config["grid"], config["signal"]
+    # numpy's warnings are silenced because every result is checked: what
+    # overflowed is not finite, and a field that underflowed is all zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        fld = _field_for(signal, grid)
+        spec = spectrogram(fld)
+        mass = float(spec.values.sum() * grid.dx * grid.dy)
+    nonzero = signal.samples.any() if isinstance(signal, SampledSignal) else \
+        any(a.amplitude for a in signal.atoms)
+    if nonzero and not fld.values.any():
+        raise ZeroFieldError("gabor field of a nonzero signal is zero at every grid point "
+                             "(underflow)")
     bundle = ReportBundle("transform")
     bundle.add_field("gabor", fld)
     bundle.add_field("spectrogram", spec)
-    mass = _finite(float(spec.values.sum() * grid.dx * grid.dy), "spectrogram mass")
+    _finite(mass, "spectrogram mass")
     bundle.summary.append(f"grid: {grid.nx} x {grid.ny} points, step {grid.dx}")
     bundle.summary.append(f"max |field|: {float(np.abs(fld.values).max())!r}")
     bundle.summary.append(f"spectrogram mass (cell sum): {mass!r}")
@@ -613,7 +626,8 @@ def main(argv=None) -> int:
         if args.grid_step is not None and not 0 < args.grid_step < math.inf:
             raise CliValidationError("--grid-step must be positive and finite")
         bundle = COMMANDS[args.command](_check_config(config, args), args)
-    except (DegenerateVertexError, DegenerateSquareError, NonFiniteResultError) as exc:
+    except (DegenerateVertexError, DegenerateSquareError, NonFiniteResultError,
+            ZeroFieldError) as exc:
         # before ValueError: both degeneracy errors of the numeric modules are ValueErrors
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY

@@ -29,12 +29,9 @@ __all__ = [
     "plan_sampling",
     "tensor_product_integral",
     "discrete_weighted_norm",
-    "legendre_eval",
-    "legendre_lower_bound_check",
 ]
 
 _LOG_HUGE = math.log(1e300)
-_LOWER_BOUND_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -198,37 +195,3 @@ def discrete_weighted_norm(values, rule: ProductRule2D) -> float:
             f"expected {len(rule.weights)} node values, got shape {vals.shape}"
         )
     return float(math.sqrt(np.dot(vals * vals, rule.weights)))
-
-
-def legendre_eval(n: int, z) -> np.ndarray | complex:
-    """P_N(z) by the three-term recurrence; accepts complex arrays."""
-    z = np.asarray(z, dtype=complex)
-    out = np.ones_like(z) if n == 0 else _legendre_pair(n, z)[0]
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
-def legendre_lower_bound_check(n: int, a: float, b: float) -> bool:
-    """Check |P_N| >= min(a-1, b)^N on the rectangle boundary and on [a, a+10].
-
-    Sampled verification at 2000 points (property-test support for the
-    holomorphic error bound's validity region); requires a > 1.
-    """
-    if not a > 1:
-        raise ValueError("need a > 1")
-    if not b > 0:
-        raise ValueError("need b > 0")
-    per_side = _LOWER_BOUND_SAMPLES // 4
-    t = np.linspace(-1.0, 1.0, per_side)
-    boundary = np.concatenate([
-        a * t + 1j * b,
-        a * t - 1j * b,
-        a + 1j * b * t,
-        -a + 1j * b * t,
-    ])
-    ray = np.linspace(a, a + 10.0, _LOWER_BOUND_SAMPLES - len(boundary))
-    pts = np.concatenate([boundary, ray.astype(complex)])
-    vals = np.abs(legendre_eval(n, pts))
-    floor = min(a - 1.0, b) ** n
-    return bool(np.all(vals >= floor * (1.0 - 1e-12)))

@@ -165,9 +165,10 @@ def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
     Accepts a GaussianMixtureSignal (sampled internally at dt=0.02 over the
     joint support) or a SampledSignal (integrated on its own sample grid).
     The sum runs over every t node for every grid point; nothing is
-    truncated.  Besides the output, its transient memory is one (nt, ny)
-    kernel exp(-2 pi i t y) plus one block of windowed rows, whose size is
-    set by a fixed byte budget.
+    truncated.  Besides the output, its working set is one (nt, ny) kernel
+    exp(-2 pi i t y), one complex block of windowed rows allocated once and
+    reused for every row block (under two fixed byte budgets), and one
+    nt-long real scratch row for the window.
     """
     if isinstance(sig, GaussianMixtureSignal):
         t = _mixture_t_grid(sig, grid)
@@ -201,22 +202,23 @@ def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
     values = np.empty((len(xs), len(ys)), dtype=complex)
     rows = max(2, _BLOCK_BYTES // (16 * len(t)))
     n_blocks = max(1, len(xs) // rows)
+    # every block's rows (f(t) exp(-pi (t - x)^2)) w(t) are built in one
+    # buffer allocated once, each row's window in one contiguous scratch row;
+    # f * window promotes the window to window + 0j, in chunks inside the ufunc
+    windowed = np.empty((-(-len(xs) // n_blocks), len(t)), dtype=complex)
+    gauss = np.empty(len(t))
     for b in range(n_blocks):
-        block = slice(b * len(xs) // n_blocks, (b + 1) * len(xs) // n_blocks)
-        np.matmul(_windowed_rows(t, ft, w, xs[block]), kernel, out=values[block])
+        lo, hi = b * len(xs) // n_blocks, (b + 1) * len(xs) // n_blocks
+        block = windowed[:hi - lo]
+        for row, x in zip(block, xs[lo:hi]):
+            np.subtract(t, x, out=gauss)
+            np.square(gauss, out=gauss)
+            gauss *= -np.pi
+            np.exp(gauss, out=gauss)
+            np.multiply(ft, gauss, out=row)
+        block *= w
+        np.matmul(block, kernel, out=values[lo:hi])
     return SpectrogramField(grid, values, GABOR)
-
-
-def _windowed_rows(t: np.ndarray, ft: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Integrand rows f(t) exp(-pi (t - x)^2) w(t), one row per x, built in place."""
-    gauss = np.subtract(t[None, :], xs[:, None])
-    np.square(gauss, out=gauss)
-    gauss *= -np.pi
-    np.exp(gauss, out=gauss)
-    windowed = ft[None, :] * gauss
-    del gauss
-    windowed *= w[None, :]
-    return windowed
 
 
 def mixture_field(sig: GaussianMixtureSignal, grid: Grid2D) -> SpectrogramField:

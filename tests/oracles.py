@@ -14,7 +14,9 @@ and one overlap alignment per pair.  The
 growth-bound tests measure package output against a proof constant and a
 grid sup norm, both kept here, and they and the jet tests read the
 entire-function side F (values and derivatives at any point, unshifted)
-from direct exponential sums.
+from direct exponential sums.  The sampled check of |P_N| against the
+holomorphic error bound's floor on its validity region is kept here, since
+only tests and acceptance criterion 10 use it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ import math
 import numpy as np
 
 from gaborcert import GaussianAtom, GaussianMixtureSignal, gabor_closed_form
-from gaborcert.cubature import gauss_rule
+from gaborcert.cubature import _legendre_pair, gauss_rule
 from gaborcert.signal_model import fock_coefficients
+
+_LOWER_BOUND_SAMPLES = 2000
 
 
 def square_rect(cx: float, cy: float, side: float) -> list[tuple[float, float, float, float]]:
@@ -438,3 +442,37 @@ def cheeger_brute_force(g) -> float:
         cut = sum(sigma[i][j] for i in s for j in c)
         best = min(best, cut / min(sum(w[i] for i in s), sum(w[i] for i in c)))
     return best
+
+
+def legendre_eval(n: int, z) -> np.ndarray | complex:
+    """P_N(z) by the package's three-term recurrence; accepts complex arrays."""
+    z = np.asarray(z, dtype=complex)
+    out = np.ones_like(z) if n == 0 else _legendre_pair(n, z)[0]
+    if out.shape == ():
+        return complex(out)
+    return out
+
+
+def legendre_lower_bound_check(n: int, a: float, b: float) -> bool:
+    """Check |P_N| >= min(a-1, b)^N on the rectangle boundary and on [a, a+10].
+
+    Sampled verification at 2000 points (property-test support for the
+    holomorphic error bound's validity region); requires a > 1.
+    """
+    if not a > 1:
+        raise ValueError("need a > 1")
+    if not b > 0:
+        raise ValueError("need b > 0")
+    per_side = _LOWER_BOUND_SAMPLES // 4
+    t = np.linspace(-1.0, 1.0, per_side)
+    boundary = np.concatenate([
+        a * t + 1j * b,
+        a * t - 1j * b,
+        a + 1j * b * t,
+        -a + 1j * b * t,
+    ])
+    ray = np.linspace(a, a + 10.0, _LOWER_BOUND_SAMPLES - len(boundary))
+    pts = np.concatenate([boundary, ray.astype(complex)])
+    vals = np.abs(legendre_eval(n, pts))
+    floor = min(a - 1.0, b) ** n
+    return bool(np.all(vals >= floor * (1.0 - 1e-12)))

@@ -32,7 +32,6 @@ from gaborcert import (
     gauss_rule,
     jet_from_mixture,
     l2_norm,
-    legendre_lower_bound_check,
     make_sharpness_pair,
     min_phase_distance,
     mixture_field,
@@ -50,6 +49,7 @@ from oracles import (
     disk_quadrature,
     fock_value,
     grid_mesh,
+    legendre_lower_bound_check,
     random_graph,
     random_mixture,
     square_rect,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -643,6 +644,33 @@ def test_overflow_exits_3_naming_what(tmp_path, capsys, command, payload, what):
     assert code == 3
     assert not out.exists()
     assert capsys.readouterr().err.endswith(f"numerical degeneracy: {what} is not finite (overflow)\n")
+
+
+@pytest.mark.parametrize("payload", [
+    # (x - 1e200)^2 overflows, so the atom's Gaussian is exp(-inf) = 0
+    _with_value(dict(TRANSFORM, grid=dict(GRID, step=0.5)), "signal.atoms.0.shift", 1e200),
+    # exp(-pi/2 29^2) underflows at every grid point, silently
+    _with_value(TRANSFORM, "signal.atoms.0.shift", 30.0),
+    dict(TRANSFORM, signal=dict(_sampled([[1.0, 0.0]] * 8), t0=40.0)),
+], ids=["shift-1e200", "shift-30", "sampled-far"])
+def test_underflow_to_zero_field_exits_3(tmp_path, capsys, payload):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "transform", payload)
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == ("numerical degeneracy: gabor field of a nonzero signal "
+                                       "is zero at every grid point (underflow)\n")
+
+
+@pytest.mark.parametrize("signal", [
+    _with_value(ATOM_MIXTURE, "atoms.0.re", 0.0),
+    _sampled([[0.0, 0.0]] * 8),
+], ids=["mixture", "sampled"])
+def test_zero_signal_transform_exits_0(tmp_path, signal):
+    code, out = run(tmp_path, "transform", dict(TRANSFORM, signal=signal))
+    assert code == 0
+    assert "max |field|: 0.0" in (out / "summary.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("command, payload, key", [

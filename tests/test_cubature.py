@@ -10,13 +10,14 @@ from gaborcert import (
     gabor_closed_form,
     gauss_rule,
     l2_norm,
-    legendre_lower_bound_check,
     make_sharpness_pair,
     plan_sampling,
     product_rule,
     spectro_error_bound,
 )
-from gaborcert.cubature import apply_rule, legendre_eval, tensor_product_integral
+from gaborcert.cubature import apply_rule, tensor_product_integral
+
+from oracles import legendre_eval, legendre_lower_bound_check
 
 F1, G1 = make_sharpness_pair(1.0)
 KAPPA1 = l2_norm(F1) ** 2 + l2_norm(G1) ** 2

@@ -116,21 +116,22 @@ def test_quadrature_bit_identical_to_one_shot(sig, grid, n_blocks):
 def test_quadrature_peak_memory_is_one_kernel_and_one_row_block():
     nt = 20000
     sig = _noise(nt, -2.0, 2e-4)
-    grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.02)
-    tracemalloc.start()
-    try:
-        fld = quadrature_gabor(sig, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kernel = 16 * nt * grid.ny
-    output = fld.values.nbytes
-    # a block is under 2 * rows tall: its complex rows take under two budgets
-    # and its real window values under one
-    block = 3 * _BLOCK_BYTES
-    # t, the samples, the weights and one temporary, 16 bytes per node at most
-    vectors = 4 * 16 * nt
-    assert peak < kernel + output + block + vectors
+    # the 101 x 101 grid, then the data-path transform's 251 x 251
+    for half in (1.0, 2.5):
+        grid = Grid2D.from_bounds(-half, half, -half, half, 0.02)
+        tracemalloc.start()
+        try:
+            fld = quadrature_gabor(sig, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel = 16 * nt * grid.ny
+        output = fld.values.nbytes
+        # one reused block, as tall as the tallest of the nx // rows equal blocks
+        block = 16 * nt * -(-grid.nx // max(1, grid.nx // _block_rows(nt)))
+        # t, the samples, the weights and one scratch row, 16 bytes per node at most
+        vectors = 4 * 16 * nt
+        assert peak < kernel + output + block + vectors, grid
 
 
 def test_sampled_input_matches_mixture_path():
