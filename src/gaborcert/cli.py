@@ -120,8 +120,9 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _bounded(v, where: str, path: str, above=None, below=None):
-    """v, after checking it is a finite JSON number strictly between `above` and `below`.
+def _number(v, where: str, path: str, above=None, below=None) -> float:
+    """v as a float, after checking it is a finite JSON number strictly between
+    `above` and `below` that a float can hold.
 
     Either bound may be None.  Python's json reads NaN and ±Infinity as
     floats; they are refused here.
@@ -134,12 +135,6 @@ def _bounded(v, where: str, path: str, above=None, below=None):
         raise _invalid(where, path, f"{v!r} is less than or equal to the minimum of {above!r}")
     if below is not None and v >= below:
         raise _invalid(where, path, f"{v!r} is greater than or equal to the maximum of {below!r}")
-    return v
-
-
-def _number(v, where: str, path: str, above=None, below=None) -> float:
-    """v as a float, after `_bounded` and checking that a float can hold it."""
-    v = _bounded(v, where, path, above, below)
     try:
         return float(v)
     except OverflowError:
@@ -147,8 +142,6 @@ def _number(v, where: str, path: str, above=None, below=None) -> float:
 
 
 _positive = partial(_number, above=0)
-# a grid step is converted where it is used, since --grid-step may override it
-_step = partial(_bounded, above=0)
 
 
 def _integer(v, where: str, path: str, minimum: int) -> int:
@@ -302,17 +295,14 @@ def _signal(obj, where: str, path: str, base_dir: Path, forms: dict = _ENVELOPE_
 
 
 _GRID_CHECKS = {"xmin": _number, "xmax": _number, "ymin": _number, "ymax": _number,
-                "step": _step}
+                "step": _positive}
 
 
-def _grid(obj, where: str, path: str, step_override: float | None) -> Grid2D:
+def _grid(obj, where: str, path: str) -> Grid2D:
     fields = _fields(obj, where, path, _GRID_CHECKS, ("xmin", "xmax", "ymin", "ymax"))
-    step = step_override
-    if step is None:
-        step = _number(fields.get("step", DEFAULT_GRID_STEP), where, f"{path}.step")
     try:
         return Grid2D.from_bounds(fields["xmin"], fields["xmax"], fields["ymin"], fields["ymax"],
-                                  step)
+                                  fields.get("step", DEFAULT_GRID_STEP))
     except ValueError as exc:
         raise _invalid(where, path, str(exc))
 
@@ -354,12 +344,11 @@ def _check_config(config, args) -> dict:
     Each command has one check per allowed key and a tuple of required keys.
     """
     signal = partial(_signal, base_dir=args.base_dir)
-    grid = partial(_grid, step_override=args.grid_step)
     checks, required = {
-        "transform": ({"signal": signal, "grid": grid}, ("signal", "grid")),
-        "certify": ({"signal_f": signal, "signal_g": signal, "cover": _cover, "grid": grid},
+        "transform": ({"signal": signal, "grid": _grid}, ("signal", "grid")),
+        "certify": ({"signal_f": signal, "signal_g": signal, "cover": _cover, "grid": _grid},
                     ("signal_f", "signal_g", "cover", "grid")),
-        "sharpness": ({"a_values": _a_values, "grid_step": _step}, ("a_values",)),
+        "sharpness": ({"a_values": _a_values, "grid_step": _positive}, ("a_values",)),
         "plan-sample": ({"epsilon": partial(_number, above=0, below=0.5),
                          "square": partial(_fields, checks={"cx": _number, "cy": _number,
                                                             "side": _positive},
@@ -367,7 +356,7 @@ def _check_config(config, args) -> dict:
                          "signal_f": signal, "signal_g": signal,
                          "reference_n": partial(_integer, minimum=10)},
                         ("epsilon", "square", "signal_f", "signal_g")),
-        "retrieve": ({"spectrogram": partial(_spectrogram, signal=signal, grid=grid),
+        "retrieve": ({"spectrogram": partial(_spectrogram, signal=signal, grid=_grid),
                       "cover": _cover,
                       "jet_source": partial(_one_of, options=("analytic", "finite_difference")),
                       "order": partial(_integer, minimum=0),
@@ -482,9 +471,7 @@ def cmd_certify(config, args) -> ReportBundle:
 
 def cmd_sharpness(config, args) -> ReportBundle:
     a_values = config["a_values"]
-    step = args.grid_step
-    if step is None:
-        step = _number(config.get("grid_step", 0.02), "config", "grid_step")
+    step = config.get("grid_step", 0.02)
     rows = []
     for a in a_values:
         dist, sqrt_specdiff = sharpness_ratio(a, step)
@@ -551,6 +538,11 @@ def cmd_plan_sample(config, args) -> ReportBundle:
 def cmd_retrieve(config, args) -> ReportBundle:
     spec_cfg = config["spectrogram"]
     truth, ref = config.get("ground_truth"), None
+    jet_source = config.get("jet_source", "analytic")
+    order = config.get("order", 14 if jet_source == "analytic" else 4)
+    if jet_source == "finite_difference" and order > 4:
+        raise _invalid("config", "order",
+                       f"{order!r} is greater than the maximum of 4 for finite_difference jets")
     if truth is not None and not isinstance(truth, GaussianMixtureSignal):
         raise CliValidationError("ground_truth must be a mixture signal")
     if "csv" in spec_cfg:
@@ -569,8 +561,6 @@ def cmd_retrieve(config, args) -> ReportBundle:
             # the oracle is the mixture's own field, on the grid of the result
             truth, ref = sig, fld
     cover = config["cover"]
-    jet_source = config.get("jet_source", "analytic")
-    order = config.get("order", 14)
     if jet_source == "analytic" and truth is None:
         raise CliValidationError("analytic jets require a mixture signal or ground_truth")
     result = retrieve_phase(spec, cover, jet_source, order, signal=truth)
@@ -612,8 +602,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, required=True, help="JSON config file")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default ./out)")
-        p.add_argument("--grid-step", type=float, default=None,
-                       help="override the grid step of the config")
     return parser
 
 
@@ -623,8 +611,6 @@ def main(argv=None) -> int:
     try:
         args.base_dir = args.config.parent
         config = _load_json(args.config, "config")
-        if args.grid_step is not None and not 0 < args.grid_step < math.inf:
-            raise CliValidationError("--grid-step must be positive and finite")
         bundle = COMMANDS[args.command](_check_config(config, args), args)
     except (DegenerateVertexError, DegenerateSquareError, NonFiniteResultError,
             ZeroFieldError) as exc:

@@ -41,9 +41,6 @@ __all__ = [
 GABOR = "gabor"
 SPECTROGRAM = "spectrogram"
 
-# window exp(-pi u^2) drops below 1e-16 at |u| = sqrt(16 ln 10 / pi)
-_WINDOW_HALFWIDTH = math.sqrt(16.0 * math.log(10.0) / math.pi)
-_MIXTURE_DT = 0.02
 # byte budget that sets the height of quadrature_gabor's windowed-row blocks
 _BLOCK_BYTES = 8 << 20
 
@@ -151,36 +148,16 @@ class SpectrogramField:
         object.__setattr__(self, "values", vals)
 
 
-def _mixture_t_grid(sig: GaussianMixtureSignal, grid: Grid2D) -> np.ndarray:
-    shifts = [a.shift for a in sig.atoms]
-    lo = min(min(shifts), grid.x0) - _WINDOW_HALFWIDTH
-    hi = max(max(shifts), grid.x0 + (grid.nx - 1) * grid.dx) + _WINDOW_HALFWIDTH
-    n = int(math.ceil((hi - lo) / _MIXTURE_DT)) + 1
-    return lo + (hi - lo) * np.arange(n) / (n - 1)
+def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
+    """Transform field of a sampled signal by trapezoidal quadrature on its sample grid.
 
-
-def quadrature_gabor(sig, grid: Grid2D) -> SpectrogramField:
-    """Transform field by trapezoidal quadrature in t.
-
-    Accepts a GaussianMixtureSignal (sampled internally at dt=0.02 over the
-    joint support) or a SampledSignal (integrated on its own sample grid).
     The sum runs over every t node for every grid point; nothing is
     truncated.  Besides the output, its working set is one (nt, ny) kernel
     exp(-2 pi i t y), one complex block of windowed rows allocated once and
     reused for every row block (under two fixed byte budgets), and one
     nt-long real scratch row for the window.
     """
-    if isinstance(sig, GaussianMixtureSignal):
-        t = _mixture_t_grid(sig, grid)
-        ft = sig.evaluate(t)
-        dt = t[1] - t[0] if len(t) > 1 else 1.0
-    elif isinstance(sig, SampledSignal):
-        t = sig.times()
-        ft = sig.samples
-        dt = sig.dt
-    else:
-        raise TypeError(f"unsupported signal type {type(sig).__name__}")
-
+    t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
     if len(t) > 1:
         w[0] *= 0.5
@@ -293,11 +270,9 @@ def _window(grid: Grid2D, rects) -> tuple[slice, slice, Grid2D]:
     Returns index slices (sx, sy) into the grid's values and the sub-grid of
     those cells.  Coverage by the rectangles is zero outside the window, so
     region quantities are computed on the sub-grid alone: O(w^2) per region
-    instead of O(N^2).  No rectangles get the whole grid.
+    instead of O(N^2).  There must be at least one rectangle.
     """
     r = np.asarray(rects, dtype=float).reshape(-1, 4)
-    if len(r) == 0:
-        return slice(0, grid.nx), slice(0, grid.ny), grid
     start, stop = _cell_windows(grid, r[:, ::2].min(axis=0), r[:, 1::2].max(axis=0))
     (i0, j0), (i1, j1) = start.astype(int).tolist(), stop.astype(int).tolist()
     sub = Grid2D(grid.x0 + grid.dx * i0, grid.y0 + grid.dy * j0, grid.dx, grid.dy, i1 - i0, j1 - j0)
@@ -327,18 +302,14 @@ def _check_region_in_grid(grid: Grid2D, rects) -> None:
 
 
 def _masked_norms(values: np.ndarray, frac: np.ndarray, grid: Grid2D, p):
-    """Norms over windows of cells: values and frac of shape (..., wx, wy) give
-    one norm per leading index (a 0-d array for a single window).
+    """L1 or L2 norms over windows of cells: values and frac of shape (..., wx, wy)
+    give one norm per leading index (a 0-d array for a single window).
 
     Each window is reduced over its own cells as one flat pairwise sum, so a
     norm does not depend on the other windows of a stack.
     """
     cells = (-2, -1)
     mags = np.abs(values)
-    if p == math.inf or p == "inf":
-        covered = frac > 1e-12
-        peaks = np.where(covered, mags, -math.inf).max(axis=cells)
-        return np.where(covered.any(axis=cells), peaks, 0.0)
     cell = grid.dx * grid.dy
     # products in place: mags is a fresh array, and each stack is one temporary less
     if p == 1:
@@ -359,26 +330,11 @@ def _union_norm(fld: SpectrogramField, rects, p) -> float:
 def region_norm(fld: SpectrogramField, rects, p) -> float:
     """L^p norm of the field over the union of the (m, 4) rectangles (xmin, xmax, ymin, ymax).
 
-    Composite midpoint rule with exact sub-cell coverage weights for p in
-    {1, 2}; p=inf returns the max of |values| over covered grid points.
-    Only the cells of the region's window are visited.  Every rectangle
+    Composite midpoint rule with exact sub-cell coverage weights, p in
+    {1, 2}.  Only the cells of the region's window are visited.  Every rectangle
     must lie in the field's domain.
     """
     _check_region_in_grid(fld.grid, rects)
-    return _union_norm(fld, rects, p)
-
-
-def rect_union_norm(fld: SpectrogramField, rects, p):
-    """L^p norm over a union of axis-aligned rectangles (xmin, xmax, ymin, ymax).
-
-    Same rule as region_norm, without its domain check: rectangles past the
-    grid edge cover no cells there.  `rects` may also be a stack of
-    one-rectangle unions, of shape (m, 1, 4): the m norms are then returned
-    as an array from one vectorised pass, each bit-equal to the norm of its
-    union alone.
-    """
-    if np.ndim(rects) == 3:
-        return _stacked_rect_norms(fld, np.asarray(rects, dtype=float), p)
     return _union_norm(fld, rects, p)
 
 
@@ -404,14 +360,17 @@ def _stacked_windows(grid: Grid2D, r: np.ndarray):
     return start, size, *axes
 
 
-def _stacked_rect_norms(fld: SpectrogramField, stack: np.ndarray, p) -> np.ndarray:
-    """Norms over the rectangles of an (m, 1, 4) stack, one per rectangle.
+def rect_union_norm(fld: SpectrogramField, rects, p) -> np.ndarray:
+    """L^p norms over an (m, 1, 4) stack of one-rectangle unions, one per rectangle.
 
-    Windows and per-axis coverage are computed for all rectangles at once;
-    the windows are then grouped by shape, so that each rectangle is still
-    summed over exactly its own cells.  Every step is the one-union path's
-    elementwise arithmetic, which keeps the norms bit-equal to it.
+    Same rule as region_norm, without its domain check: rectangles past the
+    grid edge cover no cells there.  Windows and per-axis coverage are
+    computed for all rectangles at once; the windows are then grouped by
+    shape, so that each rectangle is still summed over exactly its own
+    cells.  Every step is region_norm's elementwise arithmetic, which keeps
+    each norm bit-equal to that of its rectangle alone.
     """
+    stack = np.asarray(rects, dtype=float)
     if stack.shape[1:] != (1, 4):
         raise ValueError(f"stacked unions must hold one rectangle each, got shape {stack.shape}")
     r = stack[:, 0]

@@ -77,15 +77,6 @@ class GaussianMixtureSignal:
             if not isinstance(a, GaussianAtom):
                 raise TypeError("mixture atoms must be GaussianAtom instances")
 
-    def evaluate(self, t):
-        """Time-domain samples f(t); t may be a scalar or ndarray."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for a in self.atoms:
-            out += a.amplitude * np.exp(-np.pi * (t - a.shift) ** 2) \
-                * np.exp(2j * np.pi * a.modulation * t)
-        return out
-
     @cached_property
     def _fock_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         amp = np.array([a.amplitude for a in self.atoms])

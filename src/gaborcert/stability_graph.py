@@ -195,7 +195,7 @@ def algebraic_connectivity(g: WeightedGraph) -> float:
     return float(max(eigvals[1], 0.0))
 
 
-def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma(boundary S), w(S) and w(S^c) for every proper subset S containing vertex 0."""
     n = g.n
     rest = np.arange(2 ** (n - 1) - 1, dtype=np.int64)  # proper subsets of {1..n-1}
@@ -206,11 +206,11 @@ def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     cut = np.zeros(len(masks))
     for i, j in zip(*g.edges()):
         cut += np.where(in_s[:, i] ^ in_s[:, j], g.sigma[i, j], 0.0)
-    return cut, w_s, w_c, masks
+    return cut, w_s, w_c
 
 
-def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, frozenset]:
-    """Graph Cheeger constant and a witness subset.
+def cheeger_constant(g: WeightedGraph, method: str = "exact") -> float:
+    """Graph Cheeger constant h = min over cuts of sigma(boundary S) / min(w(S), w(S^c)).
 
     `exact` enumerates the 2^(n-1) - 1 cuts (n <= 20); `spectral_sweep` sweeps
     prefix cuts of the normalized-Laplacian Fiedler ordering and upper-bounds
@@ -225,29 +225,22 @@ def cheeger_constant(g: WeightedGraph, method: str = "exact") -> tuple[float, fr
             raise ValueError(
                 f"exact enumeration limited to n <= {EXACT_CHEEGER_LIMIT}; use spectral_sweep"
             )
-        cut, w_s, w_c, masks = _cut_values(g)
-        ratios = cut / np.minimum(w_s, w_c)
-        best = int(np.argmin(ratios))
-        mask = int(masks[best])
-        witness = frozenset(i for i in range(g.n) if (mask >> i) & 1)
-        return float(ratios[best]), witness
+        cut, w_s, w_c = _cut_values(g)
+        return float(np.min(cut / np.minimum(w_s, w_c)))
     if method == "spectral_sweep":
         inv_sqrt_w = 1.0 / np.sqrt(g.w)
         norm_l = g.laplacian() * np.outer(inv_sqrt_w, inv_sqrt_w)
         _, vecs = np.linalg.eigh(norm_l)
         fiedler = vecs[:, 1] * inv_sqrt_w
         order = np.argsort(fiedler)
-        best_val, best_set = math.inf, frozenset()
+        best = math.inf
         for cut_len in range(1, g.n):
-            s = order[:cut_len]
             in_s = np.zeros(g.n, dtype=bool)
-            in_s[s] = True
+            in_s[order[:cut_len]] = True
             cut = float(g.sigma[np.ix_(in_s, ~in_s)].sum())
             w_s = float(g.w[in_s].sum())
-            val = cut / min(w_s, float(g.w[~in_s].sum()))
-            if val < best_val:
-                best_val, best_set = val, frozenset(int(i) for i in s)
-        return best_val, best_set
+            best = min(best, cut / min(w_s, float(g.w[~in_s].sum())))
+        return best
     raise ValueError(f"unknown Cheeger method {method!r}")
 
 
@@ -282,7 +275,7 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
 
     lam = algebraic_connectivity(g)
     method = "exact" if g.n <= EXACT_CHEEGER_LIMIT else "spectral_sweep"
-    h, _ = cheeger_constant(g, method)
+    h = cheeger_constant(g, method)
     d0 = g.delta0()
 
     common = k_const * math.sqrt(m_const) * math.sqrt(l_const)

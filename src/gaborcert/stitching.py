@@ -108,7 +108,8 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     Per square, a jet of |F_c|^2 is built at the grid node nearest the
     square's centre (analytic jets require the generating mixture;
-    finite-difference jets work from the samples, orders <= 4).  Local fields
+    finite-difference jets work from the samples and take orders 0..4 only,
+    so a higher `order` raises ValueError).  Local fields
     are aligned pairwise on overlaps and synchronized; the output is defined
     up to one unimodular constant per connected component of the overlap
     graph.  Squares must lie in the field's domain.
@@ -150,7 +151,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     xs, ys = grid.xs(), grid.ys()
     nodes = np.rint((np.array(cover.centers) - (grid.x0, grid.y0)) / (grid.dx, grid.dy))
     jets = [jet_from_mixture(signal, complex(xs[i], -ys[j]), order) if jet_source == "analytic"
-            else jet_from_field(spec, (xs[i], ys[j]), min(order, 4)) for i, j in nodes.astype(int)]
+            else jet_from_field(spec, (xs[i], ys[j]), order) for i, j in nodes.astype(int)]
 
     # local recovery on each square's covered cells: at w = x - i y,
     # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre;

@@ -14,9 +14,10 @@ and one overlap alignment per pair.  The
 growth-bound tests measure package output against a proof constant and a
 grid sup norm, both kept here, and they and the jet tests read the
 entire-function side F (values and derivatives at any point, unshifted)
-from direct exponential sums.  The sampled check of |P_N| against the
-holomorphic error bound's floor on its validity region is kept here, since
-only tests and acceptance criterion 10 use it.
+from direct exponential sums.  Mixtures are sampled in time by a direct
+atom sum, the input of the sampled-signal transform.  The sampled check of
+|P_N| against the holomorphic error bound's floor on its validity region is
+kept here, since only tests and acceptance criterion 10 use it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from gaborcert import GaussianAtom, GaussianMixtureSignal, gabor_closed_form
+from gaborcert import GaussianAtom, GaussianMixtureSignal, SampledSignal, gabor_closed_form
 from gaborcert.cubature import _legendre_pair, gauss_rule
 from gaborcert.signal_model import fock_coefficients
 
@@ -47,6 +48,23 @@ def scaled_mixture(sig: GaussianMixtureSignal, c: complex) -> GaussianMixtureSig
     """The mixture with every amplitude multiplied by c."""
     return GaussianMixtureSignal(
         tuple(GaussianAtom(a.amplitude * c, a.shift, a.modulation) for a in sig.atoms))
+
+
+def mixture_samples(sig: GaussianMixtureSignal, t) -> np.ndarray:
+    """Time-domain values f(t) of the mixture; t may be a scalar or an array."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for a in sig.atoms:
+        out += a.amplitude * np.exp(-np.pi * (t - a.shift) ** 2) \
+            * np.exp(2j * np.pi * a.modulation * t)
+    return out
+
+
+def sampled_mixture(sig: GaussianMixtureSignal, lo: float, hi: float,
+                    dt: float = 0.02) -> SampledSignal:
+    """The mixture sampled every dt from lo to hi, for quadrature_gabor."""
+    t = lo + dt * np.arange(int(round((hi - lo) / dt)) + 1)
+    return SampledSignal(mixture_samples(sig, t), lo, dt)
 
 
 def random_mixture(rng, max_atoms: int = 3, spread: float = 0.8) -> GaussianMixtureSignal:
@@ -241,12 +259,12 @@ def table_csv_bytes(header, rows) -> bytes:
 
 
 def build_graph_per_pair(spec, cover):
-    """Cover graph with one single-union rect_union_norm call per overlapping pair.
+    """Cover graph with one single-union norm per overlapping pair.
 
     Vertex masses come from region_norm on each square, as in build_graph.
     """
     from gaborcert import WeightedGraph, region_norm
-    from gaborcert.gabor_engine import rect_union_norm
+    from gaborcert.gabor_engine import _union_norm
 
     n = len(cover)
     r = cover.rects()
@@ -257,7 +275,7 @@ def build_graph_per_pair(spec, cover):
     y1 = np.minimum(r[:, None, 3], r[None, :, 3])
     sigma = np.zeros((n, n))
     for i, j in zip(*np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))):
-        mass = rect_union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
+        mass = _union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
         sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
 
@@ -293,7 +311,7 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
 
     nodes = np.rint((np.array(cover.centers) - (grid.x0, grid.y0)) / (grid.dx, grid.dy))
     jets = [jet_from_mixture(signal, complex(xs[i], -ys[j]), order) if jet_source == "analytic"
-            else jet_from_field(spec, (xs[i], ys[j]), min(order, 4)) for i, j in nodes.astype(int)]
+            else jet_from_field(spec, (xs[i], ys[j]), order) for i, j in nodes.astype(int)]
 
     locals_ = []
     for jet, (sx, sy, cov) in zip(jets, windows):
@@ -380,19 +398,9 @@ def spanning_forest_dfs(n, edges, roots):
 def quadrature_gabor_one_shot(sig, grid):
     """The transform field by one full-size matmul, as quadrature_gabor computed it
     before its x rows went through the matmul in blocks."""
-    from gaborcert.gabor_engine import GABOR, SampledSignal, SpectrogramField, _mixture_t_grid
+    from gaborcert.gabor_engine import GABOR, SpectrogramField
 
-    if isinstance(sig, GaussianMixtureSignal):
-        t = _mixture_t_grid(sig, grid)
-        ft = sig.evaluate(t)
-        dt = t[1] - t[0] if len(t) > 1 else 1.0
-    elif isinstance(sig, SampledSignal):
-        t = sig.times()
-        ft = np.asarray(sig.samples, dtype=complex)
-        dt = sig.dt
-    else:
-        raise TypeError(f"unsupported signal type {type(sig).__name__}")
-
+    t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
     if len(t) > 1:
         w[0] *= 0.5

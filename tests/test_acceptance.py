@@ -52,6 +52,7 @@ from oracles import (
     legendre_lower_bound_check,
     random_graph,
     random_mixture,
+    sampled_mixture,
     square_rect,
     tau_grid_min_distance,
 )
@@ -77,7 +78,7 @@ def test_criterion_01_closed_form_agreement():
     sig = GaussianMixtureSignal(atoms)
     grid = Grid2D.from_bounds(-2.0, 2.0, -2.0, 2.0, 0.1)
     start = time.monotonic()
-    numeric = quadrature_gabor(sig, grid)
+    numeric = quadrature_gabor(sampled_mixture(sig, -8.0, 8.0), grid)
     elapsed = time.monotonic() - start
     X, Y = grid_mesh(grid)
     err = float(np.abs(numeric.values - gabor_closed_form(sig, X, Y)).max())
@@ -146,7 +147,7 @@ def test_criterion_04_cheeger_inequality():
     for _ in range(50):
         g = random_graph(rng, n_min=2, n_max=12)
         lam = algebraic_connectivity(g)
-        h, _ = cheeger_constant(g, "exact")
+        h = cheeger_constant(g, "exact")
         d0 = g.delta0()
         slack = 1e-9 * max(lam, h, 1.0)
         if not 2.0 * h >= lam - slack:

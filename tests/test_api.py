@@ -5,13 +5,14 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import gaborcert
 from gaborcert.cli import main
 from gaborcert.gabor_engine import Grid2D
 from gaborcert.signal_model import GaussianMixtureSignal
-from gaborcert.stability_graph import SquareCover
+from gaborcert.stability_graph import SquareCover, WeightedGraph, cheeger_constant
 from gaborcert.stitching import RetrievalResult, retrieve_phase
 from gaborcert.tensor_phase import LocalJet, local_phase_from_modulus
 
@@ -26,6 +27,7 @@ REMOVED = [
     "synchronize", "NoInformationError", "Square", "Region", "_union_fractions", "_region_rects",
     "fock_value", "fock_derivatives", "cheeger_inequality_check", "ConnectivityReport",
     "cmd_selftest", "CliDegeneracyError", "legendre_eval", "legendre_lower_bound_check",
+    "_mixture_t_grid", "_stacked_rect_norms",
 ]
 
 
@@ -53,6 +55,7 @@ def test_removed_names_stay_removed():
         assert present == [], (where.__name__, present)
     assert not hasattr(LocalJet, "truncated")
     assert not hasattr(Grid2D, "mesh") and not hasattr(GaussianMixtureSignal, "scale")
+    assert not hasattr(GaussianMixtureSignal, "evaluate")
     assert "side" not in inspect.signature(SquareCover).parameters
     assert not hasattr(SquareCover, "squares") and not hasattr(SquareCover, "region")
     for fn, option in ((retrieve_phase, "threshold"), (local_phase_from_modulus, "threshold"),
@@ -61,11 +64,20 @@ def test_removed_names_stay_removed():
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}
 
 
+def test_cheeger_constant_returns_h_alone():
+    cut = np.array([[0.0, 0.7], [0.7, 0.0]])
+    for method in ("exact", "spectral_sweep"):
+        h = cheeger_constant(WeightedGraph(np.array([2.0, 0.5]), cut), method)
+        assert type(h) is float and h == 0.7 / 0.5, method
+
+
 @pytest.mark.parametrize("argv, message", [
     (["selftest"], "invalid choice: 'selftest'"),
     (["certify", "--config", "c.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
     (["certify"], "the following arguments are required: --config"),
-], ids=["selftest", "seed", "no-config"])
+    (["transform", "--config", "c.json", "--grid-step", "0.05"],
+     "unrecognized arguments: --grid-step 0.05"),
+], ids=["selftest", "seed", "no-config", "grid-step"])
 def test_removed_cli_surface_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

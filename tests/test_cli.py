@@ -571,6 +571,9 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
     ("transform", {"signal": _sampled([[1.0, 0.0], [math.nan, 0.0]]), "grid": GRID},
      "signal.samples.1"),
     ("sharpness", {"a_values": [1.0, 3.5]}, "a_values.1"),
+    # finite-difference jets take orders 0..4: a higher order is refused, not clamped
+    ("retrieve", dict(RETRIEVE, jet_source="finite_difference", order=5), "order"),
+    ("retrieve", dict(RETRIEVE, jet_source="finite_difference", order=14), "order"),
 ], ids=["missing-root-key", "missing-grid-key", "missing-square-key", "missing-sampled-key",
         "unexpected-root-key", "unexpected-grid-key", "unexpected-mixture-key", "root-not-object",
         "string-number", "true-number", "true-epsilon", "true-center", "centers-not-array",
@@ -581,7 +584,7 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
         "path-signal-with-kind", "infinite-dt", "nan-dt", "minus-infinite-t0",
         "infinite-atom-shift", "nan-grid-bound", "nan-step", "minus-infinite-center",
         "infinite-cx", "nan-side", "nan-epsilon", "infinite-sharpness-step", "nan-a",
-        "nan-sample", "a-above-3"])
+        "nan-sample", "a-above-3", "fd-order-5", "fd-order-14"])
 def test_malformed_config_names_field(tmp_path, capsys, command, payload, path):
     (tmp_path / "s.json").write_text(json.dumps(ATOM_MIXTURE))
     code, out = run(tmp_path, command, payload)
@@ -591,20 +594,21 @@ def test_malformed_config_names_field(tmp_path, capsys, command, payload, path):
     assert err.startswith(f"error: config: invalid field {path}: "), err
 
 
-@pytest.mark.parametrize("command, payload, step, error", [
-    ("transform", TRANSFORM, "inf", "error: --grid-step must be positive and finite\n"),
-    ("transform", TRANSFORM, "nan", "error: --grid-step must be positive and finite\n"),
-    ("sharpness", {"a_values": [1.0]}, "inf", "error: --grid-step must be positive and finite\n"),
-    ("sharpness", {"a_values": [1.0]}, "-0.05", "error: --grid-step must be positive and finite\n"),
-    # the option overrides the config's step, but the config is still checked whole
-    ("transform", _with_value(TRANSFORM, "grid.step", math.nan), "0.05",
-     "error: config: invalid field grid.step: nan is not a finite number\n"),
+@pytest.mark.parametrize("command, payload, step", [
+    ("transform", TRANSFORM, "inf"),
+    ("transform", TRANSFORM, "nan"),
+    ("sharpness", {"a_values": [1.0]}, "inf"),
+    ("sharpness", {"a_values": [1.0]}, "-0.05"),
+    ("transform", _with_value(TRANSFORM, "grid.step", math.nan), "0.05"),
 ], ids=["transform-inf", "transform-nan", "sharpness-inf", "sharpness-negative", "nan-config-step"])
-def test_bad_grid_step_option_exits_2(tmp_path, capsys, command, payload, step, error):
-    code, out = run(tmp_path, command, payload, extra=("--grid-step", step))
-    assert code == 2
-    assert not out.exists()
-    assert capsys.readouterr().err == error
+def test_bad_grid_step_option_exits_2(tmp_path, capsys, command, payload, step):
+    # the config's step is the one way to set a step: argparse refuses the
+    # option, whatever its value, before the config is read
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, payload, extra=("--grid-step", step))
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert f"unrecognized arguments: --grid-step {step}\n" in capsys.readouterr().err
 
 
 def _mixture(payload) -> GaussianMixtureSignal:
@@ -691,6 +695,16 @@ def test_integer_given_as_float_runs_as_int(tmp_path, command, payload, key):
             assert json.loads(a.read_text()) == json.loads(b.read_text())
         elif name != "meta.json":
             assert a.read_bytes() == b.read_bytes(), name
+
+
+@pytest.mark.parametrize("jet_source, order", [("analytic", 14), ("finite_difference", 4)])
+def test_retrieve_default_order(tmp_path, jet_source, order):
+    payload = _without(dict(RETRIEVE, jet_source=jet_source), "order")
+    code, out_default = run(tmp_path, "retrieve", payload, "out_default")
+    assert code == 0
+    code, out_given = run(tmp_path, "retrieve", dict(payload, order=order), "out_given")
+    assert code == 0
+    assert (out_default / "retrieved.csv").read_bytes() == (out_given / "retrieved.csv").read_bytes()
 
 
 def test_cli_runs_without_jsonschema(tmp_path):

@@ -15,13 +15,13 @@ from gaborcert import (
 )
 from gaborcert.signal_model import fock_coefficients, inner_product
 
-from oracles import random_mixture, scaled_mixture
+from oracles import mixture_samples, random_mixture, scaled_mixture
 
 
 def quadrature_transform(sig, x, y, span=12.0, n=120001):
     """Brute-force trapezoidal oracle for the transform."""
     t = np.linspace(-span, span, n)
-    integrand = sig.evaluate(t) * np.exp(-np.pi * (t - x) ** 2) * np.exp(-2j * np.pi * t * y)
+    integrand = mixture_samples(sig, t) * np.exp(-np.pi * (t - x) ** 2) * np.exp(-2j * np.pi * t * y)
     return np.trapezoid(integrand, t)
 
 
@@ -80,8 +80,8 @@ def test_make_sharpness_pair_atoms():
 def test_sharpness_pair_norms_match():
     f, g = make_sharpness_pair(2.0)
     t = np.linspace(-12, 12, 400001)
-    nf = math.sqrt(np.trapezoid(np.abs(f.evaluate(t)) ** 2, t))
-    ng = math.sqrt(np.trapezoid(np.abs(g.evaluate(t)) ** 2, t))
+    nf = math.sqrt(np.trapezoid(np.abs(mixture_samples(f, t)) ** 2, t))
+    ng = math.sqrt(np.trapezoid(np.abs(mixture_samples(g, t)) ** 2, t))
     assert l2_norm(f) == pytest.approx(nf, abs=1e-8)
     assert l2_norm(g) == pytest.approx(ng, abs=1e-8)
     # the cross terms decay like e^{-2 pi a^2}, so the norms agree to 1e-8 at a=2
