@@ -52,6 +52,7 @@ from .stability_graph import (
 )
 from .stitching import (
     DegenerateSquareError,
+    _jet_order,
     min_phase_distance,
     retrieve_phase,
     sharpness_ratio,
@@ -539,10 +540,10 @@ def cmd_retrieve(config, args) -> ReportBundle:
     spec_cfg = config["spectrogram"]
     truth, ref = config.get("ground_truth"), None
     jet_source = config.get("jet_source", "analytic")
-    order = config.get("order", 14 if jet_source == "analytic" else 4)
-    if jet_source == "finite_difference" and order > 4:
-        raise _invalid("config", "order",
-                       f"{order!r} is greater than the maximum of 4 for finite_difference jets")
+    try:
+        order = _jet_order(jet_source, config.get("order"))
+    except ValueError as exc:
+        raise _invalid("config", "order", str(exc)) from None
     if truth is not None and not isinstance(truth, GaussianMixtureSignal):
         raise CliValidationError("ground_truth must be a mixture signal")
     if "csv" in spec_cfg:

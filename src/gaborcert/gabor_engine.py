@@ -41,8 +41,12 @@ __all__ = [
 GABOR = "gabor"
 SPECTROGRAM = "spectrogram"
 
-# byte budget that sets the height of quadrature_gabor's windowed-row blocks
-_BLOCK_BYTES = 8 << 20
+# byte budgets of quadrature_gabor's two working blocks: one column block of
+# the kernel and one block of windowed rows
+_KERNEL_BYTES = 48 << 20
+_BLOCK_BYTES = 24 << 20
+# kernel column blocks start at multiples of this many columns
+_COLUMN_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,18 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     """Transform field of a sampled signal by trapezoidal quadrature on its sample grid.
 
     The sum runs over every t node for every grid point; nothing is
-    truncated.  Besides the output, its working set is one (nt, ny) kernel
-    exp(-2 pi i t y), one complex block of windowed rows allocated once and
-    reused for every row block (under two fixed byte budgets), and one
-    nt-long real scratch row for the window.
+    truncated.  The product of the windowed x rows with the kernel
+    exp(-2 pi i t y) is tiled over both output axes: the kernel is built one
+    column block at a time, and for each column block the windowed rows are
+    rebuilt and streamed through it in row blocks (forward, then backward,
+    so one column block's last row block is reused by the next).  Besides
+    the output, the working set is one kernel column block, one complex
+    block of windowed rows (each under a fixed byte budget, both allocated
+    once and reused) and one nt-long real scratch row for the window.  A
+    kernel under its budget is one column block.  Column blocks start at
+    multiples of 64 columns: BLAS computes the output in tiles of a few
+    columns, and an unaligned block edge or a one-column block (gemv) would
+    round some columns differently from the one full product.
     """
     t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
@@ -165,36 +177,54 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
 
     xs = grid.xs()
     ys = grid.ys()
-    # the kernel is the one full-size buffer, built in place; writing -2 pi t y
-    # into its imaginary part instead of multiplying by -2j*pi would flip the
-    # sign of some zero imaginary parts where t y = 0
-    kernel = np.zeros((len(t), len(ys)), dtype=complex)
-    np.multiply.outer(t, ys, out=kernel.real)
-    kernel *= -2j * np.pi
-    np.exp(kernel, out=kernel)
+    values = np.empty((len(xs), len(ys)), dtype=complex)
+    # kernel columns in blocks of `cols`, a multiple of _COLUMN_ALIGN; a
+    # one-column tail joins the block before it.  A single x row goes through
+    # gemv, whose thread split of the columns depends on their count, so it
+    # keeps the kernel in one block
+    cols = len(ys) if len(xs) == 1 else max(
+        _COLUMN_ALIGN, _KERNEL_BYTES // (16 * len(t)) // _COLUMN_ALIGN * _COLUMN_ALIGN)
+    edges = [*range(0, max(1, len(ys) - 1), cols), len(ys)]
+    kernel_buf = np.empty(len(t) * max(np.diff(edges)), dtype=complex)
     # windowed integrand rows go through the matmul in nx // rows blocks of
     # equal height, each at least `rows` tall: BLAS picks its kernel and its
     # thread split from the block shape, and a one-row block (gemv) or a short
     # tail block rounds differently from the rows of one full product
-    values = np.empty((len(xs), len(ys)), dtype=complex)
     rows = max(2, _BLOCK_BYTES // (16 * len(t)))
     n_blocks = max(1, len(xs) // rows)
     # every block's rows (f(t) exp(-pi (t - x)^2)) w(t) are built in one
     # buffer allocated once, each row's window in one contiguous scratch row;
-    # f * window promotes the window to window + 0j, in chunks inside the ufunc
+    # f * window promotes the window to window + 0j, in chunks inside the ufunc,
+    # and each row is weighted while it is in cache by w + 0j, the promotion
+    # that multiplying by the real w applies
     windowed = np.empty((-(-len(xs) // n_blocks), len(t)), dtype=complex)
     gauss = np.empty(len(t))
-    for b in range(n_blocks):
-        lo, hi = b * len(xs) // n_blocks, (b + 1) * len(xs) // n_blocks
-        block = windowed[:hi - lo]
-        for row, x in zip(block, xs[lo:hi]):
-            np.subtract(t, x, out=gauss)
-            np.square(gauss, out=gauss)
-            gauss *= -np.pi
-            np.exp(gauss, out=gauss)
-            np.multiply(ft, gauss, out=row)
-        block *= w
-        np.matmul(block, kernel, out=values[lo:hi])
+    w = w + 0j
+    built = None  # the row block the buffer holds
+    for c, (c0, c1) in enumerate(zip(edges, edges[1:])):
+        # the column block, built in place; writing -2 pi t y into its
+        # imaginary part instead of multiplying by -2j*pi would flip the sign
+        # of some zero imaginary parts where t y = 0
+        kernel = kernel_buf[:len(t) * (c1 - c0)].reshape(len(t), c1 - c0)
+        kernel.imag = 0.0
+        np.multiply.outer(t, ys[c0:c1], out=kernel.real)
+        kernel *= -2j * np.pi
+        np.exp(kernel, out=kernel)
+        # row blocks run forward and backward in turn, so the block left in
+        # the buffer by one column block is the first of the next, not rebuilt
+        for b in (range(n_blocks) if c % 2 == 0 else reversed(range(n_blocks))):
+            lo, hi = b * len(xs) // n_blocks, (b + 1) * len(xs) // n_blocks
+            block = windowed[:hi - lo]
+            if b != built:
+                for row, x in zip(block, xs[lo:hi]):
+                    np.subtract(t, x, out=gauss)
+                    np.square(gauss, out=gauss)
+                    gauss *= -np.pi
+                    np.exp(gauss, out=gauss)
+                    np.multiply(ft, gauss, out=row)
+                    row *= w
+                built = b
+            np.matmul(block, kernel, out=values[lo:hi, c0:c1])
     return SpectrogramField(grid, values, GABOR)
 
 

@@ -29,7 +29,7 @@ from .gabor_engine import (
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
 from .stability_graph import SquareCover, _spanning_forest, build_graph
-from .tensor_phase import jet_from_field, jet_from_mixture, local_phase_from_modulus
+from .tensor_phase import _FD_MAX_ORDER, jet_from_field, jet_from_mixture, local_phase_from_modulus
 
 __all__ = [
     "RetrievalResult",
@@ -45,6 +45,8 @@ _DEGENERATE_PEAK = 1e-10
 _COVERED = 1e-12
 # cells per gathered array when overlaps are aligned (256 KB of complex values)
 _BLOCK_CELLS = 1 << 14
+# the jet order when none is given, per jet source
+_DEFAULT_ORDER = {"analytic": 14, "finite_difference": _FD_MAX_ORDER}
 
 
 class DegenerateSquareError(ValueError):
@@ -101,15 +103,27 @@ def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
     return dist, math.sqrt(region_norm(diff, square, 2))
 
 
+def _jet_order(jet_source: str, order: int | None) -> int:
+    """`order`, or the jet source's default when it is None; a finite-difference
+    order above 4 raises ValueError."""
+    if order is None:
+        return _DEFAULT_ORDER[jet_source]
+    if jet_source == "finite_difference" and order > _FD_MAX_ORDER:
+        raise ValueError(f"{order!r} is greater than the maximum of {_FD_MAX_ORDER} "
+                         "for finite_difference jets")
+    return order
+
+
 def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
-                   jet_source: str = "analytic", order: int = 14,
+                   jet_source: str = "analytic", order: int | None = None,
                    signal: GaussianMixtureSignal | None = None) -> RetrievalResult:
     """Reconstruct a transform field on the cover from spectrogram data.
 
     Per square, a jet of |F_c|^2 is built at the grid node nearest the
-    square's centre (analytic jets require the generating mixture;
-    finite-difference jets work from the samples and take orders 0..4 only,
-    so a higher `order` raises ValueError).  Local fields
+    square's centre (analytic jets require the generating mixture and
+    default to order 14; finite-difference jets work from the samples, take
+    orders 0..4 only and default to 4, and a higher `order` raises
+    ValueError before any work).  Local fields
     are aligned pairwise on overlaps and synchronized; the output is defined
     up to one unimodular constant per connected component of the overlap
     graph.  Squares must lie in the field's domain.
@@ -126,6 +140,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         raise ValueError("retrieve_phase expects a spectrogram field")
     if jet_source not in ("analytic", "finite_difference"):
         raise ValueError(f"unknown jet source {jet_source!r}")
+    order = _jet_order(jet_source, order)
     if jet_source == "analytic" and signal is None:
         raise ValueError("analytic jets require the generating mixture")
 

@@ -17,6 +17,7 @@ shifts) and the Taylor data of F_c at 0 stay bounded wherever c sits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -43,6 +44,8 @@ __all__ = [
 
 # a jet whose largest |F^(m)(center)|^2 is at or below this carries no phase information
 _SINGULAR_CENTER = 1e-10
+# finite-difference jets take orders 0 up to this: noise grows factorially with the order
+_FD_MAX_ORDER = 4
 
 
 class SingularCenterError(ValueError):
@@ -125,15 +128,20 @@ def jet_from_taylor(coeffs: Sequence[complex], order: int, center: complex = 0.0
     return LocalJet(complex(center), order, np.outer(fk, np.conj(fk)))
 
 
-def _fd_weights(m: int, offsets: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at 0 on given offsets."""
+@functools.cache
+def _fd_weights(m: int, rad: int) -> np.ndarray:
+    """Finite-difference weights for the m-th derivative at 0 on the unit offsets
+    -rad..rad, solved once per (m, rad) and returned read-only."""
+    offsets = np.arange(-rad, rad + 1, dtype=float)
     n = len(offsets)
     if m >= n:
         raise ValueError("stencil too small for requested derivative order")
     v = np.vander(offsets, n, increasing=True).T
     rhs = np.zeros(n)
     rhs[m] = math.factorial(m)
-    return np.linalg.solve(v, rhs)
+    weights = np.linalg.solve(v, rhs)
+    weights.flags.writeable = False
+    return weights
 
 
 def jet_from_field(spec_field, center_xy: tuple[float, float], order: int) -> LocalJet:
@@ -145,8 +153,8 @@ def jet_from_field(spec_field, center_xy: tuple[float, float], order: int) -> Lo
     """
     if spec_field.kind != SPECTROGRAM:
         raise ValueError("finite-difference jets require a spectrogram field")
-    if order < 0 or order > 4:
-        raise ValueError("finite-difference jets support orders 0..4 only")
+    if order < 0 or order > _FD_MAX_ORDER:
+        raise ValueError(f"finite-difference jets support orders 0..{_FD_MAX_ORDER} only")
     g = spec_field.grid
     if abs(g.dx - g.dy) > 1e-12 * g.dx:
         raise ValueError("finite-difference jets require square grid cells")
@@ -165,7 +173,7 @@ def jet_from_field(spec_field, center_xy: tuple[float, float], order: int) -> Lo
     # |F_c(u)|^2 on the stencil; u = (x - x0) - i (y - y0), so flip the y axis
     u = (spec_field.values[i0 - rad:i0 + rad + 1, j0 - rad:j0 + rad + 1]
          * np.exp(np.pi * np.add.outer(r2, r2)))[:, ::-1]
-    wts = np.array([_fd_weights(m, offsets) / h**m for m in range(2 * order + 1)])
+    wts = np.array([_fd_weights(m, rad) / h**m for m in range(2 * order + 1)])
     mixed = wts @ u @ wts.T  # mixed[p, q] = dx^p dy^q |F_c|^2 (0), read for p + q <= 2 order
     derivs = np.zeros((order + 1, order + 1), dtype=complex)
     for k in range(order + 1):

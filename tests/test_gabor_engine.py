@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,9 @@ from gaborcert import (
 )
 from gaborcert.gabor_engine import (
     _BLOCK_BYTES,
+    _COLUMN_ALIGN,
     _CSV_CHUNK,
+    _KERNEL_BYTES,
     _float_fields,
     _uniform_axis,
     coverage_fractions,
@@ -93,31 +99,76 @@ def _noise(nt: int, t0: float, dt: float) -> SampledSignal:
     return SampledSignal(tuple(complex(re, im) for re, im in pairs), t0, dt)
 
 
-def _block_rows(nt: int) -> int:
-    return max(2, _BLOCK_BYTES // (16 * nt))
+def _tiling(nt: int, nx: int, ny: int) -> tuple[int, int, int]:
+    """quadrature_gabor's kernel column blocks, the widest one's columns, and its row blocks."""
+    cols = max(_COLUMN_ALIGN, _KERNEL_BYTES // (16 * nt) // _COLUMN_ALIGN * _COLUMN_ALIGN)
+    col_blocks = 1 if nx == 1 else max(1, -(-(ny - 1) // cols))
+    widest = ny if col_blocks == 1 else cols + (ny % cols == 1)
+    return col_blocks, widest, max(1, nx // max(2, _BLOCK_BYTES // (16 * nt)))
 
 
-@pytest.mark.parametrize("sig, grid, n_blocks", [
-    # 105 = 4 * 26 + 1: a fixed block height would leave a one-row tail
-    (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 105, 101), 4),
-    (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 201, 101), 3),
-    (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), 1),
-    (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), 1),
-    (SampledSignal((0.0,) * 8000, -2.0, 5e-4), Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 1),
-    (sampled_mixture(random_mixture(np.random.default_rng(3)), -8.0, 8.0),
-     Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 1),
-], ids=["row-blocks", "three-blocks", "one-x-point", "one-sample", "zero-signal", "mixture"])
-def test_quadrature_bit_identical_to_one_shot(sig, grid, n_blocks):
-    assert max(1, grid.nx // _block_rows(len(sig.samples))) == n_blocks
+# id: (signal, grid, (kernel column blocks, row blocks))
+QUADRATURE_CASES = {
+    # 157 = 2 * 78 + 1: a fixed block height would leave a one-row tail
+    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), (1, 2)),
+    "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 590, 101), (1, 3)),
+    "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), (1, 1)),
+    "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), (1, 1)),
+    "zero-signal": (SampledSignal((0.0,) * 8000, -2.0, 5e-4),
+                    Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
+    "mixture": (sampled_mixture(random_mixture(np.random.default_rng(3)), -8.0, 8.0),
+                Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
+    # the data-path transform's shape: column blocks of 128 and 123
+    "data-path": (_noise(20000, -6.5, 6.5e-4), Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
+                  (2, 3)),
+    # column blocks of 64 and 3
+    "short-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 67), (2, 1)),
+    # 64 and 65: a one-column tail (gemv) joins the block before it
+    "one-column-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 129),
+                        (2, 1)),
+    # a kernel over its budget, but narrower than one alignment step
+    "below-one-step": (_noise(60000, -3.0, 1e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 3, 60), (1, 1)),
+    # a single x row (gemv) keeps a kernel over its budget in one block
+    "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251),
+                         (1, 1)),
+}
+
+
+def _assert_bit_identical_to_one_shot(name):
+    sig, grid, blocks = QUADRATURE_CASES[name]
+    col_blocks, _, row_blocks = _tiling(len(sig.samples), grid.nx, grid.ny)
+    assert (col_blocks, row_blocks) == blocks, name
     got = quadrature_gabor(sig, grid).values
     want = quadrature_gabor_one_shot(sig, grid).values
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
-def test_quadrature_peak_memory_is_one_kernel_and_one_row_block():
+@pytest.mark.parametrize("name", list(QUADRATURE_CASES))
+def test_quadrature_bit_identical_to_one_shot(name):
+    _assert_bit_identical_to_one_shot(name)
+
+
+def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread():
+    # byte identity holds per BLAS thread count, and OpenBLAS reads its thread count
+    # once, when it loads: the column-block cases run again in a fresh interpreter
+    names = ["data-path", "short-tail", "one-column-tail", "one-x-point-wide"]
+    script = ("import sys\n"
+              "from test_gabor_engine import _assert_bit_identical_to_one_shot\n"
+              "for name in sys.argv[1:]:\n"
+              "    _assert_bit_identical_to_one_shot(name)\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *names], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_quadrature_peak_memory_is_one_kernel_column_block_and_one_row_block():
     nt = 20000
     sig = _noise(nt, -2.0, 2e-4)
-    # the 101 x 101 grid, then the data-path transform's 251 x 251
+    # the 101 x 101 grid (one column block), then the data-path transform's 251 x 251 (two)
     for half in (1.0, 2.5):
         grid = Grid2D.from_bounds(-half, half, -half, half, 0.02)
         tracemalloc.start()
@@ -126,10 +177,11 @@ def test_quadrature_peak_memory_is_one_kernel_and_one_row_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kernel = 16 * nt * grid.ny
+        _, widest, row_blocks = _tiling(nt, grid.nx, grid.ny)
+        kernel = 16 * nt * widest
         output = fld.values.nbytes
         # one reused block, as tall as the tallest of the nx // rows equal blocks
-        block = 16 * nt * -(-grid.nx // max(1, grid.nx // _block_rows(nt)))
+        block = 16 * nt * -(-grid.nx // row_blocks)
         # t, the samples, the weights and one scratch row, 16 bytes per node at most
         vectors = 4 * 16 * nt
         assert peak < kernel + output + block + vectors, grid

@@ -17,6 +17,7 @@ from gaborcert import (
     retrieve_phase,
     spectrogram,
 )
+from gaborcert import stitching
 from gaborcert.gabor_engine import region_inner_product
 from gaborcert.stitching import DegenerateSquareError
 
@@ -140,6 +141,31 @@ def test_retrieve_finite_difference_jets():
     ref = mixture_field(f03, grid)
     _, dist = min_phase_distance(ref, result.field, COVER_2X2.rects())
     assert dist <= 5e-3 * region_norm(ref, COVER_2X2.rects(), 2)
+
+
+def test_retrieve_default_order_follows_jet_source():
+    # without `order`, finite-difference jets run at 4 and analytic jets at 14
+    f03, _ = make_sharpness_pair(0.3)
+    grid = Grid2D.from_bounds(-0.85, 0.85, -0.85, 0.85, 0.05)
+    spec = spectrogram(mixture_field(f03, grid))
+    cover = SquareCover(((-0.3, 0.0), (0.3, 0.0)))
+    for jet_source, order, signal in (("finite_difference", 4, None), ("analytic", 14, f03)):
+        got = retrieve_phase(spec, cover, jet_source, signal=signal)
+        want = retrieve_phase(spec, cover, jet_source, order, signal=signal)
+        assert np.array_equal(got.field.values.view(np.uint64), want.field.values.view(np.uint64))
+
+
+def test_retrieve_rejects_finite_difference_order_above_4_before_any_work(monkeypatch):
+    f03, _ = make_sharpness_pair(0.3)
+    grid = Grid2D.from_bounds(-0.85, 0.85, -0.85, 0.85, 0.05)
+    spec = spectrogram(mixture_field(f03, grid))
+
+    def reached(*args, **kwargs):
+        raise AssertionError("build_graph ran before the order was checked")
+
+    monkeypatch.setattr(stitching, "build_graph", reached)
+    with pytest.raises(ValueError, match="5 is greater than the maximum of 4 for finite_difference"):
+        retrieve_phase(spec, COVER_2X2, "finite_difference", 5)
 
 
 def test_retrieve_gauge_covariance():

@@ -22,6 +22,7 @@ from gaborcert import (
 )
 from gaborcert.tensor_phase import (
     SingularCenterError,
+    _fd_weights,
     disk_norm_from_jet,
     jet_from_field,
     jet_from_taylor,
@@ -122,6 +123,25 @@ def test_jet_from_field_matches_analytic():
         jet_from_field(spec, (0.2, -0.1), 5)
     with pytest.raises(ValueError):
         jet_from_field(spec, (0.213, -0.1), 4)  # off-grid center
+
+
+def test_fd_weights_solved_once_per_derivative_and_radius(monkeypatch):
+    # weights are cached unscaled, so each equals a fresh solve on the offsets bit for bit
+    for rad in range(1, 6):
+        offsets = np.arange(-rad, rad + 1, dtype=float)
+        v = np.vander(offsets, len(offsets), increasing=True).T
+        for m in range(2 * rad + 1):
+            rhs = np.zeros(len(offsets))
+            rhs[m] = math.factorial(m)
+            assert np.array_equal(_fd_weights(m, rad).view(np.uint64),
+                                  np.linalg.solve(v, rhs).view(np.uint64))
+    spec = spectrogram(mixture_field(GaussianMixtureSignal((GaussianAtom(1.0, 0.2),)),
+                                     Grid2D.from_bounds(-1, 1, -1, 1, 0.05)))
+    first = jet_from_field(spec, (0.2, -0.1), 4)
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
+    again = jet_from_field(spec, (-0.3, 0.25), 4)
+    assert solves == [] and again.order == first.order == 4
 
 
 def test_delta_exact_values():
