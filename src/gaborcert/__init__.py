@@ -46,7 +46,6 @@ from .cubature import (
     GaussRule1D,
     ProductRule2D,
     SamplingPlan,
-    discrete_weighted_norm,
     gauss_rule,
     plan_sampling,
     product_rule,

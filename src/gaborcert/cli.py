@@ -47,10 +47,9 @@ from .stability_graph import (
     DegenerateVertexError,
     SquareCover,
     certificate,
-    graph_edge_rows,
-    graph_vertex_rows,
 )
 from .stitching import (
+    _UNIT_SQUARE,
     DegenerateSquareError,
     _jet_order,
     min_phase_distance,
@@ -58,7 +57,7 @@ from .stitching import (
     sharpness_ratio,
 )
 from .cubature import (
-    discrete_weighted_norm,
+    _NODE_CAP_EXP,
     plan_sampling,
     tensor_product_integral,
 )
@@ -299,13 +298,37 @@ _GRID_CHECKS = {"xmin": _number, "xmax": _number, "ymin": _number, "ymax": _numb
                 "step": _positive}
 
 
-def _grid(obj, where: str, path: str) -> Grid2D:
-    fields = _fields(obj, where, path, _GRID_CHECKS, ("xmin", "xmax", "ymin", "ymax"))
+def _bounded_grid(bounds, step: float, where: str, path: str) -> Grid2D:
+    """Grid2D.from_bounds(*bounds, step), after checking it has at most 10**7 points."""
     try:
-        return Grid2D.from_bounds(fields["xmin"], fields["xmax"], fields["ymin"], fields["ymax"],
-                                  fields.get("step", DEFAULT_GRID_STEP))
+        grid = Grid2D.from_bounds(*bounds, step)
     except ValueError as exc:
         raise _invalid(where, path, str(exc))
+    if grid.nx * grid.ny > 10**_NODE_CAP_EXP:
+        raise _invalid(where, path, f"{grid.nx} x {grid.ny} points is more than the maximum "
+                                    f"of 10**{_NODE_CAP_EXP}")
+    return grid
+
+
+def _grid(obj, where: str, path: str) -> Grid2D:
+    fields = _fields(obj, where, path, _GRID_CHECKS, ("xmin", "xmax", "ymin", "ymax"))
+    return _bounded_grid([fields[key] for key in ("xmin", "xmax", "ymin", "ymax")],
+                         fields.get("step", DEFAULT_GRID_STEP), where, path)
+
+
+def _grid_step(step, where: str, path: str) -> float:
+    """A sharpness grid step, after checking the grid sharpness_ratio spans with it."""
+    step = _positive(step, where, path)
+    _bounded_grid(_UNIT_SQUARE, step, where, path)
+    return step
+
+
+def _reference_n(n, where: str, path: str) -> int:
+    """A reference rule size of at least 10 whose n^2 nodes are at most 10**7."""
+    n = _integer(n, where, path, minimum=10)
+    if n * n > 10**_NODE_CAP_EXP:
+        raise _invalid(where, path, f"{n}^2 nodes is more than the maximum of 10**{_NODE_CAP_EXP}")
+    return n
 
 
 def _centers(centers, where: str, path: str) -> tuple[tuple[float, float], ...]:
@@ -349,13 +372,13 @@ def _check_config(config, args) -> dict:
         "transform": ({"signal": signal, "grid": _grid}, ("signal", "grid")),
         "certify": ({"signal_f": signal, "signal_g": signal, "cover": _cover, "grid": _grid},
                     ("signal_f", "signal_g", "cover", "grid")),
-        "sharpness": ({"a_values": _a_values, "grid_step": _positive}, ("a_values",)),
+        "sharpness": ({"a_values": _a_values, "grid_step": _grid_step}, ("a_values",)),
         "plan-sample": ({"epsilon": partial(_number, above=0, below=0.5),
                          "square": partial(_fields, checks={"cx": _number, "cy": _number,
                                                             "side": _positive},
                                            required=("cx", "cy", "side")),
                          "signal_f": signal, "signal_g": signal,
-                         "reference_n": partial(_integer, minimum=10)},
+                         "reference_n": _reference_n},
                         ("epsilon", "square", "signal_f", "signal_g")),
         "retrieve": ({"spectrogram": partial(_spectrogram, signal=signal, grid=_grid),
                       "cover": _cover,
@@ -386,8 +409,9 @@ class ReportBundle:
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add_table(self, name: str, header: list[str], rows) -> None:
-        self.tables[name] = (header, list(rows))
+    def add_table(self, name: str, columns: dict) -> None:
+        """A table of equal-length columns, keyed by header."""
+        self.tables[name] = {header: np.asarray(col) for header, col in columns.items()}
 
     def add_field(self, name: str, fld: SpectrogramField) -> None:
         _finite(fld.values, f"{name} field")
@@ -398,12 +422,13 @@ class ReportBundle:
         (outdir / "config_echo.json").write_text(
             json.dumps(self.config_echo, indent=2, sort_keys=True) + "\n"
         )
-        for name, (header, rows) in self.tables.items():
+        for name, columns in self.tables.items():
+            cols = list(columns.values())
             with open(outdir / f"{name}.csv", "w", newline="\n") as fh:
-                fh.write(",".join(header) + "\n")
-                for start in range(0, len(rows), _CSV_CHUNK):
-                    columns = map(_column_text, zip(*rows[start:start + _CSV_CHUNK]))
-                    fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
+                fh.write(",".join(columns) + "\n")
+                for start in range(0, len(cols[0]), _CSV_CHUNK):
+                    text = [_column_text(col[start:start + _CSV_CHUNK]) for col in cols]
+                    fh.writelines(",".join(cells) + "\n" for cells in zip(*text))
         for name, fld in self.fields.items():
             write_field_csv(fld, outdir / f"{name}.csv")
         text = [f"command: {self.command}"] + self.summary
@@ -414,15 +439,13 @@ class ReportBundle:
         (outdir / "meta.json").write_text(json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
 
 
-def _column_text(cells) -> list[str]:
-    """A table column as text: floats as repr's bytes from one _float_fields call,
-    integers in decimal, anything else by str."""
-    is_float = [isinstance(c, (float, np.floating)) for c in cells]
-    if any(is_float):
-        chars, lens = _float_fields([c for c, f in zip(cells, is_float) if f])
-        floats = iter(chars[_FIELD_MASK[lens]].tobytes().decode().split(","))
-    return [next(floats) if f else str(int(c)) if isinstance(c, (int, np.integer)) else str(c)
-            for c, f in zip(cells, is_float)]
+def _column_text(col: np.ndarray) -> list[str]:
+    """A table column as text by its dtype: floats as repr's bytes from one
+    _float_fields call, integers and strings by str."""
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    chars, lens = _float_fields(col)
+    return chars[_FIELD_MASK[lens]].tobytes().decode().split(",")[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +481,12 @@ def cmd_certify(config, args) -> ReportBundle:
     _finite(spec_g.values, "signal_g spectrogram")
     cert = certificate(spec_f, spec_g, config["cover"])
     bundle = ReportBundle("certify")
-    bundle.add_table("certificate", ["quantity", "value"],
-                     [(name, val) for name, val in cert.rows()])
-    bundle.add_table("vertices", ["i", "w"], graph_vertex_rows(cert.graph))
-    bundle.add_table("edges", ["i", "j", "sigma"], graph_edge_rows(cert.graph))
+    names, values = zip(*cert.rows())
+    bundle.add_table("certificate", {"quantity": names, "value": values})
+    g = cert.graph
+    i, j = g.edges()
+    bundle.add_table("vertices", {"i": np.arange(g.n), "w": g.w})
+    bundle.add_table("edges", {"i": i, "j": j, "sigma": g.sigma[i, j]})
     bundle.summary.append(f"squares: {cert.nu}, union area: {cert.vol_omega!r}")
     bundle.summary.append(f"bound_lambda: {cert.bound_lambda!r}")
     bundle.summary.append(f"bound_cheeger: {cert.bound_cheeger!r}")
@@ -473,16 +498,14 @@ def cmd_certify(config, args) -> ReportBundle:
 def cmd_sharpness(config, args) -> ReportBundle:
     a_values = config["a_values"]
     step = config.get("grid_step", 0.02)
-    rows = []
-    for a in a_values:
-        dist, sqrt_specdiff = sharpness_ratio(a, step)
-        ratio = dist / sqrt_specdiff
-        rows.append((float(a), dist, sqrt_specdiff, ratio, math.log(ratio)))
+    dist, sqrt_specdiff = np.array([sharpness_ratio(a, step) for a in a_values]).T
+    ratio = dist / sqrt_specdiff
+    log_ratio = np.array([math.log(r) for r in ratio.tolist()])  # libm's log, not numpy's SIMD one
     bundle = ReportBundle("sharpness")
-    bundle.add_table("sharpness", ["a", "dist", "sqrt_specdiff", "ratio", "log_ratio"], rows)
-    if len(rows) >= 2:
-        arr = np.asarray(rows)
-        slope = float(np.polyfit(arr[:, 0], arr[:, 4], 1)[0])
+    bundle.add_table("sharpness", {"a": a_values, "dist": dist, "sqrt_specdiff": sqrt_specdiff,
+                                   "ratio": ratio, "log_ratio": log_ratio})
+    if len(a_values) >= 2:
+        slope = float(np.polyfit(a_values, log_ratio, 1)[0])
         bundle.summary.append(f"log-ratio regression slope: {slope!r}")
         bundle.summary.append(f"slope / pi: {slope / math.pi!r}")
     else:
@@ -511,24 +534,20 @@ def cmd_plan_sample(config, args) -> ReportBundle:
     ref_n = config.get("reference_n", 400)
     exact = tensor_product_integral(spec_diff_sq, ref_n, s, center)
     node_vals = spec_diff(plan.rule.points[:, 0], plan.rule.points[:, 1])
-    achieved = exact - float(np.dot(node_vals ** 2, plan.rule.weights))
-    discrete = discrete_weighted_norm(node_vals, plan.rule)
+    discrete_sq = float(np.dot(node_vals ** 2, plan.rule.weights))  # sum of v^2 w over the nodes
+    achieved = exact - discrete_sq
+    discrete = math.sqrt(discrete_sq)
     continuum = math.sqrt(exact)
 
     bundle = ReportBundle("plan-sample")
-    bundle.add_table("nodes", ["x", "y", "w"],
-                     np.column_stack([plan.rule.points, plan.rule.weights]).tolist())
-    bundle.add_table("plan", ["quantity", "value"], [
-        ("N", float(plan.n)),
-        ("node_count", float(plan.n ** 2)),
-        ("epsilon", plan.epsilon),
-        ("epsilon4", plan.epsilon ** 4),
-        ("kappa", plan.kappa),
-        ("predicted_error", plan.predicted_error),
-        ("achieved_error", achieved),
-        ("discrete_norm", discrete),
-        ("continuum_norm", continuum),
-    ])
+    x, y = plan.rule.points.T
+    bundle.add_table("nodes", {"x": x, "y": y, "w": plan.rule.weights})
+    bundle.add_table("plan", {
+        "quantity": ["N", "node_count", "epsilon", "epsilon4", "kappa", "predicted_error",
+                     "achieved_error", "discrete_norm", "continuum_norm"],
+        "value": [float(plan.n), float(plan.n ** 2), plan.epsilon, plan.epsilon ** 4, plan.kappa,
+                  plan.predicted_error, achieved, discrete, continuum],
+    })
     bundle.summary.append(f"N = {plan.n} ({plan.n ** 2} nodes)")
     bundle.summary.append(f"predicted error bound: {plan.predicted_error!r} <= eps^4 = {plan.epsilon ** 4!r}")
     bundle.summary.append(f"achieved |E|: {abs(achieved)!r}")
@@ -576,9 +595,8 @@ def cmd_retrieve(config, args) -> ReportBundle:
         _, dist = min_phase_distance(ref, result.field, rects)
         ref_norm = region_norm(ref, rects, 2)
         rel = dist / ref_norm if ref_norm > 0 else math.inf
-        bundle.add_table("oracle", ["quantity", "value"], [
-            ("distance", dist), ("reference_norm", ref_norm), ("relative_error", rel),
-        ])
+        bundle.add_table("oracle", {"quantity": ["distance", "reference_norm", "relative_error"],
+                                    "value": [dist, ref_norm, rel]})
         bundle.summary.append(f"relative error vs oracle: {rel!r}")
     return bundle
 

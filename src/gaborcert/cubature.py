@@ -28,10 +28,11 @@ __all__ = [
     "spectro_error_bound",
     "plan_sampling",
     "tensor_product_integral",
-    "discrete_weighted_norm",
 ]
 
 _LOG_HUGE = math.log(1e300)
+# a product rule holds at most 10**_NODE_CAP_EXP nodes (N^2); the CLI caps grids at the same count
+_NODE_CAP_EXP = 7
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,8 @@ def plan_sampling(epsilon: float, s: float, kappa: float,
                   center: tuple[float, float] = (0.0, 0.0)) -> SamplingPlan:
     """Smallest N whose predicted error is at most epsilon^4, plus the rule.
 
-    Doubling, then bisection; N is minimal because the bound is unimodal
-    (its log step log(sqrt(8 pi) s + 2) - log(N) / 2 + O(1/N) falls with N).
-    A rule of more than 10**7 nodes (N^2) raises ValueError before it is built.
+    N is found by scanning up from 1.  A rule of more than 10**7 nodes (N^2)
+    raises ValueError before it is built.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 0.5:
@@ -158,21 +158,11 @@ def plan_sampling(epsilon: float, s: float, kappa: float,
         raise ValueError("kappa must be positive")
     target = epsilon ** 4
     n = 1
-    if spectro_error_bound(n, s, kappa) > target:
-        hi = 2
-        # a hi past the node cap may still miss the target; bisection then returns it
-        while spectro_error_bound(hi, s, kappa) > target and hi * hi <= 10**7:
-            hi *= 2
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if spectro_error_bound(mid, s, kappa) <= target:
-                hi = mid
-            else:
-                lo = mid
-        n = hi
-    if n * n > 10**7:
-        raise ValueError("the smallest rule meeting epsilon^4 needs more than 10**7 nodes")
+    while spectro_error_bound(n, s, kappa) > target:
+        n += 1
+        if n * n > 10**_NODE_CAP_EXP:
+            raise ValueError("the smallest rule meeting epsilon^4 needs more than "
+                             f"10**{_NODE_CAP_EXP} nodes")
     rule = product_rule(n, s, center)
     return SamplingPlan(n, rule, epsilon, spectro_error_bound(n, s, kappa), kappa)
 
@@ -186,12 +176,3 @@ def tensor_product_integral(phi, n: int, s: float,
     """
     return apply_rule(phi, product_rule(n, s, center))
 
-
-def discrete_weighted_norm(values, rule: ProductRule2D) -> float:
-    """Weighted l2 norm (sum values^2 w)^(1/2) over the rule's nodes."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (len(rule.weights),):
-        raise ValueError(
-            f"expected {len(rule.weights)} node values, got shape {vals.shape}"
-        )
-    return float(math.sqrt(np.dot(vals * vals, rule.weights)))

@@ -32,7 +32,6 @@ __all__ = [
     "coverage_fractions",
     "region_norm",
     "rect_union_norm",
-    "region_inner_product",
     "union_area",
     "write_field_csv",
     "read_field_csv",
@@ -391,7 +390,7 @@ def _stacked_windows(grid: Grid2D, r: np.ndarray):
 
 
 def rect_union_norm(fld: SpectrogramField, rects, p) -> np.ndarray:
-    """L^p norms over an (m, 1, 4) stack of one-rectangle unions, one per rectangle.
+    """L^p norms over each rectangle of an (m, 4) array, one per rectangle.
 
     Same rule as region_norm, without its domain check: rectangles past the
     grid edge cover no cells there.  Windows and per-axis coverage are
@@ -400,10 +399,9 @@ def rect_union_norm(fld: SpectrogramField, rects, p) -> np.ndarray:
     cells.  Every step is region_norm's elementwise arithmetic, which keeps
     each norm bit-equal to that of its rectangle alone.
     """
-    stack = np.asarray(rects, dtype=float)
-    if stack.shape[1:] != (1, 4):
-        raise ValueError(f"stacked unions must hold one rectangle each, got shape {stack.shape}")
-    r = stack[:, 0]
+    r = np.asarray(rects, dtype=float)
+    if r.shape[1:] != (4,):
+        raise ValueError(f"expected an (m, 4) array, one rectangle each, got shape {r.shape}")
     grid = fld.grid
     (i0, j0), (wx, wy), ax, ay = _stacked_windows(grid, r)
     norms = np.empty(len(r))
@@ -417,17 +415,6 @@ def rect_union_norm(fld: SpectrogramField, rects, p) -> np.ndarray:
         cols = j0[idx, None, None] + np.arange(h)
         norms[idx] = _masked_norms(fld.values[rows, cols], frac, grid, p)
     return norms
-
-
-def region_inner_product(fld_a: SpectrogramField, fld_b: SpectrogramField, rects) -> complex:
-    """<a, b> over the union of the rectangles; fields must share a grid."""
-    if fld_a.grid != fld_b.grid:
-        raise ValueError("fields must share a grid")
-    _check_region_in_grid(fld_a.grid, rects)
-    sx, sy, sub = _window(fld_a.grid, rects)
-    frac = coverage_fractions(sub, rects)
-    cell = fld_a.grid.dx * fld_a.grid.dy
-    return complex(np.sum(fld_a.values[sx, sy] * np.conj(fld_b.values[sx, sy]) * frac) * cell)
 
 
 def union_area(rects) -> float:
@@ -606,7 +593,8 @@ def read_field_csv(path) -> SpectrogramField:
 
     The header is read with `csv`, the body in one `np.loadtxt` parse.
     Malformed bodies (no rows, ragged rows, non-numeric or non-finite cells,
-    a column count other than the header's) raise ValueError.
+    a column count other than the header's, rows that miss or repeat a grid
+    cell) raise ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -624,11 +612,12 @@ def read_field_csv(path) -> SpectrogramField:
         raise ValueError(f"field CSV data row {int(np.argmin(finite)) + 1} has a non-finite cell")
     x0, dx, nx = _uniform_axis(data[:, 0], "x")
     y0, dy, ny = _uniform_axis(data[:, 1], "y")
-    if len(data) != nx * ny:
-        raise ValueError("field CSV does not cover a full grid")
-    grid = Grid2D(x0, y0, dx, dy, nx, ny)
     ix = np.rint((data[:, 0] - x0) / dx).astype(int)
     iy = np.rint((data[:, 1] - y0) / dy).astype(int)
+    # nx * ny rows cover the grid when no cell repeats
+    if len(data) != nx * ny or not np.bincount(ix * ny + iy, minlength=nx * ny).all():
+        raise ValueError("field CSV does not cover a full grid")
+    grid = Grid2D(x0, y0, dx, dy, nx, ny)
     if header == ["x", "y", "re", "im"]:
         vals = np.zeros((nx, ny), dtype=complex)
         # parts filled one by one: re + 1j * im would turn a -0.0 part into 0.0

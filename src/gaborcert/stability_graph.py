@@ -33,8 +33,6 @@ __all__ = [
     "algebraic_connectivity",
     "cheeger_constant",
     "certificate",
-    "graph_edge_rows",
-    "graph_vertex_rows",
 ]
 
 EXACT_CHEEGER_LIMIT = 20
@@ -175,7 +173,7 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     y1 = np.minimum(r[:, None, 3], r[None, :, 3])
     i, j = np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))
     overlaps = np.stack([x0[i, j], x1[i, j], y0[i, j], y1[i, j]], axis=1)
-    mass = rect_union_norm(spec, overlaps[:, None, :], 1)
+    mass = rect_union_norm(spec, overlaps, 1)
     sigma = np.zeros((n, n))
     sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
@@ -327,11 +325,3 @@ def _spanning_forest(n: int, edges, roots) -> tuple[list[tuple[int, int]], list[
         trees.append(tuple(sorted(tree)))
     return tree_edges, trees
 
-
-def graph_vertex_rows(g: WeightedGraph) -> list[tuple[int, float]]:
-    return list(enumerate(g.w.tolist()))
-
-
-def graph_edge_rows(g: WeightedGraph) -> list[tuple[int, int, float]]:
-    i, j = g.edges()
-    return list(zip(i.tolist(), j.tolist(), g.sigma[i, j].tolist()))

@@ -22,9 +22,12 @@ from .gabor_engine import (
     SPECTROGRAM,
     Grid2D,
     SpectrogramField,
+    _check_region_in_grid,
+    _masked_norms,
     _stacked_windows,
+    _window,
+    coverage_fractions,
     mixture_field,
-    region_inner_product,
     region_norm,
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
@@ -47,6 +50,8 @@ _COVERED = 1e-12
 _BLOCK_CELLS = 1 << 14
 # the jet order when none is given, per jet source
 _DEFAULT_ORDER = {"analytic": 14, "finite_difference": _FD_MAX_ORDER}
+# the centred unit square (xmin, xmax, ymin, ymax) of sharpness_ratio
+_UNIT_SQUARE = (-0.5, 0.5, -0.5, 0.5)
 
 
 class DegenerateSquareError(ValueError):
@@ -72,15 +77,22 @@ def min_phase_distance(fld_f: SpectrogramField, fld_g: SpectrogramField,
 
     tau = <G, F> / |<G, F>| when the inner product is nonzero; for orthogonal
     fields every tau is optimal and the distance is (||F||^2 + ||G||^2)^(1/2).
+    The fields must share a grid.  The union's window and coverage are found
+    once and serve both the inner product and the norms.
     """
-    ip = region_inner_product(fld_g, fld_f, rects)
+    grid = fld_f.grid
+    if fld_g.grid != grid:
+        raise ValueError("fields must share a grid")
+    _check_region_in_grid(grid, rects)
+    sx, sy, sub = _window(grid, rects)
+    frac = coverage_fractions(sub, rects)
+    f, g = fld_f.values[sx, sy], fld_g.values[sx, sy]
+    ip = complex(np.sum(g * np.conj(f) * frac) * (grid.dx * grid.dy))
     if abs(ip) > 0.0:
         tau = ip / abs(ip)
-        # norm of the explicit difference field: no cancellation floor
-        diff = SpectrogramField(fld_f.grid, fld_g.values - tau * fld_f.values, GABOR)
-        return complex(tau), region_norm(diff, rects, 2)
-    nf = region_norm(fld_f, rects, 2)
-    ng = region_norm(fld_g, rects, 2)
+        # norm of the explicit windowed difference: no cancellation floor
+        return complex(tau), float(_masked_norms(g - tau * f, frac, grid, 2))
+    nf, ng = (float(_masked_norms(v, frac, grid, 2)) for v in (f, g))
     return 1.0 + 0.0j, math.sqrt(nf * nf + ng * ng)
 
 
@@ -91,8 +103,8 @@ def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
     grid of spacing `step`, sqrt_specdiff the root L2 distance of their
     spectrograms; dist / sqrt_specdiff is the sharpness ratio.
     """
-    grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, step)
-    square = [(-0.5, 0.5, -0.5, 0.5)]
+    grid = Grid2D.from_bounds(*_UNIT_SQUARE, step)
+    square = [_UNIT_SQUARE]
     f, g = make_sharpness_pair(a)
     fld_f = mixture_field(f, grid)
     fld_g = mixture_field(g, grid)

@@ -27,7 +27,8 @@ REMOVED = [
     "synchronize", "NoInformationError", "Square", "Region", "_union_fractions", "_region_rects",
     "fock_value", "fock_derivatives", "cheeger_inequality_check", "ConnectivityReport",
     "cmd_selftest", "CliDegeneracyError", "legendre_eval", "legendre_lower_bound_check",
-    "_mixture_t_grid", "_stacked_rect_norms",
+    "_mixture_t_grid", "_stacked_rect_norms", "region_inner_product", "graph_vertex_rows",
+    "graph_edge_rows", "discrete_weighted_norm",
 ]
 
 

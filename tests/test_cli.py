@@ -18,11 +18,12 @@ from gaborcert import (
     mixture_field,
     spectrogram,
 )
-from gaborcert.cli import _sample_pairs, main
+from gaborcert import cli
+from gaborcert.cli import _bounded_grid, _reference_n, _sample_pairs, main
 from gaborcert.cubature import plan_sampling
 from gaborcert.gabor_engine import SampledSignal, quadrature_gabor, read_field_csv
 from gaborcert.signal_model import l2_norm
-from gaborcert.stability_graph import SquareCover, certificate, graph_edge_rows, graph_vertex_rows
+from gaborcert.stability_graph import SquareCover, certificate
 from gaborcert.stitching import retrieve_phase
 
 from oracles import field_csv_bytes, sharpness_strip, table_csv_bytes
@@ -224,7 +225,10 @@ def test_malformed_field_csv_rejected(tmp_path, capsys):
              "non-numeric": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0,one\n", None),
              "too-few-columns": ("x,y,s\n0.0,0.0\n0.0,1.0\n", "columns"),
              "nan-value": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0,nan\n", "data row 2 has a non-finite cell"),
-             "inf-coordinate": ("x,y,s\n0.0,0.0,1.0\n-inf,1.0,1.0\n", "data row 2 has a non-finite cell")}
+             "inf-coordinate": ("x,y,s\n0.0,0.0,1.0\n-inf,1.0,1.0\n", "data row 2 has a non-finite cell"),
+             # as many rows as a 2 x 2 grid has cells, but (0, 0) and (1, 1) twice
+             "repeated-cells": ("x,y,s\n0.0,0.0,1.0\n0.0,0.0,2.0\n1.0,1.0,3.0\n1.0,1.0,4.0\n",
+                                "field CSV does not cover a full grid")}
     for name, (text, message) in cases.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
@@ -630,9 +634,11 @@ def test_report_tables_match_cellwise_format(tmp_path):
     grid = Grid2D.from_bounds(-1.0, 1.0, -1.0, 1.0, 0.05)
     cert = certificate(spectrogram(mixture_field(f, grid)), spectrogram(mixture_field(g, grid)),
                        SquareCover(tuple(map(tuple, TWO_SQUARES["centers"]))))
+    i, j = cert.graph.edges()
     for name, header, rows in (("certificate", ["quantity", "value"], cert.rows()),
-                               ("vertices", ["i", "w"], graph_vertex_rows(cert.graph)),
-                               ("edges", ["i", "j", "sigma"], graph_edge_rows(cert.graph))):
+                               ("vertices", ["i", "w"], list(enumerate(cert.graph.w.tolist()))),
+                               ("edges", ["i", "j", "sigma"],
+                                list(zip(i.tolist(), j.tolist(), cert.graph.sigma[i, j].tolist())))):
         assert (out / f"{name}.csv").read_bytes() == table_csv_bytes(header, rows), name
 
 
@@ -729,3 +735,43 @@ def test_cli_runs_without_jsonschema(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "certify" / "certificate.csv").exists()
+
+
+def _never_run(config, args):
+    raise AssertionError("the command ran")
+
+
+@pytest.mark.parametrize("command, payload, path, points", [
+    ("transform", _with_value(TRANSFORM, "grid.step", 1e-5), "grid", "200001 x 200001"),
+    ("certify", _with_value(CERTIFY, "grid.step", 1e-5), "grid", "200001 x 200001"),
+    ("retrieve", _with_value(RETRIEVE, "spectrogram.grid.step", 1e-5), "spectrogram.grid",
+     "200001 x 200001"),
+    ("sharpness", {"a_values": [1.0], "grid_step": 1e-5}, "grid_step", "100001 x 100001"),
+], ids=["transform", "certify", "retrieve", "sharpness"])
+def test_grid_over_point_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                     payload, path, points):
+    monkeypatch.setitem(cli.COMMANDS, command, _never_run)
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: config: invalid field {path}: {points} points is more than the maximum of 10**7\n")
+
+
+def test_grid_point_cap_is_inclusive():
+    # 3162^2 = 9998244 points are within 10**7; 3163 x 3162 = 10001406 are not
+    assert _bounded_grid((0.0, 3161.0, 0.0, 3161.0), 1.0, "config", "grid").nx == 3162
+    with pytest.raises(ValueError, match="3163 x 3162 points is more than the maximum of 10\\*\\*7"):
+        _bounded_grid((0.0, 3162.0, 0.0, 3161.0), 1.0, "config", "grid")
+
+
+@pytest.mark.parametrize("n", [3163, 20000, 10**8])
+def test_plan_sample_reference_n_over_node_cap_exits_2_before_any_work(tmp_path, capsys,
+                                                                        monkeypatch, n):
+    monkeypatch.setitem(cli.COMMANDS, "plan-sample", _never_run)
+    code, out = run(tmp_path, "plan-sample", dict(PLAN, reference_n=n))
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: config: invalid field reference_n: {n}^2 nodes is more than the maximum of 10**7\n")
+    assert _reference_n(3162, "config", "reference_n") == 3162

@@ -174,7 +174,7 @@ def _bits(x):
 def test_stacked_rect_norms_bit_equal_per_union(name, p):
     cover, spec = COVERS[name]()
     rects = np.concatenate([_overlap_rects(cover), np.array(cover.rects())])
-    stacked = rect_union_norm(spec, rects[:, None, :], p)
+    stacked = rect_union_norm(spec, rects, p)
     per_union = [_union_norm(spec, [tuple(r)], p) for r in rects]
     assert stacked.shape == (len(rects),)
     assert np.array_equal(_bits(stacked), _bits(per_union))
@@ -203,11 +203,11 @@ def test_stacked_rect_norms_at_and_past_the_grid_edge(p):
                       (3.0, 4.0, 3.0, 4.0),      # past the grid's corner: mass 0
                       (-0.3, 0.7, -0.6, 0.4)])
     for fld in (_domain_spec(), mixture_field(ATOM, DOMAIN_GRID)):  # real and complex values
-        stacked = rect_union_norm(fld, rects[:, None, :], p)
+        stacked = rect_union_norm(fld, rects, p)
         assert np.array_equal(_bits(stacked), _bits([_union_norm(fld, [r], p) for r in rects]))
         assert stacked[0] > 0 and stacked[3] > 0
         assert stacked[1] == 0.0 and stacked[2] == 0.0
-        assert rect_union_norm(fld, np.empty((0, 1, 4)), p).shape == (0,)
+        assert rect_union_norm(fld, np.empty((0, 4)), p).shape == (0,)
 
 
 @pytest.mark.parametrize("name", list(COVERS) + ["grid-edge"])

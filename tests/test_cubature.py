@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborcert import (
-    discrete_weighted_norm,
+    cubature,
     gabor_closed_form,
     gauss_rule,
     l2_norm,
@@ -119,26 +119,35 @@ def test_plan_sampling_minimality_and_growth():
         plan_sampling(0.7, 1.0, 1.0)
     with pytest.raises(ValueError):
         plan_sampling(0.25, 1.0, 0.0)
-    # rules over 10**7 nodes are refused before they are built: side 1e6, and
-    # side 20 (N = 7443); side 13 (N = 3303) is past the cap only after bisection
+    # rules over 10**7 nodes are refused before they are built: side 1e6, side 20
+    # (N = 7443) and side 13 (N = 3303, just past the cap's 3162)
     for s in (5e5, 10.0, 6.5):
         with pytest.raises(ValueError, match="10\\*\\*7 nodes"):
             plan_sampling(0.1, s, 2.0)
 
 
-def test_discrete_weighted_norm():
-    rule = product_rule(4, 0.5)
-    assert discrete_weighted_norm(np.zeros(16), rule) == 0.0
-    # weights sum to the square side^2 = 1, so a constant c has norm |c| * side
-    assert discrete_weighted_norm(np.full(16, 3.0), rule) == pytest.approx(3.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        discrete_weighted_norm(np.zeros(9), rule)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 0.49), st.floats(0.01, 30.0), st.floats(-30.0, 30.0))
+def test_plan_sampling_n_is_the_first_to_meet_the_target(eps, s, log_kappa):
+    # bound(N) <= eps^4 < bound(N - 1), or no N up to the cap's 3162 meets eps^4 and the
+    # plan raises; the rules themselves are not built
+    kappa, target = 10.0 ** log_kappa, eps ** 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubature, "product_rule", lambda n, s, center: None)
+        try:
+            n = plan_sampling(eps, s, kappa).n
+        except ValueError as exc:
+            assert "10**7 nodes" in str(exc)
+            assert all(spectro_error_bound(m, s, kappa) > target for m in range(1, 3163))
+            return
+    assert spectro_error_bound(n, s, kappa) <= target
+    assert n == 1 or spectro_error_bound(n - 1, s, kappa) > target
 
 
 def test_discrete_norm_tracks_continuum():
     rule = product_rule(16, 0.5)
     vals = spec_diff(rule.points[:, 0], rule.points[:, 1])
-    discrete = discrete_weighted_norm(vals, rule)
+    discrete = math.sqrt(np.dot(vals * vals, rule.weights))
     continuum = math.sqrt(tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, 200, 0.5))
     assert abs(discrete - continuum) < 1e-8
 

@@ -312,7 +312,7 @@ def test_rect_union_norm_matches_region_norm():
     grid = Grid2D.from_bounds(-2, 2, -2, 2, 0.05)
     spec = spectrogram(mixture_field(ATOM, grid))
     by_region = region_norm(spec, square_rect(0.2, -0.1, 1.0), 1)
-    by_rect = rect_union_norm(spec, [[(-0.3, 0.7, -0.6, 0.4)]], 1)
+    by_rect = rect_union_norm(spec, [(-0.3, 0.7, -0.6, 0.4)], 1)
     assert by_rect.shape == (1,)
     assert by_region == pytest.approx(by_rect[0], rel=1e-12)
 

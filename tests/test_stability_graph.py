@@ -23,8 +23,6 @@ from gaborcert import (
 from gaborcert.stability_graph import (
     DegenerateVertexError,
     _spanning_forest,
-    graph_edge_rows,
-    graph_vertex_rows,
 )
 
 from oracles import (
@@ -280,12 +278,6 @@ def test_spanning_forest_matches_inline_dfs():
         assert (tree_edges, trees) == spanning_forest_dfs(n, edges, roots)
         assert len(tree_edges) == n - len(trees)
         assert sorted(v for t in trees for v in t) == list(range(n))
-
-
-def test_graph_export_rows():
-    g = two_vertex_graph(s=0.25)
-    assert graph_vertex_rows(g) == [(0, 1.0), (1, 1.0)]
-    assert graph_edge_rows(g) == [(0, 1, 0.25)]
 
 
 def test_weighted_graph_validation():
