@@ -56,6 +56,7 @@ from .stitching import (
     retrieve_phase,
     sharpness_ratio,
 )
+from .tensor_phase import SingularCenterError
 from .cubature import (
     _NODE_CAP_EXP,
     plan_sampling,
@@ -631,9 +632,9 @@ def main(argv=None) -> int:
         args.base_dir = args.config.parent
         config = _load_json(args.config, "config")
         bundle = COMMANDS[args.command](_check_config(config, args), args)
-    except (DegenerateVertexError, DegenerateSquareError, NonFiniteResultError,
-            ZeroFieldError) as exc:
-        # before ValueError: both degeneracy errors of the numeric modules are ValueErrors
+    except (DegenerateVertexError, DegenerateSquareError, SingularCenterError,
+            NonFiniteResultError, ZeroFieldError) as exc:
+        # before ValueError: the numeric modules' degeneracy errors are ValueErrors
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
     except ValueError as exc:

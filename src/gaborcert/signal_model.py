@@ -13,10 +13,10 @@ Conventions, fixed project-wide:
 * atom transform (exact):
   ``G atom(x, y) = A 2^{-1/2} exp(-pi/2 [(x-shift)^2 + (y-mod)^2])
                    * exp(-i pi (x+shift) (y-mod))``
-* entire-function side: ``F(w) = sum_j c_j exp(beta_j w)`` with
-  ``beta_j = pi (shift_j + i mod_j)`` and
-  ``c_j = A_j 2^{-1/2} exp(pi/2 (shift_j + i mod_j)^2 - pi shift_j^2)``,
-  linked to the transform by ``G f(x, y) = F(x - i y) exp(-i pi x y - pi |z|^2 / 2)``.
+* entire-function side: ``F(c) = G f(x, y) exp(i pi x y + pi |c|^2 / 2)``, c = x - i y.
+  In the frame ``F_c(u) = F(c + u) exp(-pi conj(c) u - pi |c|^2 / 2)`` atom j adds
+  ``A_j 2^{-1/2} exp(-pi/2 |d_j|^2 + i pi (x mod_j - shift_j y + shift_j mod_j) + pi d_j u)``
+  with ``d_j = (shift_j - x) + i (mod_j - y)``; at u = 0 it is at most |A_j| 2^{-1/2}.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "gabor_closed_form",
     "l2_norm",
     "inner_product",
-    "fock_coefficients",
 ]
 
 _INV_SQRT2 = 2.0 ** -0.5
@@ -78,14 +77,13 @@ class GaussianMixtureSignal:
                 raise TypeError("mixture atoms must be GaussianAtom instances")
 
     @cached_property
-    def _fock_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        amp = np.array([a.amplitude for a in self.atoms])
-        s = np.array([a.shift for a in self.atoms])
-        mu = s + 1j * np.array([a.modulation for a in self.atoms])
-        beta = np.pi * mu
-        c = amp * _INV_SQRT2 * np.exp(0.5 * np.pi * mu * mu - np.pi * s ** 2)
-        c.flags.writeable = beta.flags.writeable = False
-        return c, beta
+    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(amplitude, shift, modulation) of the atoms, built once and read-only."""
+        arrays = tuple(np.array([getattr(a, f) for a in self.atoms])
+                       for f in ("amplitude", "shift", "modulation"))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
 
 def make_sharpness_pair(a: float) -> tuple[GaussianMixtureSignal, GaussianMixtureSignal]:
@@ -143,9 +141,8 @@ def _open_mesh_closed_form(sig: GaussianMixtureSignal, x: np.ndarray, y: np.ndar
     ``c_k = A_k 2^{-1/2} exp(i pi s_k m_k)`` the field takes K (nx + ny)
     exponentials and one matrix product instead of K nx ny exponentials.
     """
-    s = np.array([a.shift for a in sig.atoms])
-    m = np.array([a.modulation for a in sig.atoms])
-    c = np.array([a.amplitude for a in sig.atoms]) * _INV_SQRT2 * np.exp(1j * np.pi * s * m)
+    amp, s, m = sig._atom_arrays
+    c = amp * _INV_SQRT2 * np.exp(1j * np.pi * s * m)
     yc = y.T
     u = np.exp(-0.5 * np.pi * (x - s) ** 2 + 1j * np.pi * x * m)
     v = np.exp(-0.5 * np.pi * (yc - m) ** 2 - 1j * np.pi * yc * s)
@@ -174,12 +171,4 @@ def l2_norm(sig: GaussianMixtureSignal) -> float:
     """Exact L2(R) norm of the mixture."""
     sq = inner_product(sig, sig).real
     return math.sqrt(max(sq, 0.0))
-
-
-def fock_coefficients(sig: GaussianMixtureSignal) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential-sum form of the entire-function side: F(w) = sum c_j e^{beta_j w}.
-
-    Computed once per signal and cached on it; the arrays are read-only.
-    """
-    return sig._fock_coefficients
 

@@ -32,7 +32,8 @@ from .gabor_engine import (
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
 from .stability_graph import SquareCover, _spanning_forest, build_graph
-from .tensor_phase import _FD_MAX_ORDER, jet_from_field, jet_from_mixture, local_phase_from_modulus
+from .tensor_phase import (_FD_MAX_ORDER, SingularCenterError, jet_from_field, jet_from_mixture,
+                           local_phase_from_modulus)
 
 __all__ = [
     "RetrievalResult",
@@ -195,8 +196,12 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         gauss = np.exp(1j * np.pi * ((np.conj(c) * u).imag - px * py)
                        - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
         ends = np.searchsorted(sq, np.arange(first, first + per_block + 1)).tolist()
-        for jet, lo, hi in zip(jets[first:], ends, ends[1:]):
-            np.multiply(local_phase_from_modulus(jet, w_pts[lo:hi]), gauss[lo:hi], out=gauss[lo:hi])
+        for k, (jet, lo, hi) in enumerate(zip(jets[first:], ends, ends[1:]), first):
+            try:
+                local = local_phase_from_modulus(jet, w_pts[lo:hi])
+            except SingularCenterError as exc:
+                raise SingularCenterError(f"square {k}: {exc}") from None
+            np.multiply(local, gauss[lo:hi], out=gauss[lo:hi])
         locals_[sq, a, b] = gauss
 
     # relative multipliers on overlaps, then spanning-tree propagation

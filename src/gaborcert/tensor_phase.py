@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gabor_engine import SPECTROGRAM
-from .signal_model import GaussianMixtureSignal, fock_coefficients
+from .signal_model import _INV_SQRT2, GaussianMixtureSignal
 
 __all__ = [
     "LocalJet",
@@ -100,15 +100,20 @@ def jet_from_mixture(sig: GaussianMixtureSignal, center: complex, order: int) ->
     """Analytic jet of the mixture's local frame F_c at u = 0, c = `center`.
 
     `center` is a point of the entire-function plane; the field point (x, y)
-    corresponds to center = x - 1j * y.  With F = sum_j c_j e^(beta_j w),
-    ``F_c^(k)(0) = sum_j c_j e^(beta_j c - pi |c|^2 / 2) (beta_j - pi conj(c))^k``.
+    corresponds to center = x - 1j * y.  With d_j = (s_j - x) + i (m_j - y), atom j
+    adds A_j 2^(-1/2) exp(-pi/2 |d_j|^2 + i pi (x m_j - s_j y + s_j m_j)) (pi d_j)^k to
+    F_c^(k)(0); no exponent has a positive real part, so no centre overflows.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     c = complex(center)
-    coef, beta = fock_coefficients(sig)
-    base = coef * np.exp(beta * c - 0.5 * np.pi * abs(c) ** 2)
-    derivs_f = (beta - np.pi * c.conjugate()) ** np.arange(order + 1)[:, None] @ base
+    amp, s, m = sig._atom_arrays
+    dx, dy = s - c.real, m + c.imag
+    terms = np.empty((order + 1, len(s)), dtype=complex)
+    terms[0] = amp * _INV_SQRT2 * np.exp(-0.5 * np.pi * (dx * dx + dy * dy)
+                                         + 1j * np.pi * (s * dy + c.real * m))
+    terms[1:] = np.pi * (dx + 1j * dy)
+    derivs_f = np.cumprod(terms, axis=0, out=terms).sum(axis=1)
     return LocalJet(c, order, np.outer(derivs_f, np.conj(derivs_f)))
 
 

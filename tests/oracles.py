@@ -28,7 +28,6 @@ import numpy as np
 
 from gaborcert import GaussianAtom, GaussianMixtureSignal, SampledSignal, gabor_closed_form
 from gaborcert.cubature import _legendre_pair, gauss_rule
-from gaborcert.signal_model import fock_coefficients
 
 _LOWER_BOUND_SAMPLES = 2000
 
@@ -78,6 +77,19 @@ def random_mixture(rng, max_atoms: int = 3, spread: float = 0.8) -> GaussianMixt
         for _ in range(n)
     )
     return GaussianMixtureSignal(atoms)
+
+
+def fock_coefficients(sig: GaussianMixtureSignal) -> tuple[np.ndarray, np.ndarray]:
+    """(c_j, beta_j) of the exponential-sum form F(w) = sum_j c_j e^(beta_j w):
+    beta_j = pi (s_j + i m_j), c_j = A_j 2^(-1/2) e^(pi/2 (s_j + i m_j)^2 - pi s_j^2).
+
+    An independent reference for the atom-factor form the package computes; its
+    two factors overflow far from the origin, so keep centres near it.
+    """
+    amp = np.array([a.amplitude for a in sig.atoms])
+    s = np.array([a.shift for a in sig.atoms])
+    mu = s + 1j * np.array([a.modulation for a in sig.atoms])
+    return amp * 2 ** -0.5 * np.exp(0.5 * np.pi * mu * mu - np.pi * s ** 2), np.pi * mu
 
 
 def fock_value(sig: GaussianMixtureSignal, w) -> complex | np.ndarray:

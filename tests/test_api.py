@@ -28,7 +28,7 @@ REMOVED = [
     "fock_value", "fock_derivatives", "cheeger_inequality_check", "ConnectivityReport",
     "cmd_selftest", "CliDegeneracyError", "legendre_eval", "legendre_lower_bound_check",
     "_mixture_t_grid", "_stacked_rect_norms", "region_inner_product", "graph_vertex_rows",
-    "graph_edge_rows", "discrete_weighted_norm",
+    "graph_edge_rows", "discrete_weighted_norm", "fock_coefficients",
 ]
 
 
@@ -57,6 +57,7 @@ def test_removed_names_stay_removed():
     assert not hasattr(LocalJet, "truncated")
     assert not hasattr(Grid2D, "mesh") and not hasattr(GaussianMixtureSignal, "scale")
     assert not hasattr(GaussianMixtureSignal, "evaluate")
+    assert not hasattr(GaussianMixtureSignal, "_fock_coefficients")
     assert "side" not in inspect.signature(SquareCover).parameters
     assert not hasattr(SquareCover, "squares") and not hasattr(SquareCover, "region")
     for fn, option in ((retrieve_phase, "threshold"), (local_phase_from_modulus, "threshold"),

@@ -475,6 +475,42 @@ def test_retrieve_disconnected_warns(tmp_path, capsys):
     assert "multi-component" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("x0", [30.0, 60.0])
+def test_retrieve_far_from_origin_exits_0_quietly(tmp_path, capsys, x0):
+    atoms = [{"re": 1.0, "im": 0.0, "shift": x0 + 0.2, "modulation": 0.1},
+             {"re": 0.8, "im": 0.3, "shift": x0 + 0.5, "modulation": 0.6}]
+    payload = {
+        "spectrogram": {"signal": {"kind": "mixture", "atoms": atoms},
+                        "grid": {"xmin": x0 - 1.0, "xmax": x0 + 1.7, "ymin": -1.0, "ymax": 1.7,
+                                 "step": 0.05}},
+        "cover": {"centers": [[x0 + a, b] for a in (0.0, 0.7) for b in (0.0, 0.7)]},
+        "jet_source": "analytic",
+    }
+    code, out = run(tmp_path, "retrieve", payload)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    oracle = dict(line.split(",") for line in (out / "oracle.csv").read_text().splitlines()[1:])
+    assert float(oracle["relative_error"]) <= 1e-10
+
+
+def test_retrieve_singular_centre_exits_3_naming_square(tmp_path, capsys):
+    # the spectrogram peak on the square clears 1e-10, but the order-1 jet at
+    # its centre, 3.1 from the atom, does not
+    payload = {
+        "spectrogram": {"signal": ATOM_MIXTURE,
+                        "grid": {"xmin": -1.0, "xmax": 4.5, "ymin": -1.5, "ymax": 1.5,
+                                 "step": 0.05}},
+        "cover": {"centers": [[3.1, 0.0]]},
+        "jet_source": "analytic",
+        "order": 1,
+    }
+    code, out = run(tmp_path, "retrieve", payload)
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == ("numerical degeneracy: square 0: max |F^(m)(center)|^2 "
+                                       "= 3.67e-12 <= threshold 1e-10\n")
+
+
 def test_retrieve_from_csv_with_finite_differences(tmp_path):
     # produce a spectrogram CSV with transform, then retrieve from the file
     # alone using finite-difference jets; ground truth only scores the result

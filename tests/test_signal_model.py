@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from gaborcert import (
     l2_norm,
     make_sharpness_pair,
 )
-from gaborcert.signal_model import fock_coefficients, inner_product
+from gaborcert.signal_model import inner_product
 
 from oracles import mixture_samples, random_mixture, scaled_mixture
 
@@ -166,16 +165,17 @@ def test_inner_product_hermitian(t1, t2, n1, n2):
     assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)), abs=1e-12)
 
 
-def test_fock_coefficients_cached_per_signal():
+def test_atom_arrays_cached_per_signal():
     sig = GaussianMixtureSignal((GaussianAtom(1.0 + 0.5j, 0.4, -0.7), GaussianAtom(-0.3j, -1.1, 0.2)))
-    c, beta = fock_coefficients(sig)
-    assert fock_coefficients(sig)[0] is c  # computed once per signal
-    with pytest.raises(ValueError):
-        c[0] = 0.0  # read-only, so no caller can change the cached values
-    for a, cj, bj in zip(sig.atoms, c, beta):
-        mu = complex(a.shift, a.modulation)
-        assert bj == pytest.approx(math.pi * mu, rel=1e-15)
-        expected = a.amplitude * 2 ** -0.5 * cmath.exp(0.5 * math.pi * mu * mu - math.pi * a.shift ** 2)
-        assert cj == pytest.approx(expected, rel=1e-14)
-    again = fock_coefficients(GaussianMixtureSignal(sig.atoms))
-    assert again[0] is not c and np.array_equal(again[0], c)
+    arrays = sig._atom_arrays
+    assert sig._atom_arrays[0] is arrays[0]  # computed once per signal
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0  # read-only, so no caller can change the cached values
+    amp, shift, mod = arrays
+    assert amp.dtype == complex and shift.dtype == mod.dtype == float
+    assert amp.tolist() == [a.amplitude for a in sig.atoms]
+    assert shift.tolist() == [a.shift for a in sig.atoms]
+    assert mod.tolist() == [a.modulation for a in sig.atoms]
+    again = GaussianMixtureSignal(sig.atoms)._atom_arrays
+    assert again[0] is not amp and all(map(np.array_equal, again, arrays))

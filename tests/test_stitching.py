@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,18 @@ def test_retrieve_accurate_at_every_cover_size(kind, k):
     case = _spread_case(kind, k, seed=0)
     assert _retrieve_error(*case, "analytic", 14) <= 1e-4
     assert _retrieve_error(*case, "analytic", 24) <= 1e-9
+
+
+@pytest.mark.parametrize("x0", [30.0, 60.0])
+def test_retrieve_far_from_origin(x0):
+    # four squares and two atoms x0 away in time: every analytic jet stays finite
+    sig = GaussianMixtureSignal((GaussianAtom(1.0, x0 + 0.2, 0.1),
+                                 GaussianAtom(0.8 + 0.3j, x0 + 0.5, 0.6)))
+    grid = Grid2D.from_bounds(x0 - 1.0, x0 + 1.7, -1.0, 1.7, 0.05)
+    cover = SquareCover(tuple((x0 + a, b) for a in (0.0, 0.7) for b in (0.0, 0.7)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _retrieve_error(sig, grid, cover, "analytic", 14) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

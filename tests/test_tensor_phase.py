@@ -80,6 +80,36 @@ def test_jet_hermitian_for_mixtures():
         assert jet.derivs[0, 0].real >= 0.0
 
 
+def test_jet_matches_exponential_sum_oracle():
+    # F_c^(k)(0) = e^(-pi |c|^2 / 2) sum_j C(k, j) F^(j)(c) (-pi conj(c))^(k - j), with
+    # F^(j) from the oracle's c_j e^(beta_j w) form, which is exact near the origin
+    rng = np.random.default_rng(11)
+    for center in (0.0, 0.4 - 0.3j, -0.6 + 0.2j):
+        sig = random_mixture(rng, max_atoms=4)
+        d = fock_derivatives(sig, center, 10)
+        shift = -math.pi * np.conj(center)
+        frame = np.array([sum(math.comb(k, j) * d[j] * shift ** (k - j) for j in range(k + 1))
+                          for k in range(11)]) * math.exp(-0.5 * math.pi * abs(center) ** 2)
+        expect = np.outer(frame, np.conj(frame))
+        got = jet_from_mixture(sig, center, 10).derivs
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("x0, y0", [(30, 0), (0, 30), (30, 60), (-45, 20)])
+def test_jet_is_shift_covariant(x0, y0):
+    # moving every atom by (x0, y0) in the time-frequency plane moves the jets with
+    # it: F_c changes by a unimodular constant, which the outer product cancels
+    rng = np.random.default_rng(12)
+    for center in (0.0, 0.4 - 0.3j, -0.6 + 0.2j):
+        sig = random_mixture(rng, max_atoms=4)
+        moved = GaussianMixtureSignal(tuple(
+            GaussianAtom(a.amplitude * np.exp(-2j * math.pi * a.modulation * x0),
+                         a.shift + x0, a.modulation + y0) for a in sig.atoms))
+        expect = jet_from_mixture(sig, center, 14).derivs
+        got = jet_from_mixture(moved, center + x0 - 1j * y0, 14).derivs
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_jet_matches_finite_difference_oracle():
     # analytic jet vs high-order central differences of |F_c|^2, k, l <= 3, where
     # |F_c(u)|^2 = |F(c + u)|^2 exp(-2 pi Re(conj(c) u) - pi |c|^2)
