@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import GaussianMixtureSignal, gabor_closed_form
+from .signal_model import GaussianMixtureSignal, _cis_outer, gabor_closed_form
 
 __all__ = [
     "GABOR",
@@ -42,7 +42,7 @@ SPECTROGRAM = "spectrogram"
 
 # byte budgets of quadrature_gabor's two working blocks: one column block of
 # the kernel and one block of windowed rows
-_KERNEL_BYTES = 48 << 20
+_KERNEL_BYTES = 20 << 20
 _BLOCK_BYTES = 24 << 20
 # kernel column blocks start at multiples of this many columns
 _COLUMN_ALIGN = 64
@@ -159,14 +159,16 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     exp(-2 pi i t y) is tiled over both output axes: the kernel is built one
     column block at a time, and for each column block the windowed rows are
     rebuilt and streamed through it in row blocks (forward, then backward,
-    so one column block's last row block is reused by the next).  Besides
-    the output, the working set is one kernel column block, one complex
-    block of windowed rows (each under a fixed byte budget, both allocated
-    once and reused) and one nt-long real scratch row for the window.  A
-    kernel under its budget is one column block.  Column blocks start at
-    multiples of 64 columns: BLAS computes the output in tiles of a few
-    columns, and an unaligned block edge or a one-column block (gemv) would
-    round some columns differently from the one full product.
+    so one column block's last row block is reused by the next).  The
+    kernel is cos + i sin of its real angle, built a row chunk at a time in
+    a small real scratch array (`signal_model._cis_outer`).  Besides the
+    output, the working set is one kernel column block, one complex block
+    of windowed rows (each under a fixed byte budget, both allocated once
+    and reused), the angle scratch and one nt-long real scratch row for the
+    window.  A kernel under its budget is one column block.  Column blocks
+    start at multiples of 64 columns: BLAS computes the output in tiles of a
+    few columns, and an unaligned block edge or a one-column block (gemv)
+    would round some columns differently from the one full product.
     """
     t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
@@ -201,14 +203,9 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     w = w + 0j
     built = None  # the row block the buffer holds
     for c, (c0, c1) in enumerate(zip(edges, edges[1:])):
-        # the column block, built in place; writing -2 pi t y into its
-        # imaginary part instead of multiplying by -2j*pi would flip the sign
-        # of some zero imaginary parts where t y = 0
+        # the column block, built in place as cos + i sin of (t y) (-2 pi)
         kernel = kernel_buf[:len(t) * (c1 - c0)].reshape(len(t), c1 - c0)
-        kernel.imag = 0.0
-        np.multiply.outer(t, ys[c0:c1], out=kernel.real)
-        kernel *= -2j * np.pi
-        np.exp(kernel, out=kernel)
+        _cis_outer(t, ys[c0:c1], -2 * np.pi, kernel)
         # row blocks run forward and backward in turn, so the block left in
         # the buffer by one column block is the first of the next, not rebuilt
         for b in (range(n_blocks) if c % 2 == 0 else reversed(range(n_blocks))):

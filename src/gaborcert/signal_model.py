@@ -2,10 +2,9 @@
 
 An atom is ``A * exp(-pi (t - shift)^2) * exp(2 pi i modulation t)``.  Finite
 mixtures of such atoms admit exact formulas for the Gaussian-window
-time-frequency transform used throughout this package, at real or complex
-arguments (the same formula is the transform's entire extension), and for L2
-inner products (Gaussian Gram matrix).  That makes mixtures the reference
-signals behind every numerical oracle in the test suite.
+time-frequency transform used throughout this package, at real arguments,
+and for L2 inner products (Gaussian Gram matrix).  That makes mixtures the
+reference signals behind every numerical oracle in the test suite.
 
 Conventions, fixed project-wide:
 
@@ -37,6 +36,8 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 2.0 ** -0.5
+# elements of the real scratch that holds a row chunk of an outer-product phase's angles
+_PHASE_CHUNK = 1 << 13
 
 
 def _require_finite(name: str, value) -> None:
@@ -107,26 +108,58 @@ def make_sharpness_pair(a: float) -> tuple[GaussianMixtureSignal, GaussianMixtur
     return f, g
 
 
-def gabor_closed_form(sig: GaussianMixtureSignal, x, y):
-    """Exact transform values; x, y broadcastable scalars or arrays.
+def _cis(angle, out: np.ndarray):
+    """exp(i angle) of a real angle (array or scalar) as cos + i sin, into the complex `out`.
 
-    Real or complex arguments: at complex (x, y) the same formula is the
-    entire extension of the transform.  An open mesh (x of shape (nx, 1),
-    y of shape (1, ny)) is evaluated as one rank-K product; other points
-    atom by atom.
+    Bit for bit the np.exp of the purely imaginary argument it replaces: libm's
+    cexp of 0 + i angle is its sincos, and the complex products that formed
+    that argument left a zero angle +0, as adding 0.0 does here (in place).
+    A 0-d `out` is returned as its scalar, as np.exp returns one.
     """
-    dtype = np.result_type(np.asarray(x), np.asarray(y), np.float64)
-    x = np.asarray(x, dtype=dtype)
-    y = np.asarray(y, dtype=dtype)
+    angle += 0.0
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out[()]
+
+
+def _cis_outer(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """exp(i (a_j b_k) scale) into the complex (len(a), len(b)) array `out` by `_cis`.
+
+    The angles are built a row chunk at a time in one real scratch array of at
+    most max(_PHASE_CHUNK, len(b)) elements, not in an array of out's shape.
+    """
+    rows = max(1, _PHASE_CHUNK // max(1, len(b)))
+    scratch = np.empty((min(rows, len(a)), len(b)))
+    for r0 in range(0, len(a), rows):
+        angle = scratch[:min(rows, len(a) - r0)]
+        np.multiply.outer(a[r0:r0 + rows], b, out=angle)
+        angle *= scale
+        _cis(angle, out[r0:r0 + rows])
+    return out
+
+
+def gabor_closed_form(sig: GaussianMixtureSignal, x, y):
+    """Exact transform values; x, y real, broadcastable scalars or arrays.
+
+    An open mesh (x of shape (nx, 1), y of shape (1, ny)) is evaluated as
+    one rank-K product; other points atom by atom.  The unimodular factors
+    are cos + i sin of their real angles.  Complex arguments raise
+    TypeError.
+    """
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        raise TypeError("gabor_closed_form takes real arguments")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1:
         return _open_mesh_closed_form(sig, x, y)
     out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    phase = np.empty_like(out)
     for a in sig.atoms:
         dx = x - a.shift
         dy = y - a.modulation
         out += a.amplitude * _INV_SQRT2 \
             * np.exp(-0.5 * np.pi * (dx * dx + dy * dy)) \
-            * np.exp(-1j * np.pi * (x + a.shift) * dy)
+            * _cis(-np.pi * (x + a.shift) * dy, phase)
     if out.shape == ():
         return complex(out)
     return out
@@ -139,14 +172,16 @@ def _open_mesh_closed_form(sig: GaussianMixtureSignal, x: np.ndarray, y: np.ndar
     + pi s m``, so with ``U[i, k] = exp(-pi/2 (x_i - s_k)^2 + i pi x_i m_k)``,
     ``V[j, k] = exp(-pi/2 (y_j - m_k)^2 - i pi s_k y_j)`` and
     ``c_k = A_k 2^{-1/2} exp(i pi s_k m_k)`` the field takes K (nx + ny)
-    exponentials and one matrix product instead of K nx ny exponentials.
+    exponentials, nx ny cos/sin pairs and one matrix product instead of
+    K nx ny exponentials.
     """
     amp, s, m = sig._atom_arrays
     c = amp * _INV_SQRT2 * np.exp(1j * np.pi * s * m)
     yc = y.T
     u = np.exp(-0.5 * np.pi * (x - s) ** 2 + 1j * np.pi * x * m)
     v = np.exp(-0.5 * np.pi * (yc - m) ** 2 - 1j * np.pi * yc * s)
-    return np.exp(-1j * np.pi * (x * y)) * ((u * c) @ v.T)
+    phase = _cis_outer(x[:, 0], y[0], -np.pi, np.empty((x.shape[0], y.shape[1]), dtype=complex))
+    return np.multiply(phase, (u * c) @ v.T, out=phase)
 
 
 def inner_product(sig1: GaussianMixtureSignal, sig2: GaussianMixtureSignal) -> complex:

@@ -43,7 +43,8 @@ __all__ = [
     "retrieve_phase",
 ]
 
-# a square whose spectrogram peak is at or below this carries no phase information
+# a square whose spectrogram peak is at or below this times the spectrogram's
+# own peak carries no phase information
 _DEGENERATE_PEAK = 1e-10
 # cells whose coverage is at or below this hold no local field
 _COVERED = 1e-12
@@ -56,7 +57,7 @@ _UNIT_SQUARE = (-0.5, 0.5, -0.5, 0.5)
 
 
 class DegenerateSquareError(ValueError):
-    """Squares whose spectrogram mass is below threshold, listed by index."""
+    """Squares whose spectrogram peak is below threshold, listed by index."""
 
     def __init__(self, indices):
         self.indices = list(indices)
@@ -171,7 +172,9 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     rows = np.minimum(start[0][:, None] + np.arange(cov.shape[1]), grid.nx - 1)
     cols = np.minimum(start[1][:, None] + np.arange(cov.shape[2]), grid.ny - 1)
     peaks = np.where(covered, spec.values[rows[:, :, None], cols[:, None, :]], -1.0).max(axis=(1, 2))
-    degenerate = np.flatnonzero(peaks <= _DEGENERATE_PEAK)
+    # both degeneracy thresholds are relative to the data's own scale, its peak
+    scale = float(spec.values.max())
+    degenerate = np.flatnonzero(peaks <= _DEGENERATE_PEAK * scale)
     if degenerate.size:
         raise DegenerateSquareError(degenerate.tolist())
 
@@ -198,7 +201,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         ends = np.searchsorted(sq, np.arange(first, first + per_block + 1)).tolist()
         for k, (jet, lo, hi) in enumerate(zip(jets[first:], ends, ends[1:]), first):
             try:
-                local = local_phase_from_modulus(jet, w_pts[lo:hi])
+                local = local_phase_from_modulus(jet, w_pts[lo:hi], scale)
             except SingularCenterError as exc:
                 raise SingularCenterError(f"square {k}: {exc}") from None
             np.multiply(local, gauss[lo:hi], out=gauss[lo:hi])

@@ -42,7 +42,8 @@ __all__ = [
     "disk_norm_from_jet",
 ]
 
-# a jet whose largest |F^(m)(center)|^2 is at or below this carries no phase information
+# a jet whose largest |F^(m)(center)|^2 is at or below this times the data's
+# scale carries no phase information
 _SINGULAR_CENTER = 1e-10
 # finite-difference jets take orders 0 up to this: noise grows factorially with the order
 _FD_MAX_ORDER = 4
@@ -236,7 +237,8 @@ def distance_from_delta(norm_f: float, delta: float) -> float:
     return math.sqrt(5.0) * delta / norm_f
 
 
-def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex]) -> np.ndarray:
+def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex],
+                             scale: float = 1.0) -> np.ndarray:
     """Recover F at the given points, up to one global unimodular constant.
 
     The rank-one jet is read through its dominant column m, the largest
@@ -245,13 +247,15 @@ def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex]) -> np.n
     exp(-i arg F^(m)(center)) F(z) for exact jets (F_c(z - center) for jets
     of a signal).  The polynomial is evaluated by Horner's rule, in place,
     so the memory is one array of the points' shape.  A largest
-    derivs[m, m] at or below 1e-10 raises SingularCenterError.
+    derivs[m, m] at or below 1e-10 * `scale` raises SingularCenterError;
+    `scale` is the data's own scale, such as its spectrogram's peak.
     """
     diag = jet.derivs.diagonal().real
     m = int(np.argmax(diag))
-    if diag[m] <= _SINGULAR_CENTER:
+    threshold = _SINGULAR_CENTER * scale
+    if diag[m] <= threshold:
         raise SingularCenterError(
-            f"max |F^(m)(center)|^2 = {diag[m]:.3g} <= threshold {_SINGULAR_CENTER:.3g}"
+            f"max |F^(m)(center)|^2 = {diag[m]:.3g} <= threshold {threshold:.3g}"
         )
     rel = np.asarray(eval_pts, dtype=complex) - jet.center
     coeffs = jet.derivs[:, m] / np.array([math.factorial(k) for k in range(jet.order + 1)])

@@ -17,7 +17,11 @@ entire-function side F (values and derivatives at any point, unshifted)
 from direct exponential sums.  Mixtures are sampled in time by a direct
 atom sum, the input of the sampled-signal transform.  The sampled check of
 |P_N| against the holomorphic error bound's floor on its validity region is
-kept here, since only tests and acceptance criterion 10 use it.
+kept here, since only tests and acceptance criterion 10 use it.  The
+mixture transform's closed form at complex arguments (its entire extension)
+is kept here as np.exp of the complex exponents, apart from the package's
+cos/sin phases; at real arguments it is the bit-for-bit reference of those
+phases.
 """
 
 from __future__ import annotations
@@ -56,6 +60,36 @@ def mixture_samples(sig: GaussianMixtureSignal, t) -> np.ndarray:
     for a in sig.atoms:
         out += a.amplitude * np.exp(-np.pi * (t - a.shift) ** 2) \
             * np.exp(2j * np.pi * a.modulation * t)
+    return out
+
+
+def gabor_closed_form_exp(sig: GaussianMixtureSignal, x, y):
+    """The mixture's transform by np.exp of its complex exponents, at real or complex (x, y).
+
+    At complex arguments the same formula is the transform's entire
+    extension.  An open mesh (x of shape (nx, 1), y of shape (1, ny)) is one
+    rank-K product, as in the package; other points are summed atom by atom.
+    """
+    dtype = np.result_type(np.asarray(x), np.asarray(y), np.float64)
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
+    if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1:
+        amp, s, m = (np.array([getattr(a, f) for a in sig.atoms])
+                     for f in ("amplitude", "shift", "modulation"))
+        c = amp * 2 ** -0.5 * np.exp(1j * np.pi * s * m)
+        yc = y.T
+        u = np.exp(-0.5 * np.pi * (x - s) ** 2 + 1j * np.pi * x * m)
+        v = np.exp(-0.5 * np.pi * (yc - m) ** 2 - 1j * np.pi * yc * s)
+        return np.exp(-1j * np.pi * (x * y)) * ((u * c) @ v.T)
+    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    for a in sig.atoms:
+        dx = x - a.shift
+        dy = y - a.modulation
+        out += a.amplitude * 2 ** -0.5 \
+            * np.exp(-0.5 * np.pi * (dx * dx + dy * dy)) \
+            * np.exp(-1j * np.pi * (x + a.shift) * dy)
+    if out.shape == ():
+        return complex(out)
     return out
 
 
@@ -312,11 +346,12 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
     xs, ys = grid.xs(), grid.ys()
     rects = cover.rects()
     windows, degenerate = [], []
+    scale = spec.values.max()  # the spectrogram's peak sets both degeneracy thresholds
     for i in range(n):
         sx, sy, sub = _window(grid, rects[i:i + 1])
         cov = coverage_fractions(sub, rects[i:i + 1])
         windows.append((sx, sy, cov))
-        if np.where(cov > 1e-12, spec.values[sx, sy], -1.0).max() <= 1e-10:
+        if np.where(cov > 1e-12, spec.values[sx, sy], -1.0).max() <= 1e-10 * scale:
             degenerate.append(i)
     if degenerate:
         raise DegenerateSquareError(degenerate)
@@ -334,7 +369,7 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
         u = w_pts - jet.center
         gauss = np.exp(1j * np.pi * ((np.conj(jet.center) * u).imag - px * py)
                        - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
-        out[ix, iy] = local_phase_from_modulus(jet, w_pts) * gauss
+        out[ix, iy] = local_phase_from_modulus(jet, w_pts, scale) * gauss
         locals_.append(out)
 
     def shared(a, b):

@@ -494,8 +494,8 @@ def test_retrieve_far_from_origin_exits_0_quietly(tmp_path, capsys, x0):
 
 
 def test_retrieve_singular_centre_exits_3_naming_square(tmp_path, capsys):
-    # the spectrogram peak on the square clears 1e-10, but the order-1 jet at
-    # its centre, 3.1 from the atom, does not
+    # the spectrogram peak on the square clears 1e-10 of the data's peak (0.5),
+    # but the order-1 jet at its centre, 3.1 from the atom, does not
     payload = {
         "spectrogram": {"signal": ATOM_MIXTURE,
                         "grid": {"xmin": -1.0, "xmax": 4.5, "ymin": -1.5, "ymax": 1.5,
@@ -508,7 +508,40 @@ def test_retrieve_singular_centre_exits_3_naming_square(tmp_path, capsys):
     assert code == 3
     assert not out.exists()
     assert capsys.readouterr().err == ("numerical degeneracy: square 0: max |F^(m)(center)|^2 "
-                                       "= 3.67e-12 <= threshold 1e-10\n")
+                                       "= 3.67e-12 <= threshold 5e-11\n")
+
+
+def test_retrieve_at_small_amplitudes_exits_as_at_unit_scale(tmp_path, capsys):
+    # table D at x0 = 30 with amplitudes 1e-5 and 8e-6 + 3e-6i: every square's
+    # spectrogram peak is below an absolute 1e-10, but not below 1e-10 of the data's peak
+    atoms = [{"re": 1e-5, "im": 0.0, "shift": 30.2, "modulation": 0.1},
+             {"re": 8e-6, "im": 3e-6, "shift": 30.5, "modulation": 0.6}]
+    payload = {
+        "spectrogram": {"signal": {"kind": "mixture", "atoms": atoms},
+                        "grid": {"xmin": 29.0, "xmax": 31.7, "ymin": -1.0, "ymax": 1.7,
+                                 "step": 0.05}},
+        "cover": {"centers": [[30.0 + a, b] for a in (0.0, 0.7) for b in (0.0, 0.7)]},
+        "jet_source": "analytic",
+    }
+    code, out = run(tmp_path, "retrieve", payload, "table-d")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    oracle = dict(line.split(",") for line in (out / "oracle.csv").read_text().splitlines()[1:])
+    assert float(oracle["relative_error"]) <= 1e-10
+    # the singular centre below, at amplitude 1e-5, still exits 3 naming its square
+    payload = {
+        "spectrogram": {"signal": {"kind": "mixture", "atoms": [
+            {"re": 1e-5, "im": 0.0, "shift": 0.0, "modulation": 0.0}]},
+                        "grid": {"xmin": -1.0, "xmax": 4.5, "ymin": -1.5, "ymax": 1.5,
+                                 "step": 0.05}},
+        "cover": {"centers": [[3.1, 0.0]]},
+        "jet_source": "analytic",
+        "order": 1,
+    }
+    code, out = run(tmp_path, "retrieve", payload, "singular")
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("numerical degeneracy: square 0: ")
 
 
 def test_retrieve_from_csv_with_finite_differences(tmp_path):

@@ -17,7 +17,7 @@ from gaborcert import (
 )
 from gaborcert.cubature import apply_rule, tensor_product_integral
 
-from oracles import legendre_eval, legendre_lower_bound_check
+from oracles import gabor_closed_form_exp, legendre_eval, legendre_lower_bound_check
 
 F1, G1 = make_sharpness_pair(1.0)
 KAPPA1 = l2_norm(F1) ** 2 + l2_norm(G1) ** 2
@@ -170,10 +170,10 @@ def test_legendre_lower_bound_check():
 
 def test_holomorphic_extension_restricts_to_integrand():
     def phi_ext(z, zeta):
-        tf = gabor_closed_form(F1, z, zeta) \
-            * np.conj(gabor_closed_form(F1, np.conj(z), np.conj(zeta)))
-        tg = gabor_closed_form(G1, z, zeta) \
-            * np.conj(gabor_closed_form(G1, np.conj(z), np.conj(zeta)))
+        tf = gabor_closed_form_exp(F1, z, zeta) \
+            * np.conj(gabor_closed_form_exp(F1, np.conj(z), np.conj(zeta)))
+        tg = gabor_closed_form_exp(G1, z, zeta) \
+            * np.conj(gabor_closed_form_exp(G1, np.conj(z), np.conj(zeta)))
         return (tf - tg) ** 2
 
     xs = np.linspace(-0.5, 0.5, 9)

@@ -39,6 +39,7 @@ from gaborcert.gabor_engine import (
     union_area,
     write_field_csv,
 )
+from gaborcert.signal_model import _PHASE_CHUNK
 
 from oracles import (
     field_csv_bytes,
@@ -110,7 +111,8 @@ def _tiling(nt: int, nx: int, ny: int) -> tuple[int, int, int]:
 # id: (signal, grid, (kernel column blocks, row blocks))
 QUADRATURE_CASES = {
     # 157 = 2 * 78 + 1: a fixed block height would leave a one-row tail
-    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), (1, 2)),
+    # (column blocks of 64 and 37)
+    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), (2, 2)),
     "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 590, 101), (1, 3)),
     "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), (1, 1)),
     "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), (1, 1)),
@@ -118,9 +120,9 @@ QUADRATURE_CASES = {
                     Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
     "mixture": (sampled_mixture(random_mixture(np.random.default_rng(3)), -8.0, 8.0),
                 Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
-    # the data-path transform's shape: column blocks of 128 and 123
+    # the data-path transform's shape: column blocks of 64, 64, 64 and 59
     "data-path": (_noise(20000, -6.5, 6.5e-4), Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
-                  (2, 3)),
+                  (4, 3)),
     # column blocks of 64 and 3
     "short-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 67), (2, 1)),
     # 64 and 65: a one-column tail (gemv) joins the block before it
@@ -131,6 +133,12 @@ QUADRATURE_CASES = {
     # a single x row (gemv) keeps a kernel over its budget in one block
     "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251),
                          (1, 1)),
+    # t, x and y grids through exact zeros, and samples with signed zero parts: the
+    # kernel's t y = +-0 entries and the products of zeros keep np.exp's bits
+    "signed-zeros": (SampledSignal((1.0, complex(-0.0, 1.0), 0.0, complex(-1.0, -0.0), -0.0,
+                                    complex(0.0, -0.0), 2.5, complex(-0.0, -0.0), 1j),
+                                   -2.0, 0.5),
+                     Grid2D(-1.0, -1.0, 0.5, 0.5, 5, 5), (1, 1)),
 }
 
 
@@ -150,8 +158,9 @@ def test_quadrature_bit_identical_to_one_shot(name):
 
 def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread():
     # byte identity holds per BLAS thread count, and OpenBLAS reads its thread count
-    # once, when it loads: the column-block cases run again in a fresh interpreter
-    names = ["data-path", "short-tail", "one-column-tail", "one-x-point-wide"]
+    # once, when it loads: the column-block cases and the signed zeros run again in a
+    # fresh interpreter
+    names = ["data-path", "short-tail", "one-column-tail", "one-x-point-wide", "signed-zeros"]
     script = ("import sys\n"
               "from test_gabor_engine import _assert_bit_identical_to_one_shot\n"
               "for name in sys.argv[1:]:\n"
@@ -168,7 +177,7 @@ def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread():
 def test_quadrature_peak_memory_is_one_kernel_column_block_and_one_row_block():
     nt = 20000
     sig = _noise(nt, -2.0, 2e-4)
-    # the 101 x 101 grid (one column block), then the data-path transform's 251 x 251 (two)
+    # the 101 x 101 grid (two column blocks), then the data-path transform's 251 x 251 (four)
     for half in (1.0, 2.5):
         grid = Grid2D.from_bounds(-half, half, -half, half, 0.02)
         tracemalloc.start()
@@ -182,9 +191,11 @@ def test_quadrature_peak_memory_is_one_kernel_column_block_and_one_row_block():
         output = fld.values.nbytes
         # one reused block, as tall as the tallest of the nx // rows equal blocks
         block = 16 * nt * -(-grid.nx // row_blocks)
+        # the kernel's real angle scratch, a row chunk of the widest column block
+        angle = 8 * max(_PHASE_CHUNK, widest)
         # t, the samples, the weights and one scratch row, 16 bytes per node at most
         vectors = 4 * 16 * nt
-        assert peak < kernel + output + block + vectors, grid
+        assert peak < kernel + output + block + angle + vectors, grid
 
 
 def test_sampled_input_matches_mixture_path():

@@ -12,9 +12,9 @@ from gaborcert import (
     l2_norm,
     make_sharpness_pair,
 )
-from gaborcert.signal_model import inner_product
+from gaborcert.signal_model import _cis, _cis_outer, inner_product
 
-from oracles import mixture_samples, random_mixture, scaled_mixture
+from oracles import gabor_closed_form_exp, mixture_samples, random_mixture, scaled_mixture
 
 
 def quadrature_transform(sig, x, y, span=12.0, n=120001):
@@ -103,7 +103,7 @@ def test_entire_extension_restricts_to_transform():
     sig = random_mixture(rng)
     for _ in range(10):
         x, y = rng.uniform(-2, 2, 2)
-        ext = gabor_closed_form(sig, complex(x), complex(y))
+        ext = gabor_closed_form_exp(sig, complex(x), complex(y))
         assert abs(ext - gabor_closed_form(sig, x, y)) < 1e-13
 
 
@@ -115,15 +115,15 @@ def test_open_mesh_matches_points_at_complex_arguments(k):
     sig = GaussianMixtureSignal(atoms)
     z = (rng.uniform(-1.5, 1.5, 13) + 1j * rng.uniform(-1, 1, 13))[:, None]
     zeta = (rng.uniform(-1.5, 1.5, 11) + 1j * rng.uniform(-1, 1, 11))[None, :]
-    mesh = gabor_closed_form(sig, z, zeta)
-    points = gabor_closed_form(sig, *np.broadcast_arrays(z, zeta))
+    mesh = gabor_closed_form_exp(sig, z, zeta)
+    points = gabor_closed_form_exp(sig, *np.broadcast_arrays(z, zeta))
     assert mesh.shape == points.shape == (13, 11)
     assert np.abs(mesh - points).max() <= 1e-13 * np.abs(points).max()
 
 
 def test_entire_extension_zero_amplitude():
     sig = GaussianMixtureSignal((GaussianAtom(0.0),))
-    assert gabor_closed_form(sig, 0.3 + 0.4j, -0.2 + 0.1j) == 0.0
+    assert gabor_closed_form_exp(sig, 0.3 + 0.4j, -0.2 + 0.1j) == 0.0
 
 
 def test_entire_extension_growth_bound():
@@ -134,9 +134,84 @@ def test_entire_extension_growth_bound():
     nf = l2_norm(sig)
     for _ in range(100):
         x, y, xi, eta = rng.uniform(-1.5, 1.5, 4)
-        val = abs(gabor_closed_form(sig, x + 1j * y, xi + 1j * eta))
+        val = abs(gabor_closed_form_exp(sig, x + 1j * y, xi + 1j * eta))
         bound = 2**-0.25 * nf * math.exp(math.pi * (y * y + 2 * x * eta + eta * eta))
         assert val <= bound * (1 + 1e-12)
+
+
+def test_closed_form_rejects_complex_arguments():
+    sig = GaussianMixtureSignal((GaussianAtom(1.0, 0.2, -0.3),))
+    for x, y in ((0.3 + 0.4j, 0.1), (0.3, 0.1 + 0j), (np.zeros(3, dtype=complex), np.zeros(3))):
+        with pytest.raises(TypeError, match="real arguments"):
+            gabor_closed_form(sig, x, y)
+    # integers are real: they are evaluated as floats
+    assert gabor_closed_form(sig, 1, 0) == gabor_closed_form(sig, 1.0, 0.0)
+
+
+# signed zeros and small numbers whose sums and products land on +-0
+_SIGNED = np.array([-0.0, 0.0, -0.5, 0.5, 1.0, -1.25, 5e-324, -5e-324])
+
+
+def _assert_same_bits(got, want):
+    got, want = np.atleast_1d(got).astype(complex), np.atleast_1d(want).astype(complex)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shift, modulation", [(0.5, -1.25), (-0.0, 0.0), (0.0, -0.0), (-0.5, 0.5)])
+def test_closed_form_bit_identical_to_exp_form_where_phases_vanish(shift, modulation):
+    # x = -shift and y = modulation make (x + s)(y - m) = +-0; x or y = +-0 makes xy = +-0
+    amps = (1.0, -1.0, 1j, complex(-0.0, 1.0), complex(1.0, -0.0), 0.0, complex(-0.0, -0.0))
+    sig = GaussianMixtureSignal(tuple(GaussianAtom(a, shift, modulation) for a in amps))
+    xs = np.append(_SIGNED, [-shift, -(-shift)])
+    ys = np.append(_SIGNED, [modulation, -modulation])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    _assert_same_bits(gabor_closed_form(sig, X, Y), gabor_closed_form_exp(sig, X, Y))
+    _assert_same_bits(gabor_closed_form(sig, xs[:, None], ys[None, :]),
+                      gabor_closed_form_exp(sig, xs[:, None], ys[None, :]))
+    for x, y in zip(X.ravel().tolist(), Y.ravel().tolist()):
+        _assert_same_bits(gabor_closed_form(sig, x, y), gabor_closed_form_exp(sig, x, y))
+    for a in amps:  # one atom: no sum of atoms between the phase and the output
+        one = GaussianMixtureSignal((GaussianAtom(a, shift, modulation),))
+        _assert_same_bits(gabor_closed_form(one, xs[:, None], ys[None, :]),
+                          gabor_closed_form_exp(one, xs[:, None], ys[None, :]))
+
+
+def test_closed_form_bit_identical_to_exp_form_at_random_points():
+    rng = np.random.default_rng(11)
+    sig = random_mixture(rng, max_atoms=4, spread=2.0)
+    xs, ys = rng.uniform(-3, 3, 40), rng.uniform(-3, 3, 40)
+    _assert_same_bits(gabor_closed_form(sig, xs, ys), gabor_closed_form_exp(sig, xs, ys))
+    _assert_same_bits(gabor_closed_form(sig, xs[:, None], ys[None, :]),
+                      gabor_closed_form_exp(sig, xs[:, None], ys[None, :]))
+    # a scalar point's phase is a scalar, multiplied as np.exp's scalar was
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        _assert_same_bits(gabor_closed_form(sig, x, y), gabor_closed_form_exp(sig, x, y))
+
+
+def test_cis_phases_bit_identical_to_the_exponentials_they_replace():
+    # the outputs above sum each phase into +0, which hides a zero's sign; the phases
+    # themselves must carry cexp's signs too
+    a = np.append(_SIGNED, np.random.default_rng(8).uniform(-40, 40, 50))
+    b = np.append(_SIGNED[::-1], np.random.default_rng(9).uniform(-3, 3, 30))
+    # quadrature_gabor's kernel exp(-2 pi i t y): t y in the real part, times -2j pi
+    kernel = np.zeros((len(a), len(b)), dtype=complex)
+    np.multiply.outer(a, b, out=kernel.real)
+    kernel *= -2j * np.pi
+    want = np.exp(kernel)
+    # the angle scratch is a few rows at a time, so chunk edges are crossed
+    _assert_same_bits(_cis_outer(a, b, -2 * np.pi, np.empty_like(want)), want)
+    # the open mesh's exp(-i pi x y)
+    want = np.exp(-1j * np.pi * (a[:, None] * b[None, :]))
+    _assert_same_bits(_cis_outer(a, b, -np.pi, np.empty_like(want)), want)
+    # the per-point exp(-i pi (x + s)(y - m)), arrays and scalars
+    for s, m in ((0.0, 0.0), (-0.0, -0.0), (0.5, -1.25)):
+        x, dy = a[:, None], b[None, :] - m
+        want = np.exp(-1j * np.pi * (x + s) * dy)
+        _assert_same_bits(_cis(-np.pi * (x + s) * dy, np.empty_like(want)), want)
+        for xv, dv in zip(a.tolist(), b.tolist()):
+            angle = np.asarray(-np.pi * (np.float64(xv) + s) * np.float64(dv))
+            _assert_same_bits(_cis(angle, np.empty((), dtype=complex)),
+                              np.exp(-1j * np.pi * (np.float64(xv) + s) * np.float64(dv)))
 
 
 def test_atom_validation():

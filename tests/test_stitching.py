@@ -21,6 +21,7 @@ from gaborcert import (
 from gaborcert import stitching
 from gaborcert.gabor_engine import coverage_fractions
 from gaborcert.stitching import DegenerateSquareError
+from gaborcert.tensor_phase import SingularCenterError
 
 from oracles import random_mixture, retrieve_phase_per_square, scaled_mixture, square_rect
 
@@ -232,6 +233,49 @@ def test_retrieve_far_from_origin(x0):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _retrieve_error(sig, grid, cover, "analytic", 14) <= 1e-10
+
+
+def _table_d(x0, amplitude_scale):
+    """Table D: two atoms and four unit squares x0 away in time, amplitudes scaled."""
+    sig = scaled_mixture(GaussianMixtureSignal((GaussianAtom(1.0, x0 + 0.2, 0.1),
+                                                GaussianAtom(0.8 + 0.3j, x0 + 0.5, 0.6))),
+                         amplitude_scale)
+    grid = Grid2D.from_bounds(x0 - 1.0, x0 + 1.7, -1.0, 1.7, 0.05)
+    cover = SquareCover(tuple((x0 + a, b) for a in (0.0, 0.7) for b in (0.0, 0.7)))
+    return sig, grid, cover
+
+
+@pytest.mark.parametrize("amplitude_scale", [1e-5, 1e5])
+def test_retrieve_is_scale_invariant(amplitude_scale):
+    # the spectrogram scales by amplitude_scale^2 (1e-10 at 1e-5, where every square's
+    # peak is below the old absolute 1e-10), and so do both degeneracy thresholds
+    unit = _retrieve_error(*_table_d(30.0, 1.0), "analytic", 14)
+    scaled = _retrieve_error(*_table_d(30.0, amplitude_scale), "analytic", 14)
+    assert unit <= 1e-10
+    assert abs(scaled - unit) <= 1e-4 * unit
+
+
+@pytest.mark.parametrize("amplitude_scale", [1.0, 1e-5, 1e5])
+def test_degenerate_squares_are_relative_to_the_spectrogram_peak(amplitude_scale):
+    # squares 1 and 3 sit 2.5 from the one atom in both axes: peak 6e-12 of the data's 0.5
+    atom = scaled_mixture(ATOM, amplitude_scale)
+    grid = Grid2D.from_bounds(-3.1, 3.1, -3.1, 3.1, 0.05)
+    spec = spectrogram(mixture_field(atom, grid))
+    cover = SquareCover(((0.0, 0.0), (2.5, 2.5), (0.4, 0.0), (-2.5, 2.5)))
+    for retrieve in (retrieve_phase, retrieve_phase_per_square):
+        with pytest.raises(DegenerateSquareError) as err:
+            retrieve(spec, cover, "analytic", 14, signal=atom)
+        assert err.value.indices == [1, 3]
+
+
+@pytest.mark.parametrize("amplitude_scale", [1.0, 1e-5, 1e5])
+def test_singular_centre_is_relative_to_the_spectrogram_peak(amplitude_scale):
+    # the square's own peak is 6.0e-10 of the data's, above the degeneracy threshold;
+    # its order-1 jet, 3.1 from the atom, peaks at 7.3e-12 of the data's peak
+    atom = scaled_mixture(ATOM, amplitude_scale)
+    spec = spectrogram(mixture_field(atom, Grid2D.from_bounds(-1.0, 4.5, -1.5, 1.5, 0.05)))
+    with pytest.raises(SingularCenterError, match="^square 0: "):
+        retrieve_phase(spec, SquareCover(((3.1, 0.0),)), "analytic", 1, signal=atom)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
