@@ -255,9 +255,10 @@ def test_retrieve_is_scale_invariant(amplitude_scale):
     assert abs(scaled - unit) <= 1e-4 * unit
 
 
-@pytest.mark.parametrize("amplitude_scale", [1.0, 1e-5, 1e5])
+@pytest.mark.parametrize("amplitude_scale", [1e-5, 1e5])
 def test_degenerate_squares_are_relative_to_the_spectrogram_peak(amplitude_scale):
-    # squares 1 and 3 sit 2.5 from the one atom in both axes: peak 6e-12 of the data's 0.5
+    # the unit-scale case of test_retrieve_degenerate_squares_match_per_square_reference:
+    # squares 1 and 3 sit 2.5 from the one atom in both axes, peak 6e-12 of the data's 0.5
     atom = scaled_mixture(ATOM, amplitude_scale)
     grid = Grid2D.from_bounds(-3.1, 3.1, -3.1, 3.1, 0.05)
     spec = spectrogram(mixture_field(atom, grid))
@@ -268,10 +269,10 @@ def test_degenerate_squares_are_relative_to_the_spectrogram_peak(amplitude_scale
         assert err.value.indices == [1, 3]
 
 
-@pytest.mark.parametrize("amplitude_scale", [1.0, 1e-5, 1e5])
+@pytest.mark.parametrize("amplitude_scale", [1e-5, 1e5])
 def test_singular_centre_is_relative_to_the_spectrogram_peak(amplitude_scale):
-    # the square's own peak is 6.0e-10 of the data's, above the degeneracy threshold;
-    # its order-1 jet, 3.1 from the atom, peaks at 7.3e-12 of the data's peak
+    # test_cli's singular centre, scaled: the square's own peak is 6.0e-10 of the data's,
+    # above the degeneracy threshold; its order-1 jet, 3.1 from the atom, peaks at 7.3e-12
     atom = scaled_mixture(ATOM, amplitude_scale)
     spec = spectrogram(mixture_field(atom, Grid2D.from_bounds(-1.0, 4.5, -1.5, 1.5, 0.05)))
     with pytest.raises(SingularCenterError, match="^square 0: "):
