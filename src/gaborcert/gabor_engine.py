@@ -41,9 +41,12 @@ GABOR = "gabor"
 SPECTROGRAM = "spectrogram"
 
 # byte budgets of quadrature_gabor's two working blocks: one column block of
-# the kernel and one block of windowed rows
-_KERNEL_BYTES = 20 << 20
-_BLOCK_BYTES = 24 << 20
+# the kernel and one block of windowed rows.  Each row block's product packs the
+# whole column block again, and each narrower column block rebuilds every row
+# block once more: at nt = 20000 these give columns in 128s and 27- or 28-row
+# blocks
+_KERNEL_BYTES = 48 << 20
+_BLOCK_BYTES = 8 << 20
 # kernel column blocks start at multiples of this many columns
 _COLUMN_ALIGN = 64
 
@@ -161,10 +164,11 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     rebuilt and streamed through it in row blocks (forward, then backward,
     so one column block's last row block is reused by the next).  The
     kernel is cos + i sin of its real angle, built a row chunk at a time in
-    a small real scratch array (`signal_model._cis_outer`).  Besides the
+    small scratch arrays (`signal_model._cis_outer`); where t is symmetric
+    about 0 a kernel row is the conjugate of its mirror row.  Besides the
     output, the working set is one kernel column block, one complex block
     of windowed rows (each under a fixed byte budget, both allocated once
-    and reused), the angle scratch and one nt-long real scratch row for the
+    and reused), the phase scratch and one nt-long real scratch row for the
     window.  A kernel under its budget is one column block.  Column blocks
     start at multiples of 64 columns: BLAS computes the output in tiles of a
     few columns, and an unaligned block edge or a one-column block (gemv)

@@ -127,14 +127,37 @@ def _cis_outer(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
 
     The angles are built a row chunk at a time in one real scratch array of at
     most max(_PHASE_CHUNK, len(b)) elements, not in an array of out's shape.
+    A row j in the second half whose a_j is the exact negative of its mirror
+    a_{n-1-j} (a grid symmetric about 0) has exactly negated angles, so it is
+    its mirror row's conjugate, bit for bit: cos is even and sin odd, and the
+    -0 imaginary parts a conjugate gives at zero angles are set to sin's +0.
+    In a chunk with such rows the others go through a complex scratch of the
+    angle scratch's shape.
     """
+    n = len(a)
     rows = max(1, _PHASE_CHUNK // max(1, len(b)))
-    scratch = np.empty((min(rows, len(a)), len(b)))
-    for r0 in range(0, len(a), rows):
-        angle = scratch[:min(rows, len(a) - r0)]
-        np.multiply.outer(a[r0:r0 + rows], b, out=angle)
+    angle_buf = np.empty((min(rows, n), len(b)))
+    phase_buf = np.empty(angle_buf.shape, dtype=complex)
+    # row tail + i mirrors row n // 2 - 1 - i, which the first half's chunks build
+    tail = n - n // 2
+    mirrored = a[tail:] == -a[:n // 2][::-1]
+    for r0 in [*range(0, tail, rows), *range(tail, n, rows)]:
+        r1 = min(tail if r0 < tail else n, r0 + rows)
+        block = out[r0:r1]
+        mirror = mirrored[max(0, r0 - tail):max(0, r1 - tail)]
+        if not mirror.any():
+            angle = angle_buf[:r1 - r0]
+            np.multiply.outer(a[r0:r1], b, out=angle)
+            angle *= scale
+            _cis(angle, block)
+            continue
+        np.conjugate(out[n - r1:n - r0][::-1], out=block)
+        block.imag += 0.0
+        rest = np.flatnonzero(~mirror)
+        angle = angle_buf[:len(rest)]
+        np.multiply.outer(a[r0 + rest], b, out=angle)
         angle *= scale
-        _cis(angle, out[r0:r0 + rows])
+        block[rest] = _cis(angle, phase_buf[:len(rest)])
     return out
 
 

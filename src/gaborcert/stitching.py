@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # a square whose spectrogram peak is at or below this times the spectrogram's
-# own peak carries no phase information
+# peak over the covered cells carries no phase information
 _DEGENERATE_PEAK = 1e-10
 # cells whose coverage is at or below this hold no local field
 _COVERED = 1e-12
@@ -140,7 +140,11 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     ValueError before any work).  Local fields
     are aligned pairwise on overlaps and synchronized; the output is defined
     up to one unimodular constant per connected component of the overlap
-    graph.  Squares must lie in the field's domain.
+    graph.  Squares must lie in the field's domain.  Both degeneracy
+    thresholds are 1e-10 times the spectrogram's peak P over the covered
+    cells: a square whose own peak is at or below it raises
+    DegenerateSquareError, and a jet centre whose every |F^(m)|^2 is at or
+    below it raises SingularCenterError naming the square.
 
     The squares' index windows and exact coverage come from one stacked
     pass, zero-padded to the widest window, and the degeneracy test is one
@@ -173,7 +177,8 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     cols = np.minimum(start[1][:, None] + np.arange(cov.shape[2]), grid.ny - 1)
     peaks = np.where(covered, spec.values[rows[:, :, None], cols[:, None, :]], -1.0).max(axis=(1, 2))
     # both degeneracy thresholds are relative to the data's own scale, its peak
-    scale = float(spec.values.max())
+    # over the covered cells; cells outside the cover take no part
+    scale = float(peaks.max())
     degenerate = np.flatnonzero(peaks <= _DEGENERATE_PEAK * scale)
     if degenerate.size:
         raise DegenerateSquareError(degenerate.tolist())

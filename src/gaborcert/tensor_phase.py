@@ -238,7 +238,7 @@ def distance_from_delta(norm_f: float, delta: float) -> float:
 
 
 def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex],
-                             scale: float = 1.0) -> np.ndarray:
+                             scale: float) -> np.ndarray:
     """Recover F at the given points, up to one global unimodular constant.
 
     The rank-one jet is read through its dominant column m, the largest
@@ -248,7 +248,8 @@ def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex],
     of a signal).  The polynomial is evaluated by Horner's rule, in place,
     so the memory is one array of the points' shape.  A largest
     derivs[m, m] at or below 1e-10 * `scale` raises SingularCenterError;
-    `scale` is the data's own scale, such as its spectrogram's peak.
+    `scale` is the data's own scale: `retrieve_phase` passes the
+    spectrogram's peak over the covered cells.
     """
     diag = jet.derivs.diagonal().real
     m = int(np.argmax(diag))

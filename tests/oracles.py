@@ -345,14 +345,15 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
     graph = build_graph(spec, cover)
     xs, ys = grid.xs(), grid.ys()
     rects = cover.rects()
-    windows, degenerate = [], []
-    scale = spec.values.max()  # the spectrogram's peak sets both degeneracy thresholds
+    windows, peaks = [], []
     for i in range(n):
         sx, sy, sub = _window(grid, rects[i:i + 1])
         cov = coverage_fractions(sub, rects[i:i + 1])
         windows.append((sx, sy, cov))
-        if np.where(cov > 1e-12, spec.values[sx, sy], -1.0).max() <= 1e-10 * scale:
-            degenerate.append(i)
+        peaks.append(np.where(cov > 1e-12, spec.values[sx, sy], -1.0).max())
+    # the spectrogram's peak over the covered cells sets both degeneracy thresholds
+    scale = max(peaks)
+    degenerate = [i for i, peak in enumerate(peaks) if peak <= 1e-10 * scale]
     if degenerate:
         raise DegenerateSquareError(degenerate)
 

@@ -494,13 +494,13 @@ def test_retrieve_far_from_origin_exits_0_quietly(tmp_path, capsys, x0):
 
 
 def test_retrieve_singular_centre_exits_3_naming_square(tmp_path, capsys):
-    # the spectrogram peak on the square clears 1e-10 of the data's peak (0.5),
-    # but the order-1 jet at its centre, 3.1 from the atom, does not
+    # 11 from the atom the spectrogram falls by 1e-24 from the square's near edge
+    # (its peak P) to its centre, so the order-1 jet there is below 1e-10 P
     payload = {
         "spectrogram": {"signal": ATOM_MIXTURE,
-                        "grid": {"xmin": -1.0, "xmax": 4.5, "ymin": -1.5, "ymax": 1.5,
+                        "grid": {"xmin": 10.0, "xmax": 12.0, "ymin": -1.0, "ymax": 1.0,
                                  "step": 0.05}},
-        "cover": {"centers": [[3.1, 0.0]]},
+        "cover": {"centers": [[11.0, 0.0]]},
         "jet_source": "analytic",
         "order": 1,
     }
@@ -508,7 +508,7 @@ def test_retrieve_singular_centre_exits_3_naming_square(tmp_path, capsys):
     assert code == 3
     assert not out.exists()
     assert capsys.readouterr().err == ("numerical degeneracy: square 0: max |F^(m)(center)|^2 "
-                                       "= 3.67e-12 <= threshold 5e-11\n")
+                                       "= 4.86e-163 <= threshold 1.89e-161\n")
 
 
 def test_retrieve_at_small_amplitudes_exits_as_at_unit_scale(tmp_path, capsys):
@@ -532,9 +532,9 @@ def test_retrieve_at_small_amplitudes_exits_as_at_unit_scale(tmp_path, capsys):
     payload = {
         "spectrogram": {"signal": {"kind": "mixture", "atoms": [
             {"re": 1e-5, "im": 0.0, "shift": 0.0, "modulation": 0.0}]},
-                        "grid": {"xmin": -1.0, "xmax": 4.5, "ymin": -1.5, "ymax": 1.5,
+                        "grid": {"xmin": 10.0, "xmax": 12.0, "ymin": -1.0, "ymax": 1.0,
                                  "step": 0.05}},
-        "cover": {"centers": [[3.1, 0.0]]},
+        "cover": {"centers": [[11.0, 0.0]]},
         "jet_source": "analytic",
         "order": 1,
     }

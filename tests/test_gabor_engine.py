@@ -110,19 +110,19 @@ def _tiling(nt: int, nx: int, ny: int) -> tuple[int, int, int]:
 
 # id: (signal, grid, (kernel column blocks, row blocks))
 QUADRATURE_CASES = {
-    # 157 = 2 * 78 + 1: a fixed block height would leave a one-row tail
-    # (column blocks of 64 and 37)
-    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), (2, 2)),
-    "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 590, 101), (1, 3)),
+    # 157 = 6 * 26 + 1: a fixed block height would leave a one-row tail
+    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), (1, 6)),
+    "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 197, 101), (1, 3)),
     "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), (1, 1)),
     "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), (1, 1)),
     "zero-signal": (SampledSignal((0.0,) * 8000, -2.0, 5e-4),
                     Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
     "mixture": (sampled_mixture(random_mixture(np.random.default_rng(3)), -8.0, 8.0),
                 Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
-    # the data-path transform's shape: column blocks of 64, 64, 64 and 59
-    "data-path": (_noise(20000, -6.5, 6.5e-4), Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
-                  (4, 3)),
+    # the data-path transform: column blocks of 128 and 123, row blocks of 27 and 28, and
+    # its t grid, symmetric about 0, whose mirrored kernel rows are conjugates
+    "data-path": (_noise(20000, -6.5, 13.0 / 19999),
+                  Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02), (2, 9)),
     # column blocks of 64 and 3
     "short-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 67), (2, 1)),
     # 64 and 65: a one-column tail (gemv) joins the block before it
@@ -177,7 +177,7 @@ def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread():
 def test_quadrature_peak_memory_is_one_kernel_column_block_and_one_row_block():
     nt = 20000
     sig = _noise(nt, -2.0, 2e-4)
-    # the 101 x 101 grid (two column blocks), then the data-path transform's 251 x 251 (four)
+    # the 101 x 101 grid (one column block), then the data-path transform's 251 x 251 (two)
     for half in (1.0, 2.5):
         grid = Grid2D.from_bounds(-half, half, -half, half, 0.02)
         tracemalloc.start()
@@ -191,11 +191,14 @@ def test_quadrature_peak_memory_is_one_kernel_column_block_and_one_row_block():
         output = fld.values.nbytes
         # one reused block, as tall as the tallest of the nx // rows equal blocks
         block = 16 * nt * -(-grid.nx // row_blocks)
-        # the kernel's real angle scratch, a row chunk of the widest column block
-        angle = 8 * max(_PHASE_CHUNK, widest)
+        # the kernel's real angle scratch and complex phase scratch, a row chunk of the
+        # widest column block each
+        scratch = (8 + 16) * max(_PHASE_CHUNK, widest)
+        # the mirror test of t's second half: its first half negated and a boolean mask
+        mirror = (8 + 1) * (nt // 2)
         # t, the samples, the weights and one scratch row, 16 bytes per node at most
         vectors = 4 * 16 * nt
-        assert peak < kernel + output + block + angle + vectors, grid
+        assert peak < kernel + output + block + scratch + mirror + vectors, grid
 
 
 def test_sampled_input_matches_mixture_path():

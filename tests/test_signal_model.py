@@ -214,6 +214,28 @@ def test_cis_phases_bit_identical_to_the_exponentials_they_replace():
                               np.exp(-1j * np.pi * (np.float64(xv) + s) * np.float64(dv)))
 
 
+@pytest.mark.parametrize("a", [
+    np.linspace(-2.0, 2.0, 9),  # exact mirrors through an exact 0
+    np.array([-0.0, 0.0]),
+    np.array([0.0, -0.0, 0.0]),
+    np.array([-3.0, -1.0, 2.0, 3.0]),  # one row mirrored, one not
+    np.array([-5e-324, 5e-324]),
+    -6.5 + 13.0 / 19999 * np.arange(20000),  # the data-path t: 5737 mirrored rows
+], ids=["symmetric", "signed-zeros", "three-zeros", "partial", "subnormal", "data-path-t"])
+def test_cis_outer_mirrored_rows_bit_identical_to_the_exponentials(a):
+    # a second-half row whose a is its mirror's exact negative is that row's conjugate
+    n = len(a)
+    assert (a[n - n // 2:] == -a[:n // 2][::-1]).any()
+    b = np.append(_SIGNED, np.random.default_rng(10).uniform(-3, 3, 40))
+    kernel = np.zeros((n, len(b)), dtype=complex)
+    np.multiply.outer(a, b, out=kernel.real)
+    kernel *= -2j * np.pi
+    want = np.exp(kernel)
+    _assert_same_bits(_cis_outer(a, b, -2 * np.pi, np.empty_like(want)), want)
+    want = np.exp(-1j * np.pi * (a[:, None] * b[None, :]))
+    _assert_same_bits(_cis_outer(a, b, -np.pi, np.empty_like(want)), want)
+
+
 def test_atom_validation():
     with pytest.raises(ValueError):
         GaussianAtom(float("nan"))

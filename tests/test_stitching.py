@@ -271,12 +271,28 @@ def test_degenerate_squares_are_relative_to_the_spectrogram_peak(amplitude_scale
 
 @pytest.mark.parametrize("amplitude_scale", [1e-5, 1e5])
 def test_singular_centre_is_relative_to_the_spectrogram_peak(amplitude_scale):
-    # test_cli's singular centre, scaled: the square's own peak is 6.0e-10 of the data's,
-    # above the degeneracy threshold; its order-1 jet, 3.1 from the atom, peaks at 7.3e-12
+    # test_cli's singular centre, scaled: 11 from the atom, the order-1 jet at the
+    # square's centre is 2.7e-26 of the square's own peak, the peak over the cover
     atom = scaled_mixture(ATOM, amplitude_scale)
-    spec = spectrogram(mixture_field(atom, Grid2D.from_bounds(-1.0, 4.5, -1.5, 1.5, 0.05)))
+    spec = spectrogram(mixture_field(atom, Grid2D.from_bounds(10.0, 12.0, -1.0, 1.0, 0.05)))
     with pytest.raises(SingularCenterError, match="^square 0: "):
-        retrieve_phase(spec, SquareCover(((3.1, 0.0),)), "analytic", 1, signal=atom)
+        retrieve_phase(spec, SquareCover(((11.0, 0.0),)), "analytic", 1, signal=atom)
+    # with the jet of the default order the same square retrieves
+    retrieve_phase(spec, SquareCover(((11.0, 0.0),)), "analytic", 14, signal=atom)
+
+
+def test_degeneracy_scale_ignores_cells_outside_the_cover():
+    # table D at amplitude 1e-5 beside an atom 1e8 times stronger, 10 away in time and
+    # inside the grid but off the cover: the thresholds follow the covered cells' peak,
+    # so the squares retrieve as without it (the grid's peak would make all four degenerate)
+    sig, grid, cover = _table_d(30.0, 1e-5)
+    loud = GaussianMixtureSignal(sig.atoms + (GaussianAtom(1e3, 40.0, 0.35),))
+    wide = Grid2D(grid.x0, grid.y0, grid.dx, grid.dy, grid.nx + 200, grid.ny)
+    spec = spectrogram(mixture_field(loud, wide))
+    assert spec.values.max() > 1e10 * spectrogram(mixture_field(sig, grid)).values.max()
+    quiet = _retrieve_error(sig, grid, cover, "analytic", 14)
+    assert quiet <= 1e-10
+    assert abs(_retrieve_error(loud, wide, cover, "analytic", 14) - quiet) <= 1e-4 * quiet
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

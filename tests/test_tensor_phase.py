@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -259,32 +260,39 @@ def _dominant_phase(sig, center, order):
 
 def test_local_phase_recovery():
     jet = jet_from_taylor([2.0j], 4)  # constant c = 2i: phase removed
-    out = local_phase_from_modulus(jet, [0.0, 0.5, -0.3j])
+    out = local_phase_from_modulus(jet, [0.0, 0.5, -0.3j], 1.0)
     assert np.abs(out - 2.0).max() < 1e-12
 
     jet = jet_from_taylor([2.0, 1.0j], 1)  # F(z) = 2 + i z: column 0 dominates
-    out = local_phase_from_modulus(jet, [0.3])
+    out = local_phase_from_modulus(jet, [0.3], 1.0)
     assert out[0] == pytest.approx(2.0 + 0.3j, abs=1e-12)
 
     jet = jet_from_taylor([0.5, 1.0j], 1)  # F(z) = 0.5 + i z: column 1 dominates
-    out = local_phase_from_modulus(jet, [0.3])
+    out = local_phase_from_modulus(jet, [0.3], 1.0)
     assert out[0] == pytest.approx((0.5 + 0.3j) * -1j, abs=1e-12)
 
     # |beta| = pi |0.3 - 0.2i| > 1, so the top derivative is the dominant column
     atom = GaussianMixtureSignal((GaussianAtom(1.0, 0.3, -0.2),))
     jet = jet_from_mixture(atom, 0.0, 12)
     pts = np.array([0.0, 0.2, -0.3, 0.1 + 0.2j, -0.2 - 0.3j, 0.4, 0.35j, -0.45j, 0.3 + 0.3j])
-    rec = local_phase_from_modulus(jet, pts)
+    rec = local_phase_from_modulus(jet, pts, 1.0)
     expect = fock_value(atom, pts) * _dominant_phase(atom, 0.0, 12)
     assert np.abs(rec - expect).max() / np.abs(expect).max() < 1e-6
 
 
 def test_local_phase_singular_center():
     with pytest.raises(SingularCenterError):
-        local_phase_from_modulus(jet_from_taylor([0.0], 4), [0.1])  # the zero jet
+        local_phase_from_modulus(jet_from_taylor([0.0], 4), [0.1], 1.0)  # the zero jet
     jet = jet_from_taylor([0.0, 1.0], 4)  # F(z) = z: F(0) = 0 but F'(0) = 1
     pts = np.array([0.0, 0.1, -0.2 + 0.3j])
-    assert np.abs(local_phase_from_modulus(jet, pts) - pts).max() < 1e-15
+    assert np.abs(local_phase_from_modulus(jet, pts, 1.0) - pts).max() < 1e-15
+    # the threshold is 1e-10 times the data's scale: |F(0)|^2 = 1e-6 is singular at scale 1e5
+    jet = jet_from_taylor([1e-3], 4)
+    assert local_phase_from_modulus(jet, [0.1], 1e3)[0] == pytest.approx(1e-3, rel=1e-12)
+    with pytest.raises(SingularCenterError, match="threshold 1e-05$"):
+        local_phase_from_modulus(jet, [0.1], 1e5)
+    assert inspect.signature(local_phase_from_modulus).parameters["scale"].default \
+        is inspect.Parameter.empty
 
 
 def test_roundtrip_through_modulus_property():
@@ -294,7 +302,7 @@ def test_roundtrip_through_modulus_property():
     for _ in range(20):  # F(0) near 0 included: the dominant column carries the phase
         sig = random_mixture(rng, spread=0.5)
         jet = jet_from_mixture(sig, 0.0, 14)
-        rec = local_phase_from_modulus(jet, pts)
+        rec = local_phase_from_modulus(jet, pts, 1.0)
         expect = fock_value(sig, pts) * _dominant_phase(sig, 0.0, 14)
         assert np.abs(rec - expect).max() / max(np.abs(expect).max(), 1e-9) < 1e-5
 
