@@ -9,23 +9,19 @@ results/certificates/ratios.csv.
 
 import argparse
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
 
 from gaborcert import (
-    GABOR,
     GaussianAtom,
     GaussianMixtureSignal,
     Grid2D,
-    SpectrogramField,
     SquareCover,
     certificate,
-    min_phase_distance,
     mixture_field,
-    region_norm,
     spectrogram,
+    stability_distances,
 )
 
 COVERS = {
@@ -72,10 +68,7 @@ def main() -> None:
                 sg = spectrogram(gg)
                 for name, cover in COVERS.items():
                     cert = certificate(sf, sg, cover)
-                    rects = cover.rects()
-                    _, dist = min_phase_distance(ff, gg, rects)
-                    diff = SpectrogramField(grid, sf.values - sg.values + 0j, GABOR)
-                    sqrt_sd = math.sqrt(region_norm(diff, rects, 2))
+                    dist, sqrt_sd = stability_distances(ff, gg, cover.rects())
                     ratio = dist / (cert.bound_cheeger * sqrt_sd)
                     worst = max(worst, ratio)
                     writer.writerow([repr(float(step)), idx, name, repr(dist),

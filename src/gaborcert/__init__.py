@@ -56,6 +56,7 @@ from .stitching import (
     min_phase_distance,
     retrieve_phase,
     sharpness_ratio,
+    stability_distances,
 )
 
 __version__ = "0.1.0"

@@ -55,6 +55,7 @@ from .stitching import (
     min_phase_distance,
     retrieve_phase,
     sharpness_ratio,
+    stability_distances,
 )
 from .tensor_phase import SingularCenterError
 from .cubature import (
@@ -476,11 +477,23 @@ def cmd_transform(config, args) -> ReportBundle:
 
 
 def cmd_certify(config, args) -> ReportBundle:
-    grid = config["grid"]
-    spec_f, spec_g = (spectrogram(_field_for(config[name], grid)) for name in ("signal_f", "signal_g"))
+    grid, cover = config["grid"], config["cover"]
+    fld_f, fld_g = (_field_for(config[name], grid) for name in ("signal_f", "signal_g"))
+    spec_f, spec_g = spectrogram(fld_f), spectrogram(fld_g)
     _finite(spec_f.values, "signal_f spectrogram")
     _finite(spec_g.values, "signal_g spectrogram")
-    cert = certificate(spec_f, spec_g, config["cover"])
+    # the measured side of the bound on the cover's union, taken first so that
+    # the transform fields are freed before the certificate is built
+    rects = cover.rects()
+    dist, sqrt_specdiff = stability_distances(fld_f, fld_g, rects)
+    del fld_f, fld_g
+    cert = certificate(spec_f, spec_g, cover)
+    # a spectrogram difference within 1e3 eps of ||S_f|| is the fields' rounding
+    norm_f = region_norm(spec_f, rects, 2)
+    _finite(np.array([dist, sqrt_specdiff, norm_f]), "measured ratio")
+    resolved = sqrt_specdiff ** 2 > 1e3 * np.finfo(float).eps * norm_f
+    measured = (repr(dist / sqrt_specdiff) if resolved
+                else "unresolved (||S_f - S_g|| <= 1e3 eps ||S_f|| on the union)")
     bundle = ReportBundle("certify")
     names, values = zip(*cert.rows())
     bundle.add_table("certificate", {"quantity": names, "value": values})
@@ -491,6 +504,7 @@ def cmd_certify(config, args) -> ReportBundle:
     bundle.summary.append(f"squares: {cert.nu}, union area: {cert.vol_omega!r}")
     bundle.summary.append(f"bound_lambda: {cert.bound_lambda!r}")
     bundle.summary.append(f"bound_cheeger: {cert.bound_cheeger!r}")
+    bundle.summary.append(f"measured dist / ||S_f - S_g||^(1/2): {measured}")
     if math.isinf(cert.bound_cheeger):
         bundle.warnings.append("disconnected cover: certificate bounds are infinite")
     return bundle

@@ -146,7 +146,8 @@ class SpectrogramField:
             )
         if self.kind == SPECTROGRAM:
             vals = np.asarray(vals, dtype=float)
-            if vals.size and vals.min() < -1e-9:
+            # rounding may leave values a little below zero, relative to the data's own peak
+            if vals.size and vals.min() < -1e-9 * vals.max():
                 raise ValueError("spectrogram values must be nonnegative")
             vals = np.maximum(vals, 0.0)
         else:
@@ -256,8 +257,6 @@ def _arrangement(rects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     r = np.asarray(rects, dtype=float).reshape(-1, 4)
     r = r[(r[:, 1] > r[:, 0]) & (r[:, 3] > r[:, 2])]
-    if len(r) == 1:  # a lone rectangle is its own arrangement
-        return r[0, :2], r[0, 2:], np.ones((1, 1), dtype=np.int64)
     xs, ys = np.unique(r[:, :2]), np.unique(r[:, 2:])
     i0, i1 = np.searchsorted(xs, r[:, 0]), np.searchsorted(xs, r[:, 1])
     j0, j1 = np.searchsorted(ys, r[:, 2]), np.searchsorted(ys, r[:, 3])
@@ -352,11 +351,6 @@ def _masked_norms(values: np.ndarray, frac: np.ndarray, grid: Grid2D, p):
     raise ValueError(f"unsupported norm order {p!r}")
 
 
-def _union_norm(fld: SpectrogramField, rects, p) -> float:
-    sx, sy, sub = _window(fld.grid, rects)
-    return float(_masked_norms(fld.values[sx, sy], coverage_fractions(sub, rects), fld.grid, p))
-
-
 def region_norm(fld: SpectrogramField, rects, p) -> float:
     """L^p norm of the field over the union of the (m, 4) rectangles (xmin, xmax, ymin, ymax).
 
@@ -365,7 +359,8 @@ def region_norm(fld: SpectrogramField, rects, p) -> float:
     must lie in the field's domain.
     """
     _check_region_in_grid(fld.grid, rects)
-    return _union_norm(fld, rects, p)
+    sx, sy, sub = _window(fld.grid, rects)
+    return float(_masked_norms(fld.values[sx, sy], coverage_fractions(sub, rects), fld.grid, p))
 
 
 def _stacked_windows(grid: Grid2D, r: np.ndarray):

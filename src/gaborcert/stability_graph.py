@@ -20,7 +20,6 @@ from .gabor_engine import (
     _arrangement,
     _check_region_in_grid,
     rect_union_norm,
-    region_norm,
     union_area,
 )
 
@@ -35,7 +34,7 @@ __all__ = [
     "certificate",
 ]
 
-EXACT_CHEEGER_LIMIT = 20
+_EXACT_CHEEGER_LIMIT = 20
 
 
 class DegenerateVertexError(ValueError):
@@ -92,7 +91,7 @@ class WeightedGraph:
             raise ValueError("vertex weights must be positive")
         if np.abs(np.diagonal(sigma)).max(initial=0.0) > 0:
             raise ValueError("sigma must have zero diagonal")
-        if sigma.size and (sigma.min() < 0 or np.abs(sigma - sigma.T).max() > 1e-12 * max(sigma.max(), 1.0)):
+        if sigma.size and (sigma.min() < 0 or np.abs(sigma - sigma.T).max() > 1e-12 * sigma.max()):
             raise ValueError("sigma must be symmetric and nonnegative")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
@@ -154,18 +153,14 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
 
     Every mass is a norm over one square or one overlap rectangle, so it
     visits only the cells of that window.  Overlapping pairs are found in one
-    vectorised pass over all pairs, and their masses come from one stacked
-    rect_union_norm call.
+    vectorised pass over all pairs, and the square and overlap masses come
+    from one stacked rect_union_norm call.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
     n = len(cover)
     r = cover.rects()
     _check_region_in_grid(spec.grid, r)  # names the first square outside, in one pass
-    w = np.array([region_norm(spec, r[i:i + 1], 1) for i in range(n)])
-    degenerate = [i for i in range(n) if w[i] <= 0.0]
-    if degenerate:
-        raise DegenerateVertexError(degenerate)
     # pairwise intersection rectangles; a pair overlaps when its rectangle has positive extent
     x0 = np.maximum(r[:, None, 0], r[None, :, 0])
     x1 = np.minimum(r[:, None, 1], r[None, :, 1])
@@ -173,7 +168,10 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     y1 = np.minimum(r[:, None, 3], r[None, :, 3])
     i, j = np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))
     overlaps = np.stack([x0[i, j], x1[i, j], y0[i, j], y1[i, j]], axis=1)
-    mass = rect_union_norm(spec, overlaps, 1)
+    w, mass = np.split(rect_union_norm(spec, np.concatenate([r, overlaps]), 1), [n])
+    degenerate = [i for i in range(n) if w[i] <= 0.0]
+    if degenerate:
+        raise DegenerateVertexError(degenerate)
     sigma = np.zeros((n, n))
     sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
@@ -187,10 +185,14 @@ def algebraic_connectivity(g: WeightedGraph) -> float:
     """
     if g.n < 2:
         raise ValueError("algebraic connectivity needs at least two vertices")
-    inv_sqrt_w = 1.0 / np.sqrt(g.w)
-    norm_l = g.laplacian() * np.outer(inv_sqrt_w, inv_sqrt_w)
-    eigvals = np.linalg.eigvalsh(norm_l)
+    eigvals = np.linalg.eigvalsh(_normalized_laplacian(g)[0])
     return float(max(eigvals[1], 0.0))
+
+
+def _normalized_laplacian(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """W^{-1/2} L W^{-1/2} and the diagonal of W^{-1/2} (W = diag(w))."""
+    inv_sqrt_w = 1.0 / np.sqrt(g.w)
+    return g.laplacian() * np.outer(inv_sqrt_w, inv_sqrt_w), inv_sqrt_w
 
 
 def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,39 +209,37 @@ def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cut, w_s, w_c
 
 
-def cheeger_constant(g: WeightedGraph, method: str = "exact") -> float:
+def cheeger_constant(g: WeightedGraph) -> float:
     """Graph Cheeger constant h = min over cuts of sigma(boundary S) / min(w(S), w(S^c)).
 
-    `exact` enumerates the 2^(n-1) - 1 cuts (n <= 20); `spectral_sweep` sweeps
-    prefix cuts of the normalized-Laplacian Fiedler ordering and upper-bounds
-    the exact constant.  Both w(S) and w(S^c) are sums over their own
-    vertices: found as total - w(S), the smaller mass of a weakly connected
-    cover rounds to zero or below.
+    Up to 20 vertices every one of the 2^(n-1) - 1 cuts is enumerated; above
+    that, the spectral sweep's upper bound is returned.  Both w(S) and
+    w(S^c) are sums over their own vertices: found as total - w(S), the
+    smaller mass of a weakly connected cover rounds to zero or below.
     """
     if g.n < 2:
         raise ValueError("the Cheeger constant needs at least two vertices")
-    if method == "exact":
-        if g.n > EXACT_CHEEGER_LIMIT:
-            raise ValueError(
-                f"exact enumeration limited to n <= {EXACT_CHEEGER_LIMIT}; use spectral_sweep"
-            )
-        cut, w_s, w_c = _cut_values(g)
-        return float(np.min(cut / np.minimum(w_s, w_c)))
-    if method == "spectral_sweep":
-        inv_sqrt_w = 1.0 / np.sqrt(g.w)
-        norm_l = g.laplacian() * np.outer(inv_sqrt_w, inv_sqrt_w)
-        _, vecs = np.linalg.eigh(norm_l)
-        fiedler = vecs[:, 1] * inv_sqrt_w
-        order = np.argsort(fiedler)
-        best = math.inf
-        for cut_len in range(1, g.n):
-            in_s = np.zeros(g.n, dtype=bool)
-            in_s[order[:cut_len]] = True
-            cut = float(g.sigma[np.ix_(in_s, ~in_s)].sum())
-            w_s = float(g.w[in_s].sum())
-            best = min(best, cut / min(w_s, float(g.w[~in_s].sum())))
-        return best
-    raise ValueError(f"unknown Cheeger method {method!r}")
+    if g.n > _EXACT_CHEEGER_LIMIT:
+        return _sweep_cheeger(g)
+    cut, w_s, w_c = _cut_values(g)
+    return float(np.min(cut / np.minimum(w_s, w_c)))
+
+
+def _sweep_cheeger(g: WeightedGraph) -> float:
+    """Upper bound on the Cheeger constant: the best prefix cut of the
+    normalized-Laplacian Fiedler ordering."""
+    norm_l, inv_sqrt_w = _normalized_laplacian(g)
+    _, vecs = np.linalg.eigh(norm_l)
+    fiedler = vecs[:, 1] * inv_sqrt_w
+    order = np.argsort(fiedler)
+    best = math.inf
+    for cut_len in range(1, g.n):
+        in_s = np.zeros(g.n, dtype=bool)
+        in_s[order[:cut_len]] = True
+        cut = float(g.sigma[np.ix_(in_s, ~in_s)].sum())
+        w_s = float(g.w[in_s].sum())
+        best = min(best, cut / min(w_s, float(g.w[~in_s].sum())))
+    return best
 
 
 def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
@@ -272,8 +272,7 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
         )
 
     lam = algebraic_connectivity(g)
-    method = "exact" if g.n <= EXACT_CHEEGER_LIMIT else "spectral_sweep"
-    h = cheeger_constant(g, method)
+    h = cheeger_constant(g)
     d0 = g.delta0()
 
     common = k_const * math.sqrt(m_const) * math.sqrt(l_const)

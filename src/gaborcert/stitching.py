@@ -39,6 +39,7 @@ __all__ = [
     "RetrievalResult",
     "DegenerateSquareError",
     "min_phase_distance",
+    "stability_distances",
     "sharpness_ratio",
     "retrieve_phase",
 ]
@@ -98,23 +99,29 @@ def min_phase_distance(fld_f: SpectrogramField, fld_g: SpectrogramField,
     return 1.0 + 0.0j, math.sqrt(nf * nf + ng * ng)
 
 
-def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
-    """(dist, sqrt_specdiff) of make_sharpness_pair(a) on the centred unit square.
+def stability_distances(fld_f: SpectrogramField, fld_g: SpectrogramField,
+                        rects) -> tuple[float, float]:
+    """(dist, sqrt_specdiff): the two sides of the stability estimate on a region.
 
-    dist is the phase-optimal L2 distance of the two transform fields on a
-    grid of spacing `step`, sqrt_specdiff the root L2 distance of their
-    spectrograms; dist / sqrt_specdiff is the sharpness ratio.
+    The region is the union of the (m, 4) rectangles.  dist is the
+    phase-optimal L2 distance of the two transform fields (min_phase_distance),
+    sqrt_specdiff the root L2 distance ||S_f - S_g||^(1/2) of their
+    spectrograms; dist / sqrt_specdiff is the measured stability ratio.
     """
-    grid = Grid2D.from_bounds(*_UNIT_SQUARE, step)
-    square = [_UNIT_SQUARE]
-    f, g = make_sharpness_pair(a)
-    fld_f = mixture_field(f, grid)
-    fld_g = mixture_field(g, grid)
-    _, dist = min_phase_distance(fld_f, fld_g, square)
+    _, dist = min_phase_distance(fld_f, fld_g, rects)
+    # a transform-kind field, so the signed difference is not clamped at zero
     diff = SpectrogramField(
-        grid, np.abs(fld_f.values) ** 2 - np.abs(fld_g.values) ** 2 + 0j, GABOR
+        fld_f.grid, np.abs(fld_f.values) ** 2 - np.abs(fld_g.values) ** 2 + 0j, GABOR
     )
-    return dist, math.sqrt(region_norm(diff, square, 2))
+    return dist, math.sqrt(region_norm(diff, rects, 2))
+
+
+def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
+    """stability_distances of make_sharpness_pair(a) on the centred unit square,
+    on a grid of spacing `step`."""
+    grid = Grid2D.from_bounds(*_UNIT_SQUARE, step)
+    f, g = make_sharpness_pair(a)
+    return stability_distances(mixture_field(f, grid), mixture_field(g, grid), [_UNIT_SQUARE])
 
 
 def _jet_order(jet_source: str, order: int | None) -> int:

@@ -197,6 +197,21 @@ def tau_grid_min_distance(ip: complex, norm_f: float, norm_g: float,
     return math.sqrt(max(min(d2.min(), d2_fine.min()), 0.0))
 
 
+def measured_ratio(sig_f, sig_g, grid, rects) -> float:
+    """dist / ||S_f - S_g||^(1/2) of two mixtures on the union of the rectangles.
+
+    The fields come from the closed form by np.exp, the coverage from point
+    samples of each cell, and dist from the dense tau search.
+    """
+    x, y = grid_mesh(grid)
+    f, g = (gabor_closed_form_exp(sig, x, y) for sig in (sig_f, sig_g))
+    cell = sampled_coverage(grid, rects) * (grid.dx * grid.dy)
+    ip = complex(np.sum(g * np.conj(f) * cell))
+    norm_f, norm_g = (math.sqrt(np.sum(np.abs(v) ** 2 * cell)) for v in (f, g))
+    specdiff = math.sqrt(np.sum((np.abs(f) ** 2 - np.abs(g) ** 2) ** 2 * cell))
+    return tau_grid_min_distance(ip, norm_f, norm_g) / math.sqrt(specdiff)
+
+
 def fornberg_weights(m: int, offsets: np.ndarray) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at 0 on `offsets`."""
     n = len(offsets)
@@ -304,13 +319,18 @@ def table_csv_bytes(header, rows) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def build_graph_per_pair(spec, cover):
-    """Cover graph with one single-union norm per overlapping pair.
+def union_norm(fld, rects, p) -> float:
+    """region_norm's rule without its domain check: rectangles past the grid
+    edge cover no cells there."""
+    from gaborcert.gabor_engine import _masked_norms, _window, coverage_fractions
 
-    Vertex masses come from region_norm on each square, as in build_graph.
-    """
+    sx, sy, sub = _window(fld.grid, rects)
+    return float(_masked_norms(fld.values[sx, sy], coverage_fractions(sub, rects), fld.grid, p))
+
+
+def build_graph_per_pair(spec, cover):
+    """Cover graph with one region_norm per square and one per overlapping pair."""
     from gaborcert import WeightedGraph, region_norm
-    from gaborcert.gabor_engine import _union_norm
 
     n = len(cover)
     r = cover.rects()
@@ -321,7 +341,7 @@ def build_graph_per_pair(spec, cover):
     y1 = np.minimum(r[:, None, 3], r[None, :, 3])
     sigma = np.zeros((n, n))
     for i, j in zip(*np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))):
-        mass = _union_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
+        mass = region_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
         sigma[i, j] = sigma[j, i] = mass * mass
     return WeightedGraph(w, sigma)
 

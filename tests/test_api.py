@@ -12,7 +12,7 @@ import gaborcert
 from gaborcert.cli import main
 from gaborcert.gabor_engine import Grid2D
 from gaborcert.signal_model import GaussianMixtureSignal
-from gaborcert.stability_graph import SquareCover, WeightedGraph, cheeger_constant
+from gaborcert.stability_graph import SquareCover, WeightedGraph, _sweep_cheeger, cheeger_constant
 from gaborcert.stitching import RetrievalResult, retrieve_phase
 from gaborcert.tensor_phase import LocalJet, local_phase_from_modulus
 
@@ -28,7 +28,8 @@ REMOVED = [
     "fock_value", "fock_derivatives", "cheeger_inequality_check", "ConnectivityReport",
     "cmd_selftest", "CliDegeneracyError", "legendre_eval", "legendre_lower_bound_check",
     "_mixture_t_grid", "_stacked_rect_norms", "region_inner_product", "graph_vertex_rows",
-    "graph_edge_rows", "discrete_weighted_norm", "fock_coefficients",
+    "graph_edge_rows", "discrete_weighted_norm", "fock_coefficients", "EXACT_CHEEGER_LIMIT",
+    "_union_norm",
 ]
 
 
@@ -61,16 +62,16 @@ def test_removed_names_stay_removed():
     assert "side" not in inspect.signature(SquareCover).parameters
     assert not hasattr(SquareCover, "squares") and not hasattr(SquareCover, "region")
     for fn, option in ((retrieve_phase, "threshold"), (local_phase_from_modulus, "threshold"),
-                       (legendre_lower_bound_check, "samples")):
+                       (legendre_lower_bound_check, "samples"), (cheeger_constant, "method")):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}
 
 
 def test_cheeger_constant_returns_h_alone():
     cut = np.array([[0.0, 0.7], [0.7, 0.0]])
-    for method in ("exact", "spectral_sweep"):
-        h = cheeger_constant(WeightedGraph(np.array([2.0, 0.5]), cut), method)
-        assert type(h) is float and h == 0.7 / 0.5, method
+    for fn in (cheeger_constant, _sweep_cheeger):
+        h = fn(WeightedGraph(np.array([2.0, 0.5]), cut))
+        assert type(h) is float and h == 0.7 / 0.5, fn.__name__
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -26,7 +26,7 @@ from gaborcert.signal_model import l2_norm
 from gaborcert.stability_graph import SquareCover, certificate
 from gaborcert.stitching import retrieve_phase
 
-from oracles import field_csv_bytes, sharpness_strip, table_csv_bytes
+from oracles import field_csv_bytes, measured_ratio, sharpness_strip, table_csv_bytes
 
 ATOM_MIXTURE = {"kind": "mixture",
                 "atoms": [{"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}]}
@@ -257,6 +257,13 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _measured(out) -> str:
+    """What certify's summary reports for dist / ||S_f - S_g||^(1/2)."""
+    prefix = "measured dist / ||S_f - S_g||^(1/2): "
+    return next(line[len(prefix):] for line in (out / "summary.txt").read_text().splitlines()
+                if line.startswith(prefix))
+
+
 def test_certify_connected(tmp_path):
     payload = {
         "signal_f": ATOM_MIXTURE,
@@ -269,6 +276,12 @@ def test_certify_connected(tmp_path):
     assert code == 0
     rows = dict(line.split(",") for line in (out / "certificate.csv").read_text().splitlines()[1:])
     assert math.isfinite(float(rows["bound_cheeger"]))
+    # the square edges sit on cell centres, where point-sampled coverage is exact
+    ratio = measured_ratio(GaussianMixtureSignal((GaussianAtom(1.0),)),
+                           GaussianMixtureSignal((GaussianAtom(0.9 + 0.1j, 0.1),)),
+                           Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.05),
+                           SquareCover(tuple(map(tuple, payload["cover"]["centers"]))).rects())
+    assert float(_measured(out)) == pytest.approx(ratio, rel=1e-6)
     # M, L, nu re-derivable from the emitted vertex/edge lists
     verts = np.loadtxt(out / "vertices.csv", delimiter=",", skiprows=1, ndmin=2)
     assert float(rows["M"]) == pytest.approx(float(np.sum(verts[:, 1] ** -2.0)), rel=1e-9)
@@ -277,23 +290,26 @@ def test_certify_connected(tmp_path):
     assert len(edges) == 6  # 4 pairwise overlaps + 2 diagonals of the 2x2 cover
 
 
-def test_certify_weakly_connected_strip_does_not_warn(tmp_path, capsys):
-    a = 4.0
+def _strip_payload(a: float) -> dict:
+    """certify's config for the sharpness pair on oracles.sharpness_strip(a)."""
     cover, _ = sharpness_strip(a)
-    f, g = make_sharpness_pair(a)
 
     def mixture(sig):
         return {"kind": "mixture", "atoms": [
-            {"re": a.amplitude.real, "im": a.amplitude.imag, "shift": a.shift,
-             "modulation": a.modulation} for a in sig.atoms]}
+            {"re": atom.amplitude.real, "im": atom.amplitude.imag, "shift": atom.shift,
+             "modulation": atom.modulation} for atom in sig.atoms]}
 
-    payload = {
+    f, g = make_sharpness_pair(a)
+    return {
         "signal_f": mixture(f),
         "signal_g": mixture(g),
         "cover": {"centers": [list(c) for c in cover.centers]},
         "grid": {"xmin": -a - 2.5, "xmax": a + 2.5, "ymin": -2.5, "ymax": 2.5, "step": 0.05},
     }
-    code, out = run(tmp_path, "certify", payload)
+
+
+def test_certify_weakly_connected_strip_does_not_warn(tmp_path, capsys):
+    code, out = run(tmp_path, "certify", _strip_payload(4.0))
     assert code == 0
     assert "disconnected" not in capsys.readouterr().err
     rows = dict(line.split(",") for line in (out / "certificate.csv").read_text().splitlines()[1:])
@@ -301,16 +317,35 @@ def test_certify_weakly_connected_strip_does_not_warn(tmp_path, capsys):
     assert math.isfinite(float(rows["bound_cheeger"]))
 
 
+@pytest.mark.parametrize("a, resolved", [(2.0, True), (3.0, True), (4.0, False), (4.5, False),
+                                         (6.0, False)])
+def test_certify_strip_measured_ratio_against_the_bounds(tmp_path, a, resolved):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(tmp_path, "certify", _strip_payload(a))
+    assert code == 0
+    if not resolved:  # ||S_f - S_g|| is the rounding of the fields
+        assert _measured(out).startswith("unresolved")
+        return
+    rows = dict(line.split(",") for line in (out / "certificate.csv").read_text().splitlines()[1:])
+    ratio = float(_measured(out))
+    assert float(rows["bound_lambda"]) >= ratio and float(rows["bound_cheeger"]) >= ratio
+
+
 def test_certify_disconnected_warns(tmp_path, capsys):
+    # identical signals: the measured ratio is 0 / 0, reported as unresolved
     payload = {
         "signal_f": ATOM_MIXTURE,
         "signal_g": ATOM_MIXTURE,
         "cover": {"centers": [[-1.5, 0.0], [1.5, 0.0]]},
         "grid": {"xmin": -2.5, "xmax": 2.5, "ymin": -2.5, "ymax": 2.5, "step": 0.05},
     }
-    code, out = run(tmp_path, "certify", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(tmp_path, "certify", payload)
     assert code == 0
-    assert "disconnected" in capsys.readouterr().err
+    assert capsys.readouterr().err == "warning: disconnected cover: certificate bounds are infinite\n"
+    assert _measured(out).startswith("unresolved")
     rows = dict(line.split(",") for line in (out / "certificate.csv").read_text().splitlines()[1:])
     assert math.isinf(float(rows["bound_cheeger"]))
     assert "disconnected" in (out / "summary.txt").read_text()
@@ -715,8 +750,10 @@ def test_report_tables_match_cellwise_format(tmp_path):
     ("transform", _with_value(TRANSFORM_HUGE, "grid.step", 0.5), "spectrogram field"),
     ("transform", _with_value(TRANSFORM_HUGE, "signal.atoms.0.re", 1e154), "spectrogram mass"),
     ("certify", dict(CERTIFY, signal_g=TRANSFORM_HUGE["signal"]), "signal_g spectrogram"),
+    # a finite spectrogram of 1e160 whose square overflows in ||S_f - S_g||
+    ("certify", _with_value(CERTIFY, "signal_g.atoms.0.re", 1e80), "measured ratio"),
     ("plan-sample", dict(PLAN, signal_f=TRANSFORM_HUGE["signal"]), "kappa (signal energy)"),
-], ids=["transform-field", "transform-mass", "certify", "plan-sample"])
+], ids=["transform-field", "transform-mass", "certify", "certify-ratio", "plan-sample"])
 def test_overflow_exits_3_naming_what(tmp_path, capsys, command, payload, what):
     with np.errstate(over="ignore", invalid="ignore"):
         code, out = run(tmp_path, command, payload)

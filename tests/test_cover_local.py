@@ -27,14 +27,13 @@ from gaborcert import (
 from gaborcert.cli import main
 from gaborcert.gabor_engine import (
     _stacked_windows,
-    _union_norm,
     _window,
     coverage_fractions,
     rect_union_norm,
 )
 from gaborcert.stitching import DegenerateSquareError
 
-from oracles import build_graph_per_pair, grid_mesh, jittered_cover_centers
+from oracles import build_graph_per_pair, grid_mesh, jittered_cover_centers, union_norm
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 DOMAIN_GRID = Grid2D.from_bounds(-2.0, 2.0, -2.0, 2.0, 0.05)
@@ -148,8 +147,18 @@ def _jittered_cover_and_spec():
     return cover, spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
 
 
+def _jittered_144_cover_and_spec():
+    """144 jittered unit squares in [-3, 3]^2, on a 0.05 grid over that box, 16 atoms."""
+    rng = np.random.default_rng(1440)
+    cover = SquareCover(jittered_cover_centers(rng, k=12, half=2.5, jitter=0.1))
+    atoms = tuple(GaussianAtom(complex(*rng.normal(size=2)), *rng.uniform(-2.5, 2.5, 2))
+                  for _ in range(16))
+    grid = Grid2D.from_bounds(-3.0, 3.0, -3.0, 3.0, 0.05)
+    return cover, spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
+
+
 COVERS = {"n65": _n64_cover_and_spec, "lattice-144": _lattice_cover_and_spec,
-          "jittered-64": _jittered_cover_and_spec}
+          "jittered-64": _jittered_cover_and_spec, "jittered-144": _jittered_144_cover_and_spec}
 
 
 def _overlap_rects(cover) -> np.ndarray:
@@ -175,7 +184,7 @@ def test_stacked_rect_norms_bit_equal_per_union(name, p):
     cover, spec = COVERS[name]()
     rects = np.concatenate([_overlap_rects(cover), np.array(cover.rects())])
     stacked = rect_union_norm(spec, rects, p)
-    per_union = [_union_norm(spec, [tuple(r)], p) for r in rects]
+    per_union = [region_norm(spec, [tuple(r)], p) for r in rects]
     assert stacked.shape == (len(rects),)
     assert np.array_equal(_bits(stacked), _bits(per_union))
     if name == "n65":  # the edge-on-bound square and its overlaps are in the stack
@@ -204,7 +213,7 @@ def test_stacked_rect_norms_at_and_past_the_grid_edge(p):
                       (-0.3, 0.7, -0.6, 0.4)])
     for fld in (_domain_spec(), mixture_field(ATOM, DOMAIN_GRID)):  # real and complex values
         stacked = rect_union_norm(fld, rects, p)
-        assert np.array_equal(_bits(stacked), _bits([_union_norm(fld, [r], p) for r in rects]))
+        assert np.array_equal(_bits(stacked), _bits([union_norm(fld, [r], p) for r in rects]))
         assert stacked[0] > 0 and stacked[3] > 0
         assert stacked[1] == 0.0 and stacked[2] == 0.0
         assert rect_union_norm(fld, np.empty((0, 4)), p).shape == (0,)

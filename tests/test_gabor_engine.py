@@ -447,6 +447,15 @@ def test_field_validation():
         SpectrogramField(grid, np.zeros((2, 2)), SPECTROGRAM)
     with pytest.raises(ValueError):
         SpectrogramField(grid, -np.ones((grid.nx, grid.ny)), SPECTROGRAM)
+    # negative values are measured against the data's own peak, at any scale
+    with pytest.raises(ValueError):
+        SpectrogramField(grid, np.full((grid.nx, grid.ny), -5e-10), SPECTROGRAM)
+    tiny = np.full((grid.nx, grid.ny), 1e-20)
+    tiny[0, 0] = -1e-30  # rounding below zero, 1e-10 of the peak: clamped
+    assert SpectrogramField(grid, tiny, SPECTROGRAM).values[0, 0] == 0.0
+    tiny[0, 0] = -1e-20
+    with pytest.raises(ValueError):
+        SpectrogramField(grid, tiny, SPECTROGRAM)
     with pytest.raises(ValueError):
         SpectrogramField(grid, np.zeros((grid.nx, grid.ny)), "other")
     with pytest.raises(ValueError):

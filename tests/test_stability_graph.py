@@ -23,6 +23,7 @@ from gaborcert import (
 from gaborcert.stability_graph import (
     DegenerateVertexError,
     _spanning_forest,
+    _sweep_cheeger,
 )
 
 from oracles import (
@@ -105,14 +106,14 @@ def test_algebraic_connectivity_vs_rayleigh_descent():
 
 
 def test_cheeger_examples():
-    h = cheeger_constant(two_vertex_graph(w1=2.0, w2=0.5, s=0.7), "exact")
+    h = cheeger_constant(two_vertex_graph(w1=2.0, w2=0.5, s=0.7))
     assert h == pytest.approx(0.7 / 0.5, abs=1e-12)
-    h = cheeger_constant(WeightedGraph(np.ones(3), np.zeros((3, 3))), "exact")
+    h = cheeger_constant(WeightedGraph(np.ones(3), np.zeros((3, 3))))
     assert h == 0.0
     path = np.zeros((4, 4))
     path[0, 1] = path[1, 2] = path[2, 3] = 1.0
     gp = WeightedGraph(np.ones(4), path + path.T)
-    h = cheeger_constant(gp, "exact")
+    h = cheeger_constant(gp)
     assert h == pytest.approx(0.5, abs=1e-12)
 
 
@@ -127,30 +128,27 @@ def test_cheeger_on_weakly_connected_strip(a):
     g = build_graph(spectrogram(mixture_field(make_sharpness_pair(a)[0], grid)), cover)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        h = cheeger_constant(g, "exact")
-        h_sweep = cheeger_constant(g, "spectral_sweep")
+        h = cheeger_constant(g)
+        h_sweep = _sweep_cheeger(g)
     assert h > 0
     assert h == cheeger_brute_force(g)
     assert math.isfinite(h_sweep) and h_sweep >= h
 
 
 def test_cheeger_validation():
-    g = two_vertex_graph()
     with pytest.raises(ValueError):
-        cheeger_constant(WeightedGraph(np.ones(1), np.zeros((1, 1))), "exact")
-    with pytest.raises(ValueError):
-        cheeger_constant(g, "bogus")
-    big = WeightedGraph(np.ones(21), np.zeros((21, 21)))
-    with pytest.raises(ValueError):
-        cheeger_constant(big, "exact")
+        cheeger_constant(WeightedGraph(np.ones(1), np.zeros((1, 1))))
+    # above 20 vertices the cuts are no longer enumerated: h is the sweep's bound
+    big = random_graph(np.random.default_rng(21), n_min=21, n_max=21)
+    assert cheeger_constant(big) == _sweep_cheeger(big)
 
 
 def test_spectral_sweep_upper_bounds_exact():
     rng = np.random.default_rng(10)
     for _ in range(30):
         g = random_graph(rng, n_min=3, n_max=9)
-        h_exact = cheeger_constant(g, "exact")
-        h_sweep = cheeger_constant(g, "spectral_sweep")
+        h_exact = cheeger_constant(g)
+        h_sweep = _sweep_cheeger(g)
         assert h_sweep >= h_exact - 1e-12
         lam = algebraic_connectivity(g)
         if lam > 1e-12:
@@ -163,7 +161,7 @@ def assert_cheeger_inequality(g):
     h is found by exact enumeration, and both sides hold to 1e-9 max(lambda, h, 1).
     """
     lam = algebraic_connectivity(g)
-    h = cheeger_constant(g, "exact")
+    h = cheeger_constant(g)
     d0 = g.delta0()
     slack = 1e-9 * max(lam, h, 1.0)
     assert 2.0 * h >= lam - slack, (h, lam)
@@ -194,8 +192,8 @@ def test_scaling_edge_weights_scales_connectivity():
         scaled = WeightedGraph(g.w, c * g.sigma)
         assert algebraic_connectivity(scaled) == pytest.approx(
             c * algebraic_connectivity(g), rel=1e-10)
-        h0 = cheeger_constant(g, "exact")
-        h1 = cheeger_constant(scaled, "exact")
+        h0 = cheeger_constant(g)
+        h1 = cheeger_constant(scaled)
         assert h1 == pytest.approx(c * h0, rel=1e-12)
 
 
@@ -287,5 +285,10 @@ def test_weighted_graph_validation():
         WeightedGraph(np.ones(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         WeightedGraph(np.ones(2), np.array([[0.0, -0.5], [-0.5, 0.0]]))
+    # asymmetry is measured against the largest edge weight, at any scale
+    with pytest.raises(ValueError):
+        WeightedGraph(np.ones(2), np.array([[0.0, 1e-20], [2e-20, 0.0]]))
+    g = WeightedGraph(np.ones(2), np.array([[0.0, 1e-20], [1e-20 * (1 + 1e-15), 0.0]]))
+    assert g.sigma[0, 1] == g.sigma[1, 0]
     with pytest.raises(ValueError):
         WeightedGraph(np.ones(3), np.zeros((2, 2)))

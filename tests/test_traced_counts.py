@@ -75,3 +75,16 @@ def test_geometry_layers_record_calls(traced, workload):
     for name in ("gabor_engine.coverage_fractions", "gabor_engine.region_norm",
                  "stability_graph.build_graph"):
         assert metrics.get(f"{name}.calls", 0) > 0, name
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_region_norm_calls_do_not_grow_with_the_cover(traced, workload):
+    # every square and overlap mass of a cover graph comes from one stacked
+    # rect_union_norm call; a per-square region_norm loop would break the bound
+    # on the lattice and dense workloads
+    ops, codes, metrics = traced[workload]
+    assert codes == [0] * len(ops)
+    for name in ("gabor_engine.region_norm", "gabor_engine.coverage_fractions"):
+        assert metrics[f"{name}.calls"] <= 3 * len(ops), (name, metrics[f"{name}.calls"])
+    assert (metrics["gabor_engine.rect_union_norm.calls"]
+            == metrics["stability_graph.build_graph.calls"])
