@@ -20,7 +20,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--a", type=float, default=1.0)
     parser.add_argument("--n-max", type=int, default=24)
-    parser.add_argument("--half-width", type=float, default=0.5)
+    parser.add_argument("--side", type=float, default=1.0)
     parser.add_argument("--reference-n", type=int, default=400)
     parser.add_argument("--out", type=Path, default=Path("results/cubature"))
     args = parser.parse_args()
@@ -32,8 +32,7 @@ def main() -> None:
         return (np.abs(gabor_closed_form(f, x, y)) ** 2
                 - np.abs(gabor_closed_form(g, x, y)) ** 2) ** 2
 
-    s = args.half_width
-    ref = tensor_product_integral(phi, args.reference_n, s)
+    ref = tensor_product_integral(phi, args.reference_n, args.side)
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "decay.csv"
@@ -41,8 +40,8 @@ def main() -> None:
         writer = csv.writer(fh)
         writer.writerow(["N", "measured", "bound"])
         for n in range(2, args.n_max + 1, 2):
-            measured = abs(ref - apply_rule(phi, product_rule(n, s)))
-            bound = spectro_error_bound(n, s, kappa)
+            measured = abs(ref - apply_rule(phi, product_rule(n, args.side)))
+            bound = spectro_error_bound(n, args.side, kappa)
             writer.writerow([n, repr(measured), repr(bound)])
             print(f"N={n:3d}  measured |E| = {measured:.3e}   bound = {bound:.3e}")
     print(f"wrote {path} (reference integral {ref!r})")

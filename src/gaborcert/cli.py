@@ -533,10 +533,9 @@ def cmd_plan_sample(config, args) -> ReportBundle:
     sig_f, sig_g, square = config["signal_f"], config["signal_g"], config["square"]
     if not isinstance(sig_f, GaussianMixtureSignal) or not isinstance(sig_g, GaussianMixtureSignal):
         raise CliValidationError("plan-sample requires mixture signals (closed-form evaluation)")
-    s = 0.5 * square["side"]
     center = (square["cx"], square["cy"])
     kappa = _finite(l2_norm(sig_f) ** 2 + l2_norm(sig_g) ** 2, "kappa (signal energy)")
-    plan = plan_sampling(config["epsilon"], s, kappa, center)
+    plan = plan_sampling(config["epsilon"], square["side"], kappa, center)
 
     def spec_diff(x, y):
         sf = np.abs(gabor_closed_form(sig_f, x, y)) ** 2
@@ -547,7 +546,7 @@ def cmd_plan_sample(config, args) -> ReportBundle:
         return spec_diff(x, y) ** 2
 
     ref_n = config.get("reference_n", 400)
-    exact = tensor_product_integral(spec_diff_sq, ref_n, s, center)
+    exact = tensor_product_integral(spec_diff_sq, ref_n, square["side"], center)
     node_vals = spec_diff(plan.rule.points[:, 0], plan.rule.points[:, 1])
     discrete_sq = float(np.dot(node_vals ** 2, plan.rule.weights))  # sum of v^2 w over the nodes
     achieved = exact - discrete_sq

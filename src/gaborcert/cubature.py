@@ -1,14 +1,11 @@
 """Gauss-Legendre product rules, holomorphic-extension error bounds, and the
-sampling planner.
+sampling planner, on squares given by their side length.
 
-Geometry convention: everything is parametrized by the HALF-WIDTH s of the
-square Q_s = [-s, s]^2 (side length 2s); the error bounds are applied with
-that same s.  The CLI accepts side lengths and converts.
-
-The error bound for squared spectrogram differences,
-``3 (sqrt(8 pi) s + 2)^(N+3) N^(-(N-1)/2) e^(N/2) kappa``
-with kappa the summed squared signal norms, decays super-exponentially in N;
-the planner inverts it to find the smallest rule degree meeting a target.
+The error bound for squared spectrogram differences on a square of side `side`,
+``3 (sqrt(2 pi) side + 2)^(N+3) N^(-(N-1)/2) e^(N/2) kappa`` with kappa the
+summed squared signal norms, decays super-exponentially in N; the planner
+inverts it to find the smallest rule degree meeting a target.  The rules and
+the bound are evaluated on half = side / 2, the paper's half-width s.
 """
 
 from __future__ import annotations
@@ -37,17 +34,17 @@ _NODE_CAP_EXP = 7
 
 @dataclass(frozen=True)
 class GaussRule1D:
-    """N-point Gauss-Legendre rule on [-s, s]; weights sum to 2s."""
+    """N-point Gauss-Legendre rule on [-side / 2, side / 2]; weights sum to side."""
 
     n: int
-    s: float
+    side: float
     nodes: np.ndarray
     weights: np.ndarray
 
 
 @dataclass(frozen=True)
 class ProductRule2D:
-    """Tensor rule on the square of half-width s centered at `center`."""
+    """Tensor rule on the square of side `side` centered at `center`."""
 
     base: GaussRule1D
     center: tuple[float, float]
@@ -79,7 +76,7 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
-def gauss_rule(n: int, s: float) -> GaussRule1D:
+def gauss_rule(n: int, side: float) -> GaussRule1D:
     """Nodes/weights by Newton iteration on P_N with Chebyshev initial guesses.
 
     Residual tolerance 1e-15; nodes are symmetrized so that odd integrands
@@ -87,10 +84,11 @@ def gauss_rule(n: int, s: float) -> GaussRule1D:
     """
     if n < 1:
         raise ValueError(f"rule size must be >= 1, got {n}")
-    if not s > 0:
-        raise ValueError(f"half-width must be positive, got {s}")
+    if not side > 0:
+        raise ValueError(f"side must be positive, got {side}")
+    half = 0.5 * side
     if n == 1:
-        return GaussRule1D(1, s, np.zeros(1), np.array([2.0 * s]))
+        return GaussRule1D(1, side, np.zeros(1), np.array([side]))
     k = np.arange(n)
     x = np.cos(math.pi * (k + 0.75) / (n + 0.5))
     for _ in range(100):
@@ -104,12 +102,12 @@ def gauss_rule(n: int, s: float) -> GaussRule1D:
     _, dp = _legendre_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     w = 0.5 * (w + w[::-1])
-    return GaussRule1D(n, s, s * x, s * w)
+    return GaussRule1D(n, side, half * x, half * w)
 
 
-def product_rule(n: int, s: float, center: tuple[float, float] = (0.0, 0.0)) -> ProductRule2D:
-    """Tensor product of the 1-D rule; weights sum to (2s)^2."""
-    base = gauss_rule(n, s)
+def product_rule(n: int, side: float, center: tuple[float, float] = (0.0, 0.0)) -> ProductRule2D:
+    """Tensor product of the 1-D rule; weights sum to side^2."""
+    base = gauss_rule(n, side)
     gx = base.nodes[:, None] + center[0]
     gy = base.nodes[None, :] + center[1]
     pts = np.stack([np.broadcast_to(gx, (n, n)).ravel(),
@@ -124,12 +122,12 @@ def apply_rule(phi, rule: ProductRule2D) -> float:
     return float(np.dot(vals, rule.weights))
 
 
-def spectro_error_bound(n: int, s: float, kappa: float) -> float:
-    """Bound on |E^(N,s)((Sf - Sg)^2)| for L2 signals with kappa = ||f||^2 + ||g||^2.
+def spectro_error_bound(n: int, side: float, kappa: float) -> float:
+    """Bound on |E^(N)((Sf - Sg)^2)| on a square of side `side`; kappa = ||f||^2 + ||g||^2.
 
-    Log-space evaluation of 3 (sqrt(8 pi) s + 2)^(N+3) N^(-(N-1)/2) e^(N/2) kappa,
-    which is the holomorphic-extension bound with the slab parameters fixed at
-    b = sqrt(N / (8 pi)), a = s + b; values above 1e300 are reported as inf.
+    Log-space evaluation of 3 (sqrt(8 pi) s + 2)^(N+3) N^(-(N-1)/2) e^(N/2) kappa
+    at s = side / 2, the holomorphic-extension bound with the slab parameters
+    fixed at b = sqrt(N / (8 pi)), a = s + b; values above 1e300 are reported as inf.
     """
     if n < 1:
         raise ValueError("rule degree must be >= 1")
@@ -137,14 +135,15 @@ def spectro_error_bound(n: int, s: float, kappa: float) -> float:
         raise ValueError("kappa must be nonnegative")
     if kappa == 0.0:
         return 0.0
-    log_val = (math.log(3.0) + (n + 3) * math.log(math.sqrt(8.0 * math.pi) * s + 2.0)
+    half = 0.5 * side
+    log_val = (math.log(3.0) + (n + 3) * math.log(math.sqrt(8.0 * math.pi) * half + 2.0)
                - 0.5 * (n - 1) * math.log(n) + 0.5 * n + math.log(kappa))
     if log_val > _LOG_HUGE:
         return math.inf
     return math.exp(log_val)
 
 
-def plan_sampling(epsilon: float, s: float, kappa: float,
+def plan_sampling(epsilon: float, side: float, kappa: float,
                   center: tuple[float, float] = (0.0, 0.0)) -> SamplingPlan:
     """Smallest N whose predicted error is at most epsilon^4, plus the rule.
 
@@ -158,21 +157,21 @@ def plan_sampling(epsilon: float, s: float, kappa: float,
         raise ValueError("kappa must be positive")
     target = epsilon ** 4
     n = 1
-    while spectro_error_bound(n, s, kappa) > target:
+    while spectro_error_bound(n, side, kappa) > target:
         n += 1
         if n * n > 10**_NODE_CAP_EXP:
             raise ValueError("the smallest rule meeting epsilon^4 needs more than "
                              f"10**{_NODE_CAP_EXP} nodes")
-    rule = product_rule(n, s, center)
-    return SamplingPlan(n, rule, epsilon, spectro_error_bound(n, s, kappa), kappa)
+    rule = product_rule(n, side, center)
+    return SamplingPlan(n, rule, epsilon, spectro_error_bound(n, side, kappa), kappa)
 
 
-def tensor_product_integral(phi, n: int, s: float,
+def tensor_product_integral(phi, n: int, side: float,
                             center: tuple[float, float] = (0.0, 0.0)) -> float:
     """Reference integral of phi over the square via a degree-n product rule.
 
     With n in the hundreds this is exact to machine precision for entire
     integrands and serves as the reference for measured cubature errors.
     """
-    return apply_rule(phi, product_rule(n, s, center))
+    return apply_rule(phi, product_rule(n, side, center))
 

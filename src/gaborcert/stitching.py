@@ -28,7 +28,6 @@ from .gabor_engine import (
     _window,
     coverage_fractions,
     mixture_field,
-    region_norm,
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
 from .stability_graph import SquareCover, _spanning_forest, build_graph
@@ -83,20 +82,7 @@ def min_phase_distance(fld_f: SpectrogramField, fld_g: SpectrogramField,
     The fields must share a grid.  The union's window and coverage are found
     once and serve both the inner product and the norms.
     """
-    grid = fld_f.grid
-    if fld_g.grid != grid:
-        raise ValueError("fields must share a grid")
-    _check_region_in_grid(grid, rects)
-    sx, sy, sub = _window(grid, rects)
-    frac = coverage_fractions(sub, rects)
-    f, g = fld_f.values[sx, sy], fld_g.values[sx, sy]
-    ip = complex(np.sum(g * np.conj(f) * frac) * (grid.dx * grid.dy))
-    if abs(ip) > 0.0:
-        tau = ip / abs(ip)
-        # norm of the explicit windowed difference: no cancellation floor
-        return complex(tau), float(_masked_norms(g - tau * f, frac, grid, 2))
-    nf, ng = (float(_masked_norms(v, frac, grid, 2)) for v in (f, g))
-    return 1.0 + 0.0j, math.sqrt(nf * nf + ng * ng)
+    return _aligned_distance(*_union_window(fld_f, fld_g, rects), fld_f.grid)
 
 
 def stability_distances(fld_f: SpectrogramField, fld_g: SpectrogramField,
@@ -106,14 +92,35 @@ def stability_distances(fld_f: SpectrogramField, fld_g: SpectrogramField,
     The region is the union of the (m, 4) rectangles.  dist is the
     phase-optimal L2 distance of the two transform fields (min_phase_distance),
     sqrt_specdiff the root L2 distance ||S_f - S_g||^(1/2) of their
-    spectrograms; dist / sqrt_specdiff is the measured stability ratio.
+    spectrograms; dist / sqrt_specdiff is the measured stability ratio.  Both
+    are computed on one window and coverage of the union.
     """
-    _, dist = min_phase_distance(fld_f, fld_g, rects)
-    # a transform-kind field, so the signed difference is not clamped at zero
-    diff = SpectrogramField(
-        fld_f.grid, np.abs(fld_f.values) ** 2 - np.abs(fld_g.values) ** 2 + 0j, GABOR
-    )
-    return dist, math.sqrt(region_norm(diff, rects, 2))
+    f, g, frac = _union_window(fld_f, fld_g, rects)
+    _, dist = _aligned_distance(f, g, frac, fld_f.grid)
+    specdiff = _masked_norms(np.abs(f) ** 2 - np.abs(g) ** 2, frac, fld_f.grid, 2)
+    return dist, math.sqrt(specdiff)
+
+
+def _union_window(fld_f: SpectrogramField, fld_g: SpectrogramField, rects):
+    """(f, g, frac): both fields' values on the union's window and its coverage there."""
+    grid = fld_f.grid
+    if fld_g.grid != grid:
+        raise ValueError("fields must share a grid")
+    _check_region_in_grid(grid, rects)
+    sx, sy, sub = _window(grid, rects)
+    return fld_f.values[sx, sy], fld_g.values[sx, sy], coverage_fractions(sub, rects)
+
+
+def _aligned_distance(f: np.ndarray, g: np.ndarray, frac: np.ndarray,
+                      grid: Grid2D) -> tuple[complex, float]:
+    """min_phase_distance on windowed values f, g with coverage frac."""
+    ip = complex(np.sum(g * np.conj(f) * frac) * (grid.dx * grid.dy))
+    if abs(ip) > 0.0:
+        tau = ip / abs(ip)
+        # norm of the explicit windowed difference: no cancellation floor
+        return complex(tau), float(_masked_norms(g - tau * f, frac, grid, 2))
+    nf, ng = (float(_masked_norms(v, frac, grid, 2)) for v in (f, g))
+    return 1.0 + 0.0j, math.sqrt(nf * nf + ng * ng)
 
 
 def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
@@ -155,8 +162,8 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     The squares' index windows and exact coverage come from one stacked
     pass, zero-padded to the widest window, and the degeneracy test is one
-    pass over that stack.  Local fields get their Gaussian factor for blocks
-    of squares at once and their jet polynomials square by square; overlaps
+    pass over that stack.  Local fields are recovered square by square on
+    each square's covered cells; overlaps
     are aligned in groups of equal shared-window shape, and stitching adds
     each square's slice of the stack.  Memory is O(N^2 + n w^2) for an N x N
     grid and n windows of at most w x w cells.
@@ -197,27 +204,20 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
             else jet_from_field(spec, (xs[i], ys[j]), order) for i, j in nodes.astype(int)]
 
     # local recovery on each square's covered cells: at w = x - i y,
-    # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre;
-    # the Gaussian factor for blocks of squares of at most _BLOCK_CELLS / 4 stacked cells
+    # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre
     locals_ = np.zeros(cov.shape, dtype=complex)
-    centers = np.array([jet.center for jet in jets])
-    per_block = max(1, _BLOCK_CELLS // 4 // covered[0].size)
-    for first in range(0, n, per_block):
-        sq, a, b = np.nonzero(covered[first:first + per_block])
-        sq += first
-        px, py, c = xs[start[0][sq] + a], ys[start[1][sq] + b], centers[sq]
+    for k, jet in enumerate(jets):
+        a, b = np.nonzero(covered[k])
+        px, py, c = xs[start[0][k] + a], ys[start[1][k] + b], jet.center
         w_pts = px - 1j * py
+        try:
+            local = local_phase_from_modulus(jet, w_pts, scale)
+        except SingularCenterError as exc:
+            raise SingularCenterError(f"square {k}: {exc}") from None
         u = w_pts - c
-        gauss = np.exp(1j * np.pi * ((np.conj(c) * u).imag - px * py)
-                       - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
-        ends = np.searchsorted(sq, np.arange(first, first + per_block + 1)).tolist()
-        for k, (jet, lo, hi) in enumerate(zip(jets[first:], ends, ends[1:]), first):
-            try:
-                local = local_phase_from_modulus(jet, w_pts[lo:hi], scale)
-            except SingularCenterError as exc:
-                raise SingularCenterError(f"square {k}: {exc}") from None
-            np.multiply(local, gauss[lo:hi], out=gauss[lo:hi])
-        locals_[sq, a, b] = gauss
+        local *= np.exp(1j * np.pi * ((np.conj(c) * u).imag - px * py)
+                        - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
+        locals_[k, a, b] = local
 
     # relative multipliers on overlaps, then spanning-tree propagation
     ei, ej = graph.edges()

@@ -172,7 +172,7 @@ def disk_quadrature(r: float, nr: int = 80, nt: int = 256):
     Gauss-Legendre in radius crossed with the uniform (trapezoidal) rule in
     angle, which is spectrally accurate for periodic integrands.
     """
-    radial = gauss_rule(nr, 0.5 * r)
+    radial = gauss_rule(nr, r)
     rad = radial.nodes + 0.5 * r
     theta = 2.0 * math.pi * np.arange(nt) / nt
     pts = (rad[:, None] * np.exp(1j * theta)[None, :]).ravel()

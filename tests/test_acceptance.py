@@ -17,11 +17,9 @@ import time
 import numpy as np
 
 from gaborcert import (
-    GABOR,
     GaussianAtom,
     GaussianMixtureSignal,
     Grid2D,
-    SpectrogramField,
     SquareCover,
     algebraic_connectivity,
     certificate,
@@ -39,6 +37,7 @@ from gaborcert import (
     quadrature_gabor,
     region_norm,
     retrieve_phase,
+    sharpness_ratio,
     spectro_error_bound,
     spectrogram,
     stability_distances,
@@ -54,7 +53,6 @@ from oracles import (
     random_graph,
     random_mixture,
     sampled_mixture,
-    square_rect,
     tau_grid_min_distance,
 )
 
@@ -167,18 +165,10 @@ def test_criterion_05_sharpness_growth():
     square), far below the window; see the module docstring.
     """
     start = time.monotonic()
-    grid = Grid2D.from_bounds(-0.5, 0.5, -0.5, 0.5, 0.02)
-    region = square_rect(0.0, 0.0, 1.0)
     logs = []
     for a in (0.5, 1.0, 1.5, 2.0):
-        f, g = make_sharpness_pair(a)
-        ff = mixture_field(f, grid)
-        gg = mixture_field(g, grid)
-        _, dist = min_phase_distance(ff, gg, region)
-        diff = SpectrogramField(grid, np.abs(ff.values) ** 2 - np.abs(gg.values) ** 2 + 0j,
-                                GABOR)
-        ratio = dist / math.sqrt(region_norm(diff, region, 2))
-        logs.append((a, math.log(ratio)))
+        dist, sqrt_specdiff = sharpness_ratio(a, 0.02)
+        logs.append((a, math.log(dist / sqrt_specdiff)))
     elapsed = time.monotonic() - start
     arr = np.asarray(logs)
     slope = float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0])
@@ -201,13 +191,13 @@ def _spec_diff_sq(x, y):
 
 def test_criterion_06_cubature_bound():
     """Measured |E| <= explicit bound at N in {8, 12, 16} and decreases monotonically."""
-    ref = tensor_product_integral(_spec_diff_sq, 400, 0.5)
+    ref = tensor_product_integral(_spec_diff_sq, 400, 1.0)
     prev = math.inf
     ok = True
     details = []
     for n in (8, 12, 16):
-        measured = abs(ref - apply_rule(_spec_diff_sq, product_rule(n, 0.5)))
-        bound = spectro_error_bound(n, 0.5, KAPPA1)
+        measured = abs(ref - apply_rule(_spec_diff_sq, product_rule(n, 1.0)))
+        bound = spectro_error_bound(n, 1.0, KAPPA1)
         ok = ok and measured <= bound and measured < prev
         details.append(f"N={n}: |E|={measured:.1e}<=B={bound:.1e}")
         prev = measured
@@ -216,14 +206,14 @@ def test_criterion_06_cubature_bound():
 
 def test_criterion_07_planner_contract():
     """Planner N minimal for the bound, achieved |E| <= eps^4, N ~ ln(1/eps)."""
-    ref = tensor_product_integral(_spec_diff_sq, 400, 0.5)
+    ref = tensor_product_integral(_spec_diff_sq, 400, 1.0)
     eps_list = [0.25, 0.125, 0.0625]
     ns = []
     ok = True
     for eps in eps_list:
-        plan = plan_sampling(eps, 0.5, KAPPA1)
+        plan = plan_sampling(eps, 1.0, KAPPA1)
         achieved = abs(ref - apply_rule(_spec_diff_sq, plan.rule))
-        minimal = spectro_error_bound(plan.n - 1, 0.5, KAPPA1) > eps**4
+        minimal = spectro_error_bound(plan.n - 1, 1.0, KAPPA1) > eps**4
         ok = ok and achieved <= eps**4 and plan.predicted_error <= eps**4 and minimal
         ns.append(plan.n)
     x = np.log(1.0 / np.asarray(eps_list))
@@ -286,7 +276,7 @@ def test_criterion_10_gauss_rules():
     """Monomial exactness to 1e-11 for N <= 30 and the polynomial floor check."""
     worst = 0.0
     for n in range(1, 31):
-        rule = gauss_rule(n, 1.0)
+        rule = gauss_rule(n, 2.0)
         powers = np.arange(2 * n)
         sums = np.array([float(np.dot(rule.nodes**p, rule.weights)) for p in powers])
         exact = np.where(powers % 2 == 0, 2.0 / (powers + 1.0), 0.0)

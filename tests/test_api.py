@@ -1,6 +1,7 @@
 """The public surface: every module's __all__ resolves, the package re-exports
 only names some module lists, and names pruned from the API and the CLI stay gone."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import gaborcert
+from gaborcert import cubature
 from gaborcert.cli import main
+from gaborcert.cubature import GaussRule1D
 from gaborcert.gabor_engine import Grid2D
 from gaborcert.signal_model import GaussianMixtureSignal
 from gaborcert.stability_graph import SquareCover, WeightedGraph, _sweep_cheeger, cheeger_constant
@@ -64,6 +67,10 @@ def test_removed_names_stay_removed():
     for fn, option in ((retrieve_phase, "threshold"), (local_phase_from_modulus, "threshold"),
                        (legendre_lower_bound_check, "samples"), (cheeger_constant, "method")):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
+    # squares are sized by their side alone: no half-width `s` in cubature
+    for name in cubature.__all__:
+        assert "s" not in inspect.signature(getattr(cubature, name)).parameters, name
+    assert [f.name for f in dataclasses.fields(GaussRule1D)] == ["n", "side", "nodes", "weights"]
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}
 
 

@@ -729,7 +729,7 @@ def test_report_tables_match_cellwise_format(tmp_path):
     code, out = run(tmp_path, "plan-sample", PLAN, "out_p")
     assert code == 0
     f, g = _mixture(SHARP_F), _mixture(SHARP_G)
-    plan = plan_sampling(PLAN["epsilon"], 0.5, l2_norm(f) ** 2 + l2_norm(g) ** 2, (0.0, 0.0))
+    plan = plan_sampling(PLAN["epsilon"], 1.0, l2_norm(f) ** 2 + l2_norm(g) ** 2, (0.0, 0.0))
     nodes = [(float(x), float(y), float(w)) for (x, y), w in zip(plan.rule.points, plan.rule.weights)]
     assert (out / "nodes.csv").read_bytes() == table_csv_bytes(["x", "y", "w"], nodes)
     payload = {"signal_f": SHARP_F, "signal_g": SHARP_G, "cover": TWO_SQUARES, "grid": GRID}

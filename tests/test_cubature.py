@@ -29,25 +29,25 @@ def spec_diff(x, y):
 
 
 def test_gauss_rule_small_cases():
-    r1 = gauss_rule(1, 1.0)
+    r1 = gauss_rule(1, 2.0)
     assert r1.nodes == pytest.approx([0.0])
     assert r1.weights == pytest.approx([2.0])
-    r2 = gauss_rule(2, 1.0)
+    r2 = gauss_rule(2, 2.0)
     assert np.sort(r2.nodes) == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-14)
     assert r2.weights == pytest.approx([1.0, 1.0], abs=1e-14)
-    r3 = gauss_rule(3, 1.0)
+    r3 = gauss_rule(3, 2.0)
     assert np.sort(r3.nodes) == pytest.approx([-math.sqrt(0.6), 0.0, math.sqrt(0.6)], abs=1e-14)
     assert r3.weights == pytest.approx([5 / 9, 8 / 9, 5 / 9], abs=1e-14)
     with pytest.raises(ValueError):
-        gauss_rule(0, 1.0)
+        gauss_rule(0, 2.0)
     with pytest.raises(ValueError):
-        gauss_rule(3, -1.0)
+        gauss_rule(3, -2.0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=20), s=st.floats(min_value=0.1, max_value=3.0))
 def test_gauss_rule_weight_sum_and_symmetry(n, s):
-    rule = gauss_rule(n, s)
+    rule = gauss_rule(n, 2 * s)
     assert float(rule.weights.sum()) == pytest.approx(2.0 * s, rel=1e-13)
     assert np.abs(rule.nodes + rule.nodes[::-1]).max() < 1e-15 * max(s, 1.0)
     assert rule.weights.min() > 0.0
@@ -56,7 +56,7 @@ def test_gauss_rule_weight_sum_and_symmetry(n, s):
 
 def test_gauss_rule_monomial_exactness():
     for n in (4, 9, 17):
-        rule = gauss_rule(n, 1.3)
+        rule = gauss_rule(n, 2.6)
         for p in range(2 * n):
             val = float(np.dot(rule.nodes**p, rule.weights))
             exact = 0.0 if p % 2 else 2.0 * 1.3 ** (p + 1) / (p + 1)
@@ -64,66 +64,66 @@ def test_gauss_rule_monomial_exactness():
 
 
 def test_product_rule_structure():
-    rule = product_rule(4, 0.5, center=(1.0, -2.0))
+    rule = product_rule(4, 1.0, center=(1.0, -2.0))
     assert rule.points.shape == (16, 2)
-    assert float(rule.weights.sum()) == pytest.approx(1.0, rel=1e-13)  # (2s)^2
+    assert float(rule.weights.sum()) == pytest.approx(1.0, rel=1e-13)  # side^2
     assert np.all(np.abs(rule.points[:, 0] - 1.0) < 0.5)
     assert np.all(np.abs(rule.points[:, 1] + 2.0) < 0.5)
 
 
 def test_cubature_error_examples():
-    rule = product_rule(5, 0.7)
+    rule = product_rule(5, 1.4)
     assert abs((2 * 0.7) ** 2 - apply_rule(lambda x, y: np.ones_like(x), rule)) < 1e-12
     odd = lambda x, y: x ** (2 * 5 - 1)
     assert abs(0.0 - apply_rule(odd, rule)) < 1e-12
-    rule6 = product_rule(6, 1.0)
+    rule6 = product_rule(6, 2.0)
     exact = (math.e - 1.0 / math.e) ** 2
     assert abs(exact - apply_rule(lambda x, y: np.exp(x + y), rule6)) < 1e-10
 
 
 def test_spectro_error_bound_basics():
-    assert spectro_error_bound(10, 0.5, 0.0) == 0.0
-    assert spectro_error_bound(60, 0.5, 1.0) < spectro_error_bound(20, 0.5, 1.0)
+    assert spectro_error_bound(10, 1.0, 0.0) == 0.0
+    assert spectro_error_bound(60, 1.0, 1.0) < spectro_error_bound(20, 1.0, 1.0)
     # monotone decrease on the far branch
-    vals = [spectro_error_bound(n, 0.5, 1.0) for n in range(40, 200, 10)]
+    vals = [spectro_error_bound(n, 1.0, 1.0) for n in range(40, 200, 10)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
-        spectro_error_bound(0, 1.0, 1.0)
+        spectro_error_bound(0, 2.0, 1.0)
 
 
 def test_spectro_error_bound_dominates_measured():
-    ref = tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, 200, 0.5)
+    ref = tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, 200, 1.0)
     for n in (8, 12, 16):
-        measured = abs(ref - apply_rule(lambda x, y: spec_diff(x, y) ** 2, product_rule(n, 0.5)))
-        assert measured <= spectro_error_bound(n, 0.5, KAPPA1)
+        measured = abs(ref - apply_rule(lambda x, y: spec_diff(x, y) ** 2, product_rule(n, 1.0)))
+        assert measured <= spectro_error_bound(n, 1.0, KAPPA1)
 
 
 def test_plan_sampling_minimality_and_growth():
-    plan = plan_sampling(0.25, 1.0, 1.0)
-    assert spectro_error_bound(plan.n, 1.0, 1.0) <= 0.25**4
-    assert spectro_error_bound(plan.n - 1, 1.0, 1.0) > 0.25**4
+    plan = plan_sampling(0.25, 2.0, 1.0)
+    assert spectro_error_bound(plan.n, 2.0, 1.0) <= 0.25**4
+    assert spectro_error_bound(plan.n - 1, 2.0, 1.0) > 0.25**4
     assert plan.predicted_error <= plan.epsilon**4
     assert len(plan.rule.weights) == plan.n**2
     # epsilon halving moves N by a few units only
     n_prev = None
     for eps in (0.25, 0.125, 0.0625, 0.03125):
-        n = plan_sampling(eps, 1.0, 1.0).n
+        n = plan_sampling(eps, 2.0, 1.0).n
         if n_prev is not None:
             assert 0 <= n - n_prev <= 6
         n_prev = n
     # kappa scaled by e^2 shifts N consistently with the log term
-    base = plan_sampling(0.25, 0.5, KAPPA1).n
-    shifted = plan_sampling(0.25, 0.5, KAPPA1 * math.e**2).n
+    base = plan_sampling(0.25, 1.0, KAPPA1).n
+    shifted = plan_sampling(0.25, 1.0, KAPPA1 * math.e**2).n
     assert 0 <= shifted - base <= 3
     with pytest.raises(ValueError):
-        plan_sampling(0.7, 1.0, 1.0)
+        plan_sampling(0.7, 2.0, 1.0)
     with pytest.raises(ValueError):
-        plan_sampling(0.25, 1.0, 0.0)
+        plan_sampling(0.25, 2.0, 0.0)
     # rules over 10**7 nodes are refused before they are built: side 1e6, side 20
     # (N = 7443) and side 13 (N = 3303, just past the cap's 3162)
-    for s in (5e5, 10.0, 6.5):
+    for side in (1e6, 20.0, 13.0):
         with pytest.raises(ValueError, match="10\\*\\*7 nodes"):
-            plan_sampling(0.1, s, 2.0)
+            plan_sampling(0.1, side, 2.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,24 +131,24 @@ def test_plan_sampling_minimality_and_growth():
 def test_plan_sampling_n_is_the_first_to_meet_the_target(eps, s, log_kappa):
     # bound(N) <= eps^4 < bound(N - 1), or no N up to the cap's 3162 meets eps^4 and the
     # plan raises; the rules themselves are not built
-    kappa, target = 10.0 ** log_kappa, eps ** 4
+    kappa, target, side = 10.0 ** log_kappa, eps ** 4, 2 * s
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cubature, "product_rule", lambda n, s, center: None)
+        mp.setattr(cubature, "product_rule", lambda n, side, center: None)
         try:
-            n = plan_sampling(eps, s, kappa).n
+            n = plan_sampling(eps, side, kappa).n
         except ValueError as exc:
             assert "10**7 nodes" in str(exc)
-            assert all(spectro_error_bound(m, s, kappa) > target for m in range(1, 3163))
+            assert all(spectro_error_bound(m, side, kappa) > target for m in range(1, 3163))
             return
-    assert spectro_error_bound(n, s, kappa) <= target
-    assert n == 1 or spectro_error_bound(n - 1, s, kappa) > target
+    assert spectro_error_bound(n, side, kappa) <= target
+    assert n == 1 or spectro_error_bound(n - 1, side, kappa) > target
 
 
 def test_discrete_norm_tracks_continuum():
-    rule = product_rule(16, 0.5)
+    rule = product_rule(16, 1.0)
     vals = spec_diff(rule.points[:, 0], rule.points[:, 1])
     discrete = math.sqrt(np.dot(vals * vals, rule.weights))
-    continuum = math.sqrt(tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, 200, 0.5))
+    continuum = math.sqrt(tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, 200, 1.0))
     assert abs(discrete - continuum) < 1e-8
 
 
@@ -197,11 +197,11 @@ def test_holomorphic_extension_restricts_to_integrand():
 
 
 def test_error_decays_superexponentially():
-    ref = tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, 200, 0.5)
+    ref = tensor_product_integral(lambda x, y: spec_diff(x, y) ** 2, 200, 1.0)
     ns = [4, 6, 8, 10, 12]
     logs = []
     for n in ns:
-        err = abs(ref - apply_rule(lambda x, y: spec_diff(x, y) ** 2, product_rule(n, 0.5)))
+        err = abs(ref - apply_rule(lambda x, y: spec_diff(x, y) ** 2, product_rule(n, 1.0)))
         logs.append(math.log(max(err, 1e-300)))
     diffs = np.diff(logs)
     assert all(d < 0 for d in diffs)          # decreasing
