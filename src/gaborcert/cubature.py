@@ -105,11 +105,15 @@ def gauss_rule(n: int, side: float) -> GaussRule1D:
     return GaussRule1D(n, side, half * x, half * w)
 
 
+def _open_mesh(base: GaussRule1D, center) -> tuple[np.ndarray, np.ndarray]:
+    """Node columns x (N, 1) and rows y (1, N) whose broadcast, raveled x-major, is the points."""
+    return base.nodes[:, None] + center[0], base.nodes[None, :] + center[1]
+
+
 def product_rule(n: int, side: float, center: tuple[float, float] = (0.0, 0.0)) -> ProductRule2D:
     """Tensor product of the 1-D rule; weights sum to side^2."""
     base = gauss_rule(n, side)
-    gx = base.nodes[:, None] + center[0]
-    gy = base.nodes[None, :] + center[1]
+    gx, gy = _open_mesh(base, center)
     pts = np.stack([np.broadcast_to(gx, (n, n)).ravel(),
                     np.broadcast_to(gy, (n, n)).ravel()], axis=1)
     wts = np.outer(base.weights, base.weights).ravel()
@@ -117,9 +121,15 @@ def product_rule(n: int, side: float, center: tuple[float, float] = (0.0, 0.0)) 
 
 
 def apply_rule(phi, rule: ProductRule2D) -> float:
-    """sum_lambda phi(lambda) w_lambda; phi must accept array arguments."""
-    vals = np.asarray(phi(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    return float(np.dot(vals, rule.weights))
+    """sum_lambda phi(lambda) w_lambda, with phi called once on the rule's open mesh.
+
+    phi(x, y) gets x of shape (N, 1) and y of shape (1, N) and must return
+    values that broadcast to (N, N), entry [i, j] at (x_i, y_j); they are
+    summed against the weights in the x-major order of `rule.points`.
+    """
+    n = rule.base.n
+    vals = np.asarray(phi(*_open_mesh(rule.base, rule.center)), dtype=float)
+    return float(np.dot(np.broadcast_to(vals, (n, n)).ravel(), rule.weights))
 
 
 def spectro_error_bound(n: int, side: float, kappa: float) -> float:
@@ -170,8 +180,10 @@ def tensor_product_integral(phi, n: int, side: float,
                             center: tuple[float, float] = (0.0, 0.0)) -> float:
     """Reference integral of phi over the square via a degree-n product rule.
 
-    With n in the hundreds this is exact to machine precision for entire
-    integrands and serves as the reference for measured cubature errors.
+    phi is called once on the rule's open mesh, as in `apply_rule`, so it
+    must broadcast.  With n in the hundreds this is exact to machine
+    precision for entire integrands and serves as the reference for measured
+    cubature errors.
     """
     return apply_rule(phi, product_rule(n, side, center))
 

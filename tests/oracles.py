@@ -21,7 +21,9 @@ kept here, since only tests and acceptance criterion 10 use it.  The
 mixture transform's closed form at complex arguments (its entire extension)
 is kept here as np.exp of the complex exponents, apart from the package's
 cos/sin phases; at real arguments it is the bit-for-bit reference of those
-phases.
+phases.  The product-rule integral's reference calls its integrand on the
+rule's flattened (N^2,) points, the per-point closed-form path, where the
+package calls it once on the rule's open mesh.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 import numpy as np
 
 from gaborcert import GaussianAtom, GaussianMixtureSignal, SampledSignal, gabor_closed_form
-from gaborcert.cubature import _legendre_pair, gauss_rule
+from gaborcert.cubature import _legendre_pair, gauss_rule, product_rule
 
 _LOWER_BOUND_SAMPLES = 2000
 
@@ -552,3 +554,11 @@ def legendre_lower_bound_check(n: int, a: float, b: float) -> bool:
     vals = np.abs(legendre_eval(n, pts))
     floor = min(a - 1.0, b) ** n
     return bool(np.all(vals >= floor * (1.0 - 1e-12)))
+
+
+def tensor_product_integral_points(phi, n: int, side: float,
+                                   center: tuple[float, float] = (0.0, 0.0)) -> float:
+    """Degree-n product-rule integral with phi called on the rule's flattened points."""
+    rule = product_rule(n, side, center)
+    vals = np.asarray(phi(rule.points[:, 0], rule.points[:, 1]), dtype=float)
+    return float(np.dot(vals, rule.weights))

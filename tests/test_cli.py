@@ -22,7 +22,7 @@ from gaborcert import cli
 from gaborcert.cli import _bounded_grid, _reference_n, _sample_pairs, main
 from gaborcert.cubature import plan_sampling
 from gaborcert.gabor_engine import SampledSignal, quadrature_gabor, read_field_csv
-from gaborcert.signal_model import l2_norm
+from gaborcert.signal_model import gabor_closed_form, l2_norm
 from gaborcert.stability_graph import SquareCover, certificate
 from gaborcert.stitching import retrieve_phase
 
@@ -422,6 +422,69 @@ def test_plan_sample_command(tmp_path):
     node_lines = (out / "nodes.csv").read_text().splitlines()
     assert len(node_lines) == n * n + 1
     assert float(plan["predicted_error"]) <= float(plan["epsilon4"])
+
+
+def _plan_report(out) -> tuple[dict, str]:
+    """plan-sample's plan.csv as floats, and what its summary reports for |E|."""
+    plan = {k: float(v) for k, v in
+            (line.split(",") for line in (out / "plan.csv").read_text().splitlines()[1:])}
+    prefix = "achieved |E|: "
+    achieved = next(line[len(prefix):] for line in (out / "summary.txt").read_text().splitlines()
+                    if line.startswith(prefix))
+    return plan, achieved
+
+
+def _scaled(sig: dict, c: float) -> dict:
+    return {"kind": "mixture", "atoms": [dict(a, re=c * a["re"], im=c * a["im"])
+                                         for a in sig["atoms"]]}
+
+
+def test_plan_sample_reports_a_resolved_error(tmp_path):
+    # kappa ~ 2e-6 lets the bound's first rule, N = 1, meet eps^4; its error is far above rounding
+    payload = {"epsilon": 0.25, "square": {"cx": 0.0, "cy": 0.0, "side": 1.0},
+               "signal_f": _scaled(SHARP_F, 1e-3), "signal_g": _scaled(SHARP_G, 1e-3),
+               "reference_n": 60}
+    code, out = run(tmp_path, "plan-sample", payload)
+    assert code == 0
+    plan, achieved = _plan_report(out)
+    assert plan["N"] == 1.0
+    assert achieved == repr(abs(plan["achieved_error"]))
+    assert abs(plan["achieved_error"]) > 1e3 * np.finfo(float).eps * plan["continuum_norm"] ** 2
+    assert abs(plan["achieved_error"]) <= plan["predicted_error"] <= plan["epsilon4"]
+
+
+def test_plan_sample_reports_an_unresolved_error(tmp_path):
+    code, out = run(tmp_path, "plan-sample", dict(PLAN, reference_n=200))
+    assert code == 0
+    plan, achieved = _plan_report(out)
+    assert plan["N"] < 200
+    assert achieved == "unresolved (|E| <= 1e3 eps * integral)"
+    assert abs(plan["achieved_error"]) <= 1e3 * np.finfo(float).eps * plan["continuum_norm"] ** 2
+
+
+def test_plan_sample_does_not_measure_against_a_coarser_reference(tmp_path):
+    code, out = run(tmp_path, "plan-sample", PLAN)
+    assert code == 0
+    plan, achieved = _plan_report(out)
+    assert plan["N"] >= PLAN["reference_n"]
+    assert achieved == "not measured (reference_n <= N)"
+    assert math.isfinite(plan["achieved_error"])  # plan.csv keeps its signed number
+
+
+def test_plan_sample_evaluates_closed_forms_on_open_meshes(tmp_path, monkeypatch):
+    shapes = []
+
+    def recording(sig, x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return gabor_closed_form(sig, x, y)
+
+    monkeypatch.setattr(cli, "gabor_closed_form", recording)
+    code, out = run(tmp_path, "plan-sample", PLAN)
+    assert code == 0
+    n = int(_plan_report(out)[0]["N"])
+    # both signals on the reference rule's mesh and on the plan's
+    m = PLAN["reference_n"]
+    assert sorted(shapes) == sorted([((m, 1), (1, m))] * 2 + [((n, 1), (1, n))] * 2)
 
 
 def test_plan_sample_epsilon_validation(tmp_path):

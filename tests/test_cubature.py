@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborcert import (
+    GaussianAtom,
+    GaussianMixtureSignal,
     cubature,
     gabor_closed_form,
     gauss_rule,
@@ -17,7 +20,12 @@ from gaborcert import (
 )
 from gaborcert.cubature import apply_rule, tensor_product_integral
 
-from oracles import gabor_closed_form_exp, legendre_eval, legendre_lower_bound_check
+from oracles import (
+    gabor_closed_form_exp,
+    legendre_eval,
+    legendre_lower_bound_check,
+    tensor_product_integral_points,
+)
 
 F1, G1 = make_sharpness_pair(1.0)
 KAPPA1 = l2_norm(F1) ** 2 + l2_norm(G1) ** 2
@@ -26,6 +34,23 @@ KAPPA1 = l2_norm(F1) ** 2 + l2_norm(G1) ** 2
 def spec_diff(x, y):
     return (np.abs(gabor_closed_form(F1, x, y)) ** 2
             - np.abs(gabor_closed_form(G1, x, y)) ** 2)
+
+
+def _data_path_pair():
+    """Four atoms, one in the middle half of each quadrant of [-1, 1]^2, and a nearby mixture
+    with amplitudes scaled by ~5 % and positions moved by ~0.02."""
+    rng = np.random.default_rng(902)
+    f, g = [], []
+    for cx, cy in ((-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)):
+        amp = rng.uniform(0.5, 1.5) * np.exp(2j * math.pi * rng.uniform())
+        shift, mod = cx + rng.uniform(-0.25, 0.25), cy + rng.uniform(-0.25, 0.25)
+        f.append(GaussianAtom(amp, shift, mod))
+        g.append(GaussianAtom(amp * (1.0 + 0.05 * rng.normal()), shift + 0.02 * rng.normal(),
+                              mod + 0.02 * rng.normal()))
+    return GaussianMixtureSignal(tuple(f)), GaussianMixtureSignal(tuple(g))
+
+
+F4, G4 = _data_path_pair()
 
 
 def test_gauss_rule_small_cases():
@@ -79,6 +104,48 @@ def test_cubature_error_examples():
     rule6 = product_rule(6, 2.0)
     exact = (math.e - 1.0 / math.e) ** 2
     assert abs(exact - apply_rule(lambda x, y: np.exp(x + y), rule6)) < 1e-10
+
+
+@pytest.mark.parametrize("f, g, side, center", [
+    (F1, G1, 1.0, (0.0, 0.0)),
+    (F4, G4, 1.0, (0.0, 0.0)),
+    (F4, G4, 2.0, (0.7, -1.3)),
+], ids=["sharpness-pair", "data-path-pair", "off-centre"])
+def test_mesh_integral_matches_the_per_point_integral(f, g, side, center):
+    def phi(x, y):
+        return (np.abs(gabor_closed_form(f, x, y)) ** 2
+                - np.abs(gabor_closed_form(g, x, y)) ** 2) ** 2
+
+    mesh = tensor_product_integral(phi, 400, side, center)
+    points = tensor_product_integral_points(phi, 400, side, center)
+    assert mesh > 0
+    assert abs(mesh - points) <= 1e-13 * points
+
+
+def _spectrogram_mp(sig, x: float, y: float) -> float:
+    """|G f(x, y)|^2 from the atom formula summed in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        total = mpmath.mpc(0)
+        for a in sig.atoms:
+            s, m = mpmath.mpf(a.shift), mpmath.mpf(a.modulation)
+            total += (mpmath.mpc(a.amplitude.real, a.amplitude.imag) / mpmath.sqrt(2)
+                      * mpmath.exp(-mpmath.pi / 2 * ((x - s) ** 2 + (y - m) ** 2))
+                      * mpmath.expj(-mpmath.pi * (x + s) * (y - m)))
+        return float(abs(total) ** 2)
+
+
+@pytest.mark.parametrize("sig", [F4, G4, F1], ids=["data-path-f", "data-path-g", "sharpness-f"])
+def test_mesh_and_per_point_spectrograms_match_a_40_digit_sum(sig):
+    nodes = gauss_rule(400, 1.0).nodes
+    x, y = nodes[:, None], nodes[None, :]
+    mesh = np.abs(gabor_closed_form(sig, x, y)) ** 2
+    rng = np.random.default_rng(0)
+    i, j = rng.integers(0, 400, 50), rng.integers(0, 400, 50)
+    per_point = np.abs(gabor_closed_form(sig, x[i, 0], y[0, j])) ** 2
+    ref = np.array([_spectrogram_mp(sig, x[a, 0], y[0, b]) for a, b in zip(i, j)])
+    assert np.all(np.abs(mesh[i, j] - ref) <= 5e-14 * ref)
+    assert np.all(np.abs(per_point - ref) <= 5e-14 * ref)
 
 
 def test_spectro_error_bound_basics():
