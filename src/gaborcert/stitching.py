@@ -4,10 +4,12 @@ from a spectrogram on a square cover.
 The pipeline recovers each square's field up to one unimodular constant from
 a local jet of the squared modulus, taken in tensor_phase's shifted frame at
 the grid node nearest the square's centre.  It estimates relative constants
-on pairwise overlaps, propagates them over a spanning tree of the overlap
-graph, and fixes the remaining global constant by averaging.  Covers whose
-overlap graph is disconnected are retrieved per component and flagged: the
-relative phase between components is not recoverable from the spectrogram.
+on pairwise overlaps, propagates them over the maximum-weight spanning tree
+of the overlap graph weighted by |overlap product|, so each square's phase
+follows its strongest overlaps, and fixes the remaining global constant by
+averaging.  Covers whose overlap graph is disconnected are retrieved per
+component and flagged: the relative phase between components is not
+recoverable from the spectrogram.
 """
 
 from __future__ import annotations
@@ -151,14 +153,16 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     square's centre (analytic jets require the generating mixture and
     default to order 14; finite-difference jets work from the samples, take
     orders 0..4 only and default to 4, and a higher `order` raises
-    ValueError before any work).  Local fields
-    are aligned pairwise on overlaps and synchronized; the output is defined
-    up to one unimodular constant per connected component of the overlap
-    graph.  Squares must lie in the field's domain.  Both degeneracy
-    thresholds are 1e-10 times the spectrogram's peak P over the covered
-    cells: a square whose own peak is at or below it raises
-    DegenerateSquareError, and a jet centre whose every |F^(m)|^2 is at or
-    below it raises SingularCenterError naming the square.
+    ValueError before any work).  Local fields are aligned pairwise on
+    overlaps, and their relative phases propagate from the heaviest square
+    over the maximum-weight spanning tree whose edge weights are the
+    |overlap products|; the output is defined up to one unimodular constant
+    per connected component of the overlap graph.  Squares must lie in the
+    field's domain.  Both degeneracy thresholds are 1e-10 times the
+    spectrogram's peak P over the covered cells: a square whose own peak is
+    at or below it raises DegenerateSquareError, and a jet centre whose
+    every |F^(m)|^2 is at or below it raises SingularCenterError naming the
+    square.
 
     The squares' index windows and exact coverage come from one stacked
     pass, zero-padded to the widest window, and the degeneracy test is one
@@ -219,21 +223,21 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
                         - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
         locals_[k, a, b] = local
 
-    # relative multipliers on overlaps, then spanning-tree propagation
+    # relative multipliers on overlaps, then propagation over the maximum-weight
+    # forest of |overlap product|; a zero product carries no phase, so no edge
     ei, ej = graph.edges()
     nums = _overlap_products(locals_, cov, start, size, ei, ej)
-    edges: dict[tuple[int, int], complex] = {}
-    for i, j, num in zip(ei.tolist(), ej.tolist(), nums.tolist()):
-        if num != 0:  # a zero overlap inner product carries no phase
-            edges[(i, j)] = num / abs(num)  # estimate of phase(i) - phase(j)
+    keep = np.flatnonzero(nums)
+    ei, ej, nums = ei[keep].tolist(), ej[keep].tolist(), nums[keep].tolist()
+    weight = [abs(num) for num in nums]
+    # phase[k] estimates exp(i (phase_i - phase_j)) for edge k = (i, j)
+    phase = [num / w for num, w in zip(nums, weight)]
 
     # trees grow from the heaviest squares; each root keeps multiplier 1
-    tree_edges, components = _spanning_forest(n, edges, np.argsort(-graph.w).tolist())
+    tree_edges, components = _spanning_forest(n, ei, ej, weight, np.argsort(-graph.w).tolist())
     multipliers = np.ones(n, dtype=complex)
-    for u, v in tree_edges:
-        # edges[(i, j)] estimates exp(i (phase_i - phase_j)); align v to u
-        rel = edges[(u, v)] if (u, v) in edges else np.conj(edges[(v, u)])
-        multipliers[v] = multipliers[u] * rel
+    for u, v, k in tree_edges:  # align v to u
+        multipliers[v] = multipliers[u] * (phase[k] if u == ei[k] else phase[k].conjugate())
 
     warnings = []
     if len(components) > 1:

@@ -6,8 +6,9 @@ from dense grid search rather than closed forms, derivatives from
 high-order finite-difference stencils rather than analytic formulas, and
 square-cover geometry from point tests rather than the arrangement sweep.
 The cover graph's references are the per-pair loop that the stacked overlap
-masses of `build_graph` replaced, and the depth-first traversal that
-`retrieve_phase` ran inline before the graph had one spanning forest.
+masses of `build_graph` replaced, and Kruskal's rule (edges by weight, then
+union-find) for the maximum-weight forest that `_spanning_forest` grows by
+Prim's rule.
 Retrieval's reference is the square-by-square `retrieve_phase` that the
 stacked windows replaced: one window, coverage and local field per square
 and one overlap alignment per pair.  The
@@ -401,19 +402,22 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
         return tuple(tuple(slice(l - u.start, h - u.start) for u, l, h in zip(w[:2], lo, hi))
                      for w in (a, b))
 
-    edges = {}
+    ei, ej, nums = [], [], []
     for i, j in zip(*(e.tolist() for e in graph.edges())):
         si, sj = shared(windows[i], windows[j])
         inter = np.minimum(windows[i][2][si], windows[j][2][sj])
         num = complex(np.sum(locals_[i][si] * np.conj(locals_[j][sj]) * inter))
         if num != 0:
-            edges[(i, j)] = num / abs(num)
+            ei.append(i)
+            ej.append(j)
+            nums.append(num)
 
-    tree_edges, components = _spanning_forest(n, edges, np.argsort(-graph.w).tolist())
+    weight = [abs(num) for num in nums]
+    tree_edges, components = _spanning_forest(n, ei, ej, weight, np.argsort(-graph.w).tolist())
     multipliers = np.ones(n, dtype=complex)
-    for u, v in tree_edges:
-        rel = edges[(u, v)] if (u, v) in edges else np.conj(edges[(v, u)])
-        multipliers[v] = multipliers[u] * rel
+    for u, v, k in tree_edges:
+        rel = nums[k] / weight[k]
+        multipliers[v] = multipliers[u] * (rel if (u, v) == (ei[k], ej[k]) else np.conj(rel))
     warnings = []
     if len(components) > 1:
         warnings.append(
@@ -433,36 +437,27 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
     return RetrievalResult(field, tuple(components), tuple(warnings))
 
 
-def spanning_forest_dfs(n, edges, roots):
-    """Tree edges in claim order and sorted trees of the depth-first forest.
+def spanning_forest_kruskal(n, ei, ej, weight) -> set[int]:
+    """Edge indices of the maximum-weight spanning forest by Kruskal's rule.
 
-    The traversal that retrieve_phase ran inline before the cover graph had
-    one spanning forest: adjacency lists in edge order, a vertex marked when
-    it is pushed, the stack popped last-in first-out, roots taken in order.
+    Edges are taken by decreasing weight, ties by lower index, and an edge is
+    kept when union-find puts its ends in different trees.
     """
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    visited = [False] * n
-    tree_edges, components = [], []
-    for root in roots:
-        if visited[root]:
-            continue
-        comp = [root]
-        visited[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if visited[v]:
-                    continue
-                visited[v] = True
-                tree_edges.append((u, v))
-                comp.append(v)
-                queue.append(v)
-        components.append(tuple(sorted(comp)))
-    return tree_edges, components
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    kept = set()
+    for k in sorted(range(len(ei)), key=lambda k: -weight[k]):  # stable: ties keep index order
+        a, b = find(ei[k]), find(ej[k])
+        if a != b:
+            parent[a] = b
+            kept.add(k)
+    return kept
 
 
 def quadrature_gabor_one_shot(sig, grid):

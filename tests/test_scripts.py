@@ -11,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
+    "run_accuracy_table": (["--smoke"], "accuracy_table.csv"),
     "run_certificate_sweep": (["--pairs", "1", "--steps", "0.1"], "ratios.csv"),
     "run_cubature_decay": (["--n-max", "4", "--reference-n", "40"], "decay.csv"),
 }

@@ -33,7 +33,7 @@ from oracles import (
     random_graph,
     rayleigh_minimum_pgd,
     sharpness_strip,
-    spanning_forest_dfs,
+    spanning_forest_kruskal,
 )
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
@@ -277,7 +277,7 @@ def test_certificate_dense_cover_geometry_matches_brute_force():
     assert cert.M == float(np.sum(cert.graph.w ** -2.0))
 
 
-def test_spanning_forest_matches_inline_dfs():
+def test_spanning_forest_is_maximum_weight():
     rng = np.random.default_rng(10)
     for trial in range(200):
         n = int(rng.integers(1, 16))
@@ -285,12 +285,21 @@ def test_spanning_forest_matches_inline_dfs():
         # several are disconnected, and blocks of one vertex are isolated
         block = rng.integers(0, [1, 2, 4, n][trial % 4], n)
         dense = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
-        edges = list(zip(*(dense & (block[:, None] == block[None, :])).nonzero()))
+        ei, ej = (dense & (block[:, None] == block[None, :])).nonzero()
         roots = rng.permutation(n).tolist()
-        tree_edges, trees = _spanning_forest(n, edges, roots)
-        assert (tree_edges, trees) == spanning_forest_dfs(n, edges, roots)
-        assert len(tree_edges) == n - len(trees)
-        assert sorted(v for t in trees for v in t) == list(range(n))
+        # distinct weights, a few tied levels, and all equal: ties go to the lower edge index
+        for weight in (rng.random(len(ei)), rng.integers(1, 4, len(ei)), np.ones(len(ei))):
+            tree_edges, trees = _spanning_forest(n, ei, ej, weight, roots)
+            assert {k for _, _, k in tree_edges} == spanning_forest_kruskal(n, ei, ej, weight)
+            assert sorted(v for t in trees for v in t) == list(range(n))
+            assert len(tree_edges) == n - len(trees)
+            # each tree starts at its first vertex in `roots`, claimed before any tree edge
+            claimed_at = {v: pos for pos, (_, v, _) in enumerate(tree_edges)}
+            assert [r for r in roots if r not in claimed_at] == [min(t, key=roots.index)
+                                                                  for t in trees]
+            for pos, (u, v, k) in enumerate(tree_edges):
+                assert claimed_at.get(u, -1) < pos
+                assert {u, v} == {ei[k], ej[k]}
 
 
 def test_weighted_graph_validation():

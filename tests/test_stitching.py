@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ from oracles import random_mixture, retrieve_phase_per_square, scaled_mixture, s
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 COVER_2X2 = SquareCover(((-0.3, -0.3), (-0.3, 0.3), (0.3, -0.3), (0.3, 0.3)))
+# the lattice cases of scripts/run_accuracy_table.py
+_TABLE_SPEC = importlib.util.spec_from_file_location(
+    "run_accuracy_table", Path(__file__).resolve().parents[1] / "scripts" / "run_accuracy_table.py")
+ACCURACY_TABLE = importlib.util.module_from_spec(_TABLE_SPEC)
+_TABLE_SPEC.loader.exec_module(ACCURACY_TABLE)
 
 
 def inner_product(a, b, region):
@@ -300,6 +307,15 @@ def test_retrieve_finite_difference_jets_on_jittered_36(seed):
     # the data-path geometry: 6 x 6 jittered squares at spacing 0.4, jets of order 4
     case = _spread_case("jittered", 6, seed, spacing=0.4)
     assert _retrieve_error(*case, "finite_difference", 4) <= 0.1
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_retrieve_finite_difference_jets_on_lattice_36_follow_strong_overlaps(seed):
+    # the accuracy table's 36-square rows: 6 x 6 unit squares at spacing 0.7, six atoms,
+    # step 0.02; a tree blind to the overlap weights chained phases through weak overlaps
+    # and read 0.038 to 0.29 here
+    case = ACCURACY_TABLE.lattice_case(6, 0.02, 6, seed)
+    assert _retrieve_error(*case, "finite_difference", 4) <= 0.025
 
 
 def _edge_case():
