@@ -9,7 +9,6 @@ collects every quantity entering the resulting bound.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -279,7 +278,7 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
     common = k_const * math.sqrt(m_const) * math.sqrt(l_const)
     stitch = k_const * nu ** 1.5 * math.sqrt(l_const)
     ei, ej = g.edges()
-    connected = len(_spanning_forest(g.n, ei, ej, g.sigma[ei, ej], range(g.n))[1]) == 1
+    connected = len(_components(g.n, ei, ej)) == 1
     if connected and lam > 0:
         bound_lambda = math.sqrt(common + stitch / lam + math.sqrt(vol))
     else:
@@ -295,40 +294,20 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
     )
 
 
-def _spanning_forest(n: int, ei, ej, weight, roots) -> tuple[list[tuple[int, int, int]],
-                                                                list[tuple[int, ...]]]:
-    """Maximum-weight spanning forest, by Prim's rule, of the graph on n vertices
-    whose edge k joins ei[k] and ej[k] with weight weight[k].
+def _components(n: int, ei, ej) -> list[tuple[int, ...]]:
+    """Connected components of the graph on n vertices whose edge k joins ei[k]
+    and ej[k], by union-find: sorted vertex tuples, ordered by smallest vertex."""
+    parent = list(range(n))
 
-    Trees grow from `roots` in order; a root already in a tree is skipped.  Each
-    step claims the vertex across the heaviest edge leaving the tree, ties going
-    to the lower edge index.  Returns the tree edges (u, v, k), v claimed from u
-    over edge k, in claim order, and the sorted vertices of each tree.
-    """
-    ei, ej, weight = (np.asarray(a).tolist() for a in (ei, ej, weight))
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(zip(ei, ej)):
-        adjacent[i].append((k, j))
-        adjacent[j].append((k, i))
-    claimed = [False] * n
-    tree_edges: list[tuple[int, int, int]] = []
-    trees: list[tuple[int, ...]] = []
-    for root in roots:
-        if claimed[root]:
-            continue
-        claimed[root] = True
-        tree = [root]
-        frontier = [(-weight[k], k, root, v) for k, v in adjacent[root]]
-        heapq.heapify(frontier)
-        while frontier:
-            _, k, u, v = heapq.heappop(frontier)
-            if claimed[v]:
-                continue  # the edge now lies inside the tree
-            claimed[v] = True
-            tree_edges.append((u, v, k))
-            tree.append(v)
-            for k_out, x in adjacent[v]:
-                if not claimed[x]:
-                    heapq.heappush(frontier, (-weight[k_out], k_out, v, x))
-        trees.append(tuple(sorted(tree)))
-    return tree_edges, trees
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in zip(np.asarray(ei).tolist(), np.asarray(ej).tolist()):
+        parent[find(i)] = find(j)
+    members: dict[int, list[int]] = {}
+    for v in range(n):  # ascending: a component enters at its smallest vertex
+        members.setdefault(find(v), []).append(v)
+    return [tuple(m) for m in members.values()]

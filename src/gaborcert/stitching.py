@@ -4,9 +4,9 @@ from a spectrogram on a square cover.
 The pipeline recovers each square's field up to one unimodular constant from
 a local jet of the squared modulus, taken in tensor_phase's shifted frame at
 the grid node nearest the square's centre.  It estimates relative constants
-on pairwise overlaps, propagates them over the maximum-weight spanning tree
-of the overlap graph weighted by |overlap product|, so each square's phase
-follows its strongest overlaps, and fixes the remaining global constant by
+on pairwise overlaps and synchronizes them over every overlap at once, by
+the top eigenvector of the degree-normalised overlap operator (Singer's
+spectral synchronization), and fixes the remaining global constant by
 averaging.  Covers whose overlap graph is disconnected are retrieved per
 component and flagged: the relative phase between components is not
 recoverable from the spectrogram.
@@ -32,7 +32,7 @@ from .gabor_engine import (
     mixture_field,
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
-from .stability_graph import SquareCover, _spanning_forest, build_graph
+from .stability_graph import SquareCover, _components, build_graph
 from .tensor_phase import (_FD_MAX_ORDER, SingularCenterError, jet_from_field, jet_from_mixture,
                            local_phase_from_modulus)
 
@@ -154,23 +154,25 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     default to order 14; finite-difference jets work from the samples, take
     orders 0..4 only and default to 4, and a higher `order` raises
     ValueError before any work).  Local fields are aligned pairwise on
-    overlaps, and their relative phases propagate from the heaviest square
-    over the maximum-weight spanning tree whose edge weights are the
-    |overlap products|; the output is defined up to one unimodular constant
-    per connected component of the overlap graph.  Squares must lie in the
-    field's domain.  Both degeneracy thresholds are 1e-10 times the
-    spectrogram's peak P over the covered cells: a square whose own peak is
-    at or below it raises DegenerateSquareError, and a jet centre whose
-    every |F^(m)|^2 is at or below it raises SingularCenterError naming the
-    square.
+    overlaps, and their relative phases are synchronized over every overlap
+    at once by _synchronize, the top eigenvector of the degree-normalised
+    operator of the overlap products; the output is defined up to one
+    unimodular constant per connected component of the overlap graph.
+    Squares must lie in the field's domain.  Both degeneracy thresholds are
+    1e-10 times the spectrogram's peak P over the covered cells: a square
+    whose own peak is at or below it raises DegenerateSquareError, and a jet
+    centre whose every |F^(m)|^2 is at or below it raises SingularCenterError
+    naming the square.
 
     The squares' index windows and exact coverage come from one stacked
     pass, zero-padded to the widest window, and the degeneracy test is one
     pass over that stack.  Local fields are recovered square by square on
     each square's covered cells; overlaps
     are aligned in groups of equal shared-window shape, and stitching adds
-    each square's slice of the stack.  Memory is O(N^2 + n w^2) for an N x N
-    grid and n windows of at most w x w cells.
+    each square's slice of the stack.  Memory is O(N^2 + n w^2 + n^2) for an
+    N x N grid, n windows of at most w x w cells and the dense n x n overlap
+    operator, and the synchronization is one O(c^3) eigensolve per component
+    of c squares.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("retrieve_phase expects a spectrogram field")
@@ -223,21 +225,12 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
                         - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
         locals_[k, a, b] = local
 
-    # relative multipliers on overlaps, then propagation over the maximum-weight
-    # forest of |overlap product|; a zero product carries no phase, so no edge
+    # relative multipliers on overlaps, then synchronization over all of them;
+    # a zero product carries no phase, so no edge
     ei, ej = graph.edges()
     nums = _overlap_products(locals_, cov, start, size, ei, ej)
     keep = np.flatnonzero(nums)
-    ei, ej, nums = ei[keep].tolist(), ej[keep].tolist(), nums[keep].tolist()
-    weight = [abs(num) for num in nums]
-    # phase[k] estimates exp(i (phase_i - phase_j)) for edge k = (i, j)
-    phase = [num / w for num, w in zip(nums, weight)]
-
-    # trees grow from the heaviest squares; each root keeps multiplier 1
-    tree_edges, components = _spanning_forest(n, ei, ej, weight, np.argsort(-graph.w).tolist())
-    multipliers = np.ones(n, dtype=complex)
-    for u, v, k in tree_edges:  # align v to u
-        multipliers[v] = multipliers[u] * (phase[k] if u == ei[k] else phase[k].conjugate())
+    multipliers, components = _synchronize(n, ei[keep], ej[keep], nums[keep], graph.w)
 
     warnings = []
     if len(components) > 1:
@@ -264,6 +257,30 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     field = SpectrogramField(grid, out_vals, GABOR)
     return RetrievalResult(field, tuple(components), tuple(warnings))
+
+
+def _synchronize(n: int, ei, ej, nums, w) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Unimodular multipliers and the connected components, from products nums[k]
+    that estimate r_k exp(i (phase_i - phase_j)), r_k > 0, over edges (ei[k], ej[k]).
+
+    With A[j, i] = nums[k] Hermitian and D its absolute row sums, each component
+    of two or more vertices takes the top eigenvector of D^(-1/2) A D^(-1/2),
+    divided by its entry at the heaviest vertex (largest w) and scaled entrywise
+    to modulus 1: exp(-i (phase_v - phase_root)).  Lone vertices keep 1.
+    """
+    components = _components(n, ei, ej)
+    op = np.zeros((n, n), dtype=complex)
+    op[ej, ei] = nums
+    op[ei, ej] = np.conj(nums)
+    multipliers = np.ones(n, dtype=complex)
+    for comp in (np.array(c) for c in components if len(c) > 1):
+        sub = op[np.ix_(comp, comp)]
+        scale = np.abs(sub).sum(axis=1) ** -0.5
+        sub *= np.outer(scale, scale)
+        vec = np.linalg.eigh(sub)[1][:, -1]
+        vec /= vec[np.argmax(w[comp])]
+        multipliers[comp] = vec / np.abs(vec)
+    return multipliers, components
 
 
 def _overlap_products(locals_, cov, start, size, ei, ej) -> np.ndarray:

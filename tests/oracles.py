@@ -6,12 +6,11 @@ from dense grid search rather than closed forms, derivatives from
 high-order finite-difference stencils rather than analytic formulas, and
 square-cover geometry from point tests rather than the arrangement sweep.
 The cover graph's references are the per-pair loop that the stacked overlap
-masses of `build_graph` replaced, and Kruskal's rule (edges by weight, then
-union-find) for the maximum-weight forest that `_spanning_forest` grows by
-Prim's rule.
+masses of `build_graph` replaced, and breadth-first search for the connected
+components that `_components` finds by union-find.
 Retrieval's reference is the square-by-square `retrieve_phase` that the
 stacked windows replaced: one window, coverage and local field per square
-and one overlap alignment per pair.  The
+and one overlap alignment per pair; both synchronize by `_synchronize`.  The
 growth-bound tests measure package output against a proof constant and a
 grid sup norm, both kept here, and they and the jet tests read the
 entire-function side F (values and derivatives at any point, unshifted)
@@ -359,8 +358,7 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
     """
     from gaborcert import GABOR, RetrievalResult, SpectrogramField, build_graph
     from gaborcert.gabor_engine import _window, coverage_fractions
-    from gaborcert.stability_graph import _spanning_forest
-    from gaborcert.stitching import DegenerateSquareError
+    from gaborcert.stitching import DegenerateSquareError, _synchronize
     from gaborcert.tensor_phase import jet_from_field, jet_from_mixture, local_phase_from_modulus
 
     grid = spec.grid
@@ -412,12 +410,8 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
             ej.append(j)
             nums.append(num)
 
-    weight = [abs(num) for num in nums]
-    tree_edges, components = _spanning_forest(n, ei, ej, weight, np.argsort(-graph.w).tolist())
-    multipliers = np.ones(n, dtype=complex)
-    for u, v, k in tree_edges:
-        rel = nums[k] / weight[k]
-        multipliers[v] = multipliers[u] * (rel if (u, v) == (ei[k], ej[k]) else np.conj(rel))
+    multipliers, components = _synchronize(n, np.array(ei, dtype=int), np.array(ej, dtype=int),
+                                           np.array(nums, dtype=complex), graph.w)
     warnings = []
     if len(components) > 1:
         warnings.append(
@@ -437,27 +431,40 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
     return RetrievalResult(field, tuple(components), tuple(warnings))
 
 
-def spanning_forest_kruskal(n, ei, ej, weight) -> set[int]:
-    """Edge indices of the maximum-weight spanning forest by Kruskal's rule.
+def random_block_graph(rng, trial: int):
+    """(n, ei, ej): 1 to 15 vertices in random blocks and edges only inside a block,
+    upper-triangular in row-major order.  As `trial` runs through 0..3 the graph
+    has one block, up to 2, up to 4 and up to n; a block of one vertex is isolated."""
+    n = int(rng.integers(1, 16))
+    block = rng.integers(0, [1, 2, 4, n][trial % 4], n)
+    dense = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+    ei, ej = (dense & (block[:, None] == block[None, :])).nonzero()
+    return n, ei, ej
 
-    Edges are taken by decreasing weight, ties by lower index, and an edge is
-    kept when union-find puts its ends in different trees.
-    """
-    parent = list(range(n))
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    kept = set()
-    for k in sorted(range(len(ei)), key=lambda k: -weight[k]):  # stable: ties keep index order
-        a, b = find(ei[k]), find(ej[k])
-        if a != b:
-            parent[a] = b
-            kept.add(k)
-    return kept
+def components_bfs(n, ei, ej) -> list[tuple[int, ...]]:
+    """Connected components by breadth-first search from each unvisited vertex in
+    ascending order: sorted vertex tuples, ordered by smallest vertex."""
+    adjacent = [[] for _ in range(n)]
+    for i, j in zip(ei, ej):
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    seen = [False] * n
+    found = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, comp = [start], []
+        while queue:
+            v = queue.pop(0)
+            comp.append(v)
+            for x in adjacent[v]:
+                if not seen[x]:
+                    seen[x] = True
+                    queue.append(x)
+        found.append(tuple(sorted(comp)))
+    return found
 
 
 def quadrature_gabor_one_shot(sig, grid):

@@ -22,18 +22,19 @@ from gaborcert import (
 )
 from gaborcert.stability_graph import (
     DegenerateVertexError,
-    _spanning_forest,
+    _components,
     _sweep_cheeger,
 )
 
 from oracles import (
     arrangement_brute_force,
     cheeger_brute_force,
+    components_bfs,
     jittered_cover_centers,
+    random_block_graph,
     random_graph,
     rayleigh_minimum_pgd,
     sharpness_strip,
-    spanning_forest_kruskal,
 )
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
@@ -277,29 +278,15 @@ def test_certificate_dense_cover_geometry_matches_brute_force():
     assert cert.M == float(np.sum(cert.graph.w ** -2.0))
 
 
-def test_spanning_forest_is_maximum_weight():
+def test_components_match_breadth_first_search():
     rng = np.random.default_rng(10)
     for trial in range(200):
-        n = int(rng.integers(1, 16))
-        # random blocks, edges only inside a block: one block is connected,
-        # several are disconnected, and blocks of one vertex are isolated
-        block = rng.integers(0, [1, 2, 4, n][trial % 4], n)
-        dense = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
-        ei, ej = (dense & (block[:, None] == block[None, :])).nonzero()
-        roots = rng.permutation(n).tolist()
-        # distinct weights, a few tied levels, and all equal: ties go to the lower edge index
-        for weight in (rng.random(len(ei)), rng.integers(1, 4, len(ei)), np.ones(len(ei))):
-            tree_edges, trees = _spanning_forest(n, ei, ej, weight, roots)
-            assert {k for _, _, k in tree_edges} == spanning_forest_kruskal(n, ei, ej, weight)
-            assert sorted(v for t in trees for v in t) == list(range(n))
-            assert len(tree_edges) == n - len(trees)
-            # each tree starts at its first vertex in `roots`, claimed before any tree edge
-            claimed_at = {v: pos for pos, (_, v, _) in enumerate(tree_edges)}
-            assert [r for r in roots if r not in claimed_at] == [min(t, key=roots.index)
-                                                                  for t in trees]
-            for pos, (u, v, k) in enumerate(tree_edges):
-                assert claimed_at.get(u, -1) < pos
-                assert {u, v} == {ei[k], ej[k]}
+        n, ei, ej = random_block_graph(rng, trial)
+        expected = components_bfs(n, ei.tolist(), ej.tolist())
+        assert _components(n, ei, ej) == expected
+        # neither the edge order nor the orientation of an edge matters
+        order = rng.permutation(len(ei))
+        assert _components(n, ej[order], ei[order]) == expected
 
 
 def test_weighted_graph_validation():

@@ -22,10 +22,17 @@ from gaborcert import (
 )
 from gaborcert import stitching
 from gaborcert.gabor_engine import coverage_fractions
-from gaborcert.stitching import DegenerateSquareError
+from gaborcert.stitching import DegenerateSquareError, _synchronize
 from gaborcert.tensor_phase import SingularCenterError
 
-from oracles import random_mixture, retrieve_phase_per_square, scaled_mixture, square_rect
+from oracles import (
+    components_bfs,
+    random_block_graph,
+    random_mixture,
+    retrieve_phase_per_square,
+    scaled_mixture,
+    square_rect,
+)
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 COVER_2X2 = SquareCover(((-0.3, -0.3), (-0.3, 0.3), (0.3, -0.3), (0.3, 0.3)))
@@ -309,13 +316,37 @@ def test_retrieve_finite_difference_jets_on_jittered_36(seed):
     assert _retrieve_error(*case, "finite_difference", 4) <= 0.1
 
 
-@pytest.mark.parametrize("seed", [3, 4, 5])
-def test_retrieve_finite_difference_jets_on_lattice_36_follow_strong_overlaps(seed):
-    # the accuracy table's 36-square rows: 6 x 6 unit squares at spacing 0.7, six atoms,
-    # step 0.02; a tree blind to the overlap weights chained phases through weak overlaps
-    # and read 0.038 to 0.29 here
-    case = ACCURACY_TABLE.lattice_case(6, 0.02, 6, seed)
+@pytest.mark.parametrize("k, step, atoms, seed", [
+    pytest.param(k, step, atoms, seed, id=f"{k * k}-{seed}")
+    for k, step, atoms in ((6, 0.02, 6), (12, 0.05, 144)) for seed in (3, 4, 5)])
+def test_retrieve_finite_difference_jets_on_lattices_36_and_144_follow_strong_overlaps(
+        k, step, atoms, seed):
+    # the accuracy table's FD rows: k x k unit squares at spacing 0.7, where phases
+    # chained along any spanning tree pass each square the overlap errors of its path
+    # (up to 0.29 here); synchronizing over every overlap keeps each row under 0.025
+    case = ACCURACY_TABLE.lattice_case(k, step, atoms, seed)
     assert _retrieve_error(*case, "finite_difference", 4) <= 0.025
+
+
+def test_synchronize_recovers_consistent_phases():
+    # consistent products r_k exp(i (phi_i - phi_j)) on random block graphs, many with
+    # cycles: each component comes back as exp(-i (phi_v - phi_root)), the root its
+    # heaviest vertex, and a lone vertex keeps 1
+    rng = np.random.default_rng(10)
+    cyclic = 0
+    for trial in range(200):
+        n, ei, ej = random_block_graph(rng, trial)
+        phi = rng.uniform(-np.pi, np.pi, n)
+        w = rng.uniform(0.2, 2.0, n)
+        nums = rng.uniform(0.1, 1.0, len(ei)) * np.exp(1j * (phi[ei] - phi[ej]))
+        multipliers, components = _synchronize(n, ei, ej, nums, w)
+        assert components == components_bfs(n, ei.tolist(), ej.tolist())
+        cyclic += len(ei) > n - len(components)
+        for comp in components:
+            idx = np.array(comp)
+            expected = np.exp(-1j * (phi[idx] - phi[idx[np.argmax(w[idx])]]))
+            assert np.abs(multipliers[idx] - expected).max() <= 1e-12
+    assert cyclic >= 50
 
 
 def _edge_case():
