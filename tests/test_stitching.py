@@ -316,15 +316,21 @@ def test_retrieve_finite_difference_jets_on_jittered_36(seed):
     assert _retrieve_error(*case, "finite_difference", 4) <= 0.1
 
 
-@pytest.mark.parametrize("k, step, atoms, seed", [
-    pytest.param(k, step, atoms, seed, id=f"{k * k}-{seed}")
-    for k, step, atoms in ((6, 0.02, 6), (12, 0.05, 144)) for seed in (3, 4, 5)])
-def test_retrieve_finite_difference_jets_on_lattices_36_and_144_follow_strong_overlaps(
-        k, step, atoms, seed):
-    # the accuracy table's FD rows: k x k unit squares at spacing 0.7, where phases
-    # chained along any spanning tree pass each square the overlap errors of its path
-    # (up to 0.29 here); synchronizing over every overlap keeps each row under 0.025
-    case = ACCURACY_TABLE.lattice_case(k, step, atoms, seed)
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_retrieve_finite_difference_jets_on_lattice_36_follow_strong_overlaps(seed):
+    # the accuracy table's 36-square rows: 6 x 6 unit squares at spacing 0.7, six atoms,
+    # step 0.02; a tree blind to the overlap weights chained phases through weak overlaps
+    # and read 0.038 to 0.29 here
+    case = ACCURACY_TABLE.lattice_case(6, 0.02, 6, seed)
+    assert _retrieve_error(*case, "finite_difference", 4) <= 0.025
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_retrieve_finite_difference_jets_on_lattice_144_follow_strong_overlaps(seed):
+    # the accuracy table's 144-square rows: 12 x 12 unit squares at spacing 0.7, where
+    # phases chained along any spanning tree pass each square the overlap errors of its
+    # path (up to 0.041 here); synchronizing over every overlap keeps each row under 0.025
+    case = ACCURACY_TABLE.lattice_case(12, 0.05, 144, seed)
     assert _retrieve_error(*case, "finite_difference", 4) <= 0.025
 
 
