@@ -24,18 +24,16 @@ import numpy as np
 
 from . import __version__
 from .gabor_engine import (
-    _CSV_CHUNK,
-    _FIELD_MASK,
     Grid2D,
     SampledSignal,
     SpectrogramField,
-    _float_fields,
     mixture_field,
     quadrature_gabor,
     read_field_csv,
     region_norm,
     spectrogram,
     write_field_csv,
+    write_table_csv,
 )
 from .signal_model import (
     GaussianAtom,
@@ -83,6 +81,11 @@ class NonFiniteResultError(ArithmeticError):
 
 class ZeroFieldError(ArithmeticError):
     """The field of a nonzero signal is zero at every grid point (underflow)."""
+
+
+def _rounding(diff: float, scale: float) -> bool:
+    """True if diff is within 1e3 eps of scale: the rounding of the numbers it came from."""
+    return abs(diff) <= 1e3 * np.finfo(float).eps * scale
 
 
 def _finite(value, what: str):
@@ -406,15 +409,11 @@ def _field_for(signal, grid: Grid2D) -> SpectrogramField:
 class ReportBundle:
     command: str
     config_echo: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)  # name: {header: column}, for write_table_csv
     fields: dict[str, SpectrogramField] = field(default_factory=dict)
     summary: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    def add_table(self, name: str, columns: dict) -> None:
-        """A table of equal-length columns, keyed by header."""
-        self.tables[name] = {header: np.asarray(col) for header, col in columns.items()}
 
     def add_field(self, name: str, fld: SpectrogramField) -> None:
         _finite(fld.values, f"{name} field")
@@ -426,12 +425,7 @@ class ReportBundle:
             json.dumps(self.config_echo, indent=2, sort_keys=True) + "\n"
         )
         for name, columns in self.tables.items():
-            cols = list(columns.values())
-            with open(outdir / f"{name}.csv", "w", newline="\n") as fh:
-                fh.write(",".join(columns) + "\n")
-                for start in range(0, len(cols[0]), _CSV_CHUNK):
-                    text = [_column_text(col[start:start + _CSV_CHUNK]) for col in cols]
-                    fh.writelines(",".join(cells) + "\n" for cells in zip(*text))
+            write_table_csv(outdir / f"{name}.csv", columns)
         for name, fld in self.fields.items():
             write_field_csv(fld, outdir / f"{name}.csv")
         text = [f"command: {self.command}"] + self.summary
@@ -440,15 +434,6 @@ class ReportBundle:
             text.extend(f"  - {w}" for w in self.warnings)
         (outdir / "summary.txt").write_text("\n".join(text) + "\n")
         (outdir / "meta.json").write_text(json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
-
-
-def _column_text(col: np.ndarray) -> list[str]:
-    """A table column as text by its dtype: floats as repr's bytes from one
-    _float_fields call, integers and strings by str."""
-    if col.dtype.kind != "f":
-        return list(map(str, col.tolist()))
-    chars, lens = _float_fields(col)
-    return chars[_FIELD_MASK[lens]].tobytes().decode().split(",")[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +474,17 @@ def cmd_certify(config, args) -> ReportBundle:
     dist, sqrt_specdiff = stability_distances(fld_f, fld_g, rects)
     del fld_f, fld_g
     cert = certificate(spec_f, spec_g, cover)
-    # a spectrogram difference within 1e3 eps of ||S_f|| is the fields' rounding
     norm_f = region_norm(spec_f, rects, 2)
     _finite(np.array([dist, sqrt_specdiff, norm_f]), "measured ratio")
-    resolved = sqrt_specdiff ** 2 > 1e3 * np.finfo(float).eps * norm_f
-    measured = (repr(dist / sqrt_specdiff) if resolved
-                else "unresolved (||S_f - S_g|| <= 1e3 eps ||S_f|| on the union)")
+    measured = ("unresolved (||S_f - S_g|| <= 1e3 eps ||S_f|| on the union)"
+                if _rounding(sqrt_specdiff ** 2, norm_f) else repr(dist / sqrt_specdiff))
     bundle = ReportBundle("certify")
     names, values = zip(*cert.rows())
-    bundle.add_table("certificate", {"quantity": names, "value": values})
+    bundle.tables["certificate"] = {"quantity": names, "value": values}
     g = cert.graph
     i, j = g.edges()
-    bundle.add_table("vertices", {"i": np.arange(g.n), "w": g.w})
-    bundle.add_table("edges", {"i": i, "j": j, "sigma": g.sigma[i, j]})
+    bundle.tables["vertices"] = {"i": np.arange(g.n), "w": g.w}
+    bundle.tables["edges"] = {"i": i, "j": j, "sigma": g.sigma[i, j]}
     bundle.summary.append(f"squares: {cert.nu}, union area: {cert.vol_omega!r}")
     bundle.summary.append(f"bound_lambda: {cert.bound_lambda!r}")
     bundle.summary.append(f"bound_cheeger: {cert.bound_cheeger!r}")
@@ -518,8 +501,8 @@ def cmd_sharpness(config, args) -> ReportBundle:
     ratio = dist / sqrt_specdiff
     log_ratio = np.array([math.log(r) for r in ratio.tolist()])  # libm's log, not numpy's SIMD one
     bundle = ReportBundle("sharpness")
-    bundle.add_table("sharpness", {"a": a_values, "dist": dist, "sqrt_specdiff": sqrt_specdiff,
-                                   "ratio": ratio, "log_ratio": log_ratio})
+    bundle.tables["sharpness"] = {"a": a_values, "dist": dist, "sqrt_specdiff": sqrt_specdiff,
+                                  "ratio": ratio, "log_ratio": log_ratio}
     if len(a_values) >= 2:
         slope = float(np.polyfit(a_values, log_ratio, 1)[0])
         bundle.summary.append(f"log-ratio regression slope: {slope!r}")
@@ -549,23 +532,23 @@ def cmd_plan_sample(config, args) -> ReportBundle:
     achieved = exact - discrete_sq
     discrete = math.sqrt(discrete_sq)
     continuum = math.sqrt(exact)
-    # a difference within 1e3 eps of the integral is the two rules' rounding
     if ref_n <= plan.n:
         achieved_text = "not measured (reference_n <= N)"
-    elif abs(achieved) <= 1e3 * np.finfo(float).eps * exact:
+    elif _rounding(achieved, exact):
         achieved_text = "unresolved (|E| <= 1e3 eps * integral)"
     else:
         achieved_text = repr(abs(achieved))
 
     bundle = ReportBundle("plan-sample")
-    x, y = plan.rule.points.T
-    bundle.add_table("nodes", {"x": x, "y": y, "w": plan.rule.weights})
-    bundle.add_table("plan", {
+    nodes, n = plan.rule.base.nodes, plan.n  # in x-major order, as the weights
+    bundle.tables["nodes"] = {"x": np.repeat(nodes + center[0], n),
+                              "y": np.tile(nodes + center[1], n), "w": plan.rule.weights}
+    bundle.tables["plan"] = {
         "quantity": ["N", "node_count", "epsilon", "epsilon4", "kappa", "predicted_error",
                      "achieved_error", "discrete_norm", "continuum_norm"],
         "value": [float(plan.n), float(plan.n ** 2), plan.epsilon, plan.epsilon ** 4, plan.kappa,
                   plan.predicted_error, achieved, discrete, continuum],
-    })
+    }
     bundle.summary.append(f"N = {plan.n} ({plan.n ** 2} nodes)")
     bundle.summary.append(f"predicted error bound: {plan.predicted_error!r} <= eps^4 = {plan.epsilon ** 4!r}")
     bundle.summary.append(f"achieved |E|: {achieved_text}")
@@ -613,8 +596,8 @@ def cmd_retrieve(config, args) -> ReportBundle:
         _, dist = min_phase_distance(ref, result.field, rects)
         ref_norm = region_norm(ref, rects, 2)
         rel = dist / ref_norm if ref_norm > 0 else math.inf
-        bundle.add_table("oracle", {"quantity": ["distance", "reference_norm", "relative_error"],
-                                    "value": [dist, ref_norm, rel]})
+        bundle.tables["oracle"] = {"quantity": ["distance", "reference_norm", "relative_error"],
+                                   "value": [dist, ref_norm, rel]}
         bundle.summary.append(f"relative error vs oracle: {rel!r}")
     return bundle
 

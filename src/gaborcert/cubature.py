@@ -44,11 +44,11 @@ class GaussRule1D:
 
 @dataclass(frozen=True)
 class ProductRule2D:
-    """Tensor rule on the square of side `side` centered at `center`."""
+    """Tensor rule on the square of side `side` centered at `center`: node (i, j) is center +
+    (base.nodes[i], base.nodes[j]), and the weights are the nodes' in x-major order."""
 
     base: GaussRule1D
     center: tuple[float, float]
-    points: np.ndarray   # (N^2, 2)
     weights: np.ndarray  # (N^2,)
 
 
@@ -105,30 +105,22 @@ def gauss_rule(n: int, side: float) -> GaussRule1D:
     return GaussRule1D(n, side, half * x, half * w)
 
 
-def _open_mesh(base: GaussRule1D, center) -> tuple[np.ndarray, np.ndarray]:
-    """Node columns x (N, 1) and rows y (1, N) whose broadcast, raveled x-major, is the points."""
-    return base.nodes[:, None] + center[0], base.nodes[None, :] + center[1]
-
-
 def product_rule(n: int, side: float, center: tuple[float, float] = (0.0, 0.0)) -> ProductRule2D:
     """Tensor product of the 1-D rule; weights sum to side^2."""
     base = gauss_rule(n, side)
-    gx, gy = _open_mesh(base, center)
-    pts = np.stack([np.broadcast_to(gx, (n, n)).ravel(),
-                    np.broadcast_to(gy, (n, n)).ravel()], axis=1)
     wts = np.outer(base.weights, base.weights).ravel()
-    return ProductRule2D(base, (float(center[0]), float(center[1])), pts, wts)
+    return ProductRule2D(base, (float(center[0]), float(center[1])), wts)
 
 
 def apply_rule(phi, rule: ProductRule2D) -> float:
     """sum_lambda phi(lambda) w_lambda, with phi called once on the rule's open mesh.
 
     phi(x, y) gets x of shape (N, 1) and y of shape (1, N) and must return
-    values that broadcast to (N, N), entry [i, j] at (x_i, y_j); they are
-    summed against the weights in the x-major order of `rule.points`.
+    values that broadcast to (N, N), entry [i, j] at node (x_i, y_j); raveled
+    x-major, they are summed against `rule.weights`.
     """
-    n = rule.base.n
-    vals = np.asarray(phi(*_open_mesh(rule.base, rule.center)), dtype=float)
+    n, nodes, (cx, cy) = rule.base.n, rule.base.nodes, rule.center
+    vals = np.asarray(phi(nodes[:, None] + cx, nodes[None, :] + cy), dtype=float)
     return float(np.dot(np.broadcast_to(vals, (n, n)).ravel(), rule.weights))
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "rect_union_norm",
     "union_area",
     "write_field_csv",
+    "write_table_csv",
     "read_field_csv",
 ]
 
@@ -530,28 +531,51 @@ def _float_fields(x) -> tuple[np.ndarray, np.ndarray]:
     return src.view(np.uint8).ravel().take(idx), length[key]
 
 
+def _write_csv(path, header: str, n: int, fields) -> None:
+    """Write the header line and n rows, _CSV_CHUNK at a time: fields(rows) gives each column's
+    slots for a slice of rows, (chars, lens) as _float_fields lays them out."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, n, _CSV_CHUNK):
+            chars, lens = (np.stack(p, 1) for p in zip(*fields(slice(start, start + _CSV_CHUNK))))
+            chars[np.arange(len(chars)), -1, lens[:, -1]] = ord("\n")  # the last field's ","
+            fh.write(chars[_FIELD_MASK[lens]])
+
+
+def _text_fields(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of str(v) for each v of a column, in _float_fields' slots."""
+    cells = [str(v).encode() + b"," for v in col.tolist()]
+    lens = np.array([len(cell) - 1 for cell in cells], dtype=np.intp)
+    if lens.max(initial=0) >= _WIDTH:
+        raise ValueError(f"a table cell is longer than {_WIDTH - 1} bytes")
+    return np.array(cells, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH), lens
+
+
+def write_table_csv(path, columns: dict) -> None:
+    """CSV export of a table {header: column}, one row per index of its equal-length columns:
+    floats as the bytes of repr(float), others by str (at most 24 bytes a cell), "\\n" line ends."""
+    cols = [np.asarray(col) for col in columns.values()]
+    _write_csv(path, ",".join(columns), len(cols[0]), lambda rows: [
+        (_float_fields if col.dtype.kind == "f" else _text_fields)(col[rows]) for col in cols])
+
+
 def write_field_csv(fld: SpectrogramField, path) -> None:
     """CSV export: header x,y,re,im for transform fields, x,y,s for spectrograms.
 
     One row per grid point in x-major order, every number as the bytes of repr(float),
-    "\\n" line ends.  Grid coordinates are formatted once; rows are formatted and written
-    _CSV_CHUNK at a time, all value columns of a chunk in one _float_fields call.
+    "\\n" line ends.  Grid coordinates are formatted once, each chunk's values in one call.
     """
     grid = fld.grid
     values = np.ascontiguousarray(fld.values).view(float).reshape(grid.nx * grid.ny, -1)
     (x_chars, x_lens), (y_chars, y_lens) = _float_fields(grid.xs()), _float_fields(grid.ys())
-    with open(path, "wb") as fh:
-        fh.write(b"x,y,re,im\n" if fld.kind == GABOR else b"x,y,s\n")
-        for start in range(0, len(values), _CSV_CHUNK):
-            block = values[start:start + _CSV_CHUNK]
-            ix, iy = np.divmod(np.arange(start, start + len(block)), grid.ny)
-            chars, lens = _float_fields(block)
-            row = np.concatenate([x_chars[ix, None], y_chars[iy, None],
-                                  chars.reshape(len(block), -1, _WIDTH)], axis=1)
-            lens = np.concatenate([x_lens[ix, None], y_lens[iy, None],
-                                   lens.reshape(len(block), -1)], axis=1)
-            row[np.arange(len(block)), -1, lens[:, -1]] = ord("\n")  # the last field's ","
-            fh.write(row[_FIELD_MASK[lens]])
+
+    def fields(rows):
+        ix, iy = np.divmod(np.arange(*rows.indices(len(values))), grid.ny)
+        chars, lens = _float_fields(values[rows].T)  # value column by value column
+        return [(x_chars[ix], x_lens[ix]), (y_chars[iy], y_lens[iy]),
+                *zip(chars.reshape(-1, len(ix), _WIDTH), lens.reshape(-1, len(ix)))]
+
+    _write_csv(path, "x,y,re,im" if fld.kind == GABOR else "x,y,s", len(values), fields)
 
 
 def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:

@@ -23,11 +23,13 @@ is kept here as np.exp of the complex exponents, apart from the package's
 cos/sin phases; at real arguments it is the bit-for-bit reference of those
 phases.  The product-rule integral's reference calls its integrand on the
 rule's flattened (N^2,) points, the per-point closed-form path, where the
-package calls it once on the rule's open mesh.
+package calls it once on the rule's open mesh; the points are listed node
+pair by node pair from the 1-D rule, which the package never stacks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -558,9 +560,17 @@ def legendre_lower_bound_check(n: int, a: float, b: float) -> bool:
     return bool(np.all(vals >= floor * (1.0 - 1e-12)))
 
 
+def product_rule_points(rule) -> np.ndarray:
+    """The (N^2, 2) nodes of a product rule in x-major order, the order of its weights:
+    every pair of 1-D nodes, each shifted by the rule's center."""
+    xs, ys = (rule.base.nodes + c for c in rule.center)
+    return np.array(list(itertools.product(xs.tolist(), ys.tolist())))
+
+
 def tensor_product_integral_points(phi, n: int, side: float,
                                    center: tuple[float, float] = (0.0, 0.0)) -> float:
     """Degree-n product-rule integral with phi called on the rule's flattened points."""
     rule = product_rule(n, side, center)
-    vals = np.asarray(phi(rule.points[:, 0], rule.points[:, 1]), dtype=float)
+    points = product_rule_points(rule)
+    vals = np.asarray(phi(points[:, 0], points[:, 1]), dtype=float)
     return float(np.dot(vals, rule.weights))

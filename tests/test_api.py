@@ -12,7 +12,7 @@ import pytest
 import gaborcert
 from gaborcert import cubature
 from gaborcert.cli import main
-from gaborcert.cubature import GaussRule1D
+from gaborcert.cubature import GaussRule1D, ProductRule2D
 from gaborcert.gabor_engine import Grid2D
 from gaborcert.signal_model import GaussianMixtureSignal
 from gaborcert.stability_graph import SquareCover, WeightedGraph, _sweep_cheeger, cheeger_constant
@@ -32,7 +32,7 @@ REMOVED = [
     "cmd_selftest", "CliDegeneracyError", "legendre_eval", "legendre_lower_bound_check",
     "_mixture_t_grid", "_stacked_rect_norms", "region_inner_product", "graph_vertex_rows",
     "graph_edge_rows", "discrete_weighted_norm", "fock_coefficients", "EXACT_CHEEGER_LIMIT",
-    "_union_norm",
+    "_union_norm", "_column_text",
 ]
 
 
@@ -71,6 +71,7 @@ def test_removed_names_stay_removed():
     for name in cubature.__all__:
         assert "s" not in inspect.signature(getattr(cubature, name)).parameters, name
     assert [f.name for f in dataclasses.fields(GaussRule1D)] == ["n", "side", "nodes", "weights"]
+    assert [f.name for f in dataclasses.fields(ProductRule2D)] == ["base", "center", "weights"]
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}
 
 

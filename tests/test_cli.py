@@ -26,7 +26,13 @@ from gaborcert.signal_model import gabor_closed_form, l2_norm
 from gaborcert.stability_graph import SquareCover, certificate
 from gaborcert.stitching import retrieve_phase
 
-from oracles import field_csv_bytes, measured_ratio, sharpness_strip, table_csv_bytes
+from oracles import (
+    field_csv_bytes,
+    measured_ratio,
+    product_rule_points,
+    sharpness_strip,
+    table_csv_bytes,
+)
 
 ATOM_MIXTURE = {"kind": "mixture",
                 "atoms": [{"re": 1.0, "im": 0.0, "shift": 0.0, "modulation": 0.0}]}
@@ -793,7 +799,8 @@ def test_report_tables_match_cellwise_format(tmp_path):
     assert code == 0
     f, g = _mixture(SHARP_F), _mixture(SHARP_G)
     plan = plan_sampling(PLAN["epsilon"], 1.0, l2_norm(f) ** 2 + l2_norm(g) ** 2, (0.0, 0.0))
-    nodes = [(float(x), float(y), float(w)) for (x, y), w in zip(plan.rule.points, plan.rule.weights)]
+    nodes = [(x, y, w) for (x, y), w in zip(product_rule_points(plan.rule).tolist(),
+                                            plan.rule.weights.tolist())]
     assert (out / "nodes.csv").read_bytes() == table_csv_bytes(["x", "y", "w"], nodes)
     payload = {"signal_f": SHARP_F, "signal_g": SHARP_G, "cover": TWO_SQUARES, "grid": GRID}
     code, out = run(tmp_path, "certify", payload, "out_c")

@@ -38,6 +38,7 @@ from gaborcert.gabor_engine import (
     rect_union_norm,
     union_area,
     write_field_csv,
+    write_table_csv,
 )
 from gaborcert.signal_model import _PHASE_CHUNK
 
@@ -50,6 +51,7 @@ from oracles import (
     sampled_coverage,
     sampled_mixture,
     square_rect,
+    table_csv_bytes,
 )
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
@@ -439,6 +441,31 @@ def test_field_csv_chunks_match_cellwise_format(tmp_path):
                 SpectrogramField(grid, np.abs(parts[0]), SPECTROGRAM)):
         write_field_csv(fld, path)
         assert path.read_bytes() == field_csv_bytes(fld)
+
+
+def test_table_csv_chunks_match_cellwise_format(tmp_path):
+    # float, int64 and string columns over three chunks, the last one short; the floats
+    # hold signed zeros and infinities, nan, subnormals and the neighbours of the
+    # positional/exponent switches 1e-4 and 1e16
+    rng = np.random.default_rng(5)
+    n = 2 * _CSV_CHUNK + 77
+    switches = (np.array([1e-4, 1e16]).view(np.int64)[:, None] + np.arange(-8, 9)).view(float)
+    edges = np.concatenate([[0.0, math.inf, math.nan, 5e-324, 2.2250738585072009e-308],
+                            switches.ravel()])
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    floats[rng.choice(n, 2 * len(edges), replace=False)] = np.concatenate([edges, -edges])
+    ints = rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
+    ints[:3] = [0, -1, np.iinfo(np.int64).min]
+    words = np.array(["", "K", "lambda", "bound_cheeger", "ünïcode", "x" * 24])
+    strings = words[rng.integers(0, len(words), n)]
+    path = tmp_path / "table.csv"
+    write_table_csv(path, {"v": floats, "i": ints, "name": strings})
+    expected = table_csv_bytes(["v", "i", "name"],
+                               zip(floats.tolist(), ints.tolist(), strings.tolist()))
+    assert path.read_bytes() == expected
+    # a cell past the 24 bytes of a slot is refused, not cut
+    with pytest.raises(ValueError, match="longer than 24 bytes"):
+        write_table_csv(path, {"name": np.array(["x" * 25])})
 
 
 def test_field_validation():
