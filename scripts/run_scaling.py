@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
 """Scaling table: wall time and tracemalloc peak of certificate and of analytic
-retrieve_phase against cover size.
+retrieve_phase against cover size, and of quadrature_gabor against grid size
+and sample count.
 
-Each case is run_accuracy_table's lattice: k x k unit squares at spacing 0.7,
-k^2 random atoms in the lattice span, a grid of step 0.05 padded by 1.0
-around the centres, seed 3; k = 12, 24, 32 and 48 (144 to 2304 squares).
-certificate compares the spectrogram with itself, and retrieve_phase uses
-analytic jets of order 14.  Each stage runs twice: once under tracemalloc
-for its peak, then once untraced for its wall time.
-Writes results/scaling.csv and results/scaling.json.
+Each cover case is run_accuracy_table's lattice: k x k unit squares at
+spacing 0.7, k^2 random atoms in the lattice span, a grid of step 0.05 padded
+by 1.0 around the centres, seed 3; k = 12, 24, 32 and 48 (144 to 2304
+squares).  certificate compares the spectrogram with itself, and
+retrieve_phase uses analytic jets of order 14.  Each transform case samples
+standard normal complex noise (seed 3) over the data path's t range
+[-6.5, 6.5] and transforms it on an N x N grid of step 0.02 centred at 0:
+N = 101, 251 and 501 at 20000 samples, and N = 101 at 200000.  Each stage
+runs twice: once under tracemalloc for its peak, then once untraced for its
+wall time.
+Writes results/scaling.csv, results/quadrature_scaling.csv and
+results/scaling.json.
 """
 
 import argparse
@@ -18,7 +24,17 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from gaborcert import certificate, mixture_field, retrieve_phase, spectrogram
+import numpy as np
+
+from gaborcert import (
+    Grid2D,
+    SampledSignal,
+    certificate,
+    mixture_field,
+    quadrature_gabor,
+    retrieve_phase,
+    spectrogram,
+)
 from run_accuracy_table import PAD, SPACING, lattice_case
 
 STEP = 0.05
@@ -28,6 +44,12 @@ SIDES = (12, 24, 32, 48)
 SMOKE_SIDES = (2, 3)
 FIELDS = ("squares", "grid_cells", "certificate_s", "certificate_peak_mib",
           "retrieve_s", "retrieve_peak_mib")
+T_RANGE = (-6.5, 6.5)
+GRID_STEP = 0.02
+# (grid points per axis, samples)
+TRANSFORMS = ((101, 20000), (251, 20000), (501, 20000), (101, 200000))
+SMOKE_TRANSFORMS = ((31, 2000), (31, 20000))
+TRANSFORM_FIELDS = ("grid_points", "samples", "quadrature_s", "quadrature_peak_mib")
 
 
 def measure(stage) -> tuple[float, float]:
@@ -44,9 +66,27 @@ def measure(stage) -> tuple[float, float]:
     return time.perf_counter() - start, peak / 2 ** 20
 
 
+def transform_case(n: int, nt: int) -> tuple[SampledSignal, Grid2D]:
+    """Noise samples over T_RANGE and the n x n grid of step GRID_STEP centred at 0."""
+    lo, hi = T_RANGE
+    noise = np.random.default_rng(SEED).standard_normal((nt, 2)).view(complex)[:, 0]
+    half = GRID_STEP * (n - 1) / 2
+    grid = Grid2D(-half, -half, GRID_STEP, GRID_STEP, n, n)
+    return SampledSignal(noise, lo, (hi - lo) / (nt - 1)), grid
+
+
+def write_csv(path: Path, fields, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="k = 2 and 3 only")
+    parser.add_argument("--smoke", action="store_true",
+                        help="k = 2 and 3, and a 31 x 31 transform at 2000 and 20000 samples")
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
 
@@ -60,16 +100,26 @@ def main() -> None:
         print(f"{k * k:5d} squares  {grid.nx}x{grid.ny} grid  certificate {cert[0]:.3f} s "
               f"{cert[1]:.1f} MiB  retrieve_phase {retrieve[0]:.3f} s {retrieve[1]:.1f} MiB")
 
+    # the first transform in a process also learns the BLAS's panel split, so a
+    # small one runs first, outside the table
+    quadrature_gabor(*transform_case(31, 300))
+    transforms = []
+    for n, nt in SMOKE_TRANSFORMS if args.smoke else TRANSFORMS:
+        sig, grid = transform_case(n, nt)
+        quad = measure(lambda: quadrature_gabor(sig, grid))
+        transforms.append(dict(zip(TRANSFORM_FIELDS, (n, nt, *quad))))
+        print(f"{n:5d}^2 grid  {nt:6d} samples  quadrature_gabor {quad[0]:.3f} s "
+              f"{quad[1]:.1f} MiB")
+
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "scaling.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELDS)
-        for row in table:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    write_csv(args.out / "scaling.csv", FIELDS, table)
+    write_csv(args.out / "quadrature_scaling.csv", TRANSFORM_FIELDS, transforms)
     with open(args.out / "scaling.json", "w") as fh:
         json.dump({"spacing": SPACING, "pad": PAD, "step": STEP, "seed": SEED, "order": ORDER,
-                   "rows": table}, fh, indent=1)
-    print(f"wrote {args.out / 'scaling.csv'} and {args.out / 'scaling.json'}")
+                   "rows": table, "t_range": T_RANGE, "grid_step": GRID_STEP,
+                   "quadrature_rows": transforms}, fh, indent=1)
+    print(f"wrote {args.out / 'scaling.csv'}, {args.out / 'quadrature_scaling.csv'} and "
+          f"{args.out / 'scaling.json'}")
 
 
 if __name__ == "__main__":

@@ -41,15 +41,12 @@ __all__ = [
 GABOR = "gabor"
 SPECTROGRAM = "spectrogram"
 
-# byte budgets of quadrature_gabor's two working blocks: one column block of
-# the kernel and one block of windowed rows.  Each row block's product packs the
-# whole column block again, and each narrower column block rebuilds every row
-# block once more: at nt = 20000 these give columns in 128s and 27- or 28-row
-# blocks
-_KERNEL_BYTES = 48 << 20
-_BLOCK_BYTES = 8 << 20
-# kernel column blocks start at multiples of this many columns
-_COLUMN_ALIGN = 64
+# OpenBLAS's zgemm sums its inner dimension in panels of this many terms
+_T_BLOCK = 128
+# grids of at most this many points keep one product: OpenBLAS may run their
+# product on one thread whatever its thread count, and split its last panels
+# as it does on one thread
+_SMALL_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -156,77 +153,106 @@ class SpectrogramField:
         object.__setattr__(self, "values", vals)
 
 
+def _t_edges(nt: int, cut) -> list[int]:
+    """Edges of the t panels OpenBLAS's zgemm sums a product of inner size nt over.
+
+    Panels of _T_BLOCK terms while at least two remain; a remainder between one
+    and two panels is split after cut(remainder) terms.
+    """
+    edges = [0]
+    while nt - edges[-1] >= 2 * _T_BLOCK:
+        edges.append(edges[-1] + _T_BLOCK)
+    if nt - edges[-1] > _T_BLOCK:
+        edges.append(edges[-1] + cut(nt - edges[-1]))
+    return [*edges, nt]
+
+
+# the last remainder's split in OpenBLAS's threaded zgemm driver, and in its
+# one-thread driver, which rounds the first part up to its 4-row kernel tile
+_TAIL_CUTS = (lambda r: (r + 1) // 2, lambda r: -(-(r // 2) // 4) * 4)
+
+
+@functools.cache
+def _tail_cut():
+    """The split of a last remainder that this process's BLAS applies, or None.
+
+    numpy does not report how its BLAS runs a product, so a 64 x 259 by
+    259 x 64 product of fixed pseudo-random entries is compared, bit for bit,
+    with its sums over each rule's panels.
+    """
+    z = ((np.arange(4 * 64 * 259) * 2654435761 & 0xFFFFFFFF) / 2 ** 32 - 0.5).view(complex)
+    a, b = z[:64 * 259].reshape(64, 259), z[64 * 259:].reshape(259, 64)
+    want = (a @ b).view(np.uint64)
+    for cut in _TAIL_CUTS:
+        edges = _t_edges(259, cut)
+        got = a[:, :edges[1]] @ b[:edges[1]]
+        for lo, hi in zip(edges[1:], edges[2:]):
+            got += a[:, lo:hi] @ b[lo:hi]
+        if np.array_equal(got.view(np.uint64), want):
+            return cut
+    return None
+
+
 def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     """Transform field of a sampled signal by trapezoidal quadrature on its sample grid.
 
     The sum runs over every t node for every grid point; nothing is
     truncated.  The product of the windowed x rows with the kernel
-    exp(-2 pi i t y) is tiled over both output axes: the kernel is built one
-    column block at a time, and for each column block the windowed rows are
-    rebuilt and streamed through it in row blocks (forward, then backward,
-    so one column block's last row block is reused by the next).  The
-    kernel is cos + i sin of its real angle, built a row chunk at a time in
-    small scratch arrays (`signal_model._cis_outer`); where t is symmetric
-    about 0 a kernel row is the conjugate of its mirror row.  Besides the
-    output, the working set is one kernel column block, one complex block
-    of windowed rows (each under a fixed byte budget, both allocated once
-    and reused), the phase scratch and one nt-long real scratch row for the
-    window.  A kernel under its budget is one column block.  Column blocks
-    start at multiples of 64 columns: BLAS computes the output in tiles of a
-    few columns, and an unaligned block edge or a one-column block (gemv)
-    would round some columns differently from the one full product.
+    exp(-2 pi i t y) is summed over t in the panels BLAS sums it in
+    (`_t_edges`): each panel's kernel slice and windowed rows are built,
+    multiplied and added to the output in panel order, so the output is
+    bit for bit the one full product's.  The kernel is cos + i sin of its
+    real angle (`signal_model._cis_outer`), built with y as its rows, so a
+    y row that is the exact negative of its mirror (a grid symmetric about
+    0) is its mirror's conjugate.  Besides the output, the working set is
+    one panel's kernel slice, windowed rows and real window, one output-sized
+    partial sum and the nt-long t and weight vectors: it does not grow with
+    nt times the grid.  One full product is kept where the panels cannot be
+    reproduced: an axis of one point (a matrix-vector product), a grid of at
+    most _SMALL_GRID points, and a BLAS whose split of the last panels
+    `_tail_cut` does not recognise.
     """
     t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
     if len(t) > 1:
         w[0] *= 0.5
         w[-1] *= 0.5
+    # each row is weighted by w + 0j, the promotion that multiplying by the real w applies
+    w = w + 0j
 
     xs = grid.xs()
     ys = grid.ys()
     values = np.empty((len(xs), len(ys)), dtype=complex)
-    # kernel columns in blocks of `cols`, a multiple of _COLUMN_ALIGN; a
-    # one-column tail joins the block before it.  A single x row goes through
-    # gemv, whose thread split of the columns depends on their count, so it
-    # keeps the kernel in one block
-    cols = len(ys) if len(xs) == 1 else max(
-        _COLUMN_ALIGN, _KERNEL_BYTES // (16 * len(t)) // _COLUMN_ALIGN * _COLUMN_ALIGN)
-    edges = [*range(0, max(1, len(ys) - 1), cols), len(ys)]
-    kernel_buf = np.empty(len(t) * max(np.diff(edges)), dtype=complex)
-    # windowed integrand rows go through the matmul in nx // rows blocks of
-    # equal height, each at least `rows` tall: BLAS picks its kernel and its
-    # thread split from the block shape, and a one-row block (gemv) or a short
-    # tail block rounds differently from the rows of one full product
-    rows = max(2, _BLOCK_BYTES // (16 * len(t)))
-    n_blocks = max(1, len(xs) // rows)
-    # every block's rows (f(t) exp(-pi (t - x)^2)) w(t) are built in one
-    # buffer allocated once, each row's window in one contiguous scratch row;
-    # f * window promotes the window to window + 0j, in chunks inside the ufunc,
-    # and each row is weighted while it is in cache by w + 0j, the promotion
-    # that multiplying by the real w applies
-    windowed = np.empty((-(-len(xs) // n_blocks), len(t)), dtype=complex)
-    gauss = np.empty(len(t))
-    w = w + 0j
-    built = None  # the row block the buffer holds
-    for c, (c0, c1) in enumerate(zip(edges, edges[1:])):
-        # the column block, built in place as cos + i sin of (t y) (-2 pi)
-        kernel = kernel_buf[:len(t) * (c1 - c0)].reshape(len(t), c1 - c0)
-        _cis_outer(t, ys[c0:c1], -2 * np.pi, kernel)
-        # row blocks run forward and backward in turn, so the block left in
-        # the buffer by one column block is the first of the next, not rebuilt
-        for b in (range(n_blocks) if c % 2 == 0 else reversed(range(n_blocks))):
-            lo, hi = b * len(xs) // n_blocks, (b + 1) * len(xs) // n_blocks
-            block = windowed[:hi - lo]
-            if b != built:
-                for row, x in zip(block, xs[lo:hi]):
-                    np.subtract(t, x, out=gauss)
-                    np.square(gauss, out=gauss)
-                    gauss *= -np.pi
-                    np.exp(gauss, out=gauss)
-                    np.multiply(ft, gauss, out=row)
-                    row *= w
-                built = b
-            np.matmul(block, kernel, out=values[lo:hi, c0:c1])
+    cut = _tail_cut() if min(len(xs), len(ys)) > 1 and values.size > _SMALL_GRID else None
+    edges = _t_edges(len(t), cut) if cut else [0, len(t)]
+    width = max(np.diff(edges))
+    kernel_buf = np.empty(len(ys) * width, dtype=complex)
+    windowed_buf = np.empty(len(xs) * width, dtype=complex)
+    gauss_buf = np.empty(len(xs) * width)
+    partial = np.empty_like(values) if len(edges) > 2 else None
+    for lo, hi in zip(edges, edges[1:]):
+        # the kernel slice as cos + i sin of (y t) (-2 pi), used transposed; a single
+        # x row goes through gemv, whose sums follow the kernel's layout, so it keeps
+        # t as the kernel's rows
+        if len(xs) == 1:
+            kernel = _cis_outer(t, ys, -2 * np.pi, kernel_buf.reshape(len(t), len(ys)))
+        else:
+            kernel = _cis_outer(ys, t[lo:hi], -2 * np.pi,
+                                kernel_buf[:len(ys) * (hi - lo)].reshape(len(ys), hi - lo)).T
+        # every x row's (f(t) exp(-pi (t - x)^2)) w(t) on the panel; f * window
+        # promotes the window to window + 0j
+        gauss = gauss_buf[:len(xs) * (hi - lo)].reshape(len(xs), hi - lo)
+        np.subtract(t[lo:hi], xs[:, None], out=gauss)
+        np.square(gauss, out=gauss)
+        gauss *= -np.pi
+        np.exp(gauss, out=gauss)
+        windowed = windowed_buf[:gauss.size].reshape(gauss.shape)
+        np.multiply(ft[lo:hi], gauss, out=windowed)
+        windowed *= w[lo:hi]
+        if lo == 0:
+            np.matmul(windowed, kernel, out=values)
+        else:
+            values += np.matmul(windowed, kernel, out=partial)
     return SpectrogramField(grid, values, GABOR)
 
 

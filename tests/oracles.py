@@ -470,8 +470,8 @@ def components_bfs(n, ei, ej) -> list[tuple[int, ...]]:
 
 
 def quadrature_gabor_one_shot(sig, grid):
-    """The transform field by one full-size matmul, as quadrature_gabor computed it
-    before its x rows went through the matmul in blocks."""
+    """The transform field by one full-size matmul, with the kernel as np.exp; the
+    reference quadrature_gabor's t panels must reproduce bit for bit."""
     from gaborcert.gabor_engine import GABOR, SpectrogramField
 
     t, ft, dt = sig.times(), sig.samples, sig.dt

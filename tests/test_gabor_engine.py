@@ -26,11 +26,11 @@ from gaborcert import (
     region_norm,
     spectrogram,
 )
+from gaborcert import gabor_engine
 from gaborcert.gabor_engine import (
-    _BLOCK_BYTES,
-    _COLUMN_ALIGN,
     _CSV_CHUNK,
-    _KERNEL_BYTES,
+    _SMALL_GRID,
+    _T_BLOCK,
     _float_fields,
     _uniform_axis,
     coverage_fractions,
@@ -102,52 +102,60 @@ def _noise(nt: int, t0: float, dt: float) -> SampledSignal:
     return SampledSignal(tuple(complex(re, im) for re, im in pairs), t0, dt)
 
 
-def _tiling(nt: int, nx: int, ny: int) -> tuple[int, int, int]:
-    """quadrature_gabor's kernel column blocks, the widest one's columns, and its row blocks."""
-    cols = max(_COLUMN_ALIGN, _KERNEL_BYTES // (16 * nt) // _COLUMN_ALIGN * _COLUMN_ALIGN)
-    col_blocks = 1 if nx == 1 else max(1, -(-(ny - 1) // cols))
-    widest = ny if col_blocks == 1 else cols + (ny % cols == 1)
-    return col_blocks, widest, max(1, nx // max(2, _BLOCK_BYTES // (16 * nt)))
+def _t_blocks(nt: int, nx: int, ny: int) -> int:
+    """How many t panels quadrature_gabor sums its product over."""
+    cut = gabor_engine._tail_cut()
+    if min(nx, ny) == 1 or nx * ny <= _SMALL_GRID or cut is None:
+        return 1
+    return len(gabor_engine._t_edges(nt, cut)) - 1
 
 
-# id: (signal, grid, (kernel column blocks, row blocks))
+# id: (signal, grid, t panels)
 QUADRATURE_CASES = {
-    # 157 = 6 * 26 + 1: a fixed block height would leave a one-row tail
-    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), (1, 6)),
-    "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 197, 101), (1, 3)),
-    "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), (1, 1)),
-    "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), (1, 1)),
+    # 157 x rows and 101 y columns, neither a multiple of BLAS's kernel tiles
+    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), 157),
+    "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 197, 101), 63),
+    "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), 1),
+    "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), 1),
     "zero-signal": (SampledSignal((0.0,) * 8000, -2.0, 5e-4),
-                    Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
+                    Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 63),
     "mixture": (sampled_mixture(random_mixture(np.random.default_rng(3)), -8.0, 8.0),
-                Grid2D.from_bounds(-1, 1, -1, 1, 0.02), (1, 1)),
-    # the data-path transform: column blocks of 128 and 123, row blocks of 27 and 28, and
-    # its t grid, symmetric about 0, whose mirrored kernel rows are conjugates
+                Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 7),
+    # the data-path transform: 20000 = 155 * 128 + 160 samples, the last 160 split in two;
+    # its y grid is symmetric about 0, so mirrored kernel rows are conjugates
     "data-path": (_noise(20000, -6.5, 13.0 / 19999),
-                  Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02), (2, 9)),
-    # column blocks of 64 and 3
-    "short-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 67), (2, 1)),
-    # 64 and 65: a one-column tail (gemv) joins the block before it
+                  Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02), 157),
+    # 67 and 129 y columns: odd counts, whose last columns BLAS computes in tail tiles
+    "short-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 67), 235),
     "one-column-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 129),
-                        (2, 1)),
-    # a kernel over its budget, but narrower than one alignment step
-    "below-one-step": (_noise(60000, -3.0, 1e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 3, 60), (1, 1)),
-    # a single x row (gemv) keeps a kernel over its budget in one block
-    "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251),
-                         (1, 1)),
+                        235),
+    # 180 points: a small grid keeps one product
+    "below-one-step": (_noise(60000, -3.0, 1e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 3, 60), 1),
+    # a single x row (gemv) keeps one product
+    "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251), 1),
     # t, x and y grids through exact zeros, and samples with signed zero parts: the
     # kernel's t y = +-0 entries and the products of zeros keep np.exp's bits
     "signed-zeros": (SampledSignal((1.0, complex(-0.0, 1.0), 0.0, complex(-1.0, -0.0), -0.0,
                                     complex(0.0, -0.0), 2.5, complex(-0.0, -0.0), 1j),
                                    -2.0, 0.5),
-                     Grid2D(-1.0, -1.0, 0.5, 0.5, 5, 5), (1, 1)),
+                     Grid2D(-1.0, -1.0, 0.5, 0.5, 5, 5), 1),
+    # coarse t grids whose last 131 and 172 samples are split in two panels, where
+    # OpenBLAS's threaded and one-thread drivers cut them differently (66 or 68, 86 or 88)
+    "tail-131": (_noise(131, -6.5, 13.0 / 130), Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
+                 2),
+    "tail-300": (_noise(300, -6.5, 13.0 / 299), Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
+                 3),
+    # either side of the small-grid cutoff: OpenBLAS runs a 16 x 31 product on one thread
+    # whatever its thread count, and splits a 23 x 23 one between threads
+    "small-grid": (_noise(4099, -3.0, 6.0 / 4098), Grid2D(-1.0, -1.0, 0.02, 0.02, 16, 31), 1),
+    "above-small-grid": (_noise(4099, -3.0, 6.0 / 4098), Grid2D(-1.0, -1.0, 0.02, 0.02, 23, 23),
+                         33),
 }
 
 
 def _assert_bit_identical_to_one_shot(name):
     sig, grid, blocks = QUADRATURE_CASES[name]
-    col_blocks, _, row_blocks = _tiling(len(sig.samples), grid.nx, grid.ny)
-    assert (col_blocks, row_blocks) == blocks, name
+    assert _t_blocks(len(sig.samples), grid.nx, grid.ny) == blocks, name
     got = quadrature_gabor(sig, grid).values
     want = quadrature_gabor_one_shot(sig, grid).values
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
@@ -160,9 +168,11 @@ def test_quadrature_bit_identical_to_one_shot(name):
 
 def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread():
     # byte identity holds per BLAS thread count, and OpenBLAS reads its thread count
-    # once, when it loads: the column-block cases and the signed zeros run again in a
-    # fresh interpreter
-    names = ["data-path", "short-tail", "one-column-tail", "one-x-point-wide", "signed-zeros"]
+    # once, when it loads: the split panels, both sides of the small-grid cutoff, the
+    # single-row product and the signed zeros run again in a fresh interpreter, whose
+    # probe finds the one-thread split
+    names = ["data-path", "short-tail", "one-column-tail", "one-x-point-wide", "signed-zeros",
+             "tail-131", "tail-300", "small-grid", "above-small-grid"]
     script = ("import sys\n"
               "from test_gabor_engine import _assert_bit_identical_to_one_shot\n"
               "for name in sys.argv[1:]:\n"
@@ -176,31 +186,46 @@ def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread():
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
-def test_quadrature_peak_memory_is_one_kernel_column_block_and_one_row_block():
-    nt = 20000
-    sig = _noise(nt, -2.0, 2e-4)
-    # the 101 x 101 grid (one column block), then the data-path transform's 251 x 251 (two)
-    for half in (1.0, 2.5):
-        grid = Grid2D.from_bounds(-half, half, -half, half, 0.02)
-        tracemalloc.start()
-        try:
-            fld = quadrature_gabor(sig, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        _, widest, row_blocks = _tiling(nt, grid.nx, grid.ny)
-        kernel = 16 * nt * widest
-        output = fld.values.nbytes
-        # one reused block, as tall as the tallest of the nx // rows equal blocks
-        block = 16 * nt * -(-grid.nx // row_blocks)
-        # the kernel's real angle scratch and complex phase scratch, a row chunk of the
-        # widest column block each
-        scratch = (8 + 16) * max(_PHASE_CHUNK, widest)
-        # the mirror test of t's second half: its first half negated and a boolean mask
-        mirror = (8 + 1) * (nt // 2)
-        # t, the samples, the weights and one scratch row, 16 bytes per node at most
-        vectors = 4 * 16 * nt
-        assert peak < kernel + output + block + scratch + mirror + vectors, grid
+def test_quadrature_bit_identical_to_one_shot_when_the_probe_matches_no_split(monkeypatch):
+    # a BLAS that splits the last panels by neither rule gets one full product
+    monkeypatch.setattr(gabor_engine, "_TAIL_CUTS", (lambda r: r // 3,))
+    gabor_engine._tail_cut.cache_clear()
+    try:
+        assert gabor_engine._tail_cut() is None
+        for name in ("tail-300", "three-blocks"):
+            sig, grid, _ = QUADRATURE_CASES[name]
+            got = quadrature_gabor(sig, grid).values
+            want = quadrature_gabor_one_shot(sig, grid).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    finally:
+        gabor_engine._tail_cut.cache_clear()
+
+
+def test_quadrature_peak_memory_is_panel_slices_not_the_kernel():
+    # the 101 x 101 grid and the data-path transform's 251 x 251, at the data path's
+    # 20000 samples over [-6.5, 6.5] and at ten times as many: a kernel of nt x ny
+    # would be 32 to 803 MB
+    for nt in (20000, 200000):
+        sig = _noise(nt, -6.5, 13.0 / (nt - 1))
+        for half in (1.0, 2.5):
+            grid = Grid2D.from_bounds(-half, half, -half, half, 0.02)
+            tracemalloc.start()
+            try:
+                fld = quadrature_gabor(sig, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the output and one output-sized partial sum
+            output = 2 * fld.values.nbytes
+            # a panel of at most two BLAS panels of t: its kernel slice, windowed rows
+            # and real window, 16 bytes per grid line and panel sample at most
+            slices = 16 * (grid.nx + grid.ny) * 2 * _T_BLOCK
+            # the kernel's real angle scratch and complex phase scratch
+            scratch = (8 + 16) * max(_PHASE_CHUNK, 2 * _T_BLOCK)
+            # t, the weights and their complex copy, 16 bytes per node at most, and
+            # the panel edges
+            vectors = 4 * 16 * nt
+            assert peak < output + slices + scratch + vectors, (nt, grid)
 
 
 def test_sampled_input_matches_mixture_path():
