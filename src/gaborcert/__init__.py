@@ -1,7 +1,7 @@
 """Gabor spectrogram phase retrieval on square covers.
 
-Closed-form Gaussian-mixture signals, numerical transform fields, the
-diagonal-tensor recovery machinery, weighted-graph stability certificates,
+Closed-form Gaussian-mixture signals, numerical transform fields, local
+phase recovery from modulus jets, weighted-graph stability certificates,
 Gauss product cubature with rigorous error bounds, and an end-to-end
 retrieval pipeline with a batch CLI.
 """
@@ -26,12 +26,8 @@ from .gabor_engine import (
 )
 from .tensor_phase import (
     LocalJet,
-    TensorWeights,
-    delta_r,
-    distance_from_delta,
     jet_from_mixture,
     local_phase_from_modulus,
-    tensor_weights,
 )
 from .stability_graph import (
     SquareCover,

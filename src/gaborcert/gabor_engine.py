@@ -637,14 +637,14 @@ def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
 def read_field_csv(path) -> SpectrogramField:
     """Inverse of write_field_csv; reconstructs the grid from coordinates.
 
-    The header is read with `csv`, the body in one `np.loadtxt` parse.
-    Malformed bodies (no rows, ragged rows, non-numeric or non-finite cells,
-    a column count other than the header's, rows that miss or repeat a grid
-    cell) raise ValueError.
+    The header is read with `csv` and must be x,y,s or x,y,re,im before the
+    body is parsed, in one `np.loadtxt` call.  Malformed bodies (no rows,
+    ragged rows, non-numeric or non-finite cells, a column count other than
+    the header's, rows that miss or repeat a grid cell) raise ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if header[:2] != ["x", "y"] or len(header) not in (3, 4):
+        if header not in (["x", "y", "s"], ["x", "y", "re", "im"]):
             raise ValueError(f"unrecognized field CSV header {header!r}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty body: raised below
@@ -664,14 +664,12 @@ def read_field_csv(path) -> SpectrogramField:
     if len(data) != nx * ny or not np.bincount(ix * ny + iy, minlength=nx * ny).all():
         raise ValueError("field CSV does not cover a full grid")
     grid = Grid2D(x0, y0, dx, dy, nx, ny)
-    if header == ["x", "y", "re", "im"]:
-        vals = np.zeros((nx, ny), dtype=complex)
-        # parts filled one by one: re + 1j * im would turn a -0.0 part into 0.0
-        vals.real[ix, iy] = data[:, 2]
-        vals.imag[ix, iy] = data[:, 3]
-        return SpectrogramField(grid, vals, GABOR)
     if header == ["x", "y", "s"]:
         vals = np.zeros((nx, ny))
         vals[ix, iy] = data[:, 2]
         return SpectrogramField(grid, vals, SPECTROGRAM)
-    raise ValueError(f"unrecognized field CSV header {header!r}")
+    vals = np.zeros((nx, ny), dtype=complex)
+    # parts filled one by one: re + 1j * im would turn a -0.0 part into 0.0
+    vals.real[ix, iy] = data[:, 2]
+    vals.imag[ix, iy] = data[:, 3]
+    return SpectrogramField(grid, vals, GABOR)

@@ -1,13 +1,10 @@
-"""Diagonal-tensor machinery: jets of |F|^2, the delta_r discrepancy, and
-phase recovery from a modulus jet.
+"""Phase recovery from jets of |F|^2: the jets `retrieve` takes, and the local
+phase it reads from each.
 
 For an entire function F, the mixed Wirtinger derivatives of its squared
-modulus factor as ``dbar^l d^k |F|^2 = F^(k) * conj(F^(l))``, so the jet
-array below simultaneously encodes the Taylor data of the tensor
-``F(z) conj(F(zeta))``.  Truncated sums of that jet against the disk weights
-``omega_k(r) = pi r^(2k+2) / (k! (k+1)!)`` give the L2(B_r x B_r) distance
-between the tensors of two functions, which upper-bounds the unimodular
-alignment distance with explicit constant sqrt(5).
+modulus factor as ``dbar^l d^k |F|^2 = F^(k) * conj(F^(l))``, so a jet is the
+rank-one matrix of F's Taylor data at its center and one of its columns gives
+F itself, up to a unimodular constant.
 
 Jets of a signal are taken in its frame at the jet center c (field point
 (x, y), c = x - i y): ``F_c(u) = F(c + u) exp(-pi conj(c) u - pi |c|^2 / 2)``,
@@ -20,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,17 +26,10 @@ from .signal_model import _INV_SQRT2, GaussianMixtureSignal
 
 __all__ = [
     "LocalJet",
-    "TensorWeights",
-    "DeltaResult",
     "SingularCenterError",
     "jet_from_mixture",
-    "jet_from_taylor",
     "jet_from_field",
-    "tensor_weights",
-    "delta_r",
-    "distance_from_delta",
     "local_phase_from_modulus",
-    "disk_norm_from_jet",
 ]
 
 # a jet whose largest |F^(m)(center)|^2 is at or below this times the data's
@@ -58,7 +48,7 @@ class LocalJet:
     """Mixed-derivative data of |F|^2 at a center.
 
     derivs[k, l] = dbar^l d^k |F|^2 (center) = F^(k)(center) conj(F^(l)(center)),
-    with F the series of jet_from_taylor, or F_c at u = 0 for jets of a signal.
+    with F the frame F_c at u = 0 for jets of a signal.
     Hermitian: derivs[k, l] == conj(derivs[l, k]); derivs[0, 0] >= 0.
     """
 
@@ -80,23 +70,6 @@ class LocalJet:
         object.__setattr__(self, "center", complex(self.center))
 
 
-@dataclass(frozen=True)
-class TensorWeights:
-    """omega_k(r) = pi r^(2k+2) / (k! (k+1)!), k = 0..K."""
-
-    r: float
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-
-
-class DeltaResult(NamedTuple):
-    delta: float
-    delta_sq: float
-    last_shell: float
-
-
 def jet_from_mixture(sig: GaussianMixtureSignal, center: complex, order: int) -> LocalJet:
     """Analytic jet of the mixture's local frame F_c at u = 0, c = `center`.
 
@@ -116,22 +89,6 @@ def jet_from_mixture(sig: GaussianMixtureSignal, center: complex, order: int) ->
     terms[1:] = np.pi * (dx + 1j * dy)
     derivs_f = np.cumprod(terms, axis=0, out=terms).sum(axis=1)
     return LocalJet(c, order, np.outer(derivs_f, np.conj(derivs_f)))
-
-
-def jet_from_taylor(coeffs: Sequence[complex], order: int, center: complex = 0.0) -> LocalJet:
-    """Jet of F from its Taylor coefficients a_k about `center` (F = sum a_k (z-c)^k).
-
-    Coefficients beyond `order` are ignored; missing ones are zero.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    a = np.zeros(order + 1, dtype=complex)
-    for k, ck in enumerate(coeffs):
-        if k > order:
-            break
-        a[k] = ck
-    fk = a * np.array([math.factorial(k) for k in range(order + 1)])
-    return LocalJet(complex(center), order, np.outer(fk, np.conj(fk)))
 
 
 @functools.cache
@@ -195,48 +152,6 @@ def jet_from_field(spec_field, center_xy: tuple[float, float], order: int) -> Lo
     return LocalJet(w0, order, derivs)
 
 
-def tensor_weights(r: float, order: int) -> TensorWeights:
-    """Disk monomial weights omega_k(r), k = 0..order, by stable recurrence."""
-    r = float(r)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    omega = np.empty(order + 1)
-    omega[0] = math.pi * r * r
-    for k in range(order):
-        omega[k + 1] = omega[k] * r * r / ((k + 1) * (k + 2))
-    return TensorWeights(r, omega)
-
-
-def delta_r(jet_f: LocalJet, jet_g: LocalJet, r: float) -> DeltaResult:
-    """Truncated tensor discrepancy between two jets of equal center/order.
-
-    delta^2 = sum_{k,l<=K} omega_k omega_l |D_kl|^2 with D the jet difference;
-    `last_shell` is the contribution of the anti-diagonal k + l = K, a cheap
-    truncation-tail diagnostic.
-    """
-    if jet_f.order != jet_g.order:
-        raise ValueError("jets must share the truncation order")
-    if abs(jet_f.center - jet_g.center) > 1e-12 * (1.0 + abs(jet_f.center)):
-        raise ValueError("jets must share the center")
-    w = tensor_weights(r, jet_f.order).omega
-    diff2 = np.abs(jet_f.derivs - jet_g.derivs) ** 2
-    terms = np.outer(w, w) * diff2
-    total = float(terms.sum())
-    shell = float(np.sum(terms[np.add.outer(np.arange(len(w)), np.arange(len(w))) == jet_f.order]))
-    return DeltaResult(math.sqrt(max(total, 0.0)), total, shell)
-
-
-def distance_from_delta(norm_f: float, delta: float) -> float:
-    """Upper bound sqrt(5) * delta / ||F|| for min over unimodular tau of ||G - tau F||."""
-    if not norm_f > 0:
-        raise ValueError("the bound is vacuous for ||F|| = 0")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    return math.sqrt(5.0) * delta / norm_f
-
-
 def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex],
                              scale: float) -> np.ndarray:
     """Recover F at the given points, up to one global unimodular constant.
@@ -267,8 +182,3 @@ def local_phase_from_modulus(jet: LocalJet, eval_pts: Sequence[complex],
     out /= math.sqrt(diag[m])
     return out
 
-
-def disk_norm_from_jet(jet: LocalJet, r: float) -> float:
-    """||F||_{L2(B_r(center))} from the jet (truncated monomial expansion)."""
-    w = tensor_weights(r, jet.order).omega
-    return math.sqrt(max(float(np.sum(w * jet.derivs.diagonal().real)), 0.0))

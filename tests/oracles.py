@@ -25,16 +25,23 @@ phases.  The product-rule integral's reference calls its integrand on the
 rule's flattened (N^2,) points, the per-point closed-form path, where the
 package calls it once on the rule's open mesh; the points are listed node
 pair by node pair from the 1-D rule, which the package never stacks.
+The diagonal-tensor discrepancy delta_r, with its disk weights, the
+sqrt(5) delta / ||F|| alignment bound and jets from Taylor data, is kept
+here as the reference that acceptance criteria 02 and 03 check; no
+package code path uses it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from gaborcert import GaussianAtom, GaussianMixtureSignal, SampledSignal, gabor_closed_form
+from gaborcert import (GaussianAtom, GaussianMixtureSignal, LocalJet, SampledSignal,
+                       gabor_closed_form)
 from gaborcert.cubature import _legendre_pair, gauss_rule, product_rule
 
 _LOWER_BOUND_SAMPLES = 2000
@@ -199,6 +206,89 @@ def tau_grid_min_distance(ip: complex, norm_f: float, norm_g: float,
     fine = theta0 + np.linspace(-2.0 * math.pi / n_angles, 2.0 * math.pi / n_angles, 81)
     d2_fine = norm_g**2 + norm_f**2 - 2.0 * np.real(np.exp(-1j * fine) * ip)
     return math.sqrt(max(min(d2.min(), d2_fine.min()), 0.0))
+
+
+@dataclass(frozen=True)
+class TensorWeights:
+    """omega_k(r) = pi r^(2k+2) / (k! (k+1)!), k = 0..K."""
+
+    r: float
+    omega: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
+
+
+class DeltaResult(NamedTuple):
+    delta: float
+    delta_sq: float
+    last_shell: float
+
+
+def jet_from_taylor(coeffs: Sequence[complex], order: int, center: complex = 0.0) -> LocalJet:
+    """Jet of F from its Taylor coefficients a_k about `center` (F = sum a_k (z-c)^k).
+
+    Coefficients beyond `order` are ignored; missing ones are zero.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    a = np.zeros(order + 1, dtype=complex)
+    for k, ck in enumerate(coeffs):
+        if k > order:
+            break
+        a[k] = ck
+    fk = a * np.array([math.factorial(k) for k in range(order + 1)])
+    return LocalJet(complex(center), order, np.outer(fk, np.conj(fk)))
+
+
+def tensor_weights(r: float, order: int) -> TensorWeights:
+    """Disk monomial weights omega_k(r), k = 0..order, by stable recurrence."""
+    r = float(r)
+    if not r > 0:
+        raise ValueError(f"radius must be positive, got {r}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    omega = np.empty(order + 1)
+    omega[0] = math.pi * r * r
+    for k in range(order):
+        omega[k + 1] = omega[k] * r * r / ((k + 1) * (k + 2))
+    return TensorWeights(r, omega)
+
+
+def delta_r(jet_f: LocalJet, jet_g: LocalJet, r: float) -> DeltaResult:
+    """Truncated tensor discrepancy between two jets of equal center/order.
+
+    The sums of a jet against the disk weights give the L2(B_r x B_r)
+    distance between the tensors F(z) conj(F(zeta)) of two functions:
+    delta^2 = sum_{k,l<=K} omega_k omega_l |D_kl|^2 with D the jet difference;
+    `last_shell` is the contribution of the anti-diagonal k + l = K, a cheap
+    truncation-tail diagnostic.
+    """
+    if jet_f.order != jet_g.order:
+        raise ValueError("jets must share the truncation order")
+    if abs(jet_f.center - jet_g.center) > 1e-12 * (1.0 + abs(jet_f.center)):
+        raise ValueError("jets must share the center")
+    w = tensor_weights(r, jet_f.order).omega
+    diff2 = np.abs(jet_f.derivs - jet_g.derivs) ** 2
+    terms = np.outer(w, w) * diff2
+    total = float(terms.sum())
+    shell = float(np.sum(terms[np.add.outer(np.arange(len(w)), np.arange(len(w))) == jet_f.order]))
+    return DeltaResult(math.sqrt(max(total, 0.0)), total, shell)
+
+
+def distance_from_delta(norm_f: float, delta: float) -> float:
+    """Upper bound sqrt(5) * delta / ||F|| for min over unimodular tau of ||G - tau F||."""
+    if not norm_f > 0:
+        raise ValueError("the bound is vacuous for ||F|| = 0")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    return math.sqrt(5.0) * delta / norm_f
+
+
+def disk_norm_from_jet(jet: LocalJet, r: float) -> float:
+    """||F||_{L2(B_r(center))} from the jet (truncated monomial expansion)."""
+    w = tensor_weights(r, jet.order).omega
+    return math.sqrt(max(float(np.sum(w * jet.derivs.diagonal().real)), 0.0))
 
 
 def measured_ratio(sig_f, sig_g, grid, rects) -> float:

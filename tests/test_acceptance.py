@@ -24,8 +24,6 @@ from gaborcert import (
     algebraic_connectivity,
     certificate,
     cheeger_constant,
-    delta_r,
-    distance_from_delta,
     gabor_closed_form,
     gauss_rule,
     jet_from_mixture,
@@ -43,12 +41,15 @@ from gaborcert import (
     stability_distances,
 )
 from gaborcert.cubature import apply_rule, product_rule, tensor_product_integral
-from gaborcert.tensor_phase import disk_norm_from_jet, jet_from_taylor
 
 from oracles import (
+    delta_r,
+    disk_norm_from_jet,
     disk_quadrature,
+    distance_from_delta,
     fock_value,
     grid_mesh,
+    jet_from_taylor,
     legendre_lower_bound_check,
     random_graph,
     random_mixture,

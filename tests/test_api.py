@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gaborcert
-from gaborcert import cubature
+from gaborcert import cubature, tensor_phase
 from gaborcert.cli import main
 from gaborcert.cubature import GaussRule1D, ProductRule2D
 from gaborcert.gabor_engine import Grid2D
@@ -32,7 +32,8 @@ REMOVED = [
     "cmd_selftest", "CliDegeneracyError", "legendre_eval", "legendre_lower_bound_check",
     "_mixture_t_grid", "_stacked_rect_norms", "region_inner_product", "graph_vertex_rows",
     "graph_edge_rows", "discrete_weighted_norm", "fock_coefficients", "EXACT_CHEEGER_LIMIT",
-    "_union_norm", "_column_text",
+    "_union_norm", "_column_text", "delta_r", "tensor_weights", "distance_from_delta",
+    "disk_norm_from_jet", "jet_from_taylor", "TensorWeights", "DeltaResult",
 ]
 
 
@@ -58,6 +59,9 @@ def test_removed_names_stay_removed():
     for where in [gaborcert] + [_module(m) for m in MODULES]:
         present = [n for n in REMOVED if hasattr(where, n)]
         assert present == [], (where.__name__, present)
+    # tensor_phase holds only what retrieve runs
+    assert tensor_phase.__all__ == ["LocalJet", "SingularCenterError", "jet_from_mixture",
+                                    "jet_from_field", "local_phase_from_modulus"]
     assert not hasattr(LocalJet, "truncated")
     assert not hasattr(Grid2D, "mesh") and not hasattr(GaussianMixtureSignal, "scale")
     assert not hasattr(GaussianMixtureSignal, "evaluate")

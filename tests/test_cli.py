@@ -227,6 +227,9 @@ def test_transform_malformed_atom_names_field(tmp_path, capsys, bad, path, reaso
 
 def test_malformed_field_csv_rejected(tmp_path, capsys):
     cases = {"header-only": ("x,y,s\n", "field CSV has no rows"),
+             # an unknown header fails before the body is read, whatever the body holds
+             "unknown-column": ("x,y,a\n0.0,0.0,1.0\n", "unrecognized field CSV header"),
+             "header-only-mixed": ("x,y,re,s\n", "unrecognized field CSV header"),
              "ragged": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0\n", None),
              "non-numeric": ("x,y,s\n0.0,0.0,1.0\n0.0,1.0,one\n", None),
              "too-few-columns": ("x,y,s\n0.0,0.0\n0.0,1.0\n", "columns"),

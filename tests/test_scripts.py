@@ -14,6 +14,7 @@ SCRIPTS = {
     "run_accuracy_table": (["--smoke"], "accuracy_table.csv"),
     "run_certificate_sweep": (["--pairs", "1", "--steps", "0.1"], "ratios.csv"),
     "run_cubature_decay": (["--n-max", "4", "--reference-n", "40"], "decay.csv"),
+    "run_noise_table": (["--smoke"], "noise_table.csv"),
     "run_scaling": (["--smoke"], "scaling.csv"),
     "run_strip_certificate": (["--smoke"], "strip_certificate.csv"),
 }

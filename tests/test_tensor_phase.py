@@ -12,34 +12,34 @@ from gaborcert import (
     GaussianMixtureSignal,
     Grid2D,
     SpectrogramField,
-    delta_r,
-    distance_from_delta,
     jet_from_mixture,
     local_phase_from_modulus,
     mixture_field,
     region_norm,
     spectrogram,
-    tensor_weights,
 )
 from gaborcert.tensor_phase import (
     SingularCenterError,
     _fd_weights,
-    disk_norm_from_jet,
     jet_from_field,
-    jet_from_taylor,
 )
 
 from oracles import (
+    delta_r,
+    disk_norm_from_jet,
     disk_quadrature,
+    distance_from_delta,
     fock_derivatives,
     fock_sup_norm,
     fock_value,
     fornberg_weights,
+    jet_from_taylor,
     random_mixture,
     scaled_mixture,
     smoothness_growth_constant,
     square_rect,
     tau_grid_min_distance,
+    tensor_weights,
 )
 
 
