@@ -13,7 +13,6 @@ Writes results/accuracy_table.csv and results/accuracy_table.json.
 """
 
 import argparse
-import csv
 import json
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from gaborcert import (
     retrieve_phase,
     spectrogram,
 )
+from gaborcert.gabor_engine import write_table_csv
 
 SPACING = 0.7
 PAD = 1.0
@@ -85,11 +85,7 @@ def main() -> None:
                   f"K={order:2d}  seed {seed}  rel_err {err:.3e}")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "accuracy_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELDS)
-        for row in table:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    write_table_csv(args.out / "accuracy_table.csv", {f: [row[f] for row in table] for f in FIELDS})
     with open(args.out / "accuracy_table.json", "w") as fh:
         json.dump({"spacing": SPACING, "pad": PAD, "rows": table}, fh, indent=1)
     print(f"wrote {args.out / 'accuracy_table.csv'} and {args.out / 'accuracy_table.json'}")

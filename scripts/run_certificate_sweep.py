@@ -8,7 +8,6 @@ results/certificates/ratios.csv.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,9 @@ from gaborcert import (
     spectrogram,
     stability_distances,
 )
+from gaborcert.gabor_engine import write_table_csv
 
+FIELDS = ("step", "pair", "cover", "dist", "sqrt_specdiff", "bound_cheeger", "ratio")
 COVERS = {
     "2x2": SquareCover(((-0.3, -0.3), (-0.3, 0.3), (0.3, -0.3), (0.3, 0.3))),
     "strip3": SquareCover(((-0.7, 0.0), (0.0, 0.0), (0.7, 0.0))),
@@ -53,27 +54,23 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "ratios.csv"
-    fitted = {}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "pair", "cover", "dist", "sqrt_specdiff",
-                         "bound_cheeger", "ratio"])
-        for step in args.steps:
-            grid = Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, step)
-            worst = 0.0
-            for idx, (f, g) in enumerate(pairs):
-                ff = mixture_field(f, grid)
-                gg = mixture_field(g, grid)
-                sf = spectrogram(ff)
-                sg = spectrogram(gg)
-                for name, cover in COVERS.items():
-                    cert = certificate(sf, sg, cover)
-                    dist, sqrt_sd = stability_distances(ff, gg, cover.rects())
-                    ratio = dist / (cert.bound_cheeger * sqrt_sd)
-                    worst = max(worst, ratio)
-                    writer.writerow([repr(float(step)), idx, name, repr(dist),
-                                     repr(sqrt_sd), repr(cert.bound_cheeger), repr(ratio)])
-            fitted[step] = worst
+    fitted, rows = {}, []
+    for step in args.steps:
+        grid = Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, step)
+        worst = 0.0
+        for idx, (f, g) in enumerate(pairs):
+            ff = mixture_field(f, grid)
+            gg = mixture_field(g, grid)
+            sf = spectrogram(ff)
+            sg = spectrogram(gg)
+            for name, cover in COVERS.items():
+                cert = certificate(sf, sg, cover)
+                dist, sqrt_sd = stability_distances(ff, gg, cover.rects())
+                ratio = dist / (cert.bound_cheeger * sqrt_sd)
+                worst = max(worst, ratio)
+                rows.append((float(step), idx, name, dist, sqrt_sd, cert.bound_cheeger, ratio))
+        fitted[step] = worst
+    write_table_csv(path, {f: [row[i] for row in rows] for i, f in enumerate(FIELDS)})
 
     print(f"wrote {path}")
     for step, worst in fitted.items():

@@ -7,13 +7,15 @@ Writes results/cubature/decay.csv with columns N, measured, bound.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from gaborcert import gabor_closed_form, l2_norm, make_sharpness_pair, spectro_error_bound
 from gaborcert.cubature import apply_rule, product_rule, tensor_product_integral
+from gaborcert.gabor_engine import write_table_csv
+
+FIELDS = ("N", "measured", "bound")
 
 
 def main() -> None:
@@ -36,14 +38,13 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "decay.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "measured", "bound"])
-        for n in range(2, args.n_max + 1, 2):
-            measured = abs(ref - apply_rule(phi, product_rule(n, args.side)))
-            bound = spectro_error_bound(n, args.side, kappa)
-            writer.writerow([n, repr(measured), repr(bound)])
-            print(f"N={n:3d}  measured |E| = {measured:.3e}   bound = {bound:.3e}")
+    rows = []
+    for n in range(2, args.n_max + 1, 2):
+        measured = abs(ref - apply_rule(phi, product_rule(n, args.side)))
+        bound = spectro_error_bound(n, args.side, kappa)
+        rows.append((n, measured, bound))
+        print(f"N={n:3d}  measured |E| = {measured:.3e}   bound = {bound:.3e}")
+    write_table_csv(path, {f: [row[i] for row in rows] for i, f in enumerate(FIELDS)})
     print(f"wrote {path} (reference integral {ref!r})")
 
 

@@ -14,7 +14,6 @@ Writes results/noise_table.csv and results/noise_table.json.
 """
 
 import argparse
-import csv
 import json
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from gaborcert import (
     region_norm,
     retrieve_phase,
 )
+from gaborcert.gabor_engine import write_table_csv
 from run_accuracy_table import PAD, SPACING, lattice_case
 
 K, STEP, ATOMS = 6, 0.02, 6
@@ -75,11 +75,7 @@ def main() -> None:
                   f"eta {eta:.0e}  rel_err {err:.3e}  rho {rho:.3e}")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "noise_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELDS)
-        for row in table:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    write_table_csv(args.out / "noise_table.csv", {f: [row[f] for row in table] for f in FIELDS})
     with open(args.out / "noise_table.json", "w") as fh:
         json.dump({"spacing": SPACING, "pad": PAD, "jet_source": "finite_difference",
                    "order": ORDER, "noise_seed": NOISE_SEED, "rows": table}, fh, indent=1)

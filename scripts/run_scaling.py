@@ -18,7 +18,6 @@ results/scaling.json.
 """
 
 import argparse
-import csv
 import json
 import time
 import tracemalloc
@@ -35,6 +34,7 @@ from gaborcert import (
     retrieve_phase,
     spectrogram,
 )
+from gaborcert.gabor_engine import write_table_csv
 from run_accuracy_table import PAD, SPACING, lattice_case
 
 STEP = 0.05
@@ -75,14 +75,6 @@ def transform_case(n: int, nt: int) -> tuple[SampledSignal, Grid2D]:
     return SampledSignal(noise, lo, (hi - lo) / (nt - 1)), grid
 
 
-def write_csv(path: Path, fields, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -112,8 +104,9 @@ def main() -> None:
               f"{quad[1]:.1f} MiB")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    write_csv(args.out / "scaling.csv", FIELDS, table)
-    write_csv(args.out / "quadrature_scaling.csv", TRANSFORM_FIELDS, transforms)
+    write_table_csv(args.out / "scaling.csv", {f: [row[f] for row in table] for f in FIELDS})
+    write_table_csv(args.out / "quadrature_scaling.csv",
+                    {f: [row[f] for row in transforms] for f in TRANSFORM_FIELDS})
     with open(args.out / "scaling.json", "w") as fh:
         json.dump({"spacing": SPACING, "pad": PAD, "step": STEP, "seed": SEED, "order": ORDER,
                    "rows": table, "t_range": T_RANGE, "grid_step": GRID_STEP,

@@ -14,7 +14,6 @@ Writes results/strip_certificate.csv and results/strip_certificate.json.
 """
 
 import argparse
-import csv
 import json
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from gaborcert import (
     mixture_field,
     spectrogram,
 )
+from gaborcert.gabor_engine import write_table_csv
 from gaborcert.stability_graph import _EXACT_CHEEGER_LIMIT
 
 STEP = 0.05
@@ -77,11 +77,8 @@ def main() -> None:
               f"h {h:.4g} ({method})  lambda / 2h {lam / (2 * h):.3g} (ref {ref / (2 * h):.3g})")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "strip_certificate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELDS)
-        for row in table:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    write_table_csv(args.out / "strip_certificate.csv",
+                    {f: [row[f] for row in table] for f in FIELDS})
     with open(args.out / "strip_certificate.json", "w") as fh:
         json.dump({"step": STEP, "exact_cheeger_limit": _EXACT_CHEEGER_LIMIT, "rows": table},
                   fh, indent=1)

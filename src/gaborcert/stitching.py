@@ -50,8 +50,6 @@ __all__ = [
 _DEGENERATE_PEAK = 1e-10
 # cells whose coverage is at or below this hold no local field
 _COVERED = 1e-12
-# cells per gathered array when overlaps are aligned (256 KB of complex values)
-_BLOCK_CELLS = 1 << 14
 # the jet order when none is given, per jet source
 _DEFAULT_ORDER = {"analytic": 14, "finite_difference": _FD_MAX_ORDER}
 # the centred unit square (xmin, xmax, ymin, ymax) of sharpness_ratio
@@ -164,15 +162,13 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     centre whose every |F^(m)|^2 is at or below it raises SingularCenterError
     naming the square.
 
-    The squares' index windows and exact coverage come from one stacked
-    pass, zero-padded to the widest window, and the degeneracy test is one
-    pass over that stack.  Local fields are recovered square by square on
-    each square's covered cells; overlaps
-    are aligned in groups of equal shared-window shape, and stitching adds
-    each square's slice of the stack.  Memory is O(N^2 + n w^2 + n^2) for an
-    N x N grid, n windows of at most w x w cells and the dense n x n overlap
-    operator, and the synchronization is one O(c^3) eigensolve per component
-    of c squares.
+    Each square keeps its own index window: its exact coverage there, its
+    covered cells and its local field, recovered on those cells.  Each
+    overlap is aligned on the intersection of its two windows, and
+    stitching adds each square's window into the output.  Memory is
+    O(N^2 + sum_i w_i h_i + n^2) for an N x N grid, n windows of w_i x h_i
+    cells and the dense n x n overlap operator, and the synchronization is
+    one O(c^3) eigensolve per component of c squares.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("retrieve_phase expects a spectrogram field")
@@ -186,16 +182,16 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     n = len(cover)
     graph = build_graph(spec, cover)  # checks that every square lies in the domain
 
-    # per square: its index window and the exact coverage on it, padded with zeros
+    # per square: its window's index slices (sx, sy), its exact coverage there, and its
+    # spectrogram peak over its covered cells
     start, size, ax, ay = _stacked_windows(grid, cover.rects())
-    cov = ax[:, :, None] * ay[:, None, :]
-    np.clip(cov, 0.0, 1.0, out=cov)
-    covered = cov > _COVERED
-    # grid indices of the stacked cells, clamped to the grid; cells past a
-    # window's end have zero coverage, so they carry no weight
-    rows = np.minimum(start[0][:, None] + np.arange(cov.shape[1]), grid.nx - 1)
-    cols = np.minimum(start[1][:, None] + np.arange(cov.shape[2]), grid.ny - 1)
-    peaks = np.where(covered, spec.values[rows[:, :, None], cols[:, None, :]], -1.0).max(axis=(1, 2))
+    windows, peaks = [], []
+    for k, (i, j, w, h) in enumerate(np.concatenate([start, size]).T.tolist()):
+        sx, sy = slice(i, i + w), slice(j, j + h)
+        cov = np.clip(ax[k, :w, None] * ay[k, None, :h], 0.0, 1.0)
+        windows.append((sx, sy, cov))
+        peaks.append(spec.values[sx, sy][cov > _COVERED].max(initial=-1.0))
+    peaks = np.array(peaks)
     # both degeneracy thresholds are relative to the data's own scale, its peak
     # over the covered cells; cells outside the cover take no part
     scale = float(peaks.max())
@@ -211,10 +207,10 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     # local recovery on each square's covered cells: at w = x - i y,
     # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre
-    locals_ = np.zeros(cov.shape, dtype=complex)
-    for k, jet in enumerate(jets):
-        a, b = np.nonzero(covered[k])
-        px, py, c = xs[start[0][k] + a], ys[start[1][k] + b], jet.center
+    locals_ = [np.zeros(cov.shape, dtype=complex) for _, _, cov in windows]
+    for k, (jet, (sx, sy, cov)) in enumerate(zip(jets, windows)):
+        a, b = np.nonzero(cov > _COVERED)
+        px, py, c = xs[sx][a], ys[sy][b], jet.center
         w_pts = px - 1j * py
         try:
             local = local_phase_from_modulus(jet, w_pts, scale)
@@ -223,12 +219,12 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         u = w_pts - c
         local *= np.exp(1j * np.pi * ((np.conj(c) * u).imag - px * py)
                         - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
-        locals_[k, a, b] = local
+        locals_[k][a, b] = local
 
     # relative multipliers on overlaps, then synchronization over all of them;
     # a zero product carries no phase, so no edge
     ei, ej = graph.edges()
-    nums = _overlap_products(locals_, cov, start, size, ei, ej)
+    nums = _overlap_products(locals_, windows, ei, ej)
     keep = np.flatnonzero(nums)
     multipliers, components = _synchronize(n, ei[keep], ej[keep], nums[keep], graph.w)
 
@@ -240,14 +236,14 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         )
 
     # stitch: coverage-weighted average of aligned local fields
-    locals_ *= multipliers[:, None, None]
-    locals_ *= cov
     weight_sum = np.zeros((grid.nx, grid.ny))
     acc = np.zeros((grid.nx, grid.ny), dtype=complex)
-    for k, (i, j, w, h) in enumerate(np.concatenate([start, size]).T.tolist()):
-        acc[i:i + w, j:j + h] += locals_[k, :w, :h]
-        weight_sum[i:i + w, j:j + h] += cov[k, :w, :h]
-    del locals_, cov, covered  # the stack is spent; free it before the output is built
+    for field, multiplier, (sx, sy, cov) in zip(locals_, multipliers, windows):
+        field *= multiplier
+        field *= cov
+        acc[sx, sy] += field
+        weight_sum[sx, sy] += cov
+    del locals_, windows  # the windows are spent; free them before the output is built
     out_vals = np.divide(acc, weight_sum, out=np.zeros_like(acc), where=weight_sum > _COVERED)
 
     # global constant: the direction of the mean multiplier
@@ -283,32 +279,22 @@ def _synchronize(n: int, ei, ej, nums, w) -> tuple[np.ndarray, list[tuple[int, .
     return multipliers, components
 
 
-def _overlap_products(locals_, cov, start, size, ei, ej) -> np.ndarray:
-    """sum(local_i conj(local_j) min(cov_i, cov_j)) over the shared window of each pair (i, j).
+def _overlap_products(locals_, windows, ei, ej) -> np.ndarray:
+    """sum(local_i conj(local_j) min(cov_i, cov_j)) over the shared cells of each pair (i, j).
 
-    Pairs are grouped by the shape of their shared index window, and each
-    group is gathered in blocks of at most _BLOCK_CELLS cells per array, so
-    every pair is still summed over exactly its own cells.
+    windows[k] holds square k's index slices and coverage (sx, sy, cov), and
+    locals_[k] its local field on that window.  Each pair is an edge of the
+    cover graph, so the two windows share at least the window of the pair's
+    overlap, and the pair is summed over the intersection of its two windows.
     """
-    lo = np.maximum(start[:, ei], start[:, ej])
-    shape = np.maximum(np.minimum(start[:, ei] + size[:, ei], start[:, ej] + size[:, ej]) - lo, 0)
     nums = np.zeros(len(ei), dtype=complex)
-    keys, group = np.unique(shape[0] * (cov.shape[2] + 1) + shape[1], return_inverse=True)
-    for g in range(len(keys)):
-        idx = np.flatnonzero(group == g)
-        w, h = shape[:, idx[0]]
-        if w * h == 0:
-            continue  # no shared cells: the product is zero
-        for block in np.array_split(idx, math.ceil(len(idx) * w * h / _BLOCK_CELLS)):
-            si, sj = ei[block], ej[block]
-            fi, fj = lo[:, block] - start[:, si], lo[:, block] - start[:, sj]
-            prod = _gather(locals_, si, fi, w, h) * np.conj(_gather(locals_, sj, fj, w, h))
-            prod *= np.minimum(_gather(cov, si, fi, w, h), _gather(cov, sj, fj, w, h))
-            nums[block] = prod.sum(axis=(1, 2))
+    for k, (p, q) in enumerate(zip(ei.tolist(), ej.tolist())):
+        (xp, yp, cov_p), (xq, yq, cov_q) = windows[p], windows[q]
+        x0, x1 = max(xp.start, xq.start), min(xp.stop, xq.stop)
+        y0, y1 = max(yp.start, yq.start), min(yp.stop, yq.stop)
+        sp = slice(x0 - xp.start, x1 - xp.start), slice(y0 - yp.start, y1 - yp.start)
+        sq = slice(x0 - xq.start, x1 - xq.start), slice(y0 - yq.start, y1 - yq.start)
+        prod = locals_[p][sp] * np.conj(locals_[q][sq])
+        prod *= np.minimum(cov_p[sp], cov_q[sq])
+        nums[k] = prod.sum()
     return nums
-
-
-def _gather(stack: np.ndarray, squares: np.ndarray, first: np.ndarray, w: int, h: int) -> np.ndarray:
-    """The w x h blocks of stack[squares] starting at the (2, m) local indices `first`."""
-    r, c = first[:, :, None, None]
-    return stack[squares[:, None, None], r + np.arange(w)[:, None], c + np.arange(h)]

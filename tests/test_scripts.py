@@ -1,5 +1,5 @@
 """Every experiment script has a smoke test, each runs end to end at tiny sizes and
-writes its CSV, and the benchmark's smoke run passes."""
+writes its CSV with "\n" line ends, and the benchmark's smoke run passes."""
 
 import os
 import subprocess
@@ -11,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
+    "output_digests": (["--smoke"], "output_digests.csv"),
     "run_accuracy_table": (["--smoke"], "accuracy_table.csv"),
     "run_certificate_sweep": (["--pairs", "1", "--steps", "0.1"], "ratios.csv"),
     "run_cubature_decay": (["--n-max", "4", "--reference-n", "40"], "decay.csv"),
@@ -32,7 +33,9 @@ def test_script_writes_its_csv(tmp_path, name):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args, "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / csv_name).read_text().splitlines()
+    data = (tmp_path / csv_name).read_bytes()
+    assert b"\r" not in data  # the package's CSV writer ends lines with "\n"
+    lines = data.decode().splitlines()
     assert len(lines) >= 2, lines  # a header and at least one row
 
 

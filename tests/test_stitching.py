@@ -27,6 +27,7 @@ from gaborcert.tensor_phase import SingularCenterError
 
 from oracles import (
     components_bfs,
+    jittered_cover_centers,
     random_block_graph,
     random_mixture,
     retrieve_phase_per_square,
@@ -372,6 +373,17 @@ def _two_component_case():
     return f25, grid, cover
 
 
+def _dense_case(seed):
+    """64 jittered unit squares in [-1.5, 1.5]^2 (up to 9 deep, 546 overlapping pairs) and
+    16 random atoms among them, on [-2.5, 2.5]^2 at step 0.05."""
+    rng = np.random.default_rng(seed)
+    atoms = tuple(GaussianAtom(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform()),
+                               *rng.uniform(-1.5, 1.5, 2)) for _ in range(16))
+    grid = Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.05)
+    cover = SquareCover(jittered_cover_centers(np.random.default_rng(64)))
+    return GaussianMixtureSignal(atoms), grid, cover
+
+
 REFERENCE_CASES = {
     "lattice-36": (lambda: _spread_case("lattice", 6, seed=3), "analytic", 14),
     "lattice-64": (lambda: _spread_case("lattice", 8, seed=3), "analytic", 14),
@@ -380,6 +392,8 @@ REFERENCE_CASES = {
                        "finite_difference", 4),
     "two-components": (_two_component_case, "analytic", 14),
     "grid-edge": (_edge_case, "analytic", 14),
+    "dense-64": (lambda: _dense_case(64), "analytic", 14),
+    "dense-64-fd": (lambda: _dense_case(64), "finite_difference", 4),
 }
 
 
