@@ -2,34 +2,24 @@
 """Output digests: the size and sha256 of every file the benchmark's workloads write.
 
 Runs every operation of the lattice, dense and data-path workloads of
-perfbench/workloads.py (loaded read-only from this checkout) through
-gaborcert.cli.main in-process, at each seed (0, 701 and 902 unless given).
-The BLAS thread variables are set to the number of usable cores, as
-perfbench/run.py sets them, before numpy is imported.  Every output file but
-meta.json gets one row: workload, seed, operation, file, bytes and the first
-16 hex digits of its sha256.  Two checkouts wrote byte-identical outputs when
-their CSVs are equal.  `--smoke` runs the smoke sizes at seed 7.
+perfbench/workloads.py through gaborcert.cli.main in-process, at seeds 0, 701
+and 902.  perfbench/run.py and workloads.py are loaded read-only from this
+checkout: run.py caps the BLAS threads, before numpy is imported, and invokes
+each operation, so the outputs are those of a benchmark pass.  Every output
+file but meta.json gets one row: workload, seed, operation, file, bytes and
+the first 16 hex digits of its sha256.  Two checkouts wrote byte-identical
+outputs when their CSVs are equal.  `--smoke` runs the smoke sizes at seed 7.
 Writes results/output_digests.csv and results/output_digests.json.
 """
 
+import argparse
+import hashlib
+import importlib.util
+import json
 import os
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_THREAD_VARS:
-    os.environ[_var] = str(len(os.sched_getaffinity(0)))
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import importlib.util  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from gaborcert import cli  # noqa: E402
-from gaborcert.gabor_engine import write_table_csv  # noqa: E402
+import sys
+import tempfile
+from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEEDS = (0, 701, 902)
@@ -37,23 +27,31 @@ SMOKE_SEED = 7
 FIELDS = ("workload", "seed", "operation", "file", "bytes", "sha256_16")
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-def digest_rows(workloads, workload: str, seed: int, size: str, work: Path) -> list[tuple]:
+run = _load("run")
+run._cap_blas_threads()
+
+from gaborcert import cli  # noqa: E402
+from gaborcert.gabor_engine import write_table_csv  # noqa: E402
+
+workloads = _load("workloads")
+
+
+def digest_rows(workload: str, seed: int, size: str, work: Path) -> list[tuple]:
     """One row per output file but meta.json of one pass of the workload at the seed."""
+    session = run.Session(cli, None, None)
     rows = []
     for op in workloads.generate(workload, seed, work, size):
-        sink = io.StringIO()
-        with redirect_stdout(sink), redirect_stderr(sink):
-            code = cli.main(op.argv())
+        code, output = session._invoke(op, None)
         if code != 0:
-            raise SystemExit(f"{workload} seed {seed} {op.name} exited {code}:\n{sink.getvalue()}")
+            raise SystemExit(f"{workload} seed {seed} {op.name} exited {code}:\n{output}")
         for path in sorted(p for p in op.out.rglob("*") if p.is_file() and p.name != "meta.json"):
             data = path.read_bytes()
             rows.append((workload, seed, op.name, path.relative_to(op.out).as_posix(), len(data),
@@ -63,18 +61,16 @@ def digest_rows(workloads, workload: str, seed: int, size: str, work: Path) -> l
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     parser.add_argument("--smoke", action="store_true", help=f"smoke sizes at seed {SMOKE_SEED}")
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
 
-    size, seeds = ("smoke", [SMOKE_SEED]) if args.smoke else ("full", args.seeds)
-    workloads = _load_workloads()
+    size, seeds = ("smoke", (SMOKE_SEED,)) if args.smoke else ("full", SEEDS)
     table = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads.WORKLOADS:
             for seed in seeds:
-                rows = digest_rows(workloads, workload, seed, size, Path(tmp) / workload)
+                rows = digest_rows(workload, seed, size, Path(tmp) / workload)
                 table.extend(rows)
                 print(f"{workload:9s}  seed {seed:4d}  {len(rows):3d} files")
 
@@ -83,7 +79,7 @@ def main() -> None:
                                                       for i, f in enumerate(FIELDS)})
     with open(args.out / "output_digests.json", "w") as fh:
         json.dump({"size": size, "seeds": seeds,
-                   "blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS},
+                   "blas_threads": {var: os.environ[var] for var in run.BLAS_THREAD_VARS},
                    "rows": [dict(zip(FIELDS, row)) for row in table]}, fh, indent=1)
     print(f"wrote {args.out / 'output_digests.csv'} and {args.out / 'output_digests.json'}")
 

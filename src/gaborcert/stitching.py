@@ -207,7 +207,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     # local recovery on each square's covered cells: at w = x - i y,
     # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre
-    locals_ = [np.zeros(cov.shape, dtype=complex) for _, _, cov in windows]
+    locals_ = []
     for k, (jet, (sx, sy, cov)) in enumerate(zip(jets, windows)):
         a, b = np.nonzero(cov > _COVERED)
         px, py, c = xs[sx][a], ys[sy][b], jet.center
@@ -219,7 +219,9 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
         u = w_pts - c
         local *= np.exp(1j * np.pi * ((np.conj(c) * u).imag - px * py)
                         - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))
-        locals_[k][a, b] = local
+        field = np.zeros(cov.shape, dtype=complex)
+        field[a, b] = local
+        locals_.append(field)
 
     # relative multipliers on overlaps, then synchronization over all of them;
     # a zero product carries no phase, so no edge
@@ -239,9 +241,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     weight_sum = np.zeros((grid.nx, grid.ny))
     acc = np.zeros((grid.nx, grid.ny), dtype=complex)
     for field, multiplier, (sx, sy, cov) in zip(locals_, multipliers, windows):
-        field *= multiplier
-        field *= cov
-        acc[sx, sy] += field
+        acc[sx, sy] += field * multiplier * cov
         weight_sum[sx, sy] += cov
     del locals_, windows  # the windows are spent; free them before the output is built
     out_vals = np.divide(acc, weight_sum, out=np.zeros_like(acc), where=weight_sum > _COVERED)
