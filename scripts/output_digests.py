@@ -8,23 +8,30 @@ checkout: run.py caps the BLAS threads, before numpy is imported, and invokes
 each operation, so the outputs are those of a benchmark pass.  Every output
 file but meta.json gets one row: workload, seed, operation, file, bytes and
 the first 16 hex digits of its sha256.  Two checkouts wrote byte-identical
-outputs when their CSVs are equal.  `--smoke` runs the smoke sizes at seed 7.
-Writes results/output_digests.csv and results/output_digests.json.
+outputs when their CSVs are equal, on the same numpy, BLAS and BLAS thread
+cap: the bits of the transform's products depend on BLAS's thread split.
+`--smoke` runs the smoke sizes at seed 7.  Writes results/output_digests.csv
+and results/output_digests.json, whose "environment" holds those three entries
+of run.py's environment block.  tests/data/output_digests_smoke.csv and .json
+are that CSV and that "environment" of a `--smoke` run, which tier-1 compares
+with a fresh one.
 """
 
 import argparse
 import hashlib
 import importlib.util
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SEEDS = (0, 701, 902)
 SMOKE_SEED = 7
 FIELDS = ("workload", "seed", "operation", "file", "bytes", "sha256_16")
+# the entries of run.py's environment block that the output bits depend on
+ENVIRONMENT = ("numpy", "blas", "blas_threads")
 
 
 def _load(name):
@@ -36,7 +43,9 @@ def _load(name):
 
 
 run = _load("run")
-run._cap_blas_threads()
+NPROC = run._cap_blas_threads()
+
+import numpy as np  # noqa: E402
 
 from gaborcert import cli  # noqa: E402
 from gaborcert.gabor_engine import write_table_csv  # noqa: E402
@@ -77,9 +86,10 @@ def main() -> None:
     args.out.mkdir(parents=True, exist_ok=True)
     write_table_csv(args.out / "output_digests.csv", {f: [row[i] for row in table]
                                                       for i, f in enumerate(FIELDS)})
+    env = run._environment(np, ROOT, NPROC, seeds[0] if args.smoke else None)
     with open(args.out / "output_digests.json", "w") as fh:
         json.dump({"size": size, "seeds": seeds,
-                   "blas_threads": {var: os.environ[var] for var in run.BLAS_THREAD_VARS},
+                   "environment": {key: env[key] for key in ENVIRONMENT},
                    "rows": [dict(zip(FIELDS, row)) for row in table]}, fh, indent=1)
     print(f"wrote {args.out / 'output_digests.csv'} and {args.out / 'output_digests.json'}")
 

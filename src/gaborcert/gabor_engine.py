@@ -612,11 +612,12 @@ def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
     same grid: the double nearest m = (last - first) / (count - 1), its
     neighbours up to 4 ulps away, then m rounded to 15, 14, ..., 1
     significant digits (a decimal step on an axis far from 0 against its
-    span).  If none does, the first difference is the step.
+    span).  If none does, the first difference is the step.  One coordinate
+    gives no step (nor does the other axis), so it raises ValueError.
     """
     uniq = np.unique(values)
     if len(uniq) == 1:
-        return float(uniq[0]), 1.0, 1
+        raise ValueError(f"{name} axis has one coordinate, which gives no grid step")
     steps = np.diff(uniq)
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
         raise ValueError(f"{name} coordinates are not uniformly spaced")
@@ -640,7 +641,8 @@ def read_field_csv(path) -> SpectrogramField:
     The header is read with `csv` and must be x,y,s or x,y,re,im before the
     body is parsed, in one `np.loadtxt` call.  Malformed bodies (no rows,
     ragged rows, non-numeric or non-finite cells, a column count other than
-    the header's, rows that miss or repeat a grid cell) raise ValueError.
+    the header's, an axis with one coordinate, rows that miss or repeat a
+    grid cell) raise ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])

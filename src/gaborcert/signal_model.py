@@ -4,7 +4,9 @@ An atom is ``A * exp(-pi (t - shift)^2) * exp(2 pi i modulation t)``.  Finite
 mixtures of such atoms admit exact formulas for the Gaussian-window
 time-frequency transform used throughout this package, at real arguments,
 and for L2 inner products (Gaussian Gram matrix).  That makes mixtures the
-reference signals behind every numerical oracle in the test suite.
+reference signals behind every numerical oracle in the test suite.  The
+transform is evaluated on open meshes only; the atom sum at scattered points
+is the test suite's oracle.
 
 Conventions, fixed project-wide:
 
@@ -108,18 +110,18 @@ def make_sharpness_pair(a: float) -> tuple[GaussianMixtureSignal, GaussianMixtur
     return f, g
 
 
-def _cis(angle, out: np.ndarray):
-    """exp(i angle) of a real angle (array or scalar) as cos + i sin, into the complex `out`.
+def _cis(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(i angle) of a real angle array as cos + i sin, into the complex `out`.
 
     Bit for bit the np.exp of the purely imaginary argument it replaces: libm's
     cexp of 0 + i angle is its sincos, and the complex products that formed
     that argument left a zero angle +0, as adding 0.0 does here (in place).
-    A 0-d `out` is returned as its scalar, as np.exp returns one.
+    `_cis_outer` passes array blocks of one shape; there is no 0-d case.
     """
     angle += 0.0
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
-    return out[()]
+    return out
 
 
 def _cis_outer(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
@@ -161,31 +163,22 @@ def _cis_outer(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
     return out
 
 
-def gabor_closed_form(sig: GaussianMixtureSignal, x, y):
-    """Exact transform values; x, y real, broadcastable scalars or arrays.
+def gabor_closed_form(sig: GaussianMixtureSignal, x, y) -> np.ndarray:
+    """Exact transform values on the open mesh of real x (shape (nx, 1)) and y (shape (1, ny)).
 
-    An open mesh (x of shape (nx, 1), y of shape (1, ny)) is evaluated as
-    one rank-K product; other points atom by atom.  The unimodular factors
-    are cos + i sin of their real angles.  Complex arguments raise
-    TypeError.
+    Entry [i, j] is G f(x_i, y_j), from one rank-K product.  Every caller
+    passes a grid's or a product rule's axes, so there is no per-point form
+    (the test oracle sums atoms at scattered points); one point is a 1 x 1
+    mesh.  Complex arguments raise TypeError, other shapes ValueError.
     """
     if np.iscomplexobj(x) or np.iscomplexobj(y):
         raise TypeError("gabor_closed_form takes real arguments")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1:
-        return _open_mesh_closed_form(sig, x, y)
-    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-    phase = np.empty_like(out)
-    for a in sig.atoms:
-        dx = x - a.shift
-        dy = y - a.modulation
-        out += a.amplitude * _INV_SQRT2 \
-            * np.exp(-0.5 * np.pi * (dx * dx + dy * dy)) \
-            * _cis(-np.pi * (x + a.shift) * dy, phase)
-    if out.shape == ():
-        return complex(out)
-    return out
+    if not (x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1):
+        raise ValueError("gabor_closed_form takes an open mesh, x of shape (nx, 1) and y of "
+                         f"shape (1, ny); got x of shape {x.shape} and y of shape {y.shape}")
+    return _open_mesh_closed_form(sig, x, y)
 
 
 def _open_mesh_closed_form(sig: GaussianMixtureSignal, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -40,8 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from gaborcert import (GaussianAtom, GaussianMixtureSignal, LocalJet, SampledSignal,
-                       gabor_closed_form)
+from gaborcert import GaussianAtom, GaussianMixtureSignal, LocalJet, SampledSignal
 from gaborcert.cubature import _legendre_pair, gauss_rule, product_rule
 
 _LOWER_BOUND_SAMPLES = 2000
@@ -164,7 +163,7 @@ def fock_sup_norm(sig: GaussianMixtureSignal, step: float = 0.02, pad: float = 3
     xs = np.arange(min(shifts) - pad, max(shifts) + pad + step, step)
     ys = np.arange(min(mods) - pad, max(mods) + pad + step, step)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return float(np.max(np.abs(gabor_closed_form(sig, X, Y))))
+    return float(np.max(np.abs(gabor_closed_form_exp(sig, X, Y))))
 
 
 def smoothness_growth_constant(p: int) -> float:

@@ -48,6 +48,7 @@ from oracles import (
     disk_quadrature,
     distance_from_delta,
     fock_value,
+    gabor_closed_form_exp,
     grid_mesh,
     jet_from_taylor,
     legendre_lower_bound_check,
@@ -81,7 +82,7 @@ def test_criterion_01_closed_form_agreement():
     numeric = quadrature_gabor(sampled_mixture(sig, -8.0, 8.0), grid)
     elapsed = time.monotonic() - start
     X, Y = grid_mesh(grid)
-    err = float(np.abs(numeric.values - gabor_closed_form(sig, X, Y)).max())
+    err = float(np.abs(numeric.values - gabor_closed_form_exp(sig, X, Y)).max())
     ok = err <= 1e-8 and elapsed < 5.0
     assert report(1, ok, f"max abs err {err:.2e} (tol 1e-8), runtime {elapsed:.2f}s (< 5s)")
 

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gaborcert import cubature, tensor_phase
 from gaborcert.cli import main
 from gaborcert.cubature import GaussRule1D, ProductRule2D
 from gaborcert.gabor_engine import Grid2D
-from gaborcert.signal_model import GaussianMixtureSignal
+from gaborcert.signal_model import GaussianAtom, GaussianMixtureSignal, gabor_closed_form
 from gaborcert.stability_graph import SquareCover, WeightedGraph, _sweep_cheeger, cheeger_constant
 from gaborcert.stitching import RetrievalResult, retrieve_phase
 from gaborcert.tensor_phase import LocalJet, local_phase_from_modulus
@@ -77,6 +78,22 @@ def test_removed_names_stay_removed():
     assert [f.name for f in dataclasses.fields(GaussRule1D)] == ["n", "side", "nodes", "weights"]
     assert [f.name for f in dataclasses.fields(ProductRule2D)] == ["base", "center", "weights"]
     assert set(inspect.signature(RetrievalResult).parameters) == {"field", "components", "warnings"}
+
+
+def test_closed_form_takes_only_an_open_mesh():
+    # the closed form is evaluated as one rank-K product on an open mesh; scattered
+    # points (a scalar, a pair of 1-D arrays, a full meshgrid) are no longer a form of it
+    sig = GaussianMixtureSignal((GaussianAtom(1.0, 0.2, -0.3), GaussianAtom(0.5j, -0.4, 0.1)))
+    xs, ys = np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.5, 3)
+    for x, y in ((0.3, 0.1), (xs, ys), np.meshgrid(xs, ys, indexing="ij"),
+                 (xs[None, :], ys[:, None])):
+        shapes = f"x of shape {np.shape(x)} and y of shape {np.shape(y)}"
+        with pytest.raises(ValueError, match=f"open mesh.*{re.escape(shapes)}"):
+            gabor_closed_form(sig, x, y)
+    field = gabor_closed_form(sig, xs[:, None], ys[None, :])
+    assert field.shape == (5, 3) and field.dtype == complex
+    # a single point is a 1 x 1 mesh
+    assert gabor_closed_form(sig, xs[:1, None], ys[None, :1]) == field[0, 0]
 
 
 def test_cheeger_constant_returns_h_alone():

@@ -251,6 +251,27 @@ def test_malformed_field_csv_rejected(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), name
 
 
+@pytest.mark.parametrize("grid, axis", [
+    (dict(GRID, xmin=0.0, xmax=0.01), "x"),
+    (dict(GRID, ymin=0.0, ymax=0.01), "y"),
+], ids=["one-column", "one-row"])
+def test_retrieve_rejects_a_field_csv_with_a_one_coordinate_axis(tmp_path, capsys, grid, axis):
+    # transform writes a 1 x 41 (or 41 x 1) field; one coordinate gives no cell width, so a
+    # read-back step (once 1.0, whose cells then held the unit square) would be made up
+    code, out_t = run(tmp_path, "transform", {"signal": ATOM_MIXTURE, "grid": grid}, "out_t")
+    assert code == 0
+    assert len((out_t / "spectrogram.csv").read_text().splitlines()) == 41 + 1
+    with pytest.raises(ValueError, match=f"{axis} axis has one coordinate"):
+        read_field_csv(out_t / "spectrogram.csv")
+    payload = {"spectrogram": {"csv": str(out_t / "spectrogram.csv")},
+               "cover": {"centers": [[0.0, 0.0]]}, "ground_truth": ATOM_MIXTURE}
+    capsys.readouterr()
+    code, out_r = run(tmp_path, "retrieve", payload, "out_r")
+    assert code == 2
+    assert not out_r.exists()
+    assert capsys.readouterr().err.startswith(f"error: {axis} axis has one coordinate")
+
+
 def test_grid_span_too_many_steps_exits_2(tmp_path, capsys):
     grid = dict(GRID, xmin=-1e308, xmax=1e308)
     code, out = run(tmp_path, "transform", {"signal": ATOM_MIXTURE, "grid": grid})

@@ -33,8 +33,9 @@ KAPPA1 = l2_norm(F1) ** 2 + l2_norm(G1) ** 2
 
 
 def spec_diff(x, y):
-    return (np.abs(gabor_closed_form(F1, x, y)) ** 2
-            - np.abs(gabor_closed_form(G1, x, y)) ** 2)
+    """|G F1|^2 - |G G1|^2 from the reference closed form, at scattered points or on a mesh."""
+    return (np.abs(gabor_closed_form_exp(F1, x, y)) ** 2
+            - np.abs(gabor_closed_form_exp(G1, x, y)) ** 2)
 
 
 def _data_path_pair():
@@ -114,12 +115,14 @@ def test_cubature_error_examples():
     (F4, G4, 2.0, (0.7, -1.3)),
 ], ids=["sharpness-pair", "data-path-pair", "off-centre"])
 def test_mesh_integral_matches_the_per_point_integral(f, g, side, center):
-    def phi(x, y):
-        return (np.abs(gabor_closed_form(f, x, y)) ** 2
-                - np.abs(gabor_closed_form(g, x, y)) ** 2) ** 2
+    # the package's closed form on the rule's open mesh against the reference's atom sum
+    # at the rule's flattened points
+    def phi(closed_form):
+        return lambda x, y: (np.abs(closed_form(f, x, y)) ** 2
+                             - np.abs(closed_form(g, x, y)) ** 2) ** 2
 
-    mesh = tensor_product_integral(phi, 400, side, center)
-    points = tensor_product_integral_points(phi, 400, side, center)
+    mesh = tensor_product_integral(phi(gabor_closed_form), 400, side, center)
+    points = tensor_product_integral_points(phi(gabor_closed_form_exp), 400, side, center)
     assert mesh > 0
     assert abs(mesh - points) <= 1e-13 * points
 
@@ -144,7 +147,8 @@ def test_mesh_and_per_point_spectrograms_match_a_40_digit_sum(sig):
     mesh = np.abs(gabor_closed_form(sig, x, y)) ** 2
     rng = np.random.default_rng(0)
     i, j = rng.integers(0, 400, 50), rng.integers(0, 400, 50)
-    per_point = np.abs(gabor_closed_form(sig, x[i, 0], y[0, j])) ** 2
+    # the 50 scattered nodes are the diagonal of the open mesh of their coordinates
+    per_point = np.abs(gabor_closed_form(sig, x[i], y[:, j])).diagonal() ** 2
     ref = np.array([_spectrogram_mp(sig, x[a, 0], y[0, b]) for a, b in zip(i, j)])
     assert np.all(np.abs(mesh[i, j] - ref) <= 5e-14 * ref)
     assert np.all(np.abs(per_point - ref) <= 5e-14 * ref)

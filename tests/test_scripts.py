@@ -1,6 +1,8 @@
 """Every experiment script has a smoke test, each runs end to end at tiny sizes and
-writes its CSV with "\n" line ends, and the benchmark's smoke run passes."""
+writes its CSV with "\n" line ends, the benchmark's smoke outputs are byte-identical
+to the checked-in digests, and the benchmark's smoke run passes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 
 SCRIPTS = {
     "output_digests": (["--smoke"], "output_digests.csv"),
@@ -25,18 +28,38 @@ def test_every_script_has_a_smoke_test():
     assert sorted(p.stem for p in (ROOT / "scripts").glob("*.py")) == sorted(SCRIPTS)
 
 
+def run_script(name, args, out):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("name", list(SCRIPTS))
 def test_script_writes_its_csv(tmp_path, name):
     args, csv_name = SCRIPTS[name]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args, "--out", str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_script(name, args, tmp_path)
     data = (tmp_path / csv_name).read_bytes()
     assert b"\r" not in data  # the package's CSV writer ends lines with "\n"
     lines = data.decode().splitlines()
     assert len(lines) >= 2, lines  # a header and at least one row
+
+
+def test_smoke_outputs_match_the_checked_in_digests(tmp_path):
+    # every output of the benchmark's workloads at smoke size, byte for byte; the bits of
+    # the transform's products depend on the BLAS thread split, so the check holds only on
+    # the numpy, BLAS and thread cap the digests were written with.  A change that alters
+    # outputs on purpose rewrites tests/data/output_digests_smoke.csv and .json from
+    # `scripts/output_digests.py --smoke` (its CSV, and its JSON's "environment")
+    run_script("output_digests", ["--smoke"], tmp_path)
+    recorded = json.loads((DATA / "output_digests_smoke.json").read_text())
+    fresh = json.loads((tmp_path / "output_digests.json").read_text())["environment"]
+    differ = {key: (recorded[key], fresh[key]) for key in recorded if fresh[key] != recorded[key]}
+    if differ:
+        pytest.skip(f"digests were recorded on another environment (recorded, here): {differ}")
+    assert (tmp_path / "output_digests.csv").read_bytes() \
+        == (DATA / "output_digests_smoke.csv").read_bytes()
 
 
 def test_perfbench_smoke_passes():
