@@ -166,10 +166,17 @@ def _cis_outer(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
 def gabor_closed_form(sig: GaussianMixtureSignal, x, y) -> np.ndarray:
     """Exact transform values on the open mesh of real x (shape (nx, 1)) and y (shape (1, ny)).
 
-    Entry [i, j] is G f(x_i, y_j), from one rank-K product.  Every caller
-    passes a grid's or a product rule's axes, so there is no per-point form
-    (the test oracle sums atoms at scattered points); one point is a 1 x 1
-    mesh.  Complex arguments raise TypeError, other shapes ValueError.
+    Entry [i, j] is G f(x_i, y_j), the atom sum written as
+    ``exp(-i pi x y) * (U diag(c) V^T)``: the atom phase splits as
+    ``-pi (x + s)(y - m) = -pi x y + pi x m - pi s y + pi s m``, so with
+    ``U[i, k] = exp(-pi/2 (x_i - s_k)^2 + i pi x_i m_k)``,
+    ``V[j, k] = exp(-pi/2 (y_j - m_k)^2 - i pi s_k y_j)`` and
+    ``c_k = A_k 2^{-1/2} exp(i pi s_k m_k)`` the field takes K (nx + ny)
+    exponentials, nx ny cos/sin pairs and one rank-K matrix product instead
+    of K nx ny exponentials.  Every caller passes a grid's or a product
+    rule's axes, so there is no per-point form (the test oracle sums atoms
+    at scattered points); one point is a 1 x 1 mesh.  Complex arguments
+    raise TypeError, other shapes ValueError.
     """
     if np.iscomplexobj(x) or np.iscomplexobj(y):
         raise TypeError("gabor_closed_form takes real arguments")
@@ -178,19 +185,6 @@ def gabor_closed_form(sig: GaussianMixtureSignal, x, y) -> np.ndarray:
     if not (x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1):
         raise ValueError("gabor_closed_form takes an open mesh, x of shape (nx, 1) and y of "
                          f"shape (1, ny); got x of shape {x.shape} and y of shape {y.shape}")
-    return _open_mesh_closed_form(sig, x, y)
-
-
-def _open_mesh_closed_form(sig: GaussianMixtureSignal, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The atom sum on an open mesh as ``exp(-i pi x y) * (U diag(c) V^T)``.
-
-    The atom phase splits as ``-pi (x + s)(y - m) = -pi x y + pi x m - pi s y
-    + pi s m``, so with ``U[i, k] = exp(-pi/2 (x_i - s_k)^2 + i pi x_i m_k)``,
-    ``V[j, k] = exp(-pi/2 (y_j - m_k)^2 - i pi s_k y_j)`` and
-    ``c_k = A_k 2^{-1/2} exp(i pi s_k m_k)`` the field takes K (nx + ny)
-    exponentials, nx ny cos/sin pairs and one matrix product instead of
-    K nx ny exponentials.
-    """
     amp, s, m = sig._atom_arrays
     c = amp * _INV_SQRT2 * np.exp(1j * np.pi * s * m)
     yc = y.T

@@ -81,8 +81,8 @@ def test_removed_names_stay_removed():
 
 
 def test_closed_form_takes_only_an_open_mesh():
-    # the closed form is evaluated as one rank-K product on an open mesh; scattered
-    # points (a scalar, a pair of 1-D arrays, a full meshgrid) are no longer a form of it
+    # the closed form is one rank-K product on an open mesh; scattered points (a scalar,
+    # a pair of 1-D arrays, a full meshgrid) are the test oracle's form, not the package's
     sig = GaussianMixtureSignal((GaussianAtom(1.0, 0.2, -0.3), GaussianAtom(0.5j, -0.4, 0.1)))
     xs, ys = np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.5, 3)
     for x, y in ((0.3, 0.1), (xs, ys), np.meshgrid(xs, ys, indexing="ij"),

@@ -256,8 +256,8 @@ def test_malformed_field_csv_rejected(tmp_path, capsys):
     (dict(GRID, ymin=0.0, ymax=0.01), "y"),
 ], ids=["one-column", "one-row"])
 def test_retrieve_rejects_a_field_csv_with_a_one_coordinate_axis(tmp_path, capsys, grid, axis):
-    # transform writes a 1 x 41 (or 41 x 1) field; one coordinate gives no cell width, so a
-    # read-back step (once 1.0, whose cells then held the unit square) would be made up
+    # transform writes a 1 x 41 (or 41 x 1) field; one coordinate gives no cell width, so any
+    # step read back for that axis would be made up (a step of 1.0 gives cells holding the square)
     code, out_t = run(tmp_path, "transform", {"signal": ATOM_MIXTURE, "grid": grid}, "out_t")
     assert code == 0
     assert len((out_t / "spectrogram.csv").read_text().splitlines()) == 41 + 1
