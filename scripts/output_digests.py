@@ -6,8 +6,8 @@ perfbench/workloads.py through gaborcert.cli.main in-process, at seeds 0, 701
 and 902.  perfbench/run.py and workloads.py are loaded read-only from this
 checkout: run.py caps the BLAS threads, before numpy is imported, and invokes
 each operation, so the outputs are those of a benchmark pass.  Every output
-file but meta.json gets one row: workload, seed, operation, file, bytes and
-the first 16 hex digits of its sha256.  Two checkouts wrote byte-identical
+file, meta.json included, gets one row: workload, seed, operation, file, bytes
+and the first 16 hex digits of its sha256.  Two checkouts wrote byte-identical
 outputs when their CSVs are equal, on the same numpy, BLAS and BLAS thread
 cap: the bits of the transform's products depend on BLAS's thread split.
 `--smoke` runs the smoke sizes at seed 7.  Writes results/output_digests.csv
@@ -54,14 +54,14 @@ workloads = _load("workloads")
 
 
 def digest_rows(workload: str, seed: int, size: str, work: Path) -> list[tuple]:
-    """One row per output file but meta.json of one pass of the workload at the seed."""
+    """One row per output file of one pass of the workload at the seed."""
     session = run.Session(cli, None, None)
     rows = []
     for op in workloads.generate(workload, seed, work, size):
         code, output = session._invoke(op, None)
         if code != 0:
             raise SystemExit(f"{workload} seed {seed} {op.name} exited {code}:\n{output}")
-        for path in sorted(p for p in op.out.rglob("*") if p.is_file() and p.name != "meta.json"):
+        for path in sorted(p for p in op.out.rglob("*") if p.is_file()):
             data = path.read_bytes()
             rows.append((workload, seed, op.name, path.relative_to(op.out).as_posix(), len(data),
                          hashlib.sha256(data).hexdigest()[:16]))

@@ -3,9 +3,10 @@
 Every command reads a JSON config (`--config`, required), checked in one scan
 against the command's table of allowed keys before any computation; every
 number in it must be finite.  Outputs are a summary, CSV tables with shortest
-round-trip number formatting (byte-identical across runs for identical
-inputs), and a metadata file.  Exit codes: 0 success (warnings allowed),
-2 validation failure, 3 numerical degeneracy, overflow or underflow, 4 I/O failure.
+round-trip number formatting and a metadata file, each byte-identical across
+runs of one config; the wall time goes to stdout only.  Exit codes: 0 success
+(warnings allowed), 2 validation failure, 3 numerical degeneracy, overflow or
+underflow, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -503,7 +504,7 @@ def cmd_sharpness(config, args) -> ReportBundle:
     bundle = ReportBundle("sharpness")
     bundle.tables["sharpness"] = {"a": a_values, "dist": dist, "sqrt_specdiff": sqrt_specdiff,
                                   "ratio": ratio, "log_ratio": log_ratio}
-    if len(a_values) >= 2:
+    if len(set(a_values)) >= 2:  # a slope needs two distinct a values
         slope = float(np.polyfit(a_values, log_ratio, 1)[0])
         bundle.summary.append(f"log-ratio regression slope: {slope!r}")
         bundle.summary.append(f"slope / pi: {slope / math.pi!r}")
@@ -646,13 +647,10 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    wall_time_s = time.monotonic() - start
     bundle.config_echo = config
-    bundle.meta = {
-        "version": __version__,
-        "numpy": np.__version__,
-        "wall_time_s": time.monotonic() - start,
-        "command": args.command,
-    }
+    # no run-dependent value: every output file is a function of the config
+    bundle.meta = {"version": __version__, "numpy": np.__version__, "command": args.command}
     try:
         bundle.write(args.out)
     except OSError as exc:
@@ -660,7 +658,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     for w in bundle.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"ok: wrote report to {args.out}")
+    print(f"ok: wrote report to {args.out} (wall time {wall_time_s!r} s)")
     return EXIT_OK
 
 

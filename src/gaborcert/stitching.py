@@ -33,8 +33,7 @@ from .gabor_engine import (
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
 from .stability_graph import SquareCover, _components, build_graph
-from .tensor_phase import (_FD_MAX_ORDER, SingularCenterError, jet_from_field, jet_from_mixture,
-                           local_phase_from_modulus)
+from .tensor_phase import _FD_MAX_ORDER, jet_from_field, jet_from_mixture, local_phase_from_modulus
 
 __all__ = [
     "RetrievalResult",
@@ -159,8 +158,8 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     Squares must lie in the field's domain.  Both degeneracy thresholds are
     1e-10 times the spectrogram's peak P over the covered cells: a square
     whose own peak is at or below it raises DegenerateSquareError, and a jet
-    centre whose every |F^(m)|^2 is at or below it raises SingularCenterError
-    naming the square.
+    centre whose every |F^(m)|^2 is at or below it raises SingularCenterError.
+    That and a jet's other errors (a stencil that leaves the grid) name the square.
 
     Each square keeps its own index window: its exact coverage there, its
     covered cells and its local field, recovered on those cells.  Each
@@ -199,23 +198,23 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     if degenerate.size:
         raise DegenerateSquareError(degenerate.tolist())
 
-    # jet centres: the grid node nearest each square's centre
+    # per square, its jet at the grid node nearest its centre, then local recovery on its
+    # covered cells: at w = x - i y,
+    # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre
     xs, ys = grid.xs(), grid.ys()
     nodes = np.rint((np.array(cover.centers) - (grid.x0, grid.y0)) / (grid.dx, grid.dy))
-    jets = [jet_from_mixture(signal, complex(xs[i], -ys[j]), order) if jet_source == "analytic"
-            else jet_from_field(spec, (xs[i], ys[j]), order) for i, j in nodes.astype(int)]
-
-    # local recovery on each square's covered cells: at w = x - i y,
-    # F_c(u) exp(i pi (Im(conj(c) u) - x y) - pi |u|^2 / 2), u = w - c, c = jet centre
     locals_ = []
-    for k, (jet, (sx, sy, cov)) in enumerate(zip(jets, windows)):
+    for k, ((i, j), (sx, sy, cov)) in enumerate(zip(nodes.astype(int).tolist(), windows)):
         a, b = np.nonzero(cov > _COVERED)
-        px, py, c = xs[sx][a], ys[sy][b], jet.center
+        px, py = xs[sx][a], ys[sy][b]
         w_pts = px - 1j * py
         try:
+            jet = (jet_from_mixture(signal, complex(xs[i], -ys[j]), order)
+                   if jet_source == "analytic" else jet_from_field(spec, (xs[i], ys[j]), order))
             local = local_phase_from_modulus(jet, w_pts, scale)
-        except SingularCenterError as exc:
-            raise SingularCenterError(f"square {k}: {exc}") from None
+        except ValueError as exc:  # SingularCenterError and the jets' domain errors
+            raise type(exc)(f"square {k}: {exc}") from None
+        c = jet.center
         u = w_pts - c
         local *= np.exp(1j * np.pi * ((np.conj(c) * u).imag - px * py)
                         - 0.5 * np.pi * (u.real ** 2 + u.imag ** 2))

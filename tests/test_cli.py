@@ -81,14 +81,6 @@ def test_field_csvs_match_cellwise_format(tmp_path):
     assert (out_r / "retrieved.csv").read_bytes() == field_csv_bytes(result.field)
 
 
-def test_transform_deterministic(tmp_path):
-    payload = {"signal": ATOM_MIXTURE, "grid": GRID}
-    _, out1 = run(tmp_path, "transform", payload, outname="out1")
-    _, out2 = run(tmp_path, "transform", payload, outname="out2")
-    assert (out1 / "gabor.csv").read_bytes() == (out2 / "gabor.csv").read_bytes()
-    assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
-
-
 def test_transform_malformed_signal_names_field(tmp_path, capsys):
     payload = {"signal": {"kind": "mixture",
                           "atoms": [{"re": 1.0, "im": 0.0, "shift": "oops", "modulation": 0.0}]},
@@ -414,6 +406,16 @@ def test_sharpness_refinement_stability(tmp_path):
     assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.01
 
 
+def test_sharpness_fits_no_slope_to_one_distinct_a_value(tmp_path):
+    # a repeated a value is one point: its report is that of the single value
+    for name, a_values in (("out_1", [1.0]), ("out_2", [1.0, 1.0])):
+        code, out = run(tmp_path, "sharpness", {"a_values": a_values, "grid_step": 0.1}, name)
+        assert code == 0
+    summary = (tmp_path / "out_2" / "summary.txt").read_bytes()
+    assert summary == (tmp_path / "out_1" / "summary.txt").read_bytes()
+    assert b"single a value; no regression slope" in summary
+
+
 def test_sharpness_empty_range_rejected(tmp_path):
     code, _ = run(tmp_path, "sharpness", {"a_values": []}, "out_e")
     assert code == 2
@@ -637,6 +639,23 @@ def test_retrieve_singular_centre_exits_3_naming_square(tmp_path, capsys):
     assert not out.exists()
     assert capsys.readouterr().err == ("numerical degeneracy: square 0: max |F^(m)(center)|^2 "
                                        "= 4.86e-163 <= threshold 1.89e-161\n")
+
+
+def test_retrieve_stencil_off_the_grid_exits_2_naming_square(tmp_path, capsys):
+    # the order-4 stencil at square 2's centre (1, 0) reaches past the grid's edge x = 1.5
+    payload = {
+        "spectrogram": {"signal": ATOM_MIXTURE,
+                        "grid": {"xmin": -1.5, "xmax": 1.5, "ymin": -1.5, "ymax": 1.5,
+                                 "step": 0.2}},
+        "cover": {"centers": [[-0.5, 0.0], [0.5, 0.0], [1.0, 0.0]]},
+        "jet_source": "finite_difference",
+        "order": 4,
+    }
+    code, out = run(tmp_path, "retrieve", payload)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: square 2: jet center too close to the field "
+                                       "boundary\n")
 
 
 def test_retrieve_at_small_amplitudes_exits_as_at_unit_scale(tmp_path, capsys):
@@ -899,8 +918,25 @@ def test_integer_given_as_float_runs_as_int(tmp_path, command, payload, key):
         a, b = (out / name for out in (out_int, out_float))
         if name == "config_echo.json":  # echoes "4" and "4.0"
             assert json.loads(a.read_text()) == json.loads(b.read_text())
-        elif name != "meta.json":
+        else:
             assert a.read_bytes() == b.read_bytes(), name
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_output_file_repeats(tmp_path, capsys, command):
+    # every output file is a function of the config; the wall time goes to stdout only
+    payload = {"transform": TRANSFORM, "certify": CERTIFY, "plan-sample": PLAN,
+               "sharpness": {"a_values": [0.5, 1.0], "grid_step": 0.05},
+               "retrieve": RETRIEVE}[command]
+    (code1, out1), (code2, out2) = (run(tmp_path, command, payload, name)
+                                    for name in ("out1", "out2"))
+    assert code1 == code2 == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert sorted(json.loads((out1 / "meta.json").read_text())) == ["command", "numpy", "version"]
+    assert capsys.readouterr().out.count(" (wall time ") == 2
 
 
 @pytest.mark.parametrize("jet_source, order", [("analytic", 14), ("finite_difference", 4)])
