@@ -1,16 +1,19 @@
 """Weighted graphs over square covers and the stability certificates.
 
-A cover of unit squares induces a graph: vertex weights are the spectrogram
-mass on each square, edge weights the squared mass on pairwise overlaps.
-Algebraic connectivity and the graph Cheeger constant of that graph control
-how well locally recovered phases can be stitched globally; the certificate
-collects every quantity entering the resulting bound.
+A cover of unit squares induces a sparse graph: vertex weights are the
+spectrogram mass on each square, and an edge joins two squares whose overlap
+has positive area, weighted by the squared mass on it.  The graph stores its
+edge list; the dense matrix is a derived view that only the dense spectral
+routines read.  Algebraic connectivity and the graph Cheeger constant of that
+graph control how well locally recovered phases can be stitched globally;
+the certificate collects every quantity entering the resulting bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,29 +79,42 @@ class SquareCover:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Vertex weights w > 0 and symmetric nonnegative edge weights sigma."""
+    """Vertex weights w > 0 and the edges (i[k], j[k]) of weight s[k] > 0, each
+    once with i < j, in strictly increasing row-major order of (i, j)."""
 
     w: np.ndarray
-    sigma: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    s: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        n = len(w)
-        if sigma.shape != (n, n):
-            raise ValueError("sigma must be square and match the vertex count")
-        if np.any(w <= 0):
-            raise ValueError("vertex weights must be positive")
-        if np.abs(np.diagonal(sigma)).max(initial=0.0) > 0:
-            raise ValueError("sigma must have zero diagonal")
-        if sigma.size and (sigma.min() < 0 or np.abs(sigma - sigma.T).max() > 1e-12 * sigma.max()):
-            raise ValueError("sigma must be symmetric and nonnegative")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
+        w, s = np.asarray(self.w, dtype=float), np.asarray(self.s, dtype=float)
+        i, j = np.asarray(self.i), np.asarray(self.j)
+        if w.ndim != 1 or not all(a.ndim == 1 and len(a) == len(s) for a in (i, j, s)):
+            raise ValueError("w, i, j and s must be 1-D, and i, j and s of one length")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("vertex weights must be finite and positive")
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError("edge weights must be finite and positive")
+        if len(s) and not (i.dtype.kind in "iu" and j.dtype.kind in "iu"):
+            raise ValueError("edge endpoints must be integers")
+        i, j = i.astype(np.intp), j.astype(np.intp)
+        if not np.all((0 <= i) & (i < j) & (j < len(w))) or np.any(np.diff(i * len(w) + j) <= 0):
+            raise ValueError(f"edges must be distinct pairs 0 <= i < j < {len(w)} in row-major order")
+        for name, value in (("w", w), ("i", i), ("j", j), ("s", s)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return len(self.w)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """The read-only dense symmetric edge-weight matrix, for the spectral routines."""
+        sigma = np.zeros((self.n, self.n))
+        sigma[self.i, self.j] = sigma[self.j, self.i] = self.s
+        sigma.flags.writeable = False
+        return sigma
 
     def degrees(self) -> np.ndarray:
         return self.sigma.sum(axis=1)
@@ -109,10 +125,6 @@ class WeightedGraph:
     def delta0(self) -> float:
         """Max degree-to-weight ratio over vertices."""
         return float(np.max(self.degrees() / self.w))
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (i, j) of the edges sigma_ij > 0 with i < j, in row-major order."""
-        return np.nonzero(np.triu(self.sigma > 0, 1))
 
 
 @dataclass(frozen=True)
@@ -149,32 +161,42 @@ class StabilityCertificate:
 
 
 def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
-    """Graph over the cover: w_i = ||S||_L1(Q_i), sigma_ij = ||S||_L1(Q_i cap Q_j)^2.
+    """Graph over the cover: w_i = ||S||_L1(Q_i), s_ij = ||S||_L1(Q_i cap Q_j)^2.
 
     Every mass is a norm over one square or one overlap rectangle, so it
-    visits only the cells of that window.  Overlapping pairs are found in one
-    vectorised pass over all pairs, and the square and overlap masses come
-    from one stacked rect_union_norm call.
+    visits only the cells of that window, and all come from one stacked
+    rect_union_norm call.  Squares whose centres are 1 or more apart in x do
+    not meet, so a square's candidates lie in its own or the next unit column
+    floor(x), where, sorted by centre y, they are one run.  The pair search
+    takes O(n log n + E) time and O(n + E) memory for E overlaps; it builds no
+    n x n array.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
     n = len(cover)
     r = cover.rects()
     _check_region_in_grid(spec.grid, r)  # names the first square outside, in one pass
-    # pairwise intersection rectangles; a pair overlaps when its rectangle has positive extent
-    x0 = np.maximum(r[:, None, 0], r[None, :, 0])
-    x1 = np.minimum(r[:, None, 1], r[None, :, 1])
-    y0 = np.maximum(r[:, None, 2], r[None, :, 2])
-    y1 = np.minimum(r[:, None, 3], r[None, :, 3])
-    i, j = np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))
-    overlaps = np.stack([x0[i, j], x1[i, j], y0[i, j], y1[i, j]], axis=1)
-    w, mass = np.split(rect_union_norm(spec, np.concatenate([r, overlaps]), 1), [n])
-    degenerate = [i for i in range(n) if w[i] <= 0.0]
+    c = np.array(cover.centers)
+    col = np.floor(c[:, 0])
+    order = np.lexsort((c[:, 1], col))
+    # complex keys compare lexicographically: (column, ymin) and (column, ymax)
+    lo, hi = (col[order] + 1j * r[order, k] for k in (2, 3))
+    shift = np.array([[0], [1]])  # each square's own column, and the next
+    first = np.searchsorted(hi, lo + shift, side="right").ravel()
+    count = np.searchsorted(lo, hi + shift).ravel() - first
+    p = np.repeat(np.tile(np.arange(n), 2), count)  # positions in the sorted order
+    q = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    i, j = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
+    inter = np.stack([np.maximum(r[i, 0], r[j, 0]), np.minimum(r[i, 1], r[j, 1]),
+                      np.maximum(r[i, 2], r[j, 2]), np.minimum(r[i, 3], r[j, 3])], axis=1)
+    # each pair once, and only where the intersection has positive extent
+    keep = np.flatnonzero((q > p) & (inter[:, 1] > inter[:, 0]) & (inter[:, 3] > inter[:, 2]))
+    keep = keep[np.lexsort((j[keep], i[keep]))]  # row-major (i, j)
+    w, mass = np.split(rect_union_norm(spec, np.concatenate([r, inter[keep]]), 1), [n])
+    degenerate = [v for v in range(n) if w[v] <= 0.0]
     if degenerate:
         raise DegenerateVertexError(degenerate)
-    sigma = np.zeros((n, n))
-    sigma[i, j] = sigma[j, i] = mass * mass
-    return WeightedGraph(w, sigma)
+    return WeightedGraph(w, i[keep], j[keep], mass * mass)
 
 
 def algebraic_connectivity(g: WeightedGraph) -> float:
@@ -195,34 +217,25 @@ def _normalized_laplacian(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return g.laplacian() * np.outer(inv_sqrt_w, inv_sqrt_w), inv_sqrt_w
 
 
-def _cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma(boundary S), w(S) and w(S^c) for every proper subset S containing vertex 0."""
-    n = g.n
-    rest = np.arange(2 ** (n - 1) - 1, dtype=np.int64)  # proper subsets of {1..n-1}
-    masks = (rest << 1) | 1
-    in_s = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    w_s = in_s @ g.w
-    w_c = (~in_s) @ g.w
-    cut = np.zeros(len(masks))
-    for i, j in zip(*g.edges()):
-        cut += np.where(in_s[:, i] ^ in_s[:, j], g.sigma[i, j], 0.0)
-    return cut, w_s, w_c
-
-
 def cheeger_constant(g: WeightedGraph) -> float:
     """Graph Cheeger constant h = min over cuts of sigma(boundary S) / min(w(S), w(S^c)).
 
-    Up to 20 vertices every one of the 2^(n-1) - 1 cuts is enumerated; above
-    that, the spectral sweep's upper bound is returned.  Both w(S) and
-    w(S^c) are sums over their own vertices: found as total - w(S), the
-    smaller mass of a weakly connected cover rounds to zero or below.
+    Up to 20 vertices every one of the 2^(n-1) - 1 cuts S containing vertex 0
+    is enumerated; above that, the spectral sweep's upper bound is returned.
+    Both w(S) and w(S^c) are sums over their own vertices: found as
+    total - w(S), the smaller mass of a weakly connected cover rounds to zero
+    or below.
     """
     if g.n < 2:
         raise ValueError("the Cheeger constant needs at least two vertices")
     if g.n > _EXACT_CHEEGER_LIMIT:
         return _sweep_cheeger(g)
-    cut, w_s, w_c = _cut_values(g)
-    return float(np.min(cut / np.minimum(w_s, w_c)))
+    rest = np.arange(2 ** (g.n - 1) - 1, dtype=np.int64)  # proper subsets of {1..n-1}
+    in_s = ((((rest << 1) | 1)[:, None] >> np.arange(g.n)) & 1).astype(bool)
+    cut = np.zeros(len(rest))
+    for i, j, s in zip(g.i, g.j, g.s):
+        cut += np.where(in_s[:, i] ^ in_s[:, j], s, 0.0)
+    return float(np.min(cut / np.minimum(in_s @ g.w, (~in_s) @ g.w)))
 
 
 def _sweep_cheeger(g: WeightedGraph) -> float:
@@ -277,8 +290,7 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
 
     common = k_const * math.sqrt(m_const) * math.sqrt(l_const)
     stitch = k_const * nu ** 1.5 * math.sqrt(l_const)
-    ei, ej = g.edges()
-    connected = len(_components(g.n, ei, ej)) == 1
+    connected = len(_components(g.n, g.i, g.j)) == 1
     if connected and lam > 0:
         bound_lambda = math.sqrt(common + stitch / lam + math.sqrt(vol))
     else:

@@ -224,7 +224,7 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
 
     # relative multipliers on overlaps, then synchronization over all of them;
     # a zero product carries no phase, so no edge
-    ei, ej = graph.edges()
+    ei, ej = graph.i, graph.j
     nums = _overlap_products(locals_, windows, ei, ej)
     keep = np.flatnonzero(nums)
     multipliers, components = _synchronize(n, ei[keep], ej[keep], nums[keep], graph.w)

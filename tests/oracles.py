@@ -333,13 +333,21 @@ def rayleigh_minimum_pgd(graph, iters: int = 3000, lr: float = 0.05, seed: int =
     return float(np.real(np.conj(z) @ (lap @ z))) / den
 
 
-def random_graph(rng, n_min: int = 2, n_max: int = 12, density: float = 0.7):
+def graph_from_dense(w, sigma):
+    """The WeightedGraph of vertex weights w whose edges are the nonzero entries
+    of the upper triangle of the symmetric matrix sigma, in row-major order."""
     from gaborcert.stability_graph import WeightedGraph
 
+    sigma = np.asarray(sigma, dtype=float)
+    i, j = np.nonzero(np.triu(sigma, 1))
+    return WeightedGraph(w, i, j, sigma[i, j])
+
+
+def random_graph(rng, n_min: int = 2, n_max: int = 12, density: float = 0.7):
     n = int(rng.integers(n_min, n_max + 1))
     w = rng.uniform(0.2, 2.0, n)
     upper = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
-    return WeightedGraph(w, upper + upper.T)
+    return graph_from_dense(w, upper + upper.T)
 
 
 def jittered_cover_centers(rng, k: int = 8, half: float = 1.5,
@@ -423,7 +431,7 @@ def union_norm(fld, rects, p) -> float:
 
 def build_graph_per_pair(spec, cover):
     """Cover graph with one region_norm per square and one per overlapping pair."""
-    from gaborcert import WeightedGraph, region_norm
+    from gaborcert import region_norm
 
     n = len(cover)
     r = cover.rects()
@@ -436,7 +444,7 @@ def build_graph_per_pair(spec, cover):
     for i, j in zip(*np.nonzero(np.triu((x1 > x0) & (y1 > y0), 1))):
         mass = region_norm(spec, [(x0[i, j], x1[i, j], y0[i, j], y1[i, j])], 1)
         sigma[i, j] = sigma[j, i] = mass * mass
-    return WeightedGraph(w, sigma)
+    return graph_from_dense(w, sigma)
 
 
 def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, signal=None):
@@ -492,7 +500,7 @@ def retrieve_phase_per_square(spec, cover, jet_source="analytic", order=14, sign
                      for w in (a, b))
 
     ei, ej, nums = [], [], []
-    for i, j in zip(*(e.tolist() for e in graph.edges())):
+    for i, j in zip(graph.i.tolist(), graph.j.tolist()):
         si, sj = shared(windows[i], windows[j])
         inter = np.minimum(windows[i][2][si], windows[j][2][sj])
         num = complex(np.sum(locals_[i][si] * np.conj(locals_[j][sj]) * inter))

@@ -69,6 +69,7 @@ def test_removed_names_stay_removed():
     assert not hasattr(GaussianMixtureSignal, "_fock_coefficients")
     assert "side" not in inspect.signature(SquareCover).parameters
     assert not hasattr(SquareCover, "squares") and not hasattr(SquareCover, "region")
+    assert not hasattr(WeightedGraph, "edges")  # the graph stores its edges: i, j and s
     for fn, option in ((retrieve_phase, "threshold"), (local_phase_from_modulus, "threshold"),
                        (legendre_lower_bound_check, "samples"), (cheeger_constant, "method")):
         assert option not in inspect.signature(fn).parameters, (fn.__name__, option)
@@ -97,9 +98,8 @@ def test_closed_form_takes_only_an_open_mesh():
 
 
 def test_cheeger_constant_returns_h_alone():
-    cut = np.array([[0.0, 0.7], [0.7, 0.0]])
     for fn in (cheeger_constant, _sweep_cheeger):
-        h = fn(WeightedGraph(np.array([2.0, 0.5]), cut))
+        h = fn(WeightedGraph(np.array([2.0, 0.5]), [0], [1], [0.7]))
         assert type(h) is float and h == 0.7 / 0.5, fn.__name__
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -851,11 +852,11 @@ def test_report_tables_match_cellwise_format(tmp_path):
     grid = Grid2D.from_bounds(-1.0, 1.0, -1.0, 1.0, 0.05)
     cert = certificate(spectrogram(mixture_field(f, grid)), spectrogram(mixture_field(g, grid)),
                        SquareCover(tuple(map(tuple, TWO_SQUARES["centers"]))))
-    i, j = cert.graph.edges()
+    graph = cert.graph
     for name, header, rows in (("certificate", ["quantity", "value"], cert.rows()),
-                               ("vertices", ["i", "w"], list(enumerate(cert.graph.w.tolist()))),
+                               ("vertices", ["i", "w"], list(enumerate(graph.w.tolist()))),
                                ("edges", ["i", "j", "sigma"],
-                                list(zip(i.tolist(), j.tolist(), cert.graph.sigma[i, j].tolist())))):
+                                list(zip(graph.i.tolist(), graph.j.tolist(), graph.s.tolist())))):
         assert (out / f"{name}.csv").read_bytes() == table_csv_bytes(header, rows), name
 
 
@@ -937,6 +938,22 @@ def test_every_output_file_repeats(tmp_path, capsys, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     assert sorted(json.loads((out1 / "meta.json").read_text())) == ["command", "numpy", "version"]
     assert capsys.readouterr().out.count(" (wall time ") == 2
+
+
+def test_wall_time_includes_the_report_write(tmp_path, capsys, monkeypatch):
+    # the ok: line times the whole command, the write of its report included
+    write = cli.ReportBundle.write
+
+    def slow_write(self, outdir):
+        time.sleep(0.5)
+        write(self, outdir)
+
+    monkeypatch.setattr(cli.ReportBundle, "write", slow_write)
+    code, out = run(tmp_path, "sharpness", {"a_values": [0.5], "grid_step": 0.05})
+    assert code == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith(f"ok: wrote report to {out} (wall time ") and line.endswith(" s)")
+    assert float(line.rsplit(" ", 2)[1]) >= 0.5
 
 
 @pytest.mark.parametrize("jet_source, order", [("analytic", 14), ("finite_difference", 4)])

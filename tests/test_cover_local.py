@@ -157,8 +157,43 @@ def _jittered_144_cover_and_spec():
     return cover, spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
 
 
+def _unit_spacing_cover_and_spec():
+    """6 x 6 unit squares at spacing exactly 1.0: neighbours share only an edge
+    or a corner, of zero extent, so no pair overlaps.  A 0.07 grid, 9 atoms."""
+    rng = np.random.default_rng(36)
+    offs = np.arange(6) - 2.5
+    atoms = tuple(GaussianAtom(complex(*rng.normal(size=2)), *rng.uniform(-2.5, 2.5, 2))
+                  for _ in range(9))
+    grid = Grid2D.from_bounds(-3.5, 3.5, -3.5, 3.5, 0.07)
+    spec = spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
+    return SquareCover(tuple((float(x), float(y)) for x in offs for y in offs)), spec
+
+
+def _shuffled_lattice_cover_and_spec():
+    """The 144-square lattice with its centres listed in a shuffled order, so
+    that the row-major edge order differs from any order of the positions."""
+    cover, spec = _lattice_cover_and_spec()
+    order = np.random.default_rng(1441).permutation(len(cover))
+    return SquareCover(tuple(cover.centers[k] for k in order)), spec
+
+
+def _column_cover_and_spec():
+    """12 unit squares with identical x bounds, 0.55 apart in y, listed
+    bottom-up; a 0.05 grid and 4 atoms."""
+    rng = np.random.default_rng(12)
+    ys = 0.55 * (np.arange(12) - 5.5)
+    atoms = tuple(GaussianAtom(complex(*rng.normal(size=2)), 0.3, y)
+                  for y in rng.uniform(-3.0, 3.0, 4))
+    grid = Grid2D.from_bounds(-1.0, 1.6, -4.5, 4.5, 0.05)
+    spec = spectrogram(mixture_field(GaussianMixtureSignal(atoms), grid))
+    return SquareCover(tuple((0.3, float(y)) for y in ys)), spec
+
+
 COVERS = {"n65": _n64_cover_and_spec, "lattice-144": _lattice_cover_and_spec,
-          "jittered-64": _jittered_cover_and_spec, "jittered-144": _jittered_144_cover_and_spec}
+          "jittered-64": _jittered_cover_and_spec, "jittered-144": _jittered_144_cover_and_spec,
+          "unit-spacing-36": _unit_spacing_cover_and_spec,
+          "shuffled-lattice-144": _shuffled_lattice_cover_and_spec,
+          "column-12": _column_cover_and_spec}
 
 
 def _overlap_rects(cover) -> np.ndarray:
@@ -171,7 +206,7 @@ def _overlap_rects(cover) -> np.ndarray:
             inter = (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
             if inter[0] < inter[1] and inter[2] < inter[3]:
                 out.append(inter)
-    return np.array(out)
+    return np.array(out).reshape(-1, 4)
 
 
 def _bits(x):
@@ -201,8 +236,12 @@ def test_build_graph_bit_equal_to_per_pair_loop(name):
     cover, spec = COVERS[name]()
     g, ref = build_graph(spec, cover), build_graph_per_pair(spec, cover)
     assert np.array_equal(_bits(g.w), _bits(ref.w))
+    assert np.array_equal(g.i, ref.i) and np.array_equal(g.j, ref.j)
+    assert np.array_equal(_bits(g.s), _bits(ref.s))
     assert np.array_equal(_bits(g.sigma), _bits(ref.sigma))
-    assert np.count_nonzero(g.sigma) == 2 * len(_overlap_rects(cover))
+    assert np.count_nonzero(g.sigma) == 2 * len(g.s) == 2 * len(_overlap_rects(cover))
+    if name == "unit-spacing-36":  # edge and corner contacts have zero extent
+        assert len(g.s) == 0
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -18,6 +18,7 @@ from gaborcert import (
     cheeger_constant,
     make_sharpness_pair,
     mixture_field,
+    retrieve_phase,
     spectrogram,
 )
 from gaborcert.stability_graph import (
@@ -30,6 +31,7 @@ from oracles import (
     arrangement_brute_force,
     cheeger_brute_force,
     components_bfs,
+    graph_from_dense,
     jittered_cover_centers,
     random_block_graph,
     random_graph,
@@ -46,13 +48,13 @@ def const_spectrogram(value=1.0, lo=-3.0, hi=3.0, step=0.1):
 
 
 def two_vertex_graph(w1=1.0, w2=1.0, s=0.7):
-    return WeightedGraph(np.array([w1, w2]), np.array([[0.0, s], [s, 0.0]]))
+    return WeightedGraph(np.array([w1, w2]), [0], [1], [s])
 
 
 def test_build_graph_disjoint_squares():
     spec = const_spectrogram()
     g = build_graph(spec, SquareCover(((-1.5, 0.0), (1.5, 0.0))))
-    assert np.all(g.sigma == 0.0)
+    assert len(g.s) == 0 and np.all(g.sigma == 0.0)
     assert g.w == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
@@ -66,7 +68,8 @@ def test_build_graph_half_overlap():
     g = build_graph(spec, SquareCover(((0.0, 0.0), (0.5, 0.0))))
     assert g.w == pytest.approx([1.0, 1.0], abs=1e-10)
     # intersection is a 0.5 x 1 rectangle of a unit spectrogram: mass 1/2
-    assert g.sigma[0, 1] == pytest.approx(0.25, abs=1e-10)
+    assert (g.i.tolist(), g.j.tolist()) == ([0], [1])
+    assert g.s[0] == g.sigma[0, 1] == g.sigma[1, 0] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_build_graph_degenerate_vertex():
@@ -89,12 +92,12 @@ def test_build_graph_requires_spectrogram_and_unit_side():
 
 def test_algebraic_connectivity_examples():
     assert algebraic_connectivity(two_vertex_graph(s=0.7)) == pytest.approx(1.4, abs=1e-12)
-    disconnected = WeightedGraph(np.ones(3), np.zeros((3, 3)))
+    disconnected = graph_from_dense(np.ones(3), np.zeros((3, 3)))
     assert algebraic_connectivity(disconnected) == pytest.approx(0.0, abs=1e-12)
-    k3 = WeightedGraph(np.ones(3), np.ones((3, 3)) - np.eye(3))
+    k3 = graph_from_dense(np.ones(3), np.ones((3, 3)) - np.eye(3))
     assert algebraic_connectivity(k3) == pytest.approx(3.0, abs=1e-12)
     with pytest.raises(ValueError):
-        algebraic_connectivity(WeightedGraph(np.ones(1), np.zeros((1, 1))))
+        algebraic_connectivity(graph_from_dense(np.ones(1), np.zeros((1, 1))))
 
 
 def test_algebraic_connectivity_vs_rayleigh_descent():
@@ -109,11 +112,11 @@ def test_algebraic_connectivity_vs_rayleigh_descent():
 def test_cheeger_examples():
     h = cheeger_constant(two_vertex_graph(w1=2.0, w2=0.5, s=0.7))
     assert h == pytest.approx(0.7 / 0.5, abs=1e-12)
-    h = cheeger_constant(WeightedGraph(np.ones(3), np.zeros((3, 3))))
+    h = cheeger_constant(graph_from_dense(np.ones(3), np.zeros((3, 3))))
     assert h == 0.0
     path = np.zeros((4, 4))
     path[0, 1] = path[1, 2] = path[2, 3] = 1.0
-    gp = WeightedGraph(np.ones(4), path + path.T)
+    gp = graph_from_dense(np.ones(4), path + path.T)
     h = cheeger_constant(gp)
     assert h == pytest.approx(0.5, abs=1e-12)
 
@@ -153,7 +156,7 @@ def test_cheeger_inequality_on_sharpness_strip(a):
 
 def test_cheeger_validation():
     with pytest.raises(ValueError):
-        cheeger_constant(WeightedGraph(np.ones(1), np.zeros((1, 1))))
+        cheeger_constant(graph_from_dense(np.ones(1), np.zeros((1, 1))))
     # above 20 vertices the cuts are no longer enumerated: h is the sweep's bound
     big = random_graph(np.random.default_rng(21), n_min=21, n_max=21)
     assert cheeger_constant(big) == _sweep_cheeger(big)
@@ -189,7 +192,7 @@ def assert_cheeger_inequality(g):
 def test_cheeger_inequality_check():
     lam, h, d0 = assert_cheeger_inequality(two_vertex_graph(s=0.7))
     assert 2 * h >= lam >= h**2 / (2 * d0) - 1e-9
-    lam, h, _ = assert_cheeger_inequality(WeightedGraph(np.ones(3), np.zeros((3, 3))))
+    lam, h, _ = assert_cheeger_inequality(graph_from_dense(np.ones(3), np.zeros((3, 3))))
     assert lam == pytest.approx(0.0, abs=1e-12)
     assert h == 0.0
 
@@ -205,7 +208,7 @@ def test_scaling_edge_weights_scales_connectivity():
     rng = np.random.default_rng(12)
     g = random_graph(rng, n_min=4, n_max=6, density=1.0)
     for c in (0.5, 3.0):
-        scaled = WeightedGraph(g.w, c * g.sigma)
+        scaled = graph_from_dense(g.w, c * g.sigma)
         assert algebraic_connectivity(scaled) == pytest.approx(
             c * algebraic_connectivity(g), rel=1e-10)
         h0 = cheeger_constant(g)
@@ -290,16 +293,58 @@ def test_components_match_breadth_first_search():
 
 
 def test_weighted_graph_validation():
-    with pytest.raises(ValueError):
-        WeightedGraph(np.array([1.0, -1.0]), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        WeightedGraph(np.ones(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        WeightedGraph(np.ones(2), np.array([[0.0, -0.5], [-0.5, 0.0]]))
-    # asymmetry is measured against the largest edge weight, at any scale
-    with pytest.raises(ValueError):
-        WeightedGraph(np.ones(2), np.array([[0.0, 1e-20], [2e-20, 0.0]]))
-    g = WeightedGraph(np.ones(2), np.array([[0.0, 1e-20], [1e-20 * (1 + 1e-15), 0.0]]))
-    assert g.sigma[0, 1] == g.sigma[1, 0]
-    with pytest.raises(ValueError):
-        WeightedGraph(np.ones(3), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="vertex weights"):
+        WeightedGraph(np.array([1.0, -1.0]), [], [], [])
+    with pytest.raises(ValueError, match="edge weights"):
+        WeightedGraph(np.ones(2), [0], [1], [-0.5])
+    g = WeightedGraph(np.ones(3), [0, 0, 1], [1, 2, 2], [1e-20, 2.0, 3.0])
+    assert g.sigma.tolist() == [[0.0, 1e-20, 2.0], [1e-20, 0.0, 3.0], [2.0, 3.0, 0.0]]
+    assert g.i.dtype == g.j.dtype == np.intp
+    assert WeightedGraph(np.ones(2), np.array([], dtype=float), [], []).i.dtype == np.intp
+
+
+@pytest.mark.parametrize("w, i, j, s, message", [
+    ([math.nan, 1.0], [0], [1], [1.0], "vertex weights must be finite and positive"),
+    ([math.inf, 1.0], [0], [1], [1.0], "vertex weights must be finite and positive"),
+    ([0.0, 1.0], [0], [1], [1.0], "vertex weights must be finite and positive"),
+    ([1.0, 1.0], [0], [1], [math.nan], "edge weights must be finite and positive"),
+    ([1.0, 1.0], [0], [1], [math.inf], "edge weights must be finite and positive"),
+    ([1.0, 1.0], [0], [1], [0.0], "edge weights must be finite and positive"),
+    ([1.0, 1.0], [-1], [1], [1.0], "0 <= i < j < 2"),
+    ([1.0, 1.0], [1], [0], [1.0], "0 <= i < j < 2"),
+    ([1.0, 1.0], [1], [1], [1.0], "0 <= i < j < 2"),
+    ([1.0, 1.0], [0], [2], [1.0], "0 <= i < j < 2"),
+    ([1.0, 1.0, 1.0], [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0], "row-major"),
+    ([1.0, 1.0, 1.0], [0, 0], [1, 1], [1.0, 1.0], "row-major"),
+    ([1.0, 1.0, 1.0], [0, 0], [2, 1], [1.0, 1.0], "row-major"),
+    ([1.0, 1.0], [0], [1], [1.0, 1.0], "of one length"),
+    ([1.0, 1.0], [0, 0], [1], [1.0], "of one length"),
+    ([[1.0, 1.0]], [0], [1], [1.0], "1-D"),
+    ([1.0, 1.0], [0.0], [1.0], [1.0], "integers"),
+], ids=["nan-w", "inf-w", "zero-w", "nan-s", "inf-s", "zero-s", "negative-i", "i-above-j",
+        "loop", "j-past-n", "unsorted", "repeated", "descending-j", "long-s", "long-i",
+        "2-d-w", "float-endpoints"])
+def test_weighted_graph_rejects(w, i, j, s, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(np.array(w), np.array(i), np.array(j), np.array(s))
+
+
+def test_dense_view_is_read_only_and_built_once():
+    g = two_vertex_graph(s=0.7)
+    assert g.sigma is g.sigma
+    with pytest.raises(ValueError, match="read-only"):
+        g.sigma[0, 1] = 1.0
+
+
+def test_retrieve_phase_reads_only_the_edge_list(monkeypatch):
+    def dense(self):
+        raise AssertionError("the dense view was built")
+
+    spec = spectrogram(mixture_field(ATOM, Grid2D.from_bounds(-2, 2, -2, 2, 0.05)))
+    cover = SquareCover(((-0.3, 0.0), (0.3, 0.0), (0.0, 0.5)))
+    expected = retrieve_phase(spec, cover, signal=ATOM)
+    monkeypatch.setattr(WeightedGraph, "sigma", property(dense))
+    result = retrieve_phase(spec, cover, signal=ATOM)
+    assert np.array_equal(result.field.values, expected.field.values)
+    with pytest.raises(AssertionError, match="dense view"):
+        build_graph(spec, cover).degrees()

@@ -88,3 +88,23 @@ def test_region_norm_calls_do_not_grow_with_the_cover(traced, workload):
         assert metrics[f"{name}.calls"] <= 3 * len(ops), (name, metrics[f"{name}.calls"])
     assert (metrics["gabor_engine.rect_union_norm.calls"]
             == metrics["stability_graph.build_graph.calls"])
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_pair_hit_ratio_counts_the_overlapping_pairs(traced, workload):
+    # the tracer reads each graph's dense view; its ratio must be the brute-force
+    # overlap count of every cover the workload builds a graph on, over its pairs
+    ops, codes, metrics = traced[workload]
+    assert codes == [0] * len(ops)
+    hit = tried = 0
+    for op in ops:
+        if op.command in ("certify", "retrieve"):
+            centers = json.loads(op.config.read_text())["cover"]["centers"]
+            r = SquareCover(tuple(map(tuple, centers))).rects()
+            n = len(r)
+            hit += sum(min(r[a, 1], r[b, 1]) > max(r[a, 0], r[b, 0])
+                       and min(r[a, 3], r[b, 3]) > max(r[a, 2], r[b, 2])
+                       for a in range(n) for b in range(a + 1, n))
+            tried += n * (n - 1) // 2
+    assert hit > 0
+    assert metrics["stability_graph.pair_hit_ratio"] == hit / tried
