@@ -1,12 +1,12 @@
 """Weighted graphs over square covers and the stability certificates.
 
-A cover of unit squares induces a sparse graph: vertex weights are the
-spectrogram mass on each square, and an edge joins two squares whose overlap
-has positive area, weighted by the squared mass on it.  The graph stores its
-edge list; the dense matrix is a derived view that only the dense spectral
-routines read.  Algebraic connectivity and the graph Cheeger constant of that
-graph control how well locally recovered phases can be stitched globally;
-the certificate collects every quantity entering the resulting bound.
+A cover of unit squares induces a sparse graph, stored as an edge list:
+vertex weights are the spectrogram mass on each square, and an edge joins two
+squares whose overlap has positive area, weighted by its squared mass; only
+the dense spectral routines read a derived n x n view.  Its algebraic
+connectivity and Cheeger constant control how well locally recovered phases
+can be stitched globally; the certificate collects every quantity entering
+the resulting bound.
 """
 
 from __future__ import annotations
@@ -92,10 +92,9 @@ class WeightedGraph:
         i, j = np.asarray(self.i), np.asarray(self.j)
         if w.ndim != 1 or not all(a.ndim == 1 and len(a) == len(s) for a in (i, j, s)):
             raise ValueError("w, i, j and s must be 1-D, and i, j and s of one length")
-        if not np.all(np.isfinite(w) & (w > 0)):
-            raise ValueError("vertex weights must be finite and positive")
-        if not np.all(np.isfinite(s) & (s > 0)):
-            raise ValueError("edge weights must be finite and positive")
+        for kind, weights in (("vertex", w), ("edge", s)):
+            if not np.all(np.isfinite(weights) & (weights > 0)):
+                raise ValueError(f"{kind} weights must be finite and positive")
         if len(s) and not (i.dtype.kind in "iu" and j.dtype.kind in "iu"):
             raise ValueError("edge endpoints must be integers")
         i, j = i.astype(np.intp), j.astype(np.intp)
@@ -163,13 +162,12 @@ class StabilityCertificate:
 def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     """Graph over the cover: w_i = ||S||_L1(Q_i), s_ij = ||S||_L1(Q_i cap Q_j)^2.
 
-    Every mass is a norm over one square or one overlap rectangle, so it
-    visits only the cells of that window, and all come from one stacked
-    rect_union_norm call.  Squares whose centres are 1 or more apart in x do
-    not meet, so a square's candidates lie in its own or the next unit column
-    floor(x), where, sorted by centre y, they are one run.  The pair search
-    takes O(n log n + E) time and O(n + E) memory for E overlaps; it builds no
-    n x n array.
+    Every mass is a norm over the cells of one square or one overlap
+    rectangle, and all come from one stacked rect_union_norm call.  Squares
+    whose centres are 1 or more apart in x do not meet, so a square's
+    candidates lie in its own or the next unit column floor(x), where, sorted
+    by centre y, they are one run: O(n log n + E) time and O(n + E) memory
+    for E overlaps, and no n x n array.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
@@ -273,37 +271,24 @@ def certificate(spec_f: SpectrogramField, spec_g: SpectrogramField,
     m_const = float(np.sum(g.w ** -2.0))
     rects = cover.rects()
     l_const = float(_arrangement(rects)[2].max())
-    nu = len(cover)
-    vol = union_area(rects)
-
+    nu, vol = len(cover), union_area(rects)
+    quantities = dict(K=k_const, M=m_const, L=l_const, nu=nu, vol_omega=vol, graph=g)
     if nu == 1:
         base = math.sqrt(k_const / g.w[0])
-        return StabilityCertificate(
-            K=k_const, M=m_const, L=l_const, nu=nu, vol_omega=vol,
-            lam=0.0, cheeger=0.0, delta0=0.0,
-            bound_lambda=base, bound_cheeger=base, base_case=True, graph=g,
-        )
+        return StabilityCertificate(**quantities, lam=0.0, cheeger=0.0, delta0=0.0,
+                                    bound_lambda=base, bound_cheeger=base, base_case=True)
 
-    lam = algebraic_connectivity(g)
-    h = cheeger_constant(g)
-    d0 = g.delta0()
-
+    lam, h, d0 = algebraic_connectivity(g), cheeger_constant(g), g.delta0()
     common = k_const * math.sqrt(m_const) * math.sqrt(l_const)
     stitch = k_const * nu ** 1.5 * math.sqrt(l_const)
     connected = len(_components(g.n, g.i, g.j)) == 1
+    bound_lambda = bound_cheeger = math.inf
     if connected and lam > 0:
         bound_lambda = math.sqrt(common + stitch / lam + math.sqrt(vol))
-    else:
-        bound_lambda = math.inf
     if connected and h > 0:
         bound_cheeger = math.sqrt(common + d0 * stitch / (h * h) + math.sqrt(vol))
-    else:
-        bound_cheeger = math.inf
-    return StabilityCertificate(
-        K=k_const, M=m_const, L=l_const, nu=nu, vol_omega=vol,
-        lam=lam, cheeger=h, delta0=d0,
-        bound_lambda=bound_lambda, bound_cheeger=bound_cheeger, graph=g,
-    )
+    return StabilityCertificate(**quantities, lam=lam, cheeger=h, delta0=d0,
+                                bound_lambda=bound_lambda, bound_cheeger=bound_cheeger)
 
 
 def _components(n: int, ei, ej) -> list[tuple[int, ...]]:

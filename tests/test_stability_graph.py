@@ -293,10 +293,6 @@ def test_components_match_breadth_first_search():
 
 
 def test_weighted_graph_validation():
-    with pytest.raises(ValueError, match="vertex weights"):
-        WeightedGraph(np.array([1.0, -1.0]), [], [], [])
-    with pytest.raises(ValueError, match="edge weights"):
-        WeightedGraph(np.ones(2), [0], [1], [-0.5])
     g = WeightedGraph(np.ones(3), [0, 0, 1], [1, 2, 2], [1e-20, 2.0, 3.0])
     assert g.sigma.tolist() == [[0.0, 1e-20, 2.0], [1e-20, 0.0, 3.0], [2.0, 3.0, 0.0]]
     assert g.i.dtype == g.j.dtype == np.intp
@@ -307,9 +303,11 @@ def test_weighted_graph_validation():
     ([math.nan, 1.0], [0], [1], [1.0], "vertex weights must be finite and positive"),
     ([math.inf, 1.0], [0], [1], [1.0], "vertex weights must be finite and positive"),
     ([0.0, 1.0], [0], [1], [1.0], "vertex weights must be finite and positive"),
+    ([1.0, -1.0], [], [], [], "vertex weights must be finite and positive"),
     ([1.0, 1.0], [0], [1], [math.nan], "edge weights must be finite and positive"),
     ([1.0, 1.0], [0], [1], [math.inf], "edge weights must be finite and positive"),
     ([1.0, 1.0], [0], [1], [0.0], "edge weights must be finite and positive"),
+    ([1.0, 1.0], [0], [1], [-0.5], "edge weights must be finite and positive"),
     ([1.0, 1.0], [-1], [1], [1.0], "0 <= i < j < 2"),
     ([1.0, 1.0], [1], [0], [1.0], "0 <= i < j < 2"),
     ([1.0, 1.0], [1], [1], [1.0], "0 <= i < j < 2"),
@@ -321,9 +319,9 @@ def test_weighted_graph_validation():
     ([1.0, 1.0], [0, 0], [1], [1.0], "of one length"),
     ([[1.0, 1.0]], [0], [1], [1.0], "1-D"),
     ([1.0, 1.0], [0.0], [1.0], [1.0], "integers"),
-], ids=["nan-w", "inf-w", "zero-w", "nan-s", "inf-s", "zero-s", "negative-i", "i-above-j",
-        "loop", "j-past-n", "unsorted", "repeated", "descending-j", "long-s", "long-i",
-        "2-d-w", "float-endpoints"])
+], ids=["nan-w", "inf-w", "zero-w", "negative-w", "nan-s", "inf-s", "zero-s", "negative-s",
+        "negative-i", "i-above-j", "loop", "j-past-n", "unsorted", "repeated", "descending-j",
+        "long-s", "long-i", "2-d-w", "float-endpoints"])
 def test_weighted_graph_rejects(w, i, j, s, message):
     with pytest.raises(ValueError, match=message):
         WeightedGraph(np.array(w), np.array(i), np.array(j), np.array(s))
