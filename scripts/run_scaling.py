@@ -11,7 +11,8 @@ retrieve_phase uses analytic jets of order 14.  build_graph runs on the same
 lattices and on k = 64 as well (4096 squares, a 923 x 923 grid).  Each
 transform case samples standard normal complex noise (seed 3) over the data
 path's t range [-6.5, 6.5] and transforms it on an N x N grid of step 0.02
-centred at 0: N = 101, 251 and 501 at 20000 samples, and N = 101 at 200000.
+centred at 0: N = 101, 251 and 501 at 20000 samples, and N = 101 and 22 at
+200000.
 Each stage runs twice: once under tracemalloc for its peak, then once
 untraced for its wall time.
 Writes results/scaling.csv, results/graph_scaling.csv,
@@ -51,7 +52,7 @@ GRAPH_FIELDS = ("squares", "edges", "build_graph_s", "build_graph_peak_mib")
 T_RANGE = (-6.5, 6.5)
 GRID_STEP = 0.02
 # (grid points per axis, samples)
-TRANSFORMS = ((101, 20000), (251, 20000), (501, 20000), (101, 200000))
+TRANSFORMS = ((101, 20000), (251, 20000), (501, 20000), (101, 200000), (22, 200000))
 SMOKE_TRANSFORMS = ((31, 2000), (31, 20000))
 TRANSFORM_FIELDS = ("grid_points", "samples", "quadrature_s", "quadrature_peak_mib")
 
@@ -103,8 +104,8 @@ def main() -> None:
         print(f"{k * k:5d} squares  {grid.nx}x{grid.ny} grid  certificate {cert[0]:.3f} s "
               f"{cert[1]:.1f} MiB  retrieve_phase {retrieve[0]:.3f} s {retrieve[1]:.1f} MiB")
 
-    # the first transform in a process also learns the BLAS's panel split, so a
-    # small one runs first, outside the table
+    # the first two-thread BLAS calls of a fresh process can stall, waiting for the
+    # second thread, so a small transform runs first, outside the table
     quadrature_gabor(*transform_case(31, 300))
     transforms = []
     for n, nt in SMOKE_TRANSFORMS if args.smoke else TRANSFORMS:

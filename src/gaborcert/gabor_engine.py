@@ -41,12 +41,8 @@ __all__ = [
 GABOR = "gabor"
 SPECTROGRAM = "spectrogram"
 
-# OpenBLAS's zgemm sums its inner dimension in panels of this many terms
+# the transform sums its t nodes in panels of this many samples, in order
 _T_BLOCK = 128
-# grids of at most this many points keep one product: OpenBLAS may run their
-# product on one thread whatever its thread count, and split its last panels
-# as it does on one thread
-_SMALL_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -153,64 +149,23 @@ class SpectrogramField:
         object.__setattr__(self, "values", vals)
 
 
-def _t_edges(nt: int, cut) -> list[int]:
-    """Edges of the t panels OpenBLAS's zgemm sums a product of inner size nt over.
-
-    Panels of _T_BLOCK terms while at least two remain; a remainder between one
-    and two panels is split after cut(remainder) terms.
-    """
-    edges = [0]
-    while nt - edges[-1] >= 2 * _T_BLOCK:
-        edges.append(edges[-1] + _T_BLOCK)
-    if nt - edges[-1] > _T_BLOCK:
-        edges.append(edges[-1] + cut(nt - edges[-1]))
-    return [*edges, nt]
-
-
-# the last remainder's split in OpenBLAS's threaded zgemm driver, and in its
-# one-thread driver, which rounds the first part up to its 4-row kernel tile
-_TAIL_CUTS = (lambda r: (r + 1) // 2, lambda r: -(-(r // 2) // 4) * 4)
-
-
-@functools.cache
-def _tail_cut():
-    """The split of a last remainder that this process's BLAS applies, or None.
-
-    numpy does not report how its BLAS runs a product, so a 64 x 259 by
-    259 x 64 product of fixed pseudo-random entries is compared, bit for bit,
-    with its sums over each rule's panels.
-    """
-    z = ((np.arange(4 * 64 * 259) * 2654435761 & 0xFFFFFFFF) / 2 ** 32 - 0.5).view(complex)
-    a, b = z[:64 * 259].reshape(64, 259), z[64 * 259:].reshape(259, 64)
-    want = (a @ b).view(np.uint64)
-    for cut in _TAIL_CUTS:
-        edges = _t_edges(259, cut)
-        got = a[:, :edges[1]] @ b[:edges[1]]
-        for lo, hi in zip(edges[1:], edges[2:]):
-            got += a[:, lo:hi] @ b[lo:hi]
-        if np.array_equal(got.view(np.uint64), want):
-            return cut
-    return None
-
-
 def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     """Transform field of a sampled signal by trapezoidal quadrature on its sample grid.
 
     The sum runs over every t node for every grid point; nothing is
     truncated.  The product of the windowed x rows with the kernel
-    exp(-2 pi i t y) is summed over t in the panels BLAS sums it in
-    (`_t_edges`): each panel's kernel slice and windowed rows are built,
-    multiplied and added to the output in panel order, so the output is
-    bit for bit the one full product's.  The kernel is cos + i sin of its
-    real angle (`signal_model._cis_outer`), built with y as its rows, so a
-    y row that is the exact negative of its mirror (a grid symmetric about
-    0) is its mirror's conjugate.  Besides the output, the working set is
-    one panel's kernel slice, windowed rows and real window, one output-sized
-    partial sum and the nt-long t and weight vectors: it does not grow with
-    nt times the grid.  One full product is kept where the panels cannot be
-    reproduced: an axis of one point (a matrix-vector product), a grid of at
-    most _SMALL_GRID points, and a BLAS whose split of the last panels
-    `_tail_cut` does not recognise.
+    exp(-2 pi i t y) is summed over t in panels of _T_BLOCK samples, the
+    last one shorter: each panel's kernel slice and windowed rows are built,
+    multiplied and added to the output in panel order, so the order of the
+    sum is fixed here, not by the BLAS's own split of a long product.  The
+    kernel is cos + i sin of its real angle (`signal_model._cis_outer`),
+    built with y as its rows, so a y row that is the exact negative of its
+    mirror (a grid symmetric about 0) is its mirror's conjugate.  Besides
+    the output, the working set is one panel's kernel slice, windowed rows
+    and real window, one output-sized partial sum and the nt-long t and
+    weight vectors: it does not grow with nt times the grid.  A single x row
+    is one matrix-vector product over every t (gemv), which holds the whole
+    (nt, ny) kernel.
     """
     t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
@@ -223,14 +178,13 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     xs = grid.xs()
     ys = grid.ys()
     values = np.empty((len(xs), len(ys)), dtype=complex)
-    cut = _tail_cut() if min(len(xs), len(ys)) > 1 and values.size > _SMALL_GRID else None
-    edges = _t_edges(len(t), cut) if cut else [0, len(t)]
-    width = max(np.diff(edges))
+    width = len(t) if len(xs) == 1 else min(len(t), _T_BLOCK)
     kernel_buf = np.empty(len(ys) * width, dtype=complex)
     windowed_buf = np.empty(len(xs) * width, dtype=complex)
     gauss_buf = np.empty(len(xs) * width)
-    partial = np.empty_like(values) if len(edges) > 2 else None
-    for lo, hi in zip(edges, edges[1:]):
+    partial = np.empty_like(values) if len(t) > width else None
+    for lo in range(0, len(t), width):
+        hi = min(lo + width, len(t))
         # the kernel slice as cos + i sin of (y t) (-2 pi), used transposed; a single
         # x row goes through gemv, whose sums follow the kernel's layout, so it keeps
         # t as the kernel's rows

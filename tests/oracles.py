@@ -566,11 +566,9 @@ def components_bfs(n, ei, ej) -> list[tuple[int, ...]]:
     return found
 
 
-def quadrature_gabor_one_shot(sig, grid):
-    """The transform field by one full-size matmul, with the kernel as np.exp; the
-    reference quadrature_gabor's t panels must reproduce bit for bit."""
-    from gaborcert.gabor_engine import GABOR, SpectrogramField
-
+def _quadrature_operands(sig, grid):
+    """The windowed rows (nx, nt) and the kernel (nt, ny), built whole, with the
+    kernel as np.exp."""
     t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
     if len(t) > 1:
@@ -589,7 +587,29 @@ def quadrature_gabor_one_shot(sig, grid):
     kernel = np.outer(t, ys).astype(complex)
     kernel *= -2j * np.pi
     np.exp(kernel, out=kernel)
-    values = windowed @ kernel
+    return windowed, kernel
+
+
+def quadrature_gabor_one_shot(sig, grid):
+    """The transform field by one full-size matmul, whose sum over t the BLAS
+    orders as it likes."""
+    from gaborcert.gabor_engine import GABOR, SpectrogramField
+
+    windowed, kernel = _quadrature_operands(sig, grid)
+    return SpectrogramField(grid, windowed @ kernel, GABOR)
+
+
+def quadrature_gabor_panels(sig, grid):
+    """The transform field summed over t in panels of 128 samples, added in
+    order, one matmul each; a single x row is one full matmul.  This is the sum
+    quadrature_gabor must reproduce bit for bit."""
+    from gaborcert.gabor_engine import GABOR, SpectrogramField
+
+    windowed, kernel = _quadrature_operands(sig, grid)
+    panel = len(kernel) if grid.nx == 1 else 128
+    values = windowed[:, :panel] @ kernel[:panel]
+    for lo in range(panel, len(kernel), panel):
+        values += windowed[:, lo:lo + panel] @ kernel[lo:lo + panel]
     return SpectrogramField(grid, values, GABOR)
 
 

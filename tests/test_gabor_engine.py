@@ -25,10 +25,8 @@ from gaborcert import (
     region_norm,
     spectrogram,
 )
-from gaborcert import gabor_engine
 from gaborcert.gabor_engine import (
     _CSV_CHUNK,
-    _SMALL_GRID,
     _T_BLOCK,
     _float_fields,
     _uniform_axis,
@@ -47,6 +45,7 @@ from oracles import (
     grid_mesh,
     jittered_cover_centers,
     quadrature_gabor_one_shot,
+    quadrature_gabor_panels,
     random_mixture,
     sampled_coverage,
     sampled_mixture,
@@ -102,113 +101,120 @@ def _noise(nt: int, t0: float, dt: float) -> SampledSignal:
     return SampledSignal(tuple(complex(re, im) for re, im in pairs), t0, dt)
 
 
-def _t_blocks(nt: int, nx: int, ny: int) -> int:
+def _t_blocks(nt: int, nx: int) -> int:
     """How many t panels quadrature_gabor sums its product over."""
-    cut = gabor_engine._tail_cut()
-    if min(nx, ny) == 1 or nx * ny <= _SMALL_GRID or cut is None:
-        return 1
-    return len(gabor_engine._t_edges(nt, cut)) - 1
+    return 1 if nx == 1 else -(-nt // _T_BLOCK)
 
 
-# id: (signal, grid, t panels)
+# the fixed panels' distance from one full product, in ulps of the field's largest
+# modulus: at most 4.2 measured (tail-131 on one BLAS thread), doubled
+ULPS = 8
+
+
+# id: (signal, grid, t panels, ulps); the field is bit for bit the fixed-panel sum, and
+# within ulps of its largest modulus of one full product, whose sum over t the BLAS
+# orders; 0 ulps pins the full product bit for bit too
 QUADRATURE_CASES = {
     # 157 x rows and 101 y columns, neither a multiple of BLAS's kernel tiles
-    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), 157),
-    "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 197, 101), 63),
-    "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), 1),
-    "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), 1),
+    "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), 157,
+                   ULPS),
+    "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 197, 101), 63,
+                     ULPS),
+    "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), 1, 0),
+    "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), 1, 0),
     "zero-signal": (SampledSignal((0.0,) * 8000, -2.0, 5e-4),
-                    Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 63),
+                    Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 63, 0),
     "mixture": (sampled_mixture(random_mixture(np.random.default_rng(3)), -8.0, 8.0),
-                Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 7),
-    # the data-path transform: 20000 = 155 * 128 + 160 samples, the last 160 split in two;
-    # its y grid is symmetric about 0, so mirrored kernel rows are conjugates
+                Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 7, 0),
+    # the data-path transform: 20000 = 156 * 128 + 32 samples, whose last panel's window
+    # is below rounding; its y grid is symmetric about 0, so mirrored kernel rows are
+    # conjugates
     "data-path": (_noise(20000, -6.5, 13.0 / 19999),
-                  Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02), 157),
+                  Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02), 157, 0),
     # 67 and 129 y columns: odd counts, whose last columns BLAS computes in tail tiles
-    "short-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 67), 235),
+    "short-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 67), 235, 0),
     "one-column-tail": (_noise(30000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 30, 129),
-                        235),
-    # 180 points: a small grid keeps one product
-    "below-one-step": (_noise(60000, -3.0, 1e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 3, 60), 1),
+                        235, 0),
+    # 180 points and 469 panels
+    "below-one-step": (_noise(60000, -3.0, 1e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 3, 60), 469, 0),
     # a single x row (gemv) keeps one product
-    "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251), 1),
+    "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251), 1,
+                         0),
     # t, x and y grids through exact zeros, and samples with signed zero parts: the
     # kernel's t y = +-0 entries and the products of zeros keep np.exp's bits
     "signed-zeros": (SampledSignal((1.0, complex(-0.0, 1.0), 0.0, complex(-1.0, -0.0), -0.0,
                                     complex(0.0, -0.0), 2.5, complex(-0.0, -0.0), 1j),
                                    -2.0, 0.5),
-                     Grid2D(-1.0, -1.0, 0.5, 0.5, 5, 5), 1),
-    # coarse t grids whose last 131 and 172 samples are split in two panels, where
-    # OpenBLAS's threaded and one-thread drivers cut them differently (66 or 68, 86 or 88)
+                     Grid2D(-1.0, -1.0, 0.5, 0.5, 5, 5), 1, 0),
+    # coarse t grids whose last panels of 3 and 44 samples carry weight; one full product
+    # splits its last 131 and 172 samples in two, differently on one thread and on several
     "tail-131": (_noise(131, -6.5, 13.0 / 130), Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
-                 2),
+                 2, ULPS),
     "tail-300": (_noise(300, -6.5, 13.0 / 299), Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
-                 3),
-    # either side of the small-grid cutoff: OpenBLAS runs a 16 x 31 product on one thread
+                 3, ULPS),
+    # grids of 496 and 529 points: OpenBLAS runs a full 16 x 31 product on one thread
     # whatever its thread count, and splits a 23 x 23 one between threads
-    "small-grid": (_noise(4099, -3.0, 6.0 / 4098), Grid2D(-1.0, -1.0, 0.02, 0.02, 16, 31), 1),
+    "small-grid": (_noise(4099, -3.0, 6.0 / 4098), Grid2D(-1.0, -1.0, 0.02, 0.02, 16, 31), 33,
+                   ULPS),
     "above-small-grid": (_noise(4099, -3.0, 6.0 / 4098), Grid2D(-1.0, -1.0, 0.02, 0.02, 23, 23),
-                         33),
+                         33, ULPS),
 }
 
 
-def _assert_bit_identical_to_one_shot(name):
-    sig, grid, blocks = QUADRATURE_CASES[name]
-    assert _t_blocks(len(sig.samples), grid.nx, grid.ny) == blocks, name
+def _assert_bit_identical_to_panels(name) -> np.ndarray:
+    sig, grid, blocks, ulps = QUADRATURE_CASES[name]
+    assert _t_blocks(len(sig.samples), grid.nx) == blocks, name
     got = quadrature_gabor(sig, grid).values
-    want = quadrature_gabor_one_shot(sig, grid).values
+    want = quadrature_gabor_panels(sig, grid).values
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    one_shot = quadrature_gabor_one_shot(sig, grid).values
+    if ulps:
+        error = np.abs(got - one_shot).max()
+        assert error <= ulps * np.spacing(np.abs(one_shot).max()), (name, error)
+    else:
+        assert np.array_equal(got.view(np.uint64), one_shot.view(np.uint64)), name
+    return got
 
 
 @pytest.mark.parametrize("name", list(QUADRATURE_CASES))
 def test_quadrature_bit_identical_to_one_shot(name):
-    _assert_bit_identical_to_one_shot(name)
+    _assert_bit_identical_to_panels(name)
 
 
-def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread():
-    # byte identity holds per BLAS thread count, and OpenBLAS reads its thread count
-    # once, when it loads: the split panels, both sides of the small-grid cutoff, the
-    # single-row product and the signed zeros run again in a fresh interpreter, whose
-    # probe finds the one-thread split
-    names = ["data-path", "short-tail", "one-column-tail", "one-x-point-wide", "signed-zeros",
-             "tail-131", "tail-300", "small-grid", "above-small-grid"]
+def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread(tmp_path):
+    # OpenBLAS reads its thread count once, when it loads: a fresh interpreter on one BLAS
+    # thread checks every case against the oracles and saves its fields, and a field of
+    # several x rows must equal this process's bit for bit.  A single x row is one gemv,
+    # which OpenBLAS splits by thread count, so it is checked on its own thread only
+    fields = tmp_path / "fields.npz"
     script = ("import sys\n"
-              "from test_gabor_engine import _assert_bit_identical_to_one_shot\n"
-              "for name in sys.argv[1:]:\n"
-              "    _assert_bit_identical_to_one_shot(name)\n")
+              "import numpy as np\n"
+              "from test_gabor_engine import QUADRATURE_CASES, _assert_bit_identical_to_panels\n"
+              "np.savez(sys.argv[1], **{name: _assert_bit_identical_to_panels(name)\n"
+              "                         for name in QUADRATURE_CASES})\n")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, *names], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script, str(fields)], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
-
-
-def test_quadrature_bit_identical_to_one_shot_when_the_probe_matches_no_split(monkeypatch):
-    # a BLAS that splits the last panels by neither rule gets one full product
-    monkeypatch.setattr(gabor_engine, "_TAIL_CUTS", (lambda r: r // 3,))
-    gabor_engine._tail_cut.cache_clear()
-    try:
-        assert gabor_engine._tail_cut() is None
-        for name in ("tail-300", "three-blocks"):
-            sig, grid, _ = QUADRATURE_CASES[name]
-            got = quadrature_gabor(sig, grid).values
-            want = quadrature_gabor_one_shot(sig, grid).values
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
-    finally:
-        gabor_engine._tail_cut.cache_clear()
+    with np.load(fields) as one_thread:
+        for name, (sig, grid, *_) in QUADRATURE_CASES.items():
+            if grid.nx > 1:
+                got = quadrature_gabor(sig, grid).values
+                assert np.array_equal(one_thread[name].view(np.uint64), got.view(np.uint64)), name
 
 
 def test_quadrature_peak_memory_is_panel_slices_not_the_kernel():
-    # the 101 x 101 grid and the data-path transform's 251 x 251, at the data path's
-    # 20000 samples over [-6.5, 6.5] and at ten times as many: a kernel of nt x ny
-    # would be 32 to 803 MB
+    # the 101 x 101 grid, the data-path transform's 251 x 251 and a 22 x 22 grid, at the
+    # data path's 20000 samples over [-6.5, 6.5] and at ten times as many: a kernel of
+    # nt x ny would be 7 to 803 MB
     for nt in (20000, 200000):
         sig = _noise(nt, -6.5, 13.0 / (nt - 1))
-        for half in (1.0, 2.5):
-            grid = Grid2D.from_bounds(-half, half, -half, half, 0.02)
+        for grid in (Grid2D.from_bounds(-1.0, 1.0, -1.0, 1.0, 0.02),
+                     Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
+                     Grid2D(-0.21, -0.21, 0.02, 0.02, 22, 22)):
             tracemalloc.start()
             try:
                 fld = quadrature_gabor(sig, grid)
@@ -217,14 +223,14 @@ def test_quadrature_peak_memory_is_panel_slices_not_the_kernel():
                 tracemalloc.stop()
             # the output and one output-sized partial sum
             output = 2 * fld.values.nbytes
-            # a panel of at most two BLAS panels of t: its kernel slice, windowed rows
-            # and real window, 16 bytes per grid line and panel sample at most
-            slices = 16 * (grid.nx + grid.ny) * 2 * _T_BLOCK
-            # the kernel's real angle scratch and complex phase scratch
-            scratch = (8 + 16) * max(_PHASE_CHUNK, 2 * _T_BLOCK)
-            # t, the weights and their complex copy, 16 bytes per node at most, and
-            # the panel edges
-            vectors = 4 * 16 * nt
+            # one panel of t: per sample, the kernel slice's 16 bytes per y, and the
+            # windowed rows' 16 and the real window's 8 bytes per x
+            slices = (16 * grid.ny + (16 + 8) * grid.nx) * _T_BLOCK
+            # the kernel's real angle scratch, its complex phase scratch and the copy
+            # that conjugating a mirrored chunk of the kernel takes
+            scratch = (8 + 16 + 16) * max(_PHASE_CHUNK, _T_BLOCK)
+            # t, the real weights and their complex copy
+            vectors = (8 + 8 + 16) * nt
             assert peak < output + slices + scratch + vectors, (nt, grid)
 
 
