@@ -10,9 +10,9 @@ squares).  certificate compares the spectrogram with itself, and
 retrieve_phase uses analytic jets of order 14.  build_graph runs on the same
 lattices and on k = 64 as well (4096 squares, a 923 x 923 grid).  Each
 transform case samples standard normal complex noise (seed 3) over the data
-path's t range [-6.5, 6.5] and transforms it on an N x N grid of step 0.02
-centred at 0: N = 101, 251 and 501 at 20000 samples, and N = 101 and 22 at
-200000.
+path's t range [-6.5, 6.5] and transforms it on a grid of step 0.02 centred
+at 0: N x N for N = 101, 251 and 501 at 20000 samples, N = 101 and 22 at
+200000, and a single x row of 251 points at 200000.
 Each stage runs twice: once under tracemalloc for its peak, then once
 untraced for its wall time.
 Writes results/scaling.csv, results/graph_scaling.csv,
@@ -51,10 +51,11 @@ FIELDS = ("squares", "grid_cells", "certificate_s", "certificate_peak_mib",
 GRAPH_FIELDS = ("squares", "edges", "build_graph_s", "build_graph_peak_mib")
 T_RANGE = (-6.5, 6.5)
 GRID_STEP = 0.02
-# (grid points per axis, samples)
-TRANSFORMS = ((101, 20000), (251, 20000), (501, 20000), (101, 200000), (22, 200000))
-SMOKE_TRANSFORMS = ((31, 2000), (31, 20000))
-TRANSFORM_FIELDS = ("grid_points", "samples", "quadrature_s", "quadrature_peak_mib")
+# (x points, y points, samples)
+TRANSFORMS = ((101, 101, 20000), (251, 251, 20000), (501, 501, 20000), (101, 101, 200000),
+              (22, 22, 200000), (1, 251, 200000))
+SMOKE_TRANSFORMS = ((31, 31, 2000), (31, 31, 20000), (1, 31, 20000))
+TRANSFORM_FIELDS = ("x_points", "y_points", "samples", "quadrature_s", "quadrature_peak_mib")
 
 
 def measure(stage) -> tuple[float, float]:
@@ -71,19 +72,20 @@ def measure(stage) -> tuple[float, float]:
     return time.perf_counter() - start, peak / 2 ** 20
 
 
-def transform_case(n: int, nt: int) -> tuple[SampledSignal, Grid2D]:
-    """Noise samples over T_RANGE and the n x n grid of step GRID_STEP centred at 0."""
+def transform_case(nx: int, ny: int, nt: int) -> tuple[SampledSignal, Grid2D]:
+    """Noise samples over T_RANGE and the nx x ny grid of step GRID_STEP centred at 0."""
     lo, hi = T_RANGE
     noise = np.random.default_rng(SEED).standard_normal((nt, 2)).view(complex)[:, 0]
-    half = GRID_STEP * (n - 1) / 2
-    grid = Grid2D(-half, -half, GRID_STEP, GRID_STEP, n, n)
+    x0, y0 = (GRID_STEP * (1 - n) / 2 for n in (nx, ny))
+    grid = Grid2D(x0, y0, GRID_STEP, GRID_STEP, nx, ny)
     return SampledSignal(noise, lo, (hi - lo) / (nt - 1)), grid
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="k = 2 and 3, and a 31 x 31 transform at 2000 and 20000 samples")
+                        help="k = 2 and 3, a 31 x 31 transform at 2000 and 20000 samples "
+                             "and a 1 x 31 one at 20000")
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
 
@@ -106,13 +108,13 @@ def main() -> None:
 
     # the first two-thread BLAS calls of a fresh process can stall, waiting for the
     # second thread, so a small transform runs first, outside the table
-    quadrature_gabor(*transform_case(31, 300))
+    quadrature_gabor(*transform_case(31, 31, 300))
     transforms = []
-    for n, nt in SMOKE_TRANSFORMS if args.smoke else TRANSFORMS:
-        sig, grid = transform_case(n, nt)
+    for nx, ny, nt in SMOKE_TRANSFORMS if args.smoke else TRANSFORMS:
+        sig, grid = transform_case(nx, ny, nt)
         quad = measure(lambda: quadrature_gabor(sig, grid))
-        transforms.append(dict(zip(TRANSFORM_FIELDS, (n, nt, *quad))))
-        print(f"{n:5d}^2 grid  {nt:6d} samples  quadrature_gabor {quad[0]:.3f} s "
+        transforms.append(dict(zip(TRANSFORM_FIELDS, (nx, ny, nt, *quad))))
+        print(f"{nx:5d} x {ny:<5d} grid  {nt:6d} samples  quadrature_gabor {quad[0]:.3f} s "
               f"{quad[1]:.1f} MiB")
 
     args.out.mkdir(parents=True, exist_ok=True)

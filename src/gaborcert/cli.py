@@ -43,13 +43,12 @@ from .signal_model import (
     l2_norm,
 )
 from .stability_graph import (
-    DegenerateVertexError,
+    DegenerateSquareError,
     SquareCover,
     certificate,
 )
 from .stitching import (
     _UNIT_SQUARE,
-    DegenerateSquareError,
     _jet_order,
     min_phase_distance,
     retrieve_phase,
@@ -632,8 +631,8 @@ def main(argv=None) -> int:
         args.base_dir = args.config.parent
         config = _load_json(args.config, "config")
         bundle = COMMANDS[args.command](_check_config(config, args), args)
-    except (DegenerateVertexError, DegenerateSquareError, SingularCenterError,
-            NonFiniteResultError, ZeroFieldError) as exc:
+    except (DegenerateSquareError, SingularCenterError, NonFiniteResultError,
+            ZeroFieldError) as exc:
         # before ValueError: the numeric modules' degeneracy errors are ValueErrors
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY

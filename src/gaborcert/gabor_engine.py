@@ -59,6 +59,8 @@ class Grid2D:
     def __post_init__(self) -> None:
         if not (self.dx > 0 and self.dy > 0):
             raise ValueError("grid spacings must be positive")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.dx, self.dy))):
+            raise ValueError("grid origin and spacings must be finite")
         if not (self.nx >= 1 and self.ny >= 1):
             raise ValueError("grid must have at least one point per axis")
 
@@ -115,6 +117,8 @@ class SampledSignal:
             raise ValueError("sampled signal must be nonempty")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not (math.isfinite(self.t0) and math.isfinite(self.dt)):
+            raise ValueError("t0 and dt must be finite")
         if not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
 
@@ -163,9 +167,9 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     mirror (a grid symmetric about 0) is its mirror's conjugate.  Besides
     the output, the working set is one panel's kernel slice, windowed rows
     and real window, one output-sized partial sum and the nt-long t and
-    weight vectors: it does not grow with nt times the grid.  A single x row
-    is one matrix-vector product over every t (gemv), which holds the whole
-    (nt, ny) kernel.
+    weight vectors: it does not grow with nt times the grid.  Every grid,
+    a single x row too, takes the same panels, so the field does not
+    depend on the BLAS thread count.
     """
     t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
@@ -178,21 +182,16 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     xs = grid.xs()
     ys = grid.ys()
     values = np.empty((len(xs), len(ys)), dtype=complex)
-    width = len(t) if len(xs) == 1 else min(len(t), _T_BLOCK)
+    width = min(len(t), _T_BLOCK)
     kernel_buf = np.empty(len(ys) * width, dtype=complex)
     windowed_buf = np.empty(len(xs) * width, dtype=complex)
     gauss_buf = np.empty(len(xs) * width)
     partial = np.empty_like(values) if len(t) > width else None
     for lo in range(0, len(t), width):
         hi = min(lo + width, len(t))
-        # the kernel slice as cos + i sin of (y t) (-2 pi), used transposed; a single
-        # x row goes through gemv, whose sums follow the kernel's layout, so it keeps
-        # t as the kernel's rows
-        if len(xs) == 1:
-            kernel = _cis_outer(t, ys, -2 * np.pi, kernel_buf.reshape(len(t), len(ys)))
-        else:
-            kernel = _cis_outer(ys, t[lo:hi], -2 * np.pi,
-                                kernel_buf[:len(ys) * (hi - lo)].reshape(len(ys), hi - lo)).T
+        # the kernel slice as cos + i sin of (y t) (-2 pi), used transposed
+        kernel = _cis_outer(ys, t[lo:hi], -2 * np.pi,
+                            kernel_buf[:len(ys) * (hi - lo)].reshape(len(ys), hi - lo)).T
         # every x row's (f(t) exp(-pi (t - x)^2)) w(t) on the panel; f * window
         # promotes the window to window + 0j
         gauss = gauss_buf[:len(xs) * (hi - lo)].reshape(len(xs), hi - lo)

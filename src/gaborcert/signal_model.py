@@ -153,7 +153,9 @@ def _cis_outer(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> n
             angle *= scale
             _cis(angle, block)
             continue
-        np.conjugate(out[n - r1:n - r0][::-1], out=block)
+        # copied, then conjugated in place: a ufunc on the reversed rows would copy them first
+        np.copyto(block, out[n - r1:n - r0][::-1])
+        np.conjugate(block, out=block)
         block.imag += 0.0
         rest = np.flatnonzero(~mirror)
         angle = angle_buf[:len(rest)]

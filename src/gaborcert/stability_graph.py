@@ -30,7 +30,7 @@ __all__ = [
     "SquareCover",
     "WeightedGraph",
     "StabilityCertificate",
-    "DegenerateVertexError",
+    "DegenerateSquareError",
     "build_graph",
     "algebraic_connectivity",
     "cheeger_constant",
@@ -40,12 +40,14 @@ __all__ = [
 _EXACT_CHEEGER_LIMIT = 20
 
 
-class DegenerateVertexError(ValueError):
-    """Some squares carry no spectrogram energy; prune them before building."""
+class DegenerateSquareError(ValueError):
+    """Squares that carry too little spectrogram energy to use, listed by index:
+    `build_graph` raises it for squares of zero mass, `retrieve_phase` for
+    squares whose peak is below its threshold."""
 
-    def __init__(self, indices):
+    def __init__(self, indices, reason="spectrogram below threshold on squares"):
         self.indices = list(indices)
-        super().__init__(f"zero-energy squares at indices {self.indices}")
+        super().__init__(f"{reason} {self.indices}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     w, mass = np.split(rect_union_norm(spec, np.concatenate([r, inter[keep]]), 1), [n])
     degenerate = [v for v in range(n) if w[v] <= 0.0]
     if degenerate:
-        raise DegenerateVertexError(degenerate)
+        raise DegenerateSquareError(degenerate, "zero-energy squares at indices")
     return WeightedGraph(w, i[keep], j[keep], mass * mass)
 
 

@@ -32,12 +32,11 @@ from .gabor_engine import (
     mixture_field,
 )
 from .signal_model import GaussianMixtureSignal, make_sharpness_pair
-from .stability_graph import SquareCover, _components, build_graph
+from .stability_graph import DegenerateSquareError, SquareCover, _components, build_graph
 from .tensor_phase import _FD_MAX_ORDER, jet_from_field, jet_from_mixture, local_phase_from_modulus
 
 __all__ = [
     "RetrievalResult",
-    "DegenerateSquareError",
     "min_phase_distance",
     "stability_distances",
     "sharpness_ratio",
@@ -53,14 +52,6 @@ _COVERED = 1e-12
 _DEFAULT_ORDER = {"analytic": 14, "finite_difference": _FD_MAX_ORDER}
 # the centred unit square (xmin, xmax, ymin, ymax) of sharpness_ratio
 _UNIT_SQUARE = (-0.5, 0.5, -0.5, 0.5)
-
-
-class DegenerateSquareError(ValueError):
-    """Squares whose spectrogram peak is below threshold, listed by index."""
-
-    def __init__(self, indices):
-        self.indices = list(indices)
-        super().__init__(f"spectrogram below threshold on squares {self.indices}")
 
 
 @dataclass(frozen=True)

@@ -568,7 +568,8 @@ def components_bfs(n, ei, ej) -> list[tuple[int, ...]]:
 
 def _quadrature_operands(sig, grid):
     """The windowed rows (nx, nt) and the kernel (nt, ny), built whole, with the
-    kernel as np.exp."""
+    kernel as np.exp; the kernel is the transposed view of a C-layout (ny, nt)
+    array, quadrature_gabor's layout."""
     t, ft, dt = sig.times(), sig.samples, sig.dt
     w = np.full(len(t), dt)
     if len(t) > 1:
@@ -584,32 +585,53 @@ def _quadrature_operands(sig, grid):
     windowed = ft[None, :] * gauss
     del gauss
     windowed *= w[None, :]
-    kernel = np.outer(t, ys).astype(complex)
+    kernel = np.outer(ys, t).astype(complex)
     kernel *= -2j * np.pi
     np.exp(kernel, out=kernel)
-    return windowed, kernel
+    return windowed, kernel.T
 
 
 def quadrature_gabor_one_shot(sig, grid):
-    """The transform field by one full-size matmul, whose sum over t the BLAS
-    orders as it likes."""
+    """The transform field by one full-size matmul with a C-layout (nt, ny)
+    kernel, whose sum over t the BLAS orders as it likes (on a single x row,
+    one gemv)."""
     from gaborcert.gabor_engine import GABOR, SpectrogramField
 
     windowed, kernel = _quadrature_operands(sig, grid)
-    return SpectrogramField(grid, windowed @ kernel, GABOR)
+    return SpectrogramField(grid, windowed @ np.ascontiguousarray(kernel), GABOR)
 
 
 def quadrature_gabor_panels(sig, grid):
     """The transform field summed over t in panels of 128 samples, added in
-    order, one matmul each; a single x row is one full matmul.  This is the sum
-    quadrature_gabor must reproduce bit for bit."""
+    order, one matmul each.  This is the sum quadrature_gabor must reproduce
+    bit for bit."""
     from gaborcert.gabor_engine import GABOR, SpectrogramField
 
     windowed, kernel = _quadrature_operands(sig, grid)
-    panel = len(kernel) if grid.nx == 1 else 128
-    values = windowed[:, :panel] @ kernel[:panel]
-    for lo in range(panel, len(kernel), panel):
-        values += windowed[:, lo:lo + panel] @ kernel[lo:lo + panel]
+    values = windowed[:, :128] @ kernel[:128]
+    for lo in range(128, len(kernel), 128):
+        values += windowed[:, lo:lo + 128] @ kernel[lo:lo + 128]
+    return SpectrogramField(grid, values, GABOR)
+
+
+def quadrature_gabor_fsum(sig, grid):
+    """The transform field with every point's sum over t taken by math.fsum.
+
+    Each windowed sample times kernel entry is rounded once per real product,
+    as a complex product rounds them, and the real and imaginary parts of
+    each grid point's sum are exact sums of those products, rounded once.
+    One fsum per part and point: for grids of a few hundred points.
+    """
+    from gaborcert.gabor_engine import GABOR, SpectrogramField
+
+    windowed, kernel = _quadrature_operands(sig, grid)
+    values = np.empty((grid.nx, grid.ny), dtype=complex)
+    for i, row in enumerate(windowed):
+        for j, col in enumerate(kernel.T):
+            values.real[i, j] = math.fsum(np.concatenate([row.real * col.real,
+                                                          -(row.imag * col.imag)]))
+            values.imag[i, j] = math.fsum(np.concatenate([row.real * col.imag,
+                                                          row.imag * col.real]))
     return SpectrogramField(grid, values, GABOR)
 
 

@@ -35,6 +35,7 @@ REMOVED = [
     "graph_edge_rows", "discrete_weighted_norm", "fock_coefficients", "EXACT_CHEEGER_LIMIT",
     "_union_norm", "_column_text", "delta_r", "tensor_weights", "distance_from_delta",
     "disk_norm_from_jet", "jet_from_taylor", "TensorWeights", "DeltaResult",
+    "DegenerateVertexError",
 ]
 
 

@@ -44,6 +44,7 @@ from oracles import (
     gabor_closed_form_exp,
     grid_mesh,
     jittered_cover_centers,
+    quadrature_gabor_fsum,
     quadrature_gabor_one_shot,
     quadrature_gabor_panels,
     random_mixture,
@@ -85,6 +86,21 @@ def test_sampled_signal_accepts_tuple_or_array():
         SampledSignal((1.0, complex(0.0, math.inf)), -1.0, 0.1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: SampledSignal((1.0, 2.0), v, 0.1),
+    lambda v: SampledSignal((1.0, 2.0), -1.0, abs(v)),
+    lambda v: Grid2D(v, 0.0, 0.1, 0.1, 3, 3),
+    lambda v: Grid2D(0.0, v, 0.1, 0.1, 3, 3),
+    lambda v: Grid2D(0.0, 0.0, abs(v), 0.1, 3, 3),
+    lambda v: Grid2D(0.0, 0.0, 0.1, abs(v), 3, 3),
+], ids=["t0", "dt", "x0", "y0", "dx", "dy"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_and_grids_rejected(make, value):
+    # a non-finite time axis or grid would give an all-NaN transform without an error
+    with pytest.raises(ValueError, match="finite|positive"):
+        make(value)
+
+
 def test_quadrature_sharpness_factorization():
     f, _ = make_sharpness_pair(1.0)
     grid = Grid2D.from_bounds(-1, 1, -1, 1, 0.25)
@@ -101,26 +117,32 @@ def _noise(nt: int, t0: float, dt: float) -> SampledSignal:
     return SampledSignal(tuple(complex(re, im) for re, im in pairs), t0, dt)
 
 
-def _t_blocks(nt: int, nx: int) -> int:
+def _t_blocks(nt: int) -> int:
     """How many t panels quadrature_gabor sums its product over."""
-    return 1 if nx == 1 else -(-nt // _T_BLOCK)
+    return -(-nt // _T_BLOCK)
 
 
 # the fixed panels' distance from one full product, in ulps of the field's largest
 # modulus: at most 4.2 measured (tail-131 on one BLAS thread), doubled
 ULPS = 8
+# a single x row's distance from the exactly rounded sum of quadrature_gabor_fsum, in
+# ulps of its largest modulus: at most 6.1 measured (one-x-point), doubled; one gemv
+# over every t reads 31.1 and 36.0 on the two one-row cases
+FSUM_ULPS = 12.2
 
 
 # id: (signal, grid, t panels, ulps); the field is bit for bit the fixed-panel sum, and
 # within ulps of its largest modulus of one full product, whose sum over t the BLAS
-# orders; 0 ulps pins the full product bit for bit too
+# orders; 0 ulps pins the full product bit for bit too.  A single x row is held to
+# the exactly rounded sum instead, within ulps and no farther than one full product
 QUADRATURE_CASES = {
     # 157 x rows and 101 y columns, neither a multiple of BLAS's kernel tiles
     "row-blocks": (_noise(20000, -2.0, 2e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 157, 101), 157,
                    ULPS),
     "three-blocks": (_noise(8000, -2.0, 5e-4), Grid2D(-2.0, -1.0, 0.02, 0.02, 197, 101), 63,
                      ULPS),
-    "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), 1, 0),
+    "one-x-point": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -1.0, 0.02, 0.02, 1, 101), 157,
+                    FSUM_ULPS),
     "one-sample": (_noise(1, 0.2, 0.1), Grid2D.from_bounds(-1, 1, -1, 1, 0.1), 1, 0),
     "zero-signal": (SampledSignal((0.0,) * 8000, -2.0, 5e-4),
                     Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 63, 0),
@@ -137,9 +159,9 @@ QUADRATURE_CASES = {
                         235, 0),
     # 180 points and 469 panels
     "below-one-step": (_noise(60000, -3.0, 1e-4), Grid2D(-1.0, -1.0, 0.02, 0.02, 3, 60), 469, 0),
-    # a single x row (gemv) keeps one product
-    "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251), 1,
-                         0),
+    # a single x row takes the panels too; one full product is one gemv
+    "one-x-point-wide": (_noise(20000, -2.0, 2e-4), Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251),
+                         157, FSUM_ULPS),
     # t, x and y grids through exact zeros, and samples with signed zero parts: the
     # kernel's t y = +-0 entries and the products of zeros keep np.exp's bits
     "signed-zeros": (SampledSignal((1.0, complex(-0.0, 1.0), 0.0, complex(-1.0, -0.0), -0.0,
@@ -163,12 +185,17 @@ QUADRATURE_CASES = {
 
 def _assert_bit_identical_to_panels(name) -> np.ndarray:
     sig, grid, blocks, ulps = QUADRATURE_CASES[name]
-    assert _t_blocks(len(sig.samples), grid.nx) == blocks, name
+    assert _t_blocks(len(sig.samples)) == blocks, name
     got = quadrature_gabor(sig, grid).values
     want = quadrature_gabor_panels(sig, grid).values
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
     one_shot = quadrature_gabor_one_shot(sig, grid).values
-    if ulps:
+    if grid.nx == 1:
+        exact = quadrature_gabor_fsum(sig, grid).values
+        error = np.abs(got - exact).max()
+        assert error <= np.abs(one_shot - exact).max(), (name, error)
+        assert error <= ulps * np.spacing(np.abs(exact).max()), (name, error)
+    elif ulps:
         error = np.abs(got - one_shot).max()
         assert error <= ulps * np.spacing(np.abs(one_shot).max()), (name, error)
     else:
@@ -183,9 +210,8 @@ def test_quadrature_bit_identical_to_one_shot(name):
 
 def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread(tmp_path):
     # OpenBLAS reads its thread count once, when it loads: a fresh interpreter on one BLAS
-    # thread checks every case against the oracles and saves its fields, and a field of
-    # several x rows must equal this process's bit for bit.  A single x row is one gemv,
-    # which OpenBLAS splits by thread count, so it is checked on its own thread only
+    # thread checks every case against the oracles and saves its fields, and every field
+    # must equal this process's bit for bit
     fields = tmp_path / "fields.npz"
     script = ("import sys\n"
               "import numpy as np\n"
@@ -201,20 +227,20 @@ def test_quadrature_bit_identical_to_one_shot_on_one_blas_thread(tmp_path):
     assert proc.returncode == 0, proc.stderr[-4000:]
     with np.load(fields) as one_thread:
         for name, (sig, grid, *_) in QUADRATURE_CASES.items():
-            if grid.nx > 1:
-                got = quadrature_gabor(sig, grid).values
-                assert np.array_equal(one_thread[name].view(np.uint64), got.view(np.uint64)), name
+            got = quadrature_gabor(sig, grid).values
+            assert np.array_equal(one_thread[name].view(np.uint64), got.view(np.uint64)), name
 
 
 def test_quadrature_peak_memory_is_panel_slices_not_the_kernel():
-    # the 101 x 101 grid, the data-path transform's 251 x 251 and a 22 x 22 grid, at the
-    # data path's 20000 samples over [-6.5, 6.5] and at ten times as many: a kernel of
-    # nt x ny would be 7 to 803 MB
+    # the 101 x 101 grid, the data-path transform's 251 x 251, a 22 x 22 grid and a single
+    # x row of 251 points, at the data path's 20000 samples over [-6.5, 6.5] and at ten
+    # times as many: a kernel of nt x ny would be 7 to 803 MB
     for nt in (20000, 200000):
         sig = _noise(nt, -6.5, 13.0 / (nt - 1))
         for grid in (Grid2D.from_bounds(-1.0, 1.0, -1.0, 1.0, 0.02),
                      Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02),
-                     Grid2D(-0.21, -0.21, 0.02, 0.02, 22, 22)):
+                     Grid2D(-0.21, -0.21, 0.02, 0.02, 22, 22),
+                     Grid2D(0.3, -2.5, 0.02, 0.02, 1, 251)):
             tracemalloc.start()
             try:
                 fld = quadrature_gabor(sig, grid)
@@ -226,9 +252,8 @@ def test_quadrature_peak_memory_is_panel_slices_not_the_kernel():
             # one panel of t: per sample, the kernel slice's 16 bytes per y, and the
             # windowed rows' 16 and the real window's 8 bytes per x
             slices = (16 * grid.ny + (16 + 8) * grid.nx) * _T_BLOCK
-            # the kernel's real angle scratch, its complex phase scratch and the copy
-            # that conjugating a mirrored chunk of the kernel takes
-            scratch = (8 + 16 + 16) * max(_PHASE_CHUNK, _T_BLOCK)
+            # the kernel's real angle scratch and its complex phase scratch
+            scratch = (8 + 16) * max(_PHASE_CHUNK, _T_BLOCK)
             # t, the real weights and their complex copy
             vectors = (8 + 8 + 16) * nt
             assert peak < output + slices + scratch + vectors, (nt, grid)

@@ -22,7 +22,7 @@ from gaborcert import (
     spectrogram,
 )
 from gaborcert.stability_graph import (
-    DegenerateVertexError,
+    DegenerateSquareError,
     _components,
     _sweep_cheeger,
 )
@@ -77,7 +77,7 @@ def test_build_graph_degenerate_vertex():
     vals = np.zeros((grid.nx, grid.ny))
     vals[grid.nx // 2, grid.ny // 2] = 1.0
     spec = SpectrogramField(grid, vals, SPECTROGRAM)
-    with pytest.raises(DegenerateVertexError) as err:
+    with pytest.raises(DegenerateSquareError, match=r"zero-energy squares at indices \[1\]") as err:
         build_graph(spec, SquareCover(((0.0, 0.0), (2.0, 2.0))))
     assert err.value.indices == [1]
 
