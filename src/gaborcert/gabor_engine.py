@@ -163,8 +163,8 @@ def quadrature_gabor(sig: SampledSignal, grid: Grid2D) -> SpectrogramField:
     multiplied and added to the output in panel order, so the order of the
     sum is fixed here, not by the BLAS's own split of a long product.  The
     kernel is cos + i sin of its real angle (`signal_model._cis_outer`),
-    built with y as its rows, so a y row that is the exact negative of its
-    mirror (a grid symmetric about 0) is its mirror's conjugate.  Besides
+    built with y as its rows and used transposed: the layout whose products
+    the panel oracle in the tests pins bit for bit.  Besides
     the output, the working set is one panel's kernel slice, windowed rows
     and real window, one output-sized partial sum and the nt-long t and
     weight vectors: it does not grow with nt times the grid.  Every grid,

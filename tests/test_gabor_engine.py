@@ -149,8 +149,7 @@ QUADRATURE_CASES = {
     "mixture": (sampled_mixture(random_mixture(np.random.default_rng(3)), -8.0, 8.0),
                 Grid2D.from_bounds(-1, 1, -1, 1, 0.02), 7, 0),
     # the data-path transform: 20000 = 156 * 128 + 32 samples, whose last panel's window
-    # is below rounding; its y grid is symmetric about 0, so mirrored kernel rows are
-    # conjugates
+    # is below rounding
     "data-path": (_noise(20000, -6.5, 13.0 / 19999),
                   Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02), 157, 0),
     # 67 and 129 y columns: odd counts, whose last columns BLAS computes in tail tiles
@@ -247,16 +246,24 @@ def test_quadrature_peak_memory_is_panel_slices_not_the_kernel():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the output and one output-sized partial sum
-            output = 2 * fld.values.nbytes
-            # one panel of t: per sample, the kernel slice's 16 bytes per y, and the
-            # windowed rows' 16 and the real window's 8 bytes per x
-            slices = (16 * grid.ny + (16 + 8) * grid.nx) * _T_BLOCK
-            # the kernel's real angle scratch and its complex phase scratch
-            scratch = (8 + 16) * max(_PHASE_CHUNK, _T_BLOCK)
-            # t, the real weights and their complex copy
-            vectors = (8 + 8 + 16) * nt
-            assert peak < output + slices + scratch + vectors, (nt, grid)
+            # numpy's buffered loops hold a buffer of np.getbufsize() elements of the
+            # loop's type for each operand they cast or broadcast; a complex one:
+            buffer = 16 * np.getbufsize()
+            # before the first panel: t, the real weights, and their complex copy with the
+            # buffer of its cast
+            setup = (8 + 8 + 16) * nt + buffer
+            # in the panels: the output and one output-sized partial sum, the grid's axes,
+            # t and the complex weights; one panel's slices, per sample the kernel slice's
+            # 16 bytes per y and the windowed rows' 16 and real window's 8 bytes per x; and
+            # the windowed product's two complex buffers, for the cast window and the
+            # broadcast samples
+            panels = (2 * fld.values.nbytes + 8 * (grid.nx + grid.ny) + (8 + 16) * nt
+                      + (16 * grid.ny + (16 + 8) * grid.nx) * _T_BLOCK + 2 * buffer)
+            # the kernel slice's phase holds less at once: its real angle scratch and its
+            # outer product's two real buffers
+            assert 8 * max(_PHASE_CHUNK, _T_BLOCK) + 2 * 8 * np.getbufsize() <= 2 * buffer
+            # and at most 8 KiB of the call's Python objects
+            assert peak < max(setup, panels) + 8192, (nt, grid)
 
 
 def test_sampled_input_matches_mixture_path():

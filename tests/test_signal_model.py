@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from gaborcert import (
     GaussianAtom,
     GaussianMixtureSignal,
+    Grid2D,
     gabor_closed_form,
+    gauss_rule,
     l2_norm,
     make_sharpness_pair,
 )
-from gaborcert.signal_model import _cis, _cis_outer, inner_product
+from gaborcert.signal_model import _PHASE_CHUNK, _cis_outer, inner_product
 
 from oracles import gabor_closed_form_exp, mixture_samples, random_mixture, scaled_mixture
 
@@ -201,11 +204,14 @@ def test_cis_phases_bit_identical_to_the_exponentials_they_replace():
     # the open mesh's exp(-i pi x y)
     want = np.exp(-1j * np.pi * (a[:, None] * b[None, :]))
     _assert_same_bits(_cis_outer(a, b, -np.pi, np.empty_like(want)), want)
-    # an atom's exp(-i pi (x + s)(y - m)) over a block of angles
+    # an atom's exp(-i pi (x + s)(y - m)) over a block of angles, each angle a row of
+    # its own: (angle * 1) * 1 is the angle, -0 included
     for s, m in ((0.0, 0.0), (-0.0, -0.0), (0.5, -1.25)):
         x, dy = a[:, None], b[None, :] - m
         want = np.exp(-1j * np.pi * (x + s) * dy)
-        _assert_same_bits(_cis(-np.pi * (x + s) * dy, np.empty_like(want)), want)
+        angle = (-np.pi * (x + s) * dy).ravel()
+        got = _cis_outer(angle, np.ones(1), 1.0, np.empty((angle.size, 1), dtype=complex))
+        _assert_same_bits(got, want.reshape(-1, 1))
 
 
 @pytest.mark.parametrize("a", [
@@ -215,9 +221,14 @@ def test_cis_phases_bit_identical_to_the_exponentials_they_replace():
     np.array([-3.0, -1.0, 2.0, 3.0]),  # one row mirrored, one not
     np.array([-5e-324, 5e-324]),
     -6.5 + 13.0 / 19999 * np.arange(20000),  # the data-path t: 5737 mirrored rows
-], ids=["symmetric", "signed-zeros", "three-zeros", "partial", "subnormal", "data-path-t"])
+    Grid2D.from_bounds(-2.5, 2.5, -2.5, 2.5, 0.02).ys(),  # the data-path y: 68 of 125 mirrored
+    gauss_rule(400, 1.0).nodes,  # plan-sample's rule nodes: all 200 mirrored
+], ids=["symmetric", "signed-zeros", "three-zeros", "partial", "subnormal", "data-path-t",
+        "data-path-y", "gauss-400"])
 def test_cis_outer_mirrored_rows_bit_identical_to_the_exponentials(a):
-    # a second-half row whose a is its mirror's exact negative is that row's conjugate
+    # axes antisymmetric about 0, wholly or in part, as the grids and rules passed in
+    # give them: a row whose a is its mirror's exact negative has exactly negated angles,
+    # and every row, mirrored or not, carries np.exp's bits, signed zeros included
     n = len(a)
     assert (a[n - n // 2:] == -a[:n // 2][::-1]).any()
     b = np.append(_SIGNED, np.random.default_rng(10).uniform(-3, 3, 40))
@@ -228,6 +239,23 @@ def test_cis_outer_mirrored_rows_bit_identical_to_the_exponentials(a):
     _assert_same_bits(_cis_outer(a, b, -2 * np.pi, np.empty_like(want)), want)
     want = np.exp(-1j * np.pi * (a[:, None] * b[None, :]))
     _assert_same_bits(_cis_outer(a, b, -np.pi, np.empty_like(want)), want)
+
+
+def test_cis_outer_scratch_is_one_row_chunk_not_the_mesh():
+    # the scaling table's 4096-square lattice grid, 923 x 923: its angles would be 6.8 MB
+    axis = Grid2D.from_bounds(-23.05, 23.05, -23.05, 23.05, 0.05).xs()
+    assert len(axis) == 923
+    out = np.empty((len(axis), len(axis)), dtype=complex)
+    _cis_outer(axis, axis, -np.pi, out)
+    tracemalloc.start()
+    try:
+        _cis_outer(axis, axis, -np.pi, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the real angle scratch, and the outer product's numpy loop buffers, one real buffer of
+    # np.getbufsize() elements for each broadcast operand
+    assert peak < 8 * max(_PHASE_CHUNK, len(axis)) + 2 * 8 * np.getbufsize()
 
 
 def test_atom_validation():
