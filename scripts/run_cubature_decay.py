@@ -16,32 +16,32 @@ from gaborcert.cubature import apply_rule, product_rule, tensor_product_integral
 from gaborcert.gabor_engine import write_table_csv
 
 FIELDS = ("N", "measured", "bound")
+A = 1.0  # the pair's parameter
+N_MAX = 24  # rules N = 2, 4, ..., N_MAX
+SIDE = 1.0
+REFERENCE_N = 400  # the reference integral's rule size
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--a", type=float, default=1.0)
-    parser.add_argument("--n-max", type=int, default=24)
-    parser.add_argument("--side", type=float, default=1.0)
-    parser.add_argument("--reference-n", type=int, default=400)
     parser.add_argument("--out", type=Path, default=Path("results/cubature"))
     args = parser.parse_args()
 
-    f, g = make_sharpness_pair(args.a)
+    f, g = make_sharpness_pair(A)
     kappa = l2_norm(f) ** 2 + l2_norm(g) ** 2
 
     def phi(x, y):
         return (np.abs(gabor_closed_form(f, x, y)) ** 2
                 - np.abs(gabor_closed_form(g, x, y)) ** 2) ** 2
 
-    ref = tensor_product_integral(phi, args.reference_n, args.side)
+    ref = tensor_product_integral(phi, REFERENCE_N, SIDE)
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "decay.csv"
     rows = []
-    for n in range(2, args.n_max + 1, 2):
-        measured = abs(ref - apply_rule(phi, product_rule(n, args.side)))
-        bound = spectro_error_bound(n, args.side, kappa)
+    for n in range(2, N_MAX + 1, 2):
+        measured = abs(ref - apply_rule(phi, product_rule(n, SIDE)))
+        bound = spectro_error_bound(n, SIDE, kappa)
         rows.append((n, measured, bound))
         print(f"N={n:3d}  measured |E| = {measured:.3e}   bound = {bound:.3e}")
     write_table_csv(path, {f: [row[i] for row in rows] for i, f in enumerate(FIELDS)})

@@ -570,8 +570,6 @@ def cmd_retrieve(config, args) -> ReportBundle:
         if not path.exists():
             raise CliValidationError(f"spectrogram csv not found: {path}")
         spec = read_field_csv(path)
-        if spec.kind != "spectrogram":
-            raise CliValidationError("spectrogram csv must have header x,y,s")
     else:
         sig = spec_cfg["signal"]
         fld = _field_for(sig, spec_cfg["grid"])

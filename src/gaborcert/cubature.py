@@ -87,8 +87,6 @@ def gauss_rule(n: int, side: float) -> GaussRule1D:
     if not side > 0:
         raise ValueError(f"side must be positive, got {side}")
     half = 0.5 * side
-    if n == 1:
-        return GaussRule1D(1, side, np.zeros(1), np.array([side]))
     k = np.arange(n)
     x = np.cos(math.pi * (k + 0.75) / (n + 0.5))
     for _ in range(100):

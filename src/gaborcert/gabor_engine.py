@@ -368,8 +368,8 @@ def _stacked_windows(grid: Grid2D, r: np.ndarray):
 def rect_union_norm(fld: SpectrogramField, rects, p) -> np.ndarray:
     """L^p norms over each rectangle of an (m, 4) array, one per rectangle.
 
-    Same rule as region_norm, without its domain check: rectangles past the
-    grid edge cover no cells there.  Windows and per-axis coverage are
+    Same rule as region_norm: every rectangle must lie in the field's domain,
+    and an empty array gives no norms.  Windows and per-axis coverage are
     computed for all rectangles at once; the windows are then grouped by
     shape, so that each rectangle is still summed over exactly its own
     cells.  Every step is region_norm's elementwise arithmetic, which keeps
@@ -379,6 +379,8 @@ def rect_union_norm(fld: SpectrogramField, rects, p) -> np.ndarray:
     if r.shape[1:] != (4,):
         raise ValueError(f"expected an (m, 4) array, one rectangle each, got shape {r.shape}")
     grid = fld.grid
+    if len(r):
+        _check_region_in_grid(grid, r)
     (i0, j0), (wx, wy), ax, ay = _stacked_windows(grid, r)
     norms = np.empty(len(r))
     shapes, group = np.unique(wx * (grid.ny + 1) + wy, return_inverse=True)
@@ -589,17 +591,17 @@ def _uniform_axis(values: np.ndarray, name: str) -> tuple[float, float, int]:
 
 
 def read_field_csv(path) -> SpectrogramField:
-    """Inverse of write_field_csv; reconstructs the grid from coordinates.
+    """Inverse of write_field_csv for spectrograms; reconstructs the grid from coordinates.
 
-    The header is read with `csv` and must be x,y,s or x,y,re,im before the
-    body is parsed, in one `np.loadtxt` call.  Malformed bodies (no rows,
+    The header is read with `csv` and must be x,y,s before the body is
+    parsed, in one `np.loadtxt` call.  Malformed bodies (no rows,
     ragged rows, non-numeric or non-finite cells, a column count other than
     the header's, an axis with one coordinate, rows that miss or repeat a
     grid cell) raise ValueError.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if header not in (["x", "y", "s"], ["x", "y", "re", "im"]):
+        if header != ["x", "y", "s"]:
             raise ValueError(f"unrecognized field CSV header {header!r}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty body: raised below
@@ -618,13 +620,6 @@ def read_field_csv(path) -> SpectrogramField:
     # nx * ny rows cover the grid when no cell repeats
     if len(data) != nx * ny or not np.bincount(ix * ny + iy, minlength=nx * ny).all():
         raise ValueError("field CSV does not cover a full grid")
-    grid = Grid2D(x0, y0, dx, dy, nx, ny)
-    if header == ["x", "y", "s"]:
-        vals = np.zeros((nx, ny))
-        vals[ix, iy] = data[:, 2]
-        return SpectrogramField(grid, vals, SPECTROGRAM)
-    vals = np.zeros((nx, ny), dtype=complex)
-    # parts filled one by one: re + 1j * im would turn a -0.0 part into 0.0
-    vals.real[ix, iy] = data[:, 2]
-    vals.imag[ix, iy] = data[:, 3]
-    return SpectrogramField(grid, vals, GABOR)
+    vals = np.zeros((nx, ny))
+    vals[ix, iy] = data[:, 2]
+    return SpectrogramField(Grid2D(x0, y0, dx, dy, nx, ny), vals, SPECTROGRAM)

@@ -21,7 +21,6 @@ from .gabor_engine import (
     SPECTROGRAM,
     SpectrogramField,
     _arrangement,
-    _check_region_in_grid,
     rect_union_norm,
     union_area,
 )
@@ -165,17 +164,17 @@ def build_graph(spec: SpectrogramField, cover: SquareCover) -> WeightedGraph:
     """Graph over the cover: w_i = ||S||_L1(Q_i), s_ij = ||S||_L1(Q_i cap Q_j)^2.
 
     Every mass is a norm over the cells of one square or one overlap
-    rectangle, and all come from one stacked rect_union_norm call.  Squares
-    whose centres are 1 or more apart in x do not meet, so a square's
-    candidates lie in its own or the next unit column floor(x), where, sorted
-    by centre y, they are one run: O(n log n + E) time and O(n + E) memory
-    for E overlaps, and no n x n array.
+    rectangle, and all come from one stacked rect_union_norm call, whose
+    domain check names the first square outside (overlaps lie inside their
+    squares).  Squares whose centres are 1 or more apart in x do not meet,
+    so a square's candidates lie in its own or the next unit column
+    floor(x), where, sorted by centre y, they are one run: O(n log n + E)
+    time and O(n + E) memory for E overlaps, and no n x n array.
     """
     if spec.kind != SPECTROGRAM:
         raise ValueError("build_graph expects a spectrogram field")
     n = len(cover)
     r = cover.rects()
-    _check_region_in_grid(spec.grid, r)  # names the first square outside, in one pass
     c = np.array(cover.centers)
     col = np.floor(c[:, 0])
     order = np.lexsort((c[:, 1], col))

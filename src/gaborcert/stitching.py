@@ -48,8 +48,10 @@ __all__ = [
 _DEGENERATE_PEAK = 1e-10
 # cells whose coverage is at or below this hold no local field
 _COVERED = 1e-12
-# the jet order when none is given, per jet source
+# the jet order when none is given, and the largest taken, per jet source: local recovery
+# divides by k! up to the order, and 170! is the largest factorial finite in float64
 _DEFAULT_ORDER = {"analytic": 14, "finite_difference": _FD_MAX_ORDER}
+_MAX_ORDER = {"analytic": 170, "finite_difference": _FD_MAX_ORDER}
 # the centred unit square (xmin, xmax, ymin, ymax) of sharpness_ratio
 _UNIT_SQUARE = (-0.5, 0.5, -0.5, 0.5)
 
@@ -122,13 +124,13 @@ def sharpness_ratio(a: float, step: float) -> tuple[float, float]:
 
 
 def _jet_order(jet_source: str, order: int | None) -> int:
-    """`order`, or the jet source's default when it is None; a finite-difference
-    order above 4 raises ValueError."""
+    """`order`, or the jet source's default when it is None; an order above the
+    source's maximum (170 analytic, 4 finite-difference) raises ValueError."""
     if order is None:
         return _DEFAULT_ORDER[jet_source]
-    if jet_source == "finite_difference" and order > _FD_MAX_ORDER:
-        raise ValueError(f"{order!r} is greater than the maximum of {_FD_MAX_ORDER} "
-                         "for finite_difference jets")
+    if order > _MAX_ORDER[jet_source]:
+        raise ValueError(f"{order!r} is greater than the maximum of {_MAX_ORDER[jet_source]} "
+                         f"for {jet_source} jets")
     return order
 
 
@@ -138,9 +140,9 @@ def retrieve_phase(spec: SpectrogramField, cover: SquareCover,
     """Reconstruct a transform field on the cover from spectrogram data.
 
     Per square, a jet of |F_c|^2 is built at the grid node nearest the
-    square's centre (analytic jets require the generating mixture and
-    default to order 14; finite-difference jets work from the samples, take
-    orders 0..4 only and default to 4, and a higher `order` raises
+    square's centre (analytic jets require the generating mixture, take
+    orders 0..170 and default to 14; finite-difference jets work from the
+    samples, take orders 0..4 only and default to 4; a higher `order` raises
     ValueError before any work).  Local fields are aligned pairwise on
     overlaps, and their relative phases are synchronized over every overlap
     at once by _synchronize, the top eigenvector of the degree-normalised

@@ -420,15 +420,6 @@ def table_csv_bytes(header, rows) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def union_norm(fld, rects, p) -> float:
-    """region_norm's rule without its domain check: rectangles past the grid
-    edge cover no cells there."""
-    from gaborcert.gabor_engine import _masked_norms, _window, coverage_fractions
-
-    sx, sy, sub = _window(fld.grid, rects)
-    return float(_masked_norms(fld.values[sx, sy], coverage_fractions(sub, rects), fld.grid, p))
-
-
 def build_graph_per_pair(spec, cover):
     """Cover graph with one region_norm per square and one per overlapping pair."""
     from gaborcert import region_norm

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -242,6 +243,20 @@ def test_malformed_field_csv_rejected(tmp_path, capsys):
         assert code == 2, name
         assert not out.exists(), name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_retrieve_refuses_the_transform_field_csv(tmp_path, capsys):
+    # retrieve reads spectrograms: the transform's gabor.csv is refused by its header
+    code, out_t = run(tmp_path, "transform", {"signal": ATOM_MIXTURE, "grid": GRID}, "out_t")
+    assert code == 0
+    payload = {"spectrogram": {"csv": str(out_t / "gabor.csv")},
+               "cover": {"centers": [[0.0, 0.0]]}, "ground_truth": ATOM_MIXTURE}
+    capsys.readouterr()
+    code, out_r = run(tmp_path, "retrieve", payload, "out_r")
+    assert code == 2
+    assert not out_r.exists()
+    assert capsys.readouterr().err == (
+        "error: unrecognized field CSV header ['x', 'y', 're', 'im']\n")
 
 
 @pytest.mark.parametrize("grid, axis", [
@@ -520,6 +535,35 @@ def test_plan_sample_evaluates_closed_forms_on_open_meshes(tmp_path, monkeypatch
     assert sorted(shapes) == sorted([((m, 1), (1, m))] * 2 + [((n, 1), (1, n))] * 2)
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable cores")
+@pytest.mark.xfail(strict=True, reason="apply_rule's np.dot over the N^2 reference points sums "
+                                       "in the BLAS's thread split, so plan.csv's last digits "
+                                       "depend on the BLAS thread count")
+def test_plan_sample_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the benchmark's seed-902 data-path plan-sample (reference_n 400), run on 1 and 2
+    # OpenBLAS threads, each in a fresh interpreter: OpenBLAS reads its count when it loads
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    op = next(op for op in workloads.generate("data-path", 902, tmp_path / "work")
+              if op.command == "plan-sample")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run([sys.executable, "-m", "gaborcert", "plan-sample",
+                               "--config", str(op.config), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({name: (out / name).read_bytes() for name in ("nodes.csv", "plan.csv")})
+    assert outputs[0]["nodes.csv"] == outputs[1]["nodes.csv"]
+    assert outputs[0]["plan.csv"] == outputs[1]["plan.csv"]
+
+
 def test_plan_sample_epsilon_validation(tmp_path):
     payload = {"epsilon": 0.6, "square": {"cx": 0.0, "cy": 0.0, "side": 1.0},
                "signal_f": SHARP_F, "signal_g": SHARP_G}
@@ -795,6 +839,8 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
     # finite-difference jets take orders 0..4: a higher order is refused, not clamped
     ("retrieve", dict(RETRIEVE, jet_source="finite_difference", order=5), "order"),
     ("retrieve", dict(RETRIEVE, jet_source="finite_difference", order=14), "order"),
+    # analytic jets divide by k! up to the order, and 171! overflows a double
+    ("retrieve", dict(RETRIEVE, order=171), "order"),
 ], ids=["missing-root-key", "missing-grid-key", "missing-square-key", "missing-sampled-key",
         "unexpected-root-key", "unexpected-grid-key", "unexpected-mixture-key", "root-not-object",
         "string-number", "true-number", "true-epsilon", "true-center", "centers-not-array",
@@ -805,7 +851,7 @@ SAMPLED_SIGNAL = _sampled([[1.0, 0.0], [0.5, 0.0]])
         "path-signal-with-kind", "infinite-dt", "nan-dt", "minus-infinite-t0",
         "infinite-atom-shift", "nan-grid-bound", "nan-step", "minus-infinite-center",
         "infinite-cx", "nan-side", "nan-epsilon", "infinite-sharpness-step", "nan-a",
-        "nan-sample", "a-above-3", "fd-order-5", "fd-order-14"])
+        "nan-sample", "a-above-3", "fd-order-5", "fd-order-14", "analytic-order-171"])
 def test_malformed_config_names_field(tmp_path, capsys, command, payload, path):
     (tmp_path / "s.json").write_text(json.dumps(ATOM_MIXTURE))
     code, out = run(tmp_path, command, payload)
@@ -964,6 +1010,18 @@ def test_retrieve_default_order(tmp_path, jet_source, order):
     code, out_given = run(tmp_path, "retrieve", dict(payload, order=order), "out_given")
     assert code == 0
     assert (out_default / "retrieved.csv").read_bytes() == (out_given / "retrieved.csv").read_bytes()
+
+
+def test_retrieve_takes_the_largest_analytic_order(tmp_path):
+    # 170! is the largest factorial finite in a double, and order 170 still retrieves
+    atoms = ATOM_MIXTURE["atoms"] + [{"re": 0.5, "im": 0.3, "shift": 0.4, "modulation": -0.3}]
+    payload = {"spectrogram": {"signal": {"kind": "mixture", "atoms": atoms},
+                               "grid": dict(GRID, xmin=-1.5, xmax=1.5)},
+               "cover": {"centers": [[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]}, "order": 170}
+    code, out = run(tmp_path, "retrieve", payload)
+    assert code == 0
+    rows = dict(line.split(",") for line in (out / "oracle.csv").read_text().splitlines()[1:])
+    assert float(rows["relative_error"]) < 1e-12
 
 
 def test_cli_runs_without_jsonschema(tmp_path):

@@ -32,8 +32,7 @@ from gaborcert.gabor_engine import (
 )
 from gaborcert.stitching import DegenerateSquareError
 
-from oracles import (build_graph_per_pair, gabor_closed_form_exp, grid_mesh, jittered_cover_centers,
-                     union_norm)
+from oracles import build_graph_per_pair, gabor_closed_form_exp, grid_mesh, jittered_cover_centers
 
 ATOM = GaussianMixtureSignal((GaussianAtom(1.0),))
 DOMAIN_GRID = Grid2D.from_bounds(-2.0, 2.0, -2.0, 2.0, 0.05)
@@ -246,16 +245,22 @@ def test_build_graph_bit_equal_to_per_pair_loop(name):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_stacked_rect_norms_at_and_past_the_grid_edge(p):
-    rects = np.array([(1.5, 2.5, -0.5, 0.5),     # clamped at the grid's right edge
-                      (-3.0, -2.5, 0.0, 1.0),    # left of the grid: mass 0
-                      (3.0, 4.0, 3.0, 4.0),      # past the grid's corner: mass 0
+    # region_norm's domain rule: rectangles up to the cell bound are summed, any past it raises
+    gx0, gx1, gy0, gy1 = DOMAIN_GRID.cell_bounds()
+    rects = np.array([(gx1 - 1.0, gx1, -0.5, 0.5),  # on the grid's right cell bound
+                      (gx0, gx0 + 0.5, gy1 - 0.5, gy1),  # in the grid's top-left corner
                       (-0.3, 0.7, -0.6, 0.4)])
+    past = [(1.5, 2.5, -0.5, 0.5),     # over the grid's right edge
+            (-3.0, -2.5, 0.0, 1.0),    # left of the grid
+            (3.0, 4.0, 3.0, 4.0)]      # past the grid's corner
     for fld in (_domain_spec(), mixture_field(ATOM, DOMAIN_GRID)):  # real and complex values
         stacked = rect_union_norm(fld, rects, p)
-        assert np.array_equal(_bits(stacked), _bits([union_norm(fld, [r], p) for r in rects]))
-        assert stacked[0] > 0 and stacked[3] > 0
-        assert stacked[1] == 0.0 and stacked[2] == 0.0
+        assert np.array_equal(_bits(stacked), _bits([region_norm(fld, [r], p) for r in rects]))
+        assert (stacked > 0).all()
         assert rect_union_norm(fld, np.empty((0, 4)), p).shape == (0,)
+        for k, r in enumerate(past):
+            with pytest.raises(ValueError, match=rf"^rectangle {k + 1} .* exceeds the field domain"):
+                rect_union_norm(fld, np.insert(rects, k + 1, r, axis=0), p)
 
 
 @pytest.mark.parametrize("name", list(COVERS) + ["grid-edge"])

@@ -4,6 +4,7 @@ to the checked-in digests, and the benchmark's smoke run passes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,8 @@ DATA = Path(__file__).resolve().parent / "data"
 SCRIPTS = {
     "output_digests": (["--smoke"], "output_digests.csv"),
     "run_accuracy_table": (["--smoke"], "accuracy_table.csv"),
-    "run_certificate_sweep": (["--pairs", "1", "--steps", "0.1"], "ratios.csv"),
-    "run_cubature_decay": (["--n-max", "4", "--reference-n", "40"], "decay.csv"),
+    "run_certificate_sweep": ([], "ratios.csv"),
+    "run_cubature_decay": ([], "decay.csv"),
     "run_noise_table": (["--smoke"], "noise_table.csv"),
     "run_scaling": (["--smoke"], "scaling.csv"),
     "run_strip_certificate": (["--smoke"], "strip_certificate.csv"),
@@ -34,6 +35,7 @@ def run_script(name, args, out):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("name", list(SCRIPTS))
@@ -44,6 +46,16 @@ def test_script_writes_its_csv(tmp_path, name):
     assert b"\r" not in data  # the package's CSV writer ends lines with "\n"
     lines = data.decode().splitlines()
     assert len(lines) >= 2, lines  # a header and at least one row
+
+
+@pytest.mark.parametrize("name", list(SCRIPTS))
+def test_script_options_are_smoke_and_out_only(tmp_path, name):
+    # sizes, seeds and steps are constants of each script; only the smoke switch and the
+    # output directory are settable
+    names = {word for line in run_script(name, ["--help"], tmp_path).splitlines()
+             if line.startswith("  -") for word in re.findall(r"--?\w[\w-]*", line.split("  ")[1])}
+    assert names <= {"-h", "--help", "--smoke", "--out"}, names
+    assert "--out" in names
 
 
 def test_smoke_outputs_match_the_checked_in_digests(tmp_path):

@@ -192,6 +192,19 @@ def test_retrieve_rejects_finite_difference_order_above_4_before_any_work(monkey
         retrieve_phase(spec, COVER_2X2, "finite_difference", 5)
 
 
+def test_retrieve_rejects_analytic_order_above_170_before_any_work(monkeypatch):
+    f03, _ = make_sharpness_pair(0.3)
+    grid = Grid2D.from_bounds(-0.85, 0.85, -0.85, 0.85, 0.05)
+    spec = spectrogram(mixture_field(f03, grid))
+
+    def reached(*args, **kwargs):
+        raise AssertionError("build_graph ran before the order was checked")
+
+    monkeypatch.setattr(stitching, "build_graph", reached)
+    with pytest.raises(ValueError, match="171 is greater than the maximum of 170 for analytic"):
+        retrieve_phase(spec, COVER_2X2, "analytic", 171, signal=f03)
+
+
 def test_retrieve_gauge_covariance():
     # spectrograms of f and e^{i theta} f coincide, so retrieval does too
     grid = Grid2D.from_bounds(-0.85, 0.85, -0.85, 0.85, 0.05)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gaborcert import SquareCover, cli
-from gaborcert.gabor_engine import _window, coverage_fractions, read_field_csv
+from gaborcert.gabor_engine import Grid2D, _window, coverage_fractions, read_field_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,9 +61,15 @@ def test_retrieve_counts_one_jet_per_square_and_every_covered_cell(traced, workl
     ops, codes, metrics = traced[workload]
     assert codes == [0] * len(ops)
     retrieve = next(op for op in ops if op.command == "retrieve")
-    centers = json.loads(retrieve.config.read_text())["cover"]["centers"]
-    cover = SquareCover(tuple(map(tuple, centers)))
-    grid = read_field_csv(retrieve.out / "retrieved.csv").grid
+    config = json.loads(retrieve.config.read_text())
+    cover = SquareCover(tuple(map(tuple, config["cover"]["centers"])))
+    # the retrieved field's grid is its input's: the config's grid, or that of the spectrogram CSV
+    source = config["spectrogram"]
+    if "csv" in source:
+        grid = read_field_csv(retrieve.config.parent / source["csv"]).grid
+    else:
+        bounds = source["grid"]
+        grid = Grid2D.from_bounds(*(bounds[k] for k in ("xmin", "xmax", "ymin", "ymax", "step")))
     assert metrics["tensor_phase.jet.calls"] == len(cover)
     assert metrics["tensor_phase.local_phase_from_modulus.points"] == _covered_cells(cover, grid)
 
